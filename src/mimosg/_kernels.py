@@ -3,8 +3,8 @@
 The numba path is the default. The fallback is selected automatically when
 numba is not importable, or explicitly by setting the environment variable
 ``MIMOSG_NO_NUMBA=1`` before import. Both paths compute identical sums (up
-to floating summation order); ``bench/benchmark_kernels.py`` compares their
-throughput.
+to floating summation order). ``perfbench/run.py --trace 1`` times each
+kernel inside a full Monte Carlo run.
 
 All randomness stays outside these kernels (numpy Generators in the
 callers), so replays are bit-exact regardless of which path is active.

@@ -20,9 +20,9 @@ Numerical strategy: all integrands are smooth after mapping semi-infinite
 tails onto log-spaced Gauss-Legendre panels, so fixed tensorised panels
 (vectorised in numpy) replace adaptive quadrature in the hot path. The
 doubly-integrated E2 exponent depends on its arguments only through one
-nonpositive scalar, so it is tabulated once per parameter set on a
-log-log grid and spline-interpolated; tests pin both shortcuts against
-the adaptive reference in :mod:`mimosg.quadrature`.
+nonpositive scalar, so it is tabulated once per geometry (pi lam, r0,
+r_e, alpha, eps) on a log-log grid and spline-interpolated; tests pin
+both shortcuts against the adaptive reference in :mod:`mimosg.quadrature`.
 """
 from __future__ import annotations
 
@@ -38,7 +38,8 @@ from scipy.special import gammainc, gammaln
 from .errors import DomainError, NumericalError
 from .params import (SystemParams, default_gamma_shape,
                      derived_constants, eta_shape)
-from .quadrature import DEFAULT_QUAD, gauss_legendre_panels, log_panel_grid
+from .quadrature import (DEFAULT_QUAD, gauss_legendre_panels, leggauss,
+                         log_panel_grid)
 
 log = logging.getLogger(__name__)
 
@@ -172,8 +173,13 @@ def q3(x: float, params: SystemParams, exact: bool = False) -> float:
 
     The production form replaces the user-to-user distance by the
     station-to-user distance, which makes it x-independent (N_p times the
-    cross moment). ``exact=True`` evaluates the full triple integral over
-    the exclusion-ball field with the law-of-cosines coupling; it only
+    cross moment). It also conditions the foreign user's serving distance
+    on (r0, |y|), with |y| that user's distance to the tagged station,
+    where the exact form uses (max(r0, x - d), x + d) with d the
+    user-to-user distance. At eps = 0 the serving-distance moment is 1, so
+    only the distance swap shows; for eps > 0 the gap between the two forms
+    mixes both changes. ``exact=True`` evaluates the full triple integral
+    over the exclusion-ball field with the law-of-cosines coupling; it only
     converges for x < r_e (an interferer may otherwise coincide with the
     tagged user) and exists as the quality oracle for the approximation.
     """
@@ -266,6 +272,25 @@ def _coefficients(t_lin, n, x, p: SystemParams, eta, c2, q1_val):
 # engine context: grids and tabulated exponents per parameter set
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _E2Table:
+    """Log-log spline of -E2 exponent over the coupling magnitude, with
+    the exact linear slope below ``lo``."""
+    spline: CubicSpline
+    lo: float
+    hi: float
+    linear_slope: float
+
+
+@lru_cache(maxsize=32)
+def _e2_slot(pi_lam: float, r0: float, r_e: float, alpha: float,
+             eps: float) -> list:
+    """Holder of the one E2 table of a geometry. The doubly-integrated
+    exponent depends only on these five values, not on n_p, m or the
+    mode, so a sweep over those builds the table once."""
+    return []
+
+
 @dataclass
 class _Context:
     params: SystemParams
@@ -275,9 +300,6 @@ class _Context:
     x_nodes: np.ndarray        # in u = pi lam (x^2 - r0^2) coordinates
     x_weights: np.ndarray
     x_vals: np.ndarray
-    _e2_spline: CubicSpline | None = None
-    _e2_range: tuple | None = None
-    _e2_linear_slope: float = 0.0
 
     # --- c1 -------------------------------------------------------------
     def c1(self, x, c2, vm):
@@ -324,11 +346,16 @@ class _Context:
         tau_max = float(np.clip(np.max(tau_tail, initial=10.0), 10.0, 1e24))
         tau, wtau = log_panel_grid(1.0, tau_max, panels_per_decade=4,
                                    n_per_panel=10)
-        t = a[:, None] * tau[None, :]
-        z = (bt[:, None] * t ** (-p.alpha / 2.0)
-             + ct[:, None] * t ** (-p.alpha))
-        vals = np.expm1(z)
-        return a * (vals @ wtau)
+        # with t = a tau the exponent is beta th + gam th^2, th = tau^(-a/2):
+        # the powers act on the 1-D grid and the row coefficients only
+        th = tau ** (-p.alpha / 2.0)
+        beta = bt * a ** (-p.alpha / 2.0)
+        gam = ct * a ** (-p.alpha)
+        z = np.multiply.outer(gam, th)
+        z += beta[:, None]
+        z *= th
+        np.expm1(z, out=z)
+        return a * (z @ wtau)
 
     # --- E2 exponent ------------------------------------------------------
     def _e2_direct(self, dt_coef: float) -> float:
@@ -350,7 +377,7 @@ class _Context:
         t, wt = log_panel_grid(te, t_max, panels_per_decade=4, n_per_panel=10)
         s_cap = a0 + 45.0
         s_hi = np.minimum(t, s_cap)
-        gl_x, gl_w = np.polynomial.legendre.leggauss(DEFAULT_QUAD.grid_inner)
+        gl_x, gl_w = leggauss(DEFAULT_QUAD.grid_inner)
         half = 0.5 * (s_hi - a0)
         s = a0 + half[:, None] * (gl_x[None, :] + 1.0)
         ws = half[:, None] * gl_w[None, :]
@@ -358,16 +385,24 @@ class _Context:
         inner = np.sum(ws * np.exp(-s) * np.expm1(z), axis=1)
         return float(np.dot(wt, inner / (math.exp(-a0) - np.exp(-t))))
 
-    def _build_e2_table(self):
+    def _build_e2_table(self) -> _E2Table:
         lo, hi = 1e-12, 1e15
         grid = np.geomspace(lo, hi, int(math.log10(hi / lo)) * 8 + 1)
         vals = np.array([self._e2_direct(-g) for g in grid])
         if np.any(vals >= 0):
             raise NumericalError("E2 exponent table is not negative")
-        self._e2_spline = CubicSpline(np.log(grid), np.log(-vals))
-        self._e2_range = (lo, hi)
         # small-coupling behaviour is exactly linear with this slope
-        self._e2_linear_slope = vals[0] / (-grid[0])
+        return _E2Table(spline=CubicSpline(np.log(grid), np.log(-vals)),
+                        lo=lo, hi=hi, linear_slope=vals[0] / (-grid[0]))
+
+    def e2_table(self) -> _E2Table:
+        """The E2 table of this geometry, built on first use and shared
+        with every parameter set of the same geometry."""
+        p = self.params
+        slot = _e2_slot(p.pi_lam, p.r0, p.r_e, p.alpha, p.eps)
+        if not slot:
+            slot.append(self._build_e2_table())
+        return slot[0]
 
     def e2_exponent(self, d):
         """Exponent of E2 (before the per-user multiplicity factor) at
@@ -375,20 +410,19 @@ class _Context:
         p = self.params
         d = np.atleast_1d(np.asarray(d, dtype=float))
         dt_coef = d * p.pi_lam ** (p.alpha * (1.0 - p.eps) / 2.0)
-        if self._e2_spline is None:
-            self._build_e2_table()
-        lo, hi = self._e2_range
+        table = self.e2_table()
+        lo, hi = table.lo, table.hi
         mag = np.abs(dt_coef)
         out = np.zeros_like(mag)
         tiny = (mag > 0) & (mag < lo)
-        out[tiny] = dt_coef[tiny] * self._e2_linear_slope
+        out[tiny] = dt_coef[tiny] * table.linear_slope
         mid = (mag >= lo) & (mag <= hi)
-        out[mid] = -np.exp(self._e2_spline(np.log(mag[mid])))
+        out[mid] = -np.exp(table.spline(np.log(mag[mid])))
         big = mag > hi
         if np.any(big):
             # asymptotic power-law continuation of the log-log spline
-            slope = float(self._e2_spline(math.log(hi), 1))
-            base = float(self._e2_spline(math.log(hi)))
+            slope = float(table.spline(math.log(hi), 1))
+            base = float(table.spline(math.log(hi)))
             out[big] = -np.exp(base + slope * (np.log(mag[big]) - math.log(hi)))
         return out
 

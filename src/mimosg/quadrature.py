@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,7 +72,13 @@ def _gk15(f, a: float, b: float):
     fx = np.asarray(f(mid + half * _XK), dtype=float)
     ik = half * float(np.dot(_WK, fx))
     ig = half * float(np.dot(_WG, fx[1::2]))
-    err = (200.0 * abs(ik - ig)) ** 1.5 if ik != ig else 0.0
+    err = abs(ik - ig)
+    # QUADPACK's scale-free estimate (Piessens et al. 1983, qk15): resasc
+    # is the Kronrod integral of |f - mean f| over the panel
+    mean = 0.5 * float(np.dot(_WK, fx))
+    resasc = abs(half) * float(np.dot(_WK, np.abs(fx - mean)))
+    if err != 0.0 and resasc != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     return ik, err
 
 
@@ -187,10 +194,19 @@ def quad_2d(f, outer_a: float, outer_b: float, inner_a, inner_b,
     return quad_1d(outer_integrand, outer_a, outer_b, cfg)
 
 
+@lru_cache(maxsize=32)
+def leggauss(n: int):
+    """Read-only n-point Gauss-Legendre rule on [-1, 1], built once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_panels(breaks: np.ndarray, n_per_panel: int):
     """Gauss-Legendre nodes/weights on consecutive panels between ``breaks``."""
     breaks = np.asarray(breaks, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(n_per_panel)
+    x, w = leggauss(n_per_panel)
     lo = breaks[:-1, None]
     hi = breaks[1:, None]
     half = 0.5 * (hi - lo)

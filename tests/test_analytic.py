@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gammainc
 
 from mimosg.analytic import (CoverageCurve, _context, _coefficients, c1_term,
@@ -18,6 +19,26 @@ CROSS_MOMENT = {0.0: 16.0, 0.5: 2.8856400139492937, 1.0: 0.9783991390254186}
 Q1_ASYNC = {0.0: 318.9786384922728, 0.5: 0.36080523919038715,
             1.0: 0.1222998924098752}
 Q3_EXACT_X03 = {0.0: 390.625, 0.5: 68.64538414}
+
+# frozen engine outputs that any re-arrangement of the same quadrature sums
+# must reproduce to 1e-12: sync, m=64, eps=0.5, N=4 coverage at -10..20 dB
+# and the rates of the `sweep --param np` values 2, 5, 10, 15, 20, 25, 30
+GOLDEN_SYNC_COVERAGE = [
+    0.991101661442765, 0.9848697581271835, 0.9752681236107476,
+    0.9611454120991433, 0.9413209593183433, 0.9147614823430873,
+    0.8807852286397367, 0.8392416090090667, 0.7906002826165328,
+    0.7358888453077241, 0.6764557027676174, 0.6136108656192487,
+    0.548287387232897, 0.4809057590395836, 0.41156392673273473,
+    0.34054684937235036, 0.26901255803657675, 0.19956293030368008,
+    0.13625169528141293, 0.08362353886599337, 0.044924668629752765,
+    0.02050535651819164, 0.007683972547916609, 0.0022676278912647065,
+    0.0004997795389132152, 7.67698864253908e-05, 7.515256730171106e-06,
+    4.182304172435723e-07, 1.1451410775988626e-08, 1.2859297305137864e-10,
+    4.709388870016422e-13]
+GOLDEN_SWEEP_RATES = {
+    2: 3.757892999729242, 5: 6.416150260741081, 10: 8.250295766581141,
+    15: 8.445045283296238, 20: 7.697616841995412, 25: 6.33042809039451,
+    30: 4.523470081247356}
 
 
 class TestGammaApprox:
@@ -227,6 +248,43 @@ class TestLaplaceTerms:
         estimate = float(np.concatenate(vals).mean())
         assert e1_term(t_lin, n, x, p, n) == pytest.approx(estimate, rel=0.03)
 
+    def test_e1_exponent_against_scipy_quad(self, params_sync):
+        """Rows sharing one tau grid, from tiny through moderate to
+        saturating exponents (B x^-a + C x^-2a down to -1.6e4)."""
+        p = params_sync
+        q = p.pi_lam
+        rows = [(-1e-10, -1e-13, 0.2), (-3e-3, -2e-5, 0.4),
+                (-0.02, -1e-3, 0.9), (-10.0, -1.0, 0.3),
+                (-1e3, -1e4, 1.5), (0.0, -5.0, 0.6)]
+        b, c, x = (np.array(col) for col in zip(*rows))
+        assert np.min(b * x ** -p.alpha + c * x ** (-2 * p.alpha)) < -40.0
+        got = _context(p).e1_exponent(b, c, x)
+        for (bi, ci, xi), val in zip(rows, got):
+            bt, ct = bi * q ** (p.alpha / 2.0), ci * q ** p.alpha
+
+            def f(t):
+                return math.expm1(bt * t ** (-p.alpha / 2.0)
+                                  + ct * t ** -p.alpha)
+
+            a = q * xi * xi
+            ref = (quad(f, a, 10.0 * a, epsabs=0.0, epsrel=1e-13)[0]
+                   + quad(f, 10.0 * a, np.inf, epsabs=0.0, epsrel=1e-13)[0])
+            assert val == pytest.approx(ref, rel=1e-9)
+
+    def test_e2_table_shared_across_pilot_lengths(self):
+        pa = default_params("sync", eps=0.5, n_p=5, strict_frame=False)
+        pb = default_params("sync", eps=0.5, n_p=25, strict_frame=False)
+        ctx_a, ctx_b = _context(pa), _context(pb)
+        assert ctx_a is not ctx_b
+        shared = ctx_a.e2_table()
+        assert ctx_b.e2_table() is shared
+        fresh = ctx_b._build_e2_table()
+        assert fresh is not shared
+        assert (fresh.lo, fresh.hi) == (shared.lo, shared.hi)
+        assert fresh.linear_slope == shared.linear_slope
+        np.testing.assert_array_equal(fresh.spline.x, shared.spline.x)
+        np.testing.assert_array_equal(fresh.spline.c, shared.spline.c)
+
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_e2_spline_against_direct(self, eps):
         """Tabulated-spline evaluation vs direct double quadrature."""
@@ -365,3 +423,16 @@ class TestErgodicRate:
         # the trapezoid route misses the [0, 1e-4] head, bounded by its width
         head = p.n_p * p.n_d / p.n_tot / math.log(2.0) * 1e-4
         assert r == pytest.approx(manual, rel=5e-3, abs=2 * head)
+
+
+class TestGoldenValues:
+    def test_sync_coverage(self, params_sync):
+        th = 10.0 ** (np.arange(-10.0, 21.0, 1.0) / 10.0)
+        cov = coverage(th, params_sync, 4).coverage
+        np.testing.assert_allclose(cov, GOLDEN_SYNC_COVERAGE, rtol=0.0,
+                                   atol=1e-12)
+
+    def test_pilot_length_sweep_rates(self):
+        for n_p, golden in GOLDEN_SWEEP_RATES.items():
+            p = default_params("sync", eps=0.5, n_p=n_p, strict_frame=False)
+            assert ergodic_rate(p, 4).rate == pytest.approx(golden, rel=1e-12)

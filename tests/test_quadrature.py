@@ -51,6 +51,26 @@ class TestQuad1d:
         assert err.value.estimate is not None
         assert err.value.intervals is not None
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-12])
+    def test_error_estimate_is_scale_free(self, scale):
+        # sin^2(30x) e^(-x/3) on [0, 10] in closed form; an error estimate
+        # that grows like |K15 - G7|^1.5 stops splitting early on small
+        # integrands (relative error 0.36 at scale 1e-12)
+        a, b, top = 1.0 / 3.0, 60.0, 10.0
+        z = complex(-a, b)
+        exact = scale * (0.5 * (1.0 - math.exp(-a * top)) / a
+                         - 0.5 * ((np.exp(z * top) - 1.0) / z).real)
+
+        def f(x):
+            return scale * np.sin(30.0 * x) ** 2 * np.exp(-x / 3.0)
+
+        got = quad_1d(f, 0.0, top)
+        tol = max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * exact)
+        assert abs(got - exact) <= tol
+        relative_only = QuadratureConfig(abs_tol=1e-300)
+        got = quad_1d(f, 0.0, top, relative_only)
+        assert got == pytest.approx(exact, rel=1e-12)
+
     def test_truncation_requires_decay(self):
         with pytest.raises(QuadratureError):
             truncate_upper_limit(lambda t: np.ones_like(np.asarray(t)), 0.0)

@@ -1,13 +1,19 @@
 """Hot numeric kernels: numba-jitted with a pure-numpy fallback.
 
-The numba path is the default. The fallback is selected automatically when
-numba is not importable, or explicitly by setting the environment variable
-``MIMOSG_NO_NUMBA=1`` before import. Both paths compute identical sums (up
-to floating summation order). ``perfbench/run.py --trace 1`` times each
-kernel inside a full Monte Carlo run.
+The numba path is used when numba is importable; the numpy path runs
+otherwise, or when the environment variable ``MIMOSG_NO_NUMBA=1`` is set
+before import. Without numba installed the numpy path is the only one
+that runs, and it is the one the benchmark measures.
+
+Distances (``nearest_bs``, ``pairwise_dist``) are formed one coordinate
+column at a time as dx*dx + dy*dy, the same arithmetic as the numba loop.
+The SINR and delta kernels sum in a different order on the two paths and
+agree to about 1e-12 relative.
+``perfbench/run.py --trace 1`` times each kernel inside a full Monte
+Carlo run.
 
 All randomness stays outside these kernels (numpy Generators in the
-callers), so replays are bit-exact regardless of which path is active.
+callers), so for a given path replays are bit-exact.
 """
 from __future__ import annotations
 
@@ -41,12 +47,22 @@ USE_NUMBA = HAVE_NUMBA
 # nearest base station
 # ---------------------------------------------------------------------------
 
+def _sq_dist(a, b):
+    """Squared distances |a_i - b_j|^2, one coordinate column at a time:
+    dx*dx + dy*dy in that order, the same sum the numba loop forms."""
+    d2 = a[:, 0:1] - b[:, 0]
+    dy = a[:, 1:2] - b[:, 1]
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    return d2
+
+
 def _nearest_bs_np(pts, bs):
-    diff = pts[:, None, :] - bs[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = _sq_dist(pts, bs)
     idx = np.argmin(d2, axis=1)
     dist = np.sqrt(d2[np.arange(pts.shape[0]), idx])
-    return idx.astype(np.int64), dist
+    return idx, dist
 
 
 @njit(cache=True)
@@ -81,8 +97,8 @@ def nearest_bs(pts: np.ndarray, bs: np.ndarray):
 
 def pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix |a_i - b_j|, shape (len(a), len(b))."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    d2 = _sq_dist(a, b)
+    return np.sqrt(d2, out=d2)
 
 
 # ---------------------------------------------------------------------------

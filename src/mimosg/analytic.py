@@ -63,6 +63,7 @@ class CoverageCurve:
     params: SystemParams
     n_shape: int | None = None
     ci_half_width: np.ndarray | None = None
+    trials_used: int | None = None    # Monte Carlo: trials with tagged users
 
     def as_rows(self):
         return list(zip(self.thresholds.tolist(), self.coverage.tolist()))

@@ -224,8 +224,10 @@ def build_network(params: SystemParams, window: float,
     Users are drawn uniformly over the window and kept for their nearest
     cell when farther than r0 from it, which is distribution-identical to
     per-cell uniform sampling over the Voronoi polygon minus the exclusion
-    disk. Cells still short of users after the attempt budget are flagged
-    invalid and excluded from measurement.
+    disk. Fill rule: each cell takes the first K eligible points in draw
+    order (batch after batch, and by position within a batch); seeded
+    replays depend on this order. Cells still short of users after the
+    attempt budget are flagged invalid and excluded from measurement.
     """
     bs_set = sample_hppp(params.lam, window, rng)
     if len(bs_set) == 0:
@@ -246,17 +248,19 @@ def build_network(params: SystemParams, window: float,
         pts = rng.random((batch, 2)) * window
         drawn += batch
         idx, dist = _kernels.nearest_bs(pts, bs)
-        keep = dist > params.r0
-        kidx, kpts, kdist = idx[keep], pts[keep], dist[keep]
-        for j in np.unique(kidx):
-            need = k - fill[j]
-            if need <= 0:
-                continue
-            sel = np.flatnonzero(kidx == j)[:need]
-            got = sel.shape[0]
-            users[j, fill[j]:fill[j] + got] = kpts[sel]
-            serving[j, fill[j]:fill[j] + got] = kdist[sel]
-            fill[j] += got
+        keep = np.flatnonzero(dist > params.r0)
+        # Eligible points grouped by cell, draw order kept within a cell
+        # (stable sort); a point's rank in its group gives its user slot.
+        order = keep[np.argsort(idx[keep], kind="stable")]
+        cells = idx[order]
+        per_cell = np.bincount(cells, minlength=n_bs)
+        first = np.cumsum(per_cell) - per_cell
+        slot = fill[cells] + np.arange(cells.size) - first[cells]
+        take = slot < k
+        order, cells, slot = order[take], cells[take], slot[take]
+        users[cells, slot] = pts[order]
+        serving[cells, slot] = dist[order]
+        fill = np.minimum(fill + per_cell, k)
 
     valid = fill >= k
     if not valid.all():

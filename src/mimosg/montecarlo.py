@@ -188,7 +188,7 @@ def run_coverage_mc(params: SystemParams, cfg: McConfig) -> CoverageCurve:
     return CoverageCurve(
         thresholds=np.asarray(cfg.thresholds, dtype=float), coverage=p_hat,
         mode=params.mode, method="monte-carlo", params=params,
-        ci_half_width=half)
+        ci_half_width=half, trials_used=int(fracs.shape[0]))
 
 
 def run_rate_mc(params: SystemParams, cfg: McConfig) -> RateResult:
@@ -217,6 +217,8 @@ class ValidationReport:
     mode: str
     n_shape: int
     trials: int
+    trials_used: int      # trials whose zero-cell gave tagged users
+    trials_skipped: int   # no tagged users, e.g. zero-cell outside the margin
 
     def format_table(self) -> str:
         lines = ["threshold_db analytic mc mc_ci95 abs_dev"]
@@ -242,6 +244,8 @@ class ValidationReport:
             "mode": self.mode,
             "n_shape": self.n_shape,
             "trials": self.trials,
+            "trials_used": self.trials_used,
+            "trials_skipped": self.trials_skipped,
             "note": ("gate, trial count and intervals are conventions of "
                      "this validation suite"),
         }
@@ -261,4 +265,5 @@ def validate(params: SystemParams, cfg: McConfig, gate: float,
         mc=mc_curve.coverage, mc_half_width=mc_curve.ci_half_width,
         abs_dev=dev, worst_dev=worst, gate=float(gate),
         passed=bool(worst <= gate), mode=params.mode, n_shape=int(n_shape),
-        trials=cfg.trials)
+        trials=cfg.trials, trials_used=mc_curve.trials_used,
+        trials_skipped=cfg.trials - mc_curve.trials_used)

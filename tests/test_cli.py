@@ -160,6 +160,19 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert "PASS" in err
 
+    def test_validate_json_counts_skipped_trials(self, capsys):
+        """Seed 42 skips trial 171 (zero-cell outside the margin); the
+        JSON says so, and a rerun writes the same bytes."""
+        argv = ("validate", "--gate", "0.9", "--mode", "async", "--trials",
+                "200", "--seed", "42", "--thresholds-db", "0:6:3",
+                "--format", "json")
+        _, first, _ = run_cli(capsys, *argv)
+        _, second, _ = run_cli(capsys, *argv)
+        assert first == second
+        doc = json.loads(first)
+        assert (doc["trials_used"], doc["trials_skipped"]) == (199, 1)
+        assert doc["trials_used"] + doc["trials_skipped"] == doc["trials"]
+
     def test_sweep_np(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--param", "np", "--values",
                                "5,10,15", "--mode", "async", "--eps", "0.5")

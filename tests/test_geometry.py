@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mimosg import _kernels
 from mimosg.errors import DomainError, RealizationError
 from mimosg.geometry import (DistanceBundle, NetworkRealization, PointSet,
                              build_network, extract_bundle, sample_hppp,
@@ -264,6 +266,56 @@ class TestNetwork:
         assert doc["window_km"] == 4.0
         assert len(doc["base_stations"]) == net.n_bs
         assert len(doc["users"][0]["coords"]) == 10
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+class TestGoldenRealizations:
+    """Seeded realizations pinned bit for bit (SHA-256 of the raw float64
+    bytes, NaN rows included). Any change to the order of random draws,
+    to the nearest-station arithmetic or to which points fill a cell
+    (the first K eligible ones in draw order) moves these digests."""
+
+    # mode, window, seed, attempts_per_cell, r0 override, n_bs,
+    # invalid cells, nearest-station batches, digests of bs/users/serving,
+    # serving[0, 0]
+    CASES = {
+        "async-4km": ("async", 4.0, 0, 10_000, {}, 22, [], 1,
+                      "67efe2bdc0275259", "cb7f043a5faf363c",
+                      "54f7c2f739a3fff5", 0.7718446515680116),
+        "sync-8km-three-batches": (
+            "sync", 8.0, 0, 10_000, {}, 85, [], 3,
+            "3cbd2ce6654803dd", "a29a2fb94f5bea52", "138c3738068abefb",
+            0.5031967620092987),
+        # one batch only: cells 4 and 12 end partly filled, 25 and 28 empty
+        "async-4km-short-budget": (
+            "async", 4.0, 4, 1, {"r0": 0.3}, 30, [4, 12, 25, 28], 1,
+            "49fe0e84c9ba643f", "9f588b76c030131b", "04c29d4d4db86142",
+            0.3529857300887313),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_seeded_output_is_pinned(self, case, monkeypatch):
+        (mode, window, seed, attempts, over, n_bs, invalid, batches,
+         h_bs, h_users, h_serving, s00) = self.CASES[case]
+        calls = []
+        real = _kernels.nearest_bs
+        monkeypatch.setattr(_kernels, "nearest_bs",
+                            lambda pts, bs: calls.append(1) or real(pts, bs))
+        p = default_params(mode, m=64, eps=0.5, **over)
+        net = build_network(p, window, np.random.default_rng(seed),
+                            attempts_per_cell=attempts)
+        assert len(calls) == batches
+        assert net.n_bs == n_bs
+        assert np.flatnonzero(~net.valid).tolist() == invalid
+        assert np.isnan(net.users[~net.valid]).all()
+        assert np.isnan(net.serving[~net.valid]).all()
+        assert np.isfinite(net.users[net.valid]).all()
+        assert net.serving[0, 0] == s00
+        assert (_digest(net.bs), _digest(net.users),
+                _digest(net.serving)) == (h_bs, h_users, h_serving)
 
 
 class TestBundle:

@@ -5,8 +5,9 @@ import pytest
 
 from mimosg import _kernels
 from mimosg.errors import ConfigError, EstimationError
-from mimosg.geometry import build_network
-from mimosg.linkstats import isolated_cell_sinr
+from mimosg.geometry import build_network, extract_bundle
+from mimosg.linkstats import (PHASE_DOWNLINK, DeltaSet, PhaseIndicators,
+                              compute_delta, inverse_sinr, isolated_cell_sinr)
 from mimosg.montecarlo import (McConfig, ValidationReport, _flatten_users,
                                run_coverage_mc, run_rate_mc, run_trial,
                                trial_rng, validate, wilson_interval)
@@ -136,10 +137,36 @@ class TestValidate:
 
 
 class TestKernelParity:
-    """numba and numpy paths must agree on identical inputs."""
+    """The production kernels against independent references."""
 
     @pytest.mark.parametrize("mode,eps", [("async", 0.5), ("sync", 0.5)])
     def test_sinr_and_delta_paths(self, mode, eps, rng):
+        """all_deltas and sinr_batch against the scalar per-bundle oracle
+        (linkstats.compute_delta / inverse_sinr), user by user."""
+        p = default_params(mode, eps=eps)
+        net = build_network(p, 4.0, rng)
+        deltas, phases, tag, sinr = _kernel_run(p, net, rng)
+        _, user_cell, pilot_slot, _, _ = _flatten_users(net)
+        table = np.full((net.n_bs, p.k), np.nan)
+        table[user_cell, pilot_slot] = deltas
+        for t, u in enumerate(tag):
+            b = extract_bundle(net, int(user_cell[u]), int(pilot_slot[u]))
+            assert b is not None
+            assert compute_delta(b, p) == pytest.approx(deltas[u], rel=1e-12)
+            inv = inverse_sinr(
+                b, PhaseIndicators(phase=phases[t, b.other_cells]),
+                DeltaSet(tagged=table[b.cell_index, b.pilot_index],
+                         same_cell=table[b.cell_index],
+                         other=table[b.other_cells]), p)
+            got = [g[t] for g in sinr]
+            want = [inv.gamma1, inv.gamma2, inv.gamma3]
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-18)
+
+    @pytest.mark.skipif(not _kernels.HAVE_NUMBA,
+                        reason="numba is not installed: nothing to compare "
+                               "the numpy kernels with")
+    @pytest.mark.parametrize("mode,eps", [("async", 0.5), ("sync", 0.5)])
+    def test_numba_matches_numpy(self, mode, eps, rng):
         p = default_params(mode, eps=eps)
         net = build_network(p, 4.0, rng)
         _, user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
@@ -172,12 +199,77 @@ class TestKernelParity:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-18)
 
     def test_nearest_station_paths(self, rng):
-        pts = rng.random((500, 2)) * 4.0
-        bs = rng.random((20, 2)) * 4.0
-        i_np, d_np = _kernels._nearest_bs_np(pts, bs)
-        i_pub, d_pub = _kernels.nearest_bs(pts, bs)
-        np.testing.assert_array_equal(i_np, i_pub)
-        np.testing.assert_allclose(d_np, d_pub, rtol=1e-14)
+        """nearest_bs against a brute-force norm and argmin at 20 and 80
+        stations; one point sits exactly on a station."""
+        for n_bs in (20, 80):
+            window = 4.0 * math.sqrt(n_bs / 20)
+            bs = rng.random((n_bs, 2)) * window
+            pts = rng.random((500, 2)) * window
+            pts[123] = bs[7]
+            idx, dist = _kernels.nearest_bs(pts, bs)
+            full = np.linalg.norm(pts[:, None, :] - bs[None, :, :], axis=2)
+            np.testing.assert_array_equal(idx, full.argmin(axis=1))
+            np.testing.assert_allclose(dist, full.min(axis=1), rtol=1e-15,
+                                       atol=0)
+            assert idx[123] == 7 and dist[123] == 0.0
 
     def test_numba_flag_exposed(self):
         assert isinstance(_kernels.USE_NUMBA, bool)
+
+
+def _kernel_run(p, net, rng):
+    """Deltas of every user and (g1, g2, g3) of every user of the first
+    central cell, with one random phase per (tagged user, cell)."""
+    _, user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
+    d_bu = _kernels.pairwise_dist(net.bs, pos)
+    d_bb = _kernels.pairwise_dist(net.bs, net.bs)
+    deltas = _kernels.all_deltas(
+        d_serv, user_cell, pilot_slot, d_bu, d_bb, net.valid, p.sync,
+        p.alpha, p.eps, p.n_p, p.n_u, p.n_d, p.n_tot, p.p_d, p.p_u,
+        p.omega, p.sigma2, p.k)
+    tag = np.flatnonzero(user_cell == net.central_cells(1.0)[0])
+    if p.sync:
+        phases = np.full((tag.size, net.n_bs), PHASE_DOWNLINK, dtype=np.int8)
+    else:
+        phases = rng.integers(0, 3, size=(tag.size, net.n_bs)).astype(np.int8)
+    inv_dp = np.zeros((net.n_bs, p.k))
+    inv_dp[user_cell, pilot_slot] = 1.0 / deltas
+    dc = derived_constants(p.m, 1)
+    sinr = _kernels.sinr_batch(
+        d_serv[tag], tag, user_cell[tag], pilot_slot, d_serv, user_cell,
+        d_bu, d_bb, _kernels.pairwise_dist(pos, pos[tag]), deltas,
+        inv_dp.sum(axis=1), inv_dp, net.valid, phases, p.sync, p.alpha,
+        p.eps, p.n_p, p.n_u, p.n_d, p.n_tot, dc.c_m_sq, dc.v_m, p.m, p.p_d,
+        p.p_u, p.omega, p.sigma2)
+    return deltas, phases, tag, sinr
+
+
+class TestGoldenTrials:
+    """run_trial outputs pinned bit for bit (seed 42, 4 km window, the
+    seven thresholds of THR). Trial 171 is skipped: its zero-cell lies
+    outside the margin. With numba active the SINR sums run in another
+    order, so rate_sum is then compared to 1e-12 relative."""
+
+    CASES = {
+        ("async", 0): (10, [1, 1, 0, 0, 0, 0, 0], 1.0936720626592726),
+        ("async", 5): (10, [10, 7, 6, 4, 0, 0, 0], 15.220517214018319),
+        ("async", 10): (10, [1, 0, 0, 0, 0, 0, 0], 0.31637391877057236),
+        ("async", 171): (0, [0] * 7, 0.0),
+        ("sync", 0): (10, [10, 7, 1, 1, 0, 0, 0], 8.724844879602905),
+        ("sync", 5): (10, [10, 10, 9, 6, 0, 0, 0], 21.618841964457733),
+        ("sync", 10): (10, [10, 10, 4, 0, 0, 0, 0], 10.386198374987368),
+        ("sync", 171): (0, [0] * 7, 0.0),
+    }
+
+    @pytest.mark.parametrize("mode,index", sorted(CASES))
+    def test_trial_output_is_pinned(self, mode, index, params_async,
+                                    params_sync):
+        p = params_async if mode == "async" else params_sync
+        n, counts, rate_sum = run_trial(p, small_cfg(), index)
+        want_n, want_counts, want_rate = self.CASES[mode, index]
+        assert n == want_n
+        assert counts.tolist() == want_counts
+        if _kernels.USE_NUMBA:
+            assert rate_sum == pytest.approx(want_rate, rel=1e-12)
+        else:
+            assert rate_sum == want_rate

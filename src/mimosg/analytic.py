@@ -19,6 +19,10 @@ the quality of exactly these approximations.
 Numerical strategy: all integrands are smooth after mapping semi-infinite
 tails onto log-spaced Gauss-Legendre panels, so fixed tensorised panels
 (vectorised in numpy) replace adaptive quadrature in the hot path. The
+E1 integrand expm1(z) is evaluated node by node only where |z| >= 1e-4 in
+some row (the head of its tau grid); on the far tail it is replaced by
+its degree-4 Taylor polynomial, summed exactly through 1-D grid moments,
+whose remainder (below 8e-19 of the tail) is under the unit roundoff. The
 doubly-integrated E2 exponent depends on its arguments only through one
 nonpositive scalar, so it is tabulated once per geometry (pi lam, r0,
 r_e, alpha, eps) on a log-log grid and spline-interpolated; tests pin
@@ -52,6 +56,31 @@ TAIL_CUTOFF = 1e-15
 RATE_COVERAGE_CUTOFF = 1e-6
 
 _GUARD_LIMIT = 2.0  # |alternating sum| beyond this signals lost precision
+
+# E1 Taylor tail (see _Context.e1_exponent); fixed so that the remainder,
+# below Z^K/(K+1)! of the tail, stays under the unit roundoff. Not tunable.
+_TAYLOR_Z = 1e-4
+_TAYLOR_K = 4
+# With z = beta th + gam th^2, z^k/k! is the sum over i+j = k of
+# (beta th)^i/i! (gam th^2)^j/j!, so the polynomial is the sum over
+# 1 <= i+j <= K of beta^i gam^j/(i! j!) times th^(i+2j).
+_TAYLOR_PAIRS = [(i, j) for i in range(_TAYLOR_K + 1)
+                 for j in range(_TAYLOR_K + 1 - i) if i + j >= 1]
+_TAYLOR_I = np.array([i for i, _ in _TAYLOR_PAIRS])
+_TAYLOR_J = np.array([j for _, j in _TAYLOR_PAIRS])
+_TAYLOR_COEF = np.array([1.0 / (math.factorial(i) * math.factorial(j))
+                         for i, j in _TAYLOR_PAIRS])
+
+
+def _int_powers(v: np.ndarray, k: int) -> np.ndarray:
+    """v^0 .. v^k along a new last axis, by repeated products (pow() of a
+    negative base is many times slower)."""
+    out = np.empty(v.shape + (k + 1,))
+    out[..., 0] = 1.0
+    out[..., 1] = v
+    for n in range(2, k + 1):
+        np.multiply(out[..., n - 1], v, out=out[..., n])
+    return out
 
 
 @dataclass
@@ -326,7 +355,15 @@ class _Context:
     # --- E1 exponent ------------------------------------------------------
     def e1_exponent(self, b, c, x):
         """int_{q x^2}^inf expm1(B q^(a/2) t^(-a/2) + C q^a t^(-a)) dt,
-        vectorised over matching arrays b, c, x."""
+        vectorised over matching arrays b, c, x.
+
+        With t = a tau the integrand is expm1(z), z = beta th + gam th^2,
+        th = tau^(-a/2), on one log tau-grid shared by the rows. |z| falls
+        along the grid, so it splits at the first node where every row has
+        |z| < _TAYLOR_Z: the head is summed with expm1, the tail from the
+        degree-K Taylor polynomial of expm1 through the 1-D grid moments
+        M_m = sum w th^m, m <= 2K, exactly. The dropped remainder is below
+        Z^K/(K+1)! ~ 8e-19 of the tail."""
         p = self.params
         q = p.pi_lam
         b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -347,16 +384,31 @@ class _Context:
         tau_max = float(np.clip(np.max(tau_tail, initial=10.0), 10.0, 1e24))
         tau, wtau = log_panel_grid(1.0, tau_max, panels_per_decade=4,
                                    n_per_panel=10)
-        # with t = a tau the exponent is beta th + gam th^2, th = tau^(-a/2):
         # the powers act on the 1-D grid and the row coefficients only
         th = tau ** (-p.alpha / 2.0)
         beta = bt * a ** (-p.alpha / 2.0)
         gam = ct * a ** (-p.alpha)
-        z = np.multiply.outer(gam, th)
+        # bound on |z| over all rows; it falls along the grid, so the head
+        # [0, s) holds every node where some row may reach _TAYLOR_Z
+        z_max = th * (np.max(np.abs(beta), initial=0.0)
+                      + np.max(np.abs(gam), initial=0.0) * th)
+        s = int(np.count_nonzero(z_max >= _TAYLOR_Z))
+
+        z = np.multiply.outer(gam, th[:s])
         z += beta[:, None]
-        z *= th
+        z *= th[:s]
         np.expm1(z, out=z)
-        return a * (z @ wtau)
+        head = z @ wtau[:s]
+
+        # M_m = sum w th^m, m = 0..2K, with th^m as exp(m log th); powers
+        # below ~1e-300 are dropped so that no subnormal enters the sums
+        lp = np.multiply.outer(np.arange(2 * _TAYLOR_K + 1.0), np.log(th[s:]))
+        lp[lp < -690.0] = -np.inf
+        moments = np.exp(lp) @ wtau[s:]
+        pb, pg = _int_powers(np.stack((beta, gam)), _TAYLOR_K)
+        terms = pb[:, _TAYLOR_I] * pg[:, _TAYLOR_J]
+        tail = terms @ (_TAYLOR_COEF * moments[_TAYLOR_I + 2 * _TAYLOR_J])
+        return a * (head + tail)
 
     # --- E2 exponent ------------------------------------------------------
     def _e2_direct(self, dt_coef: float) -> float:

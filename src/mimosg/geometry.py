@@ -250,8 +250,10 @@ def build_network(params: SystemParams, window: float,
         idx, dist = _kernels.nearest_bs(pts, bs)
         keep = np.flatnonzero(dist > params.r0)
         # Eligible points grouped by cell, draw order kept within a cell
-        # (stable sort); a point's rank in its group gives its user slot.
-        order = keep[np.argsort(idx[keep], kind="stable")]
+        # (stable sort, a radix sort on the narrowest integer type that holds
+        # a cell index); a point's rank in its group gives its user slot.
+        order = keep[np.argsort(idx[keep].astype(np.min_scalar_type(n_bs)),
+                                kind="stable")]
         cells = idx[order]
         per_cell = np.bincount(cells, minlength=n_bs)
         first = np.cumsum(per_cell) - per_cell

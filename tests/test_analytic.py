@@ -5,14 +5,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from mimosg.analytic import (CoverageCurve, _context, _coefficients, c1_term,
-                             coefficients, coverage, coverage_fullpc_async,
-                             coverage_infinite_m, coverage_no_pc, e1_term,
-                             e2_term, ergodic_rate, gamma_cdf_approx,
-                             gamma_cdf_exact, q1, q2, q3)
+from mimosg.analytic import (_TAYLOR_Z, TAIL_CUTOFF, CoverageCurve, _context,
+                             _coefficients, c1_term, coefficients, coverage,
+                             coverage_fullpc_async, coverage_infinite_m,
+                             coverage_no_pc, e1_term, e2_term, ergodic_rate,
+                             gamma_cdf_approx, gamma_cdf_exact, q1, q2, q3)
 from mimosg.errors import DomainError
 from mimosg.params import (default_params, derived_constants, eta_shape)
-from mimosg.quadrature import quad_1d
+from mimosg.quadrature import log_panel_grid, quad_1d
 
 # frozen high-precision oracle values for the reference geometry
 CROSS_MOMENT = {0.0: 16.0, 0.5: 2.8856400139492937, 1.0: 0.9783991390254186}
@@ -39,6 +39,67 @@ GOLDEN_SWEEP_RATES = {
     2: 3.757892999729242, 5: 6.416150260741081, 10: 8.250295766581141,
     15: 8.445045283296238, 20: 7.697616841995412, 25: 6.33042809039451,
     30: 4.523470081247356}
+
+
+def e1_exponent_full_grid(p, b, c, x):
+    """Oracle for `_Context.e1_exponent`: the same tau grid and truncation
+    rule, with expm1 evaluated on every node instead of a Taylor tail."""
+    q = p.pi_lam
+    a = q * x ** 2
+    bt = b * q ** (p.alpha / 2.0)
+    ct = c * q ** p.alpha
+    with np.errstate(divide="ignore"):
+        tau_tail = np.maximum(
+            (np.abs(bt) / (TAIL_CUTOFF * (p.alpha / 2.0 - 1.0)))
+            ** (2.0 / (p.alpha - 2.0)) / a,
+            (np.abs(ct) / (TAIL_CUTOFF * (p.alpha - 1.0)))
+            ** (1.0 / (p.alpha - 1.0)) / a)
+    tau_max = float(np.clip(np.max(tau_tail, initial=10.0), 10.0, 1e24))
+    tau, wtau = log_panel_grid(1.0, tau_max, panels_per_decade=4,
+                               n_per_panel=10)
+    th = tau ** (-p.alpha / 2.0)
+    beta = bt * a ** (-p.alpha / 2.0)
+    gam = ct * a ** (-p.alpha)
+    z = np.multiply.outer(gam, th)
+    z += beta[:, None]
+    z *= th
+    np.expm1(z, out=z)
+    return a * (z @ wtau)
+
+
+def _e1_oracle_rows(case):
+    """(params, [(b, c, x), ...]) for one case of the E1 oracle test; each
+    (b, c, x) is one kernel call."""
+    if case in ("sync", "async", "infinite_m"):
+        p = default_params("async" if case == "async" else "sync", eps=0.5)
+        ctx = _context(p)
+        x = ctx.x_vals
+        dc = derived_constants(p.m, 4)
+        calls = []
+        for t_db in np.arange(-10.0, 31.0, 2.0):
+            t_lin = 10.0 ** (t_db / 10.0)
+            for n in range(1, 5):
+                b, c, _ = _coefficients(t_lin, n, x, p, eta_shape(4),
+                                        dc.c_m_sq, ctx.q1)
+                if case == "infinite_m":
+                    b = np.zeros_like(x)
+                    c = -eta_shape(4) * n * t_lin * x ** (2.0 * p.alpha)
+                calls.append((b, c, x))
+        return p, calls
+    p = default_params("sync", eps=0.5)
+    a4, a8 = p.alpha, 2.0 * p.alpha
+    x = np.array([0.3, 0.8, 1.7])
+    if case == "single_row":
+        return p, [(np.array([-0.02]), np.array([-1e-3]), np.array([0.9]))]
+    if case == "split_at_0":
+        # |z| <= |beta| + |gam| < Z on all of tau >= 1: no expm1 node
+        beta, gam = np.array([-3e-5, -1e-9, 0.0]), np.array([-5e-6, 0.0, -2e-7])
+    elif case == "split_at_n":
+        # tau_max clips at 1e24, where |beta| th >= 1e50 * 1e-48 > Z
+        beta, gam = np.array([-1e50, -1.0, -1e-3]), np.array([-1e3, 0.0, -1.0])
+    else:  # taylor_edge: split at 0 with |z| just under Z at the first node
+        x, beta, gam = np.array([0.8]), np.array([-7e-5]), np.array([-2.9e-5])
+    return p, [(beta * x ** a4, gam * x ** a8, x)]
 
 
 class TestGammaApprox:
@@ -270,6 +331,25 @@ class TestLaplaceTerms:
             ref = (quad(f, a, 10.0 * a, epsabs=0.0, epsrel=1e-13)[0]
                    + quad(f, 10.0 * a, np.inf, epsabs=0.0, epsrel=1e-13)[0])
             assert val == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("case, rtol", [
+        ("sync", 1e-13), ("async", 1e-13), ("infinite_m", 1e-13),
+        ("single_row", 1e-13), ("split_at_0", 1e-13), ("split_at_n", 1e-13),
+        # largest Taylor remainder; dropping its z^K/K! term moves it ~6e-15
+        ("taylor_edge", 2e-15)])
+    def test_e1_exponent_against_full_grid(self, case, rtol):
+        p, calls = _e1_oracle_rows(case)
+        ctx = _context(p)
+        th_min = 1e24 ** (-p.alpha / 2.0)
+        for b, c, x in calls:
+            beta, gam = b * x ** -p.alpha, c * x ** (-2.0 * p.alpha)
+            if case in ("split_at_0", "taylor_edge"):
+                assert np.max(np.abs(beta)) + np.max(np.abs(gam)) < _TAYLOR_Z
+            if case == "split_at_n":
+                assert np.max(np.abs(beta)) * th_min > _TAYLOR_Z
+            np.testing.assert_allclose(ctx.e1_exponent(b, c, x),
+                                       e1_exponent_full_grid(p, b, c, x),
+                                       rtol=rtol, atol=0.0)
 
     def test_e2_table_shared_across_pilot_lengths(self):
         pa = default_params("sync", eps=0.5, n_p=5, strict_frame=False)

@@ -18,21 +18,27 @@ the quality of exactly these approximations.
 
 Numerical strategy: all integrands are smooth after mapping semi-infinite
 tails onto log-spaced Gauss-Legendre panels, so fixed tensorised panels
-(vectorised in numpy) replace adaptive quadrature in the hot path. The
-E1 integrand expm1(z) is evaluated node by node only where |z| >= 1e-4 in
-some row (the head of its tau grid); on the far tail it is replaced by
-its degree-4 Taylor polynomial, summed exactly through 1-D grid moments,
-whose remainder (below 8e-19 of the tail) is under the unit roundoff. The
-doubly-integrated E2 exponent depends on its arguments only through one
-nonpositive scalar, so it is tabulated once per geometry (pi lam, r0,
-r_e, alpha, eps) on a log-log grid and spline-interpolated; tests pin
-both shortcuts against the adaptive reference in :mod:`mimosg.quadrature`.
+(vectorised in numpy) replace adaptive quadrature in the hot path. A
+coverage call evaluates every (threshold, n, x) row of the alternating sum
+in one array pass: the Campbell coefficients are linear in eta n T, so each
+row is one scalar times a per-context vector over the x grid. E1 is
+integrated on one fixed log tau-grid shared by every row (tau in
+[1, 1e24], 960 nodes, built once per alpha). Each row splits that grid at
+the first node where its |z| bound drops below 1e-4: the head is summed
+with expm1, in chunks of bounded size, and the far tail from the degree-4
+Taylor polynomial of expm1 through precomputed suffix sums of the grid
+moments, whose remainder (below 8e-19 of the tail) is under the unit
+roundoff. The doubly-integrated E2 exponent depends on its arguments only
+through one nonpositive scalar, so it is tabulated once per geometry
+(pi lam, r0, r_e, alpha, eps) on a log-log grid and spline-interpolated;
+tests pin these shortcuts against the adaptive reference in
+:mod:`mimosg.quadrature`.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -70,16 +76,118 @@ _TAYLOR_I = np.array([i for i, _ in _TAYLOR_PAIRS])
 _TAYLOR_J = np.array([j for _, j in _TAYLOR_PAIRS])
 _TAYLOR_COEF = np.array([1.0 / (math.factorial(i) * math.factorial(j))
                          for i, j in _TAYLOR_PAIRS])
+# The one E1 tau grid: [1, 1e24] in quarter decades of 10 nodes. The head
+# of a call is evaluated in chunks of at most _HEAD_CHUNK (row, node)
+# elements, so the working set does not grow with the row count.
+_TAU_MAX = 1e24
+_HEAD_CHUNK = 32768
+# (T, n, x) rows per coverage block: whole thresholds, 32 of them at N = 4
+_ROW_BLOCK = 21504
 
 
 def _int_powers(v: np.ndarray, k: int) -> np.ndarray:
-    """v^0 .. v^k along a new last axis, by repeated products (pow() of a
+    """v^0 .. v^k along a new first axis, by repeated products (pow() of a
     negative base is many times slower)."""
-    out = np.empty(v.shape + (k + 1,))
-    out[..., 0] = 1.0
-    out[..., 1] = v
+    out = np.empty((k + 1,) + v.shape)
+    out[0] = 1.0
+    out[1] = v
     for n in range(2, k + 1):
-        np.multiply(out[..., n - 1], v, out=out[..., n])
+        np.multiply(out[n - 1], v, out=out[n])
+    return out
+
+
+@dataclass(frozen=True)
+class _TauGrid:
+    """The fixed E1 grid of one alpha: th = tau^(-alpha/2), falling from 1
+    along the nodes, the weights w, and ``moments[k, s]`` = coef_k times
+    sum_{j >= s} w_j th_j^(i_k + 2 j_k) for every Taylor pair k, so the
+    tail sum from any split s is one column lookup."""
+    th: np.ndarray
+    w: np.ndarray
+    moments: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _tau_grid(alpha: float) -> _TauGrid:
+    tau, w = log_panel_grid(1.0, _TAU_MAX, panels_per_decade=4,
+                            n_per_panel=10)
+    th = tau ** (-alpha / 2.0)
+    # th^m as exp(m log th); powers below ~1e-300 are dropped so that no
+    # subnormal enters the sums. Suffix sums run from the far end, the
+    # small terms first.
+    lp = np.multiply.outer(np.arange(2 * _TAYLOR_K + 1.0), np.log(th))
+    lp[lp < -690.0] = -np.inf
+    terms = np.exp(lp) * w
+    suffix = np.zeros((lp.shape[0], th.size + 1))
+    suffix[:, :-1] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+    moments = suffix[_TAYLOR_I + 2 * _TAYLOR_J] * _TAYLOR_COEF[:, None]
+    return _TauGrid(th=th, w=w, moments=moments)
+
+
+def _e1_splits(grid: _TauGrid, beta, gam) -> np.ndarray:
+    """Per row, the number of head nodes: those where the bound
+    |beta| th + |gam| th^2 on |z| reaches _TAYLOR_Z. The bound grows with
+    th, so they are the nodes with th at or above its positive root."""
+    bm = np.abs(beta)
+    # -th_split = -2 Z / (|beta| + sqrt(beta^2 + 4 Z |gam|)), in place
+    root = np.abs(gam)
+    root *= 4.0 * _TAYLOR_Z
+    root += bm * bm
+    np.sqrt(root, out=root)
+    root += bm
+    with np.errstate(divide="ignore"):
+        np.divide(-2.0 * _TAYLOR_Z, root, out=root)
+    # at most 960: 16 bits, which also lets argsort use a radix sort
+    return np.searchsorted(-grid.th, root, side="right").astype(np.int16)
+
+
+def _e1_integral(grid: _TauGrid, beta: np.ndarray,
+                 gam: np.ndarray) -> np.ndarray:
+    """sum_j w_j expm1(beta th_j + gam th_j^2) for 1-D rows beta, gam: the
+    head of each row with expm1, its tail from the Taylor moments.
+
+    Every sum runs in a fixed order per row, so that a row's value does
+    not depend on the rows it is batched with (a BLAS product, or a numpy
+    reduction, may round by row position or array size). The tail adds
+    the Taylor terms one pair after the other. For the head, rows are
+    taken in the order of their split, so that the rows of a chunk share
+    about one head width; the chunk is laid out node by row, the nodes
+    past a row's own split are zeroed, and einsum adds it node after
+    node."""
+    split = _e1_splits(grid, beta, gam)
+    out = np.zeros(beta.shape)
+    step = _HEAD_CHUNK // 16
+    for lo in range(0, beta.size, step):
+        rows = slice(lo, lo + step)
+        pb = _int_powers(beta[rows], _TAYLOR_K)
+        pg = _int_powers(gam[rows], _TAYLOR_K)
+        for k, (i, j) in enumerate(_TAYLOR_PAIRS):
+            out[rows] += pb[i] * pg[j] * grid.moments[k, split[rows]]
+
+    order = np.argsort(split, kind="stable")
+    buf = np.empty(_HEAD_CHUNK + grid.th.size)
+    lo, n_rows = beta.size - np.count_nonzero(split), beta.size
+    while lo < n_rows:
+        # rows [lo, hi): width * rows stays within the chunk budget
+        probe = split[order[min(lo + _HEAD_CHUNK // int(split[order[lo]]),
+                                n_rows) - 1]]
+        hi = min(n_rows, lo + _HEAD_CHUNK // int(probe))
+        rows = order[lo:hi]
+        s = split[rows]
+        width, first = int(s[-1]), int(s[0])
+        th = grid.th[:width, None]
+        # a spare zero row: einsum would add a lone row in another order
+        # than the rows of a wider chunk
+        b, g = np.append(beta[rows], 0.0), np.append(gam[rows], 0.0)
+        z = buf[:width * b.size].reshape(width, b.size)
+        np.multiply(th, g, out=z)
+        z += b
+        z *= th
+        np.expm1(z, out=z)
+        # the nodes past each row's split form a staircase below `first`
+        z[first:, :-1][np.arange(first, width)[:, None] >= s] = 0.0
+        out[rows] += np.einsum("j,jr->r", grid.w[:width], z)[:-1]
+        lo = hi
     return out
 
 
@@ -93,6 +201,7 @@ class CoverageCurve:
     n_shape: int | None = None
     ci_half_width: np.ndarray | None = None
     trials_used: int | None = None    # Monte Carlo: trials with tagged users
+    clamped: int | None = None   # analytic: values clamped into [0, 1]
 
     def as_rows(self):
         return list(zip(self.thresholds.tolist(), self.coverage.tolist()))
@@ -103,6 +212,10 @@ class RateResult:
     rate: float                  # bits/s/Hz aggregated over a cell
     method: str
     ci_half_width: float | None = None
+    t_hi: float | None = None    # analytic: upper end of the rate integral
+    # analytic: coverage at the largest t_hi (1e9) was still above
+    # RATE_COVERAGE_CUTOFF, so the integral was cut short
+    tail_truncated: bool = False
 
 
 def gamma_cdf_approx(a, n_shape: int):
@@ -330,6 +443,18 @@ class _Context:
     x_nodes: np.ndarray        # in u = pi lam (x^2 - r0^2) coordinates
     x_weights: np.ndarray
     x_vals: np.ndarray
+    # on the x grid: c1, and B, C, D per unit of eta n T (all three are
+    # linear in it); C_M and V_M depend on m only, not on the Gamma shape
+    c1_x: np.ndarray = field(init=False)
+    unit_b: np.ndarray = field(init=False)
+    unit_c: np.ndarray = field(init=False)
+    unit_d: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        dc = derived_constants(self.params.m, 1)
+        self.c1_x = self.c1(self.x_vals, dc.c_m_sq, dc.v_m)
+        self.unit_b, self.unit_c, self.unit_d = _coefficients(
+            1.0, 1, self.x_vals, self.params, 1.0, dc.c_m_sq, self.q1)
 
     # --- c1 -------------------------------------------------------------
     def c1(self, x, c2, vm):
@@ -355,60 +480,32 @@ class _Context:
     # --- E1 exponent ------------------------------------------------------
     def e1_exponent(self, b, c, x):
         """int_{q x^2}^inf expm1(B q^(a/2) t^(-a/2) + C q^a t^(-a)) dt,
-        vectorised over matching arrays b, c, x.
+        vectorised over arrays b, c, x that broadcast together; every
+        element of the broadcast shape is one row.
 
         With t = a tau the integrand is expm1(z), z = beta th + gam th^2,
-        th = tau^(-a/2), on one log tau-grid shared by the rows. |z| falls
-        along the grid, so it splits at the first node where every row has
-        |z| < _TAYLOR_Z: the head is summed with expm1, the tail from the
-        degree-K Taylor polynomial of expm1 through the 1-D grid moments
-        M_m = sum w th^m, m <= 2K, exactly. The dropped remainder is below
-        Z^K/(K+1)! ~ 8e-19 of the tail."""
+        th = tau^(-a/2), on the one fixed log tau-grid over [1, 1e24]
+        (``_tau_grid``). |z| falls along the grid, so each row splits it at
+        its own first node where |beta| th + |gam| th^2 < _TAYLOR_Z: the
+        head is summed with expm1, in chunks of at most _HEAD_CHUNK
+        elements over rows ordered by split, and the tail from the
+        degree-K Taylor polynomial of expm1 through the suffix sums of the
+        grid moments M_m = sum w th^m, m <= 2K, exactly. The dropped
+        remainder is below Z^K/(K+1)! ~ 8e-19 of the tail. A row's value
+        does not depend on the other rows of the call."""
         p = self.params
         q = p.pi_lam
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         a = q * x ** 2
-        bt = b * q ** (p.alpha / 2.0)      # coefficient of t^(-a/2)
-        ct = c * q ** p.alpha              # coefficient of t^(-a)
-
-        # per-row scaled grid t = a * tau on a shared log tau-grid; truncate
-        # where the remaining tail integral (not the integrand) is negligible
-        with np.errstate(divide="ignore"):
-            tau_tail = np.maximum(
-                (np.abs(bt) / (TAIL_CUTOFF * (p.alpha / 2.0 - 1.0)))
-                ** (2.0 / (p.alpha - 2.0)) / a,
-                (np.abs(ct) / (TAIL_CUTOFF * (p.alpha - 1.0)))
-                ** (1.0 / (p.alpha - 1.0)) / a)
-        tau_max = float(np.clip(np.max(tau_tail, initial=10.0), 10.0, 1e24))
-        tau, wtau = log_panel_grid(1.0, tau_max, panels_per_decade=4,
-                                   n_per_panel=10)
-        # the powers act on the 1-D grid and the row coefficients only
-        th = tau ** (-p.alpha / 2.0)
-        beta = bt * a ** (-p.alpha / 2.0)
-        gam = ct * a ** (-p.alpha)
-        # bound on |z| over all rows; it falls along the grid, so the head
-        # [0, s) holds every node where some row may reach _TAYLOR_Z
-        z_max = th * (np.max(np.abs(beta), initial=0.0)
-                      + np.max(np.abs(gam), initial=0.0) * th)
-        s = int(np.count_nonzero(z_max >= _TAYLOR_Z))
-
-        z = np.multiply.outer(gam, th[:s])
-        z += beta[:, None]
-        z *= th[:s]
-        np.expm1(z, out=z)
-        head = z @ wtau[:s]
-
-        # M_m = sum w th^m, m = 0..2K, with th^m as exp(m log th); powers
-        # below ~1e-300 are dropped so that no subnormal enters the sums
-        lp = np.multiply.outer(np.arange(2 * _TAYLOR_K + 1.0), np.log(th[s:]))
-        lp[lp < -690.0] = -np.inf
-        moments = np.exp(lp) @ wtau[s:]
-        pb, pg = _int_powers(np.stack((beta, gam)), _TAYLOR_K)
-        terms = pb[:, _TAYLOR_I] * pg[:, _TAYLOR_J]
-        tail = terms @ (_TAYLOR_COEF * moments[_TAYLOR_I + 2 * _TAYLOR_J])
-        return a * (head + tail)
+        # the powers act on x only; the rows are products with b and c
+        beta = np.asarray(b, dtype=float) * (q ** (p.alpha / 2.0)
+                                             * a ** (-p.alpha / 2.0))
+        gam = np.asarray(c, dtype=float) * (q ** p.alpha * a ** (-p.alpha))
+        shape = np.broadcast_shapes(beta.shape, gam.shape, a.shape)
+        rows = _e1_integral(_tau_grid(p.alpha),
+                            np.broadcast_to(beta, shape).ravel(),
+                            np.broadcast_to(gam, shape).ravel())
+        return a * rows.reshape(shape)
 
     # --- E2 exponent ------------------------------------------------------
     def _e2_direct(self, dt_coef: float) -> float:
@@ -541,89 +638,114 @@ def c1_term(x, params: SystemParams) -> np.ndarray:
 # coverage
 # ---------------------------------------------------------------------------
 
-def _coverage_values(thresholds, params: SystemParams, n_shape: int,
-                     variant: str = "general") -> np.ndarray:
-    p = params
-    ctx = _context(p)
-    eta = eta_shape(n_shape)
-    dc = derived_constants(p.m, n_shape)
-    c2 = dc.c_m_sq
-    x = ctx.x_vals
-    w = ctx.x_weights
-    mult = 1.0 if p.sync else float(p.n_p)
+def _general_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
+    """Exponent of every (T, n, x) row; ``ent`` holds eta n T on axes
+    broadcasting against the x grid."""
+    ctx.e2_table()   # built, if it must be, before the rows' arrays exist
+    return _c1_e1_e2_exponent(ctx, ent, ctx.e2_exponent)
 
+
+def _no_pc_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
+    return _c1_e1_e2_exponent(
+        ctx, ent, lambda d: _e2_exponent_no_pc(ctx, d))
+
+
+def _c1_e1_e2_exponent(ctx: _Context, ent: np.ndarray, e2) -> np.ndarray:
+    """-eta n T c1 + E1 + mult E2, summed in this order into one array."""
+    mult = 1.0 if ctx.params.sync else float(ctx.params.n_p)
+    e1 = ctx.e1_exponent(ent * ctx.unit_b, ent * ctx.unit_c, ctx.x_vals)
+    expo = -ent * ctx.c1_x
+    expo += e1
+    del e1
+    expo += mult * e2(ent * ctx.unit_d)
+    return expo
+
+
+def _infinite_m_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
+    # C with its (M-1)/C_M^2 prefactor -> 1; B and D vanish
+    p = ctx.params
+    c_inf = -ctx.x_vals ** (2.0 * p.alpha)
+    if not p.sync:
+        c_inf = c_inf * p.n_p * p.n_d ** 2 * (p.n_p + p.n_u) / p.n_tot ** 4
+    return ctx.e1_exponent(0.0, ent * c_inf, ctx.x_vals)
+
+
+def _fullpc_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
+    # dominant foreign-uplink term only (eps = 1)
+    p = ctx.params
+    x = ctx.x_vals
+    c2 = derived_constants(p.m, 1).c_m_sq
+    term = ((x ** p.alpha + x ** (p.alpha * (2.0 - p.eps)) * ctx.q1)
+            * p.p_u * p.n_d * (p.n_p + p.n_u) * ctx.q3
+            / (p.p_d * p.omega ** p.eps * c2 * p.n_tot ** 2))
+    return -ent * term
+
+
+def _alternating_sum(ctx: _Context, exponent, ent: np.ndarray,
+                     signs: np.ndarray) -> np.ndarray:
+    """sum_n signs_n int exp(exponent) e^-u du for a block of thresholds;
+    ``ent`` is eta n T with shape (thresholds, n, 1)."""
+    try:
+        expo = exponent(ctx, ent)
+        expo -= ctx.x_nodes       # serving density is e^-u du in u-space
+        np.exp(expo, out=expo)
+    except FloatingPointError as exc:  # pragma: no cover
+        raise NumericalError("coverage quadrature failed") from exc
+    # per-row sums (einsum, not BLAS), so that a value does not depend on
+    # the thresholds it is computed with
+    return np.einsum("tn,n->t", np.einsum("tnx,x->tn", expo, ctx.x_weights),
+                     signs)
+
+
+def _coverage_values(thresholds, params: SystemParams, n_shape: int,
+                     exponent=_general_exponent):
+    """(coverage, clamped count) at linear ``thresholds``: the alternating
+    sum over n of the x-integral of exp(exponent). All (T, n, x) rows are
+    evaluated as arrays, in blocks of whole thresholds of at most
+    _ROW_BLOCK rows, so that the working set does not grow with the
+    number of thresholds."""
+    ctx = _context(params)
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(thresholds < 0):
         raise DomainError("thresholds must be >= 0 (linear scale)")
-    out = np.empty(thresholds.shape[0])
-    c1_base = ctx.c1(x, c2, dc.v_m)
-    u = ctx.x_nodes               # serving density is e^-u du in u-space
-
-    clamped = 0
-    for it, t_lin in enumerate(thresholds):
-        acc = 0.0
-        for n in range(1, n_shape + 1):
-            try:
-                b, c, d = _coefficients(t_lin, n, x, p, eta, c2, ctx.q1)
-                if variant == "general":
-                    expo = (-eta * n * t_lin * c1_base
-                            + ctx.e1_exponent(b, c, x)
-                            + mult * ctx.e2_exponent(d))
-                elif variant == "fullpc":
-                    # dominant foreign-uplink term only (eps = 1)
-                    xa = x ** p.alpha
-                    x2e = x ** (p.alpha * (2.0 - p.eps))
-                    term = ((xa + x2e * ctx.q1) * p.p_u * p.n_d
-                            * (p.n_p + p.n_u) * ctx.q3
-                            / (p.p_d * p.omega ** p.eps * c2 * p.n_tot ** 2))
-                    expo = -eta * n * t_lin * term
-                elif variant == "infinite_m":
-                    if p.sync:
-                        c_inf = -eta * n * t_lin * x ** (2.0 * p.alpha)
-                    else:
-                        c_inf = (-eta * n * t_lin * x ** (2.0 * p.alpha)
-                                 * p.n_p * p.n_d ** 2 * (p.n_p + p.n_u)
-                                 / p.n_tot ** 4)
-                    expo = ctx.e1_exponent(np.zeros_like(x), c_inf, x)
-                elif variant == "no_pc":
-                    expo = (-eta * n * t_lin * c1_base
-                            + ctx.e1_exponent(b, c, x)
-                            + mult * _e2_exponent_no_pc(ctx, d))
-                else:  # pragma: no cover
-                    raise ValueError(variant)
-                integral = float(np.dot(w, np.exp(expo - u)))
-            except FloatingPointError as exc:  # pragma: no cover
-                raise NumericalError(
-                    f"coverage quadrature failed at T={t_lin!r}, n={n}") from exc
-            acc += (-1.0) ** (n + 1) * math.comb(n_shape, n) * integral
-        if not np.isfinite(acc) or abs(acc) > _GUARD_LIMIT:
-            raise NumericalError(
-                f"alternating expansion lost precision at T={t_lin!r}: {acc!r}")
-        if acc < 0.0 or acc > 1.0:
-            clamped += 1
-            log.debug("clamping coverage %.3e at T=%.4g", acc, t_lin)
-        out[it] = min(1.0, max(0.0, acc))
-    if clamped:
-        log.info("clamped %d/%d coverage values into [0, 1]", clamped,
-                 len(thresholds))
-    return out
+    n = np.arange(1, n_shape + 1)
+    signs = np.array([(-1.0) ** (k + 1) * math.comb(n_shape, k) for k in n])
+    ent = eta_shape(n_shape) * np.multiply.outer(thresholds, n)[..., None]
+    per_block = max(1, _ROW_BLOCK // (n_shape * ctx.x_vals.size))
+    blocks = np.array_split(ent, max(1, -(-thresholds.size // per_block)))
+    acc = np.concatenate([_alternating_sum(ctx, exponent, block, signs)
+                          for block in blocks])
+    bad = ~np.isfinite(acc) | (np.abs(acc) > _GUARD_LIMIT)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericalError("alternating expansion lost precision at "
+                             f"T={thresholds[i]!r}: {acc[i]!r}")
+    outside = np.flatnonzero((acc < 0.0) | (acc > 1.0))
+    for i in outside:
+        log.debug("clamping coverage %.3e at T=%.4g", acc[i], thresholds[i])
+    if outside.size:
+        log.info("clamped %d/%d coverage values into [0, 1]", outside.size,
+                 thresholds.size)
+    return np.clip(acc, 0.0, 1.0), int(outside.size)
 
 
 def _e2_exponent_no_pc(ctx: _Context, d) -> np.ndarray:
     """1-D reduction of the E2 exponent available when eps = 0: the inner
-    average collapses since the serving-distance weight is flat."""
+    average collapses since the serving-distance weight is flat, leaving
+    int_te^inf expm1(D q^(a/2) t^(-a/2)) dt, te = q r_e^2. That is the E1
+    integral at C = 0 and x = r_e, so it runs on the same fixed grid and
+    each value depends on its own D only."""
     p = ctx.params
-    q = p.pi_lam
-    te = q * p.r_e ** 2
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    dt_coef = d * q ** (p.alpha / 2.0)
-    mag = float(np.max(np.abs(dt_coef)))
-    t_max = max(10.0 * te,
-                (max(mag, 1.0) / (TAIL_CUTOFF * (p.alpha / 2.0 - 1.0)))
-                ** (2.0 / (p.alpha - 2.0)))
-    t, wt = log_panel_grid(te, t_max, panels_per_decade=4, n_per_panel=10)
-    z = dt_coef[:, None] * t[None, :] ** (-p.alpha / 2.0)
-    return np.expm1(z) @ wt
+    return ctx.e1_exponent(np.asarray(d, dtype=float), 0.0, p.r_e)
+
+
+def _analytic_curve(thresholds, params: SystemParams, n_shape: int,
+                    exponent, method: str) -> CoverageCurve:
+    thresholds = np.asarray(thresholds, dtype=float)
+    vals, clamped = _coverage_values(thresholds, params, n_shape, exponent)
+    return CoverageCurve(thresholds=thresholds, coverage=vals,
+                         mode=params.mode, method=method, params=params,
+                         n_shape=n_shape, clamped=clamped)
 
 
 def coverage(thresholds, params: SystemParams,
@@ -633,11 +755,8 @@ def coverage(thresholds, params: SystemParams,
         n_shape = default_gamma_shape(params.mode)
     if n_shape < 1:
         raise DomainError("n_shape must be >= 1")
-    vals = _coverage_values(np.asarray(thresholds, dtype=float), params,
-                            int(n_shape), "general")
-    return CoverageCurve(thresholds=np.asarray(thresholds, dtype=float),
-                         coverage=vals, mode=params.mode, method="analytic",
-                         params=params, n_shape=int(n_shape))
+    return _analytic_curve(thresholds, params, int(n_shape),
+                           _general_exponent, "analytic")
 
 
 def coverage_fullpc_async(thresholds, params: SystemParams,
@@ -648,12 +767,8 @@ def coverage_fullpc_async(thresholds, params: SystemParams,
         raise DomainError("full-power-control case requires async mode, eps=1")
     if n_shape is None:
         n_shape = default_gamma_shape(params.mode)
-    vals = _coverage_values(np.asarray(thresholds, dtype=float), params,
-                            int(n_shape), "fullpc")
-    return CoverageCurve(thresholds=np.asarray(thresholds, dtype=float),
-                         coverage=vals, mode=params.mode,
-                         method="analytic-special", params=params,
-                         n_shape=int(n_shape))
+    return _analytic_curve(thresholds, params, int(n_shape),
+                           _fullpc_exponent, "analytic-special")
 
 
 def coverage_infinite_m(thresholds, params: SystemParams,
@@ -662,12 +777,8 @@ def coverage_infinite_m(thresholds, params: SystemParams,
     with its (M-1)/C_M^2 prefactor -> 1."""
     if n_shape is None:
         n_shape = default_gamma_shape(params.mode)
-    vals = _coverage_values(np.asarray(thresholds, dtype=float), params,
-                            int(n_shape), "infinite_m")
-    return CoverageCurve(thresholds=np.asarray(thresholds, dtype=float),
-                         coverage=vals, mode=params.mode,
-                         method="analytic-special", params=params,
-                         n_shape=int(n_shape))
+    return _analytic_curve(thresholds, params, int(n_shape),
+                           _infinite_m_exponent, "analytic-special")
 
 
 def coverage_no_pc(thresholds, params: SystemParams,
@@ -678,12 +789,8 @@ def coverage_no_pc(thresholds, params: SystemParams,
         raise DomainError("no-power-control case requires eps=0")
     if n_shape is None:
         n_shape = default_gamma_shape(params.mode)
-    vals = _coverage_values(np.asarray(thresholds, dtype=float), params,
-                            int(n_shape), "no_pc")
-    return CoverageCurve(thresholds=np.asarray(thresholds, dtype=float),
-                         coverage=vals, mode=params.mode,
-                         method="analytic-special", params=params,
-                         n_shape=int(n_shape))
+    return _analytic_curve(thresholds, params, int(n_shape),
+                           _no_pc_exponent, "analytic-special")
 
 
 # ---------------------------------------------------------------------------
@@ -692,17 +799,23 @@ def coverage_no_pc(thresholds, params: SystemParams,
 
 def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult:
     """Cell-aggregate downlink ergodic rate in bits/s/Hz:
-    (n_p n_d / n_tot) * integral_0^inf P(SINR > t) / ((t+1) ln 2) dt."""
+    (n_p n_d / n_tot) * integral_0^inf P(SINR > t) / ((t+1) ln 2) dt.
+
+    The integral ends at t_hi, the first of 1, 10, .., 1e8 where coverage
+    is below RATE_COVERAGE_CUTOFF, else at 1e9; ``tail_truncated`` says
+    that coverage at 1e9 was still above the cutoff."""
     if n_shape is None:
         n_shape = default_gamma_shape(params.mode)
 
-    # locate the threshold where coverage dies off
-    t_hi = 1.0
-    while t_hi < 1e9:
-        c = _coverage_values(np.array([t_hi]), params, int(n_shape))[0]
-        if c < RATE_COVERAGE_CUTOFF:
-            break
-        t_hi *= 10.0
+    # locate the threshold where coverage dies off: all decades in one call
+    decades = 10.0 ** np.arange(10)
+    cov, _ = _coverage_values(decades, params, int(n_shape))
+    below = np.flatnonzero(cov[:-1] < RATE_COVERAGE_CUTOFF)
+    t_hi = float(decades[below[0]] if below.size else decades[-1])
+    truncated = bool(not below.size and cov[-1] >= RATE_COVERAGE_CUTOFF)
+    if truncated:
+        log.warning("coverage %.3e at T=1e9 is above %.0e: the rate integral "
+                    "is cut short there", cov[-1], RATE_COVERAGE_CUTOFF)
 
     head_t, head_w = gauss_legendre_panels(np.array([0.0, 0.25, 1.0]), 16)
     if t_hi > 1.0:
@@ -712,7 +825,8 @@ def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult
         w_all = np.concatenate([head_w, tail_w])
     else:
         t_all, w_all = head_t, head_w
-    cov = _coverage_values(t_all, params, int(n_shape))
+    cov, _ = _coverage_values(t_all, params, int(n_shape))
     pref = params.n_p * params.n_d / params.n_tot
     rate = pref / math.log(2.0) * float(np.dot(w_all, cov / (1.0 + t_all)))
-    return RateResult(rate=rate, method="analytic")
+    return RateResult(rate=rate, method="analytic", t_hi=t_hi,
+                      tail_truncated=truncated)

@@ -159,11 +159,17 @@ def _curve_record(curve: CoverageCurve, cfg: dict, seed=None) -> dict:
     return {
         "header": header, "rows": rows, "kind": "coverage",
         "method": curve.method, "mode": curve.mode,
-        "n_shape": curve.n_shape, "seed": seed,
+        "n_shape": curve.n_shape, "seed": seed, "clamped": curve.clamped,
         "version": f"mimosg-{__version__}",
         "params": _params_snapshot(curve.params),
         "effective_config": {k: cfg[k] for k in sorted(cfg)},
     }
+
+
+def _rate_diagnostics(res: RateResult, label, value) -> dict:
+    """Where the analytic rate integral ended, kept beside the values."""
+    return {label: float(value), "t_hi": res.t_hi,
+            "tail_truncated": res.tail_truncated}
 
 
 def _rate_record(res: RateResult, label, value, params, cfg, seed=None) -> dict:
@@ -171,12 +177,15 @@ def _rate_record(res: RateResult, label, value, params, cfg, seed=None) -> dict:
             + ((res.ci_half_width,) if res.ci_half_width is not None else ())]
     header = [label, "rate_bps_hz"] + (
         ["ci95_half_width"] if res.ci_half_width is not None else [])
-    return {
+    record = {
         "header": header, "rows": rows, "kind": "rate", "method": res.method,
         "mode": params.mode, "seed": seed, "version": f"mimosg-{__version__}",
         "params": _params_snapshot(params),
         "effective_config": {k: cfg[k] for k in sorted(cfg)},
     }
+    if res.t_hi is not None:
+        record["diagnostics"] = [_rate_diagnostics(res, label, value)]
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +228,7 @@ def cmd_rate_mc(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict, param: str, values: list[float]) -> int:
-    rows = []
+    rows, diagnostics = [], []
     base = dict(cfg)
     for v in values:
         if param == "np":
@@ -232,9 +241,11 @@ def cmd_sweep(cfg: dict, param: str, values: list[float]) -> int:
         n_shape = cfg["n_gamma"] or default_gamma_shape(params.mode)
         res = ergodic_rate(params, int(n_shape))
         rows.append((float(v), res.rate))
+        diagnostics.append(_rate_diagnostics(res, param, v))
     params = build_params(cfg, strict_frame=False)
     record = {
         "header": [param, "rate_bps_hz"], "rows": rows, "kind": "sweep",
+        "diagnostics": diagnostics,
         "method": "analytic", "mode": params.mode, "seed": None,
         "version": f"mimosg-{__version__}",
         "params": _params_snapshot(params),

@@ -219,6 +219,7 @@ class ValidationReport:
     trials: int
     trials_used: int      # trials whose zero-cell gave tagged users
     trials_skipped: int   # no tagged users, e.g. zero-cell outside the margin
+    analytic_clamped: int  # analytic values clamped into [0, 1]
 
     def format_table(self) -> str:
         lines = ["threshold_db analytic mc mc_ci95 abs_dev"]
@@ -246,6 +247,7 @@ class ValidationReport:
             "trials": self.trials,
             "trials_used": self.trials_used,
             "trials_skipped": self.trials_skipped,
+            "analytic_clamped": self.analytic_clamped,
             "note": ("gate, trial count and intervals are conventions of "
                      "this validation suite"),
         }
@@ -266,4 +268,5 @@ def validate(params: SystemParams, cfg: McConfig, gate: float,
         abs_dev=dev, worst_dev=worst, gate=float(gate),
         passed=bool(worst <= gate), mode=params.mode, n_shape=int(n_shape),
         trials=cfg.trials, trials_used=mc_curve.trials_used,
-        trials_skipped=cfg.trials - mc_curve.trials_used)
+        trials_skipped=cfg.trials - mc_curve.trials_used,
+        analytic_clamped=an_curve.clamped)

@@ -5,11 +5,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from mimosg.analytic import (_TAYLOR_Z, TAIL_CUTOFF, CoverageCurve, _context,
-                             _coefficients, c1_term, coefficients, coverage,
-                             coverage_fullpc_async, coverage_infinite_m,
-                             coverage_no_pc, e1_term, e2_term, ergodic_rate,
-                             gamma_cdf_approx, gamma_cdf_exact, q1, q2, q3)
+from mimosg import analytic
+from mimosg.analytic import (_TAYLOR_Z, CoverageCurve, _coefficients,
+                             _context, _e1_splits, _tau_grid, c1_term,
+                             coefficients, coverage, coverage_fullpc_async,
+                             coverage_infinite_m, coverage_no_pc, e1_term,
+                             e2_term, ergodic_rate, gamma_cdf_approx,
+                             gamma_cdf_exact, q1, q2, q3)
 from mimosg.errors import DomainError
 from mimosg.params import (default_params, derived_constants, eta_shape)
 from mimosg.quadrature import log_panel_grid, quad_1d
@@ -42,20 +44,13 @@ GOLDEN_SWEEP_RATES = {
 
 
 def e1_exponent_full_grid(p, b, c, x):
-    """Oracle for `_Context.e1_exponent`: the same tau grid and truncation
-    rule, with expm1 evaluated on every node instead of a Taylor tail."""
+    """Oracle for `_Context.e1_exponent`: the same fixed tau grid, with
+    expm1 evaluated on every node instead of a Taylor tail."""
     q = p.pi_lam
     a = q * x ** 2
     bt = b * q ** (p.alpha / 2.0)
     ct = c * q ** p.alpha
-    with np.errstate(divide="ignore"):
-        tau_tail = np.maximum(
-            (np.abs(bt) / (TAIL_CUTOFF * (p.alpha / 2.0 - 1.0)))
-            ** (2.0 / (p.alpha - 2.0)) / a,
-            (np.abs(ct) / (TAIL_CUTOFF * (p.alpha - 1.0)))
-            ** (1.0 / (p.alpha - 1.0)) / a)
-    tau_max = float(np.clip(np.max(tau_tail, initial=10.0), 10.0, 1e24))
-    tau, wtau = log_panel_grid(1.0, tau_max, panels_per_decade=4,
+    tau, wtau = log_panel_grid(1.0, 1e24, panels_per_decade=4,
                                n_per_panel=10)
     th = tau ** (-p.alpha / 2.0)
     beta = bt * a ** (-p.alpha / 2.0)
@@ -69,7 +64,8 @@ def e1_exponent_full_grid(p, b, c, x):
 
 def _e1_oracle_rows(case):
     """(params, [(b, c, x), ...]) for one case of the E1 oracle test; each
-    (b, c, x) is one kernel call."""
+    (b, c, x) is one kernel call. The engine cases end with one call that
+    holds all their rows, so that rows of every split share the chunks."""
     if case in ("sync", "async", "infinite_m"):
         p = default_params("async" if case == "async" else "sync", eps=0.5)
         ctx = _context(p)
@@ -85,6 +81,7 @@ def _e1_oracle_rows(case):
                     b = np.zeros_like(x)
                     c = -eta_shape(4) * n * t_lin * x ** (2.0 * p.alpha)
                 calls.append((b, c, x))
+        calls.append(tuple(np.concatenate(col) for col in zip(*calls)))
         return p, calls
     p = default_params("sync", eps=0.5)
     a4, a8 = p.alpha, 2.0 * p.alpha
@@ -95,7 +92,8 @@ def _e1_oracle_rows(case):
         # |z| <= |beta| + |gam| < Z on all of tau >= 1: no expm1 node
         beta, gam = np.array([-3e-5, -1e-9, 0.0]), np.array([-5e-6, 0.0, -2e-7])
     elif case == "split_at_n":
-        # tau_max clips at 1e24, where |beta| th >= 1e50 * 1e-48 > Z
+        # the grid ends at 1e24, where |beta| th >= 1e50 * 1e-48 > Z: the
+        # first row is expm1 on every node, the others split inside
         beta, gam = np.array([-1e50, -1.0, -1e-3]), np.array([-1e3, 0.0, -1.0])
     else:  # taylor_edge: split at 0 with |z| just under Z at the first node
         x, beta, gam = np.array([0.8]), np.array([-7e-5]), np.array([-2.9e-5])
@@ -340,13 +338,18 @@ class TestLaplaceTerms:
     def test_e1_exponent_against_full_grid(self, case, rtol):
         p, calls = _e1_oracle_rows(case)
         ctx = _context(p)
+        grid = _tau_grid(p.alpha)
         th_min = 1e24 ** (-p.alpha / 2.0)
         for b, c, x in calls:
             beta, gam = b * x ** -p.alpha, c * x ** (-2.0 * p.alpha)
+            split = _e1_splits(grid, beta, gam)
             if case in ("split_at_0", "taylor_edge"):
                 assert np.max(np.abs(beta)) + np.max(np.abs(gam)) < _TAYLOR_Z
+                assert not split.any()
             if case == "split_at_n":
-                assert np.max(np.abs(beta)) * th_min > _TAYLOR_Z
+                assert np.abs(beta[0]) * th_min > _TAYLOR_Z
+                assert split[0] == grid.th.size
+                assert 0 < split[1:].max() < grid.th.size
             np.testing.assert_allclose(ctx.e1_exponent(b, c, x),
                                        e1_exponent_full_grid(p, b, c, x),
                                        rtol=rtol, atol=0.0)
@@ -460,6 +463,24 @@ class TestCoverage:
         assert f_low[0] > 0.1  # non-degenerate comparison
         assert np.max(np.abs(f_low - g_low)) < 0.05
 
+    @pytest.mark.parametrize("path, mode, n_shape", [
+        *[(path, mode, n) for path in ("general", "no_pc", "infinite_m")
+          for mode in ("sync", "async") for n in (1, 4)],
+        ("fullpc", "async", 1), ("fullpc", "async", 4)])
+    def test_value_alone_equals_value_in_curve(self, path, mode, n_shape):
+        """Rows are batched over the whole curve; a threshold's coverage
+        must not depend on the thresholds it is computed with."""
+        curve_fn, eps = {"general": (coverage, 0.5),
+                         "no_pc": (coverage_no_pc, 0.0),
+                         "infinite_m": (coverage_infinite_m, 0.5),
+                         "fullpc": (coverage_fullpc_async, 1.0)}[path]
+        p = default_params(mode, eps=eps)
+        th = 10.0 ** (np.arange(-10.0, 21.0, 1.0) / 10.0)
+        curve = curve_fn(th, p, n_shape).coverage
+        alone = [curve_fn(th[i:i + 1], p, n_shape).coverage[0]
+                 for i in range(th.size)]
+        np.testing.assert_allclose(alone, curve, rtol=0.0, atol=1e-15)
+
     def test_fullpc_monotone_in_power_ratio(self):
         th = np.array([1e-5])
         vals = []
@@ -503,6 +524,29 @@ class TestErgodicRate:
         # the trapezoid route misses the [0, 1e-4] head, bounded by its width
         head = p.n_p * p.n_d / p.n_tot / math.log(2.0) * 1e-4
         assert r == pytest.approx(manual, rel=5e-3, abs=2 * head)
+
+
+    @pytest.mark.parametrize("mode, eps, n_p", [
+        ("sync", 0.5, 2), ("sync", 0.0, 30), ("async", 0.0, 10),
+        ("async", 0.5, 20)])
+    def test_tail_search_matches_decade_loop(self, mode, eps, n_p):
+        """The one-call decade search ends the integral where stepping
+        t_hi = 1, 10, .. up to 1e9 one coverage value at a time does."""
+        p = default_params(mode, eps=eps, n_p=n_p, strict_frame=False)
+        t_hi = 1.0
+        while t_hi < 1e9:
+            if coverage(np.array([t_hi]), p).coverage[0] < 1e-6:
+                break
+            t_hi *= 10.0
+        res = ergodic_rate(p)
+        assert (res.t_hi, res.tail_truncated) == (t_hi, False)
+
+    def test_tail_truncation_is_flagged(self, params_sync, monkeypatch):
+        # with a zero cutoff coverage never drops below it: the search
+        # stops at 1e9 and says that the integral was cut short there
+        monkeypatch.setattr(analytic, "RATE_COVERAGE_CUTOFF", 0.0)
+        res = ergodic_rate(params_sync, 4)
+        assert (res.t_hi, res.tail_truncated) == (1e9, True)
 
 
 class TestGoldenValues:

@@ -181,6 +181,40 @@ class TestSubcommands:
         assert lines[0].strip() == "np,rate_bps_hz"
         assert len(lines) == 4
 
+    def test_analytic_diagnostics_in_json(self, capsys):
+        """Clamp counts and where each rate integral ended are data in the
+        JSON outputs; the sweep keeps its [value, rate] pairs in `values`
+        and its diagnostics apart, and a rerun writes the same bytes."""
+        argv = ("sweep", "--param", "np", "--values", "5,30", "--mode",
+                "sync", "--eps", "0.5", "--n-gamma", "4", "--format", "json")
+        _, first, _ = run_cli(capsys, *argv)
+        _, second, _ = run_cli(capsys, *argv)
+        assert first == second
+        doc = json.loads(first)
+        assert [v for v, _ in doc["values"]] == [5.0, 30.0]
+        diag = doc["diagnostics"]
+        assert [d["np"] for d in diag] == [5.0, 30.0]
+        assert all(set(d) == {"np", "t_hi", "tail_truncated"} for d in diag)
+        assert all(d["t_hi"] in 10.0 ** np.arange(10)
+                   and d["tail_truncated"] is False for d in diag)
+
+        _, out, _ = run_cli(capsys, "rate", "--mode", "async", "--eps", "0",
+                            "--format", "json")
+        diag = json.loads(out)["diagnostics"]
+        assert diag == [{"eps": 0.0, "t_hi": diag[0]["t_hi"],
+                         "tail_truncated": False}]
+        assert diag[0]["t_hi"] in 10.0 ** np.arange(10)
+
+        _, out, _ = run_cli(capsys, "coverage", "--mode", "sync", "--eps",
+                            "0.5", "--thresholds-db", "0:10:5", "--format",
+                            "json")
+        assert json.loads(out)["clamped"] == 0
+
+        _, out, _ = run_cli(capsys, "validate", "--gate", "0.9", "--mode",
+                            "async", "--eps", "0.5", "--trials", "60",
+                            "--thresholds-db", "0:6:3", "--format", "json")
+        assert json.loads(out)["analytic_clamped"] == 0
+
     def test_sweep_eps(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--param", "eps", "--values",
                                "0,1", "--mode", "sync", "--n-gamma", "2")

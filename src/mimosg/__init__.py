@@ -9,13 +9,12 @@ from .analytic import (CoverageCurve, RateResult, coverage,
                        coverage_no_pc, e1_term, e2_term, ergodic_rate,
                        gamma_cdf_approx, q1, q2, q3)
 from .errors import (ConfigError, DomainError, EstimationError, MimosgError,
-                     NumericalError, QuadratureError, RealizationError)
-from .geometry import (DistanceBundle, NetworkRealization, PointSet,
-                       build_network, extract_bundle, sample_hppp,
-                       serving_cdf, serving_pdf, serving_sample)
-from .linkstats import (DeltaSet, EstimationStats, InverseSinr,
-                        PhaseIndicators, compute_delta, delta1, draw_phases,
-                        inverse_sinr, lmmse_variances, path_loss,
+                     NumericalError, RealizationError)
+from .geometry import (DistanceBundle, NetworkRealization, build_network,
+                       extract_bundle, sample_hppp, serving_cdf, serving_pdf,
+                       serving_sample)
+from .linkstats import (DeltaSet, InverseSinr, PhaseIndicators, compute_delta,
+                        delta1, draw_phases, inverse_sinr, path_loss,
                         uplink_power)
 from .montecarlo import (McConfig, ValidationReport, run_coverage_mc,
                          run_rate_mc, validate)
@@ -23,26 +22,23 @@ from .params import (DerivedConstants, SystemParams, c_m, default_gamma_shape,
                      default_params, density_from_exclusion, derive_frame,
                      derived_constants, eta_shape, make_params,
                      phase_probabilities, v_m)
-from .quadrature import QuadratureConfig, quad_1d, quad_2d
 
 __all__ = [
     "CoverageCurve", "RateResult", "coverage", "coverage_fullpc_async",
     "coverage_infinite_m", "coverage_no_pc", "e1_term", "e2_term",
     "ergodic_rate", "gamma_cdf_approx", "q1", "q2", "q3",
     "ConfigError", "DomainError", "EstimationError", "MimosgError",
-    "NumericalError", "QuadratureError", "RealizationError",
-    "DistanceBundle", "NetworkRealization", "PointSet", "build_network",
+    "NumericalError", "RealizationError",
+    "DistanceBundle", "NetworkRealization", "build_network",
     "extract_bundle", "sample_hppp", "serving_cdf", "serving_pdf",
     "serving_sample",
-    "DeltaSet", "EstimationStats", "InverseSinr", "PhaseIndicators",
-    "compute_delta", "delta1", "draw_phases", "inverse_sinr",
-    "lmmse_variances", "path_loss", "uplink_power",
+    "DeltaSet", "InverseSinr", "PhaseIndicators", "compute_delta", "delta1",
+    "draw_phases", "inverse_sinr", "path_loss", "uplink_power",
     "McConfig", "ValidationReport", "run_coverage_mc", "run_rate_mc",
     "validate",
     "DerivedConstants", "SystemParams", "c_m", "default_gamma_shape",
     "default_params", "density_from_exclusion", "derive_frame",
     "derived_constants", "eta_shape", "make_params", "phase_probabilities",
     "v_m",
-    "QuadratureConfig", "quad_1d", "quad_2d",
     "__version__",
 ]

@@ -31,8 +31,8 @@ moments, whose remainder (below 8e-19 of the tail) is under the unit
 roundoff. The doubly-integrated E2 exponent depends on its arguments only
 through one nonpositive scalar, so it is tabulated once per geometry
 (pi lam, r0, r_e, alpha, eps) on a log-log grid and spline-interpolated;
-tests pin these shortcuts against the adaptive reference in
-:mod:`mimosg.quadrature`.
+tests pin these shortcuts against direct quadrature and against
+``scipy.integrate.quad`` as the adaptive reference.
 """
 from __future__ import annotations
 
@@ -48,8 +48,7 @@ from scipy.special import gammainc, gammaln
 from .errors import DomainError, NumericalError
 from .params import (SystemParams, default_gamma_shape,
                      derived_constants, eta_shape)
-from .quadrature import (DEFAULT_QUAD, gauss_legendre_panels, leggauss,
-                         log_panel_grid)
+from .quadrature import gauss_legendre_panels, leggauss, log_panel_grid
 
 log = logging.getLogger(__name__)
 
@@ -60,6 +59,11 @@ log = logging.getLogger(__name__)
 X_WEIGHT_CUTOFF = 1e-10
 TAIL_CUTOFF = 1e-15
 RATE_COVERAGE_CUTOFF = 1e-6
+
+# Gauss-Legendre points per outer panel (x grid, cross-moment t grid) and
+# per inner s-panel of the E2 double integral.
+GRID_OUTER = 12
+GRID_INNER = 32
 
 _GUARD_LIMIT = 2.0  # |alternating sum| beyond this signals lost precision
 
@@ -261,8 +265,7 @@ def q2(params: SystemParams) -> float:
     return 2.0 * params.r_e ** (-params.alpha) / (params.alpha - 2.0)
 
 
-def _cross_moment(params: SystemParams,
-                  n_per: int = DEFAULT_QUAD.grid_outer) -> float:
+def _cross_moment(params: SystemParams) -> float:
     """E{ sum_j r_jj^(alpha eps) r_lj^-alpha }: the conditional cross moment
     of a foreign user's serving distance and its distance to the tagged
     station, integrated over the exclusion-ball field.
@@ -281,7 +284,8 @@ def _cross_moment(params: SystemParams,
     gtot = math.exp(gammaln(pexp + 1.0))
     t_max = max(10.0 * te,
                 (gtot / (1e-13 * (p.alpha / 2.0 - 1.0))) ** (2.0 / (p.alpha - 2.0)))
-    t, wt = log_panel_grid(te, t_max, panels_per_decade=4, n_per_panel=n_per)
+    t, wt = log_panel_grid(te, t_max, panels_per_decade=4,
+                           n_per_panel=GRID_OUTER)
     inner = _lower_inc(pexp + 1.0, a0, t)
     vals = t ** (-p.alpha / 2.0) * inner / (math.exp(-a0) - np.exp(-t))
     return q ** (p.alpha * (1.0 - p.eps) / 2.0) * float(np.dot(wt, vals))
@@ -527,7 +531,7 @@ class _Context:
         t, wt = log_panel_grid(te, t_max, panels_per_decade=4, n_per_panel=10)
         s_cap = a0 + 45.0
         s_hi = np.minimum(t, s_cap)
-        gl_x, gl_w = leggauss(DEFAULT_QUAD.grid_inner)
+        gl_x, gl_w = leggauss(GRID_INNER)
         half = 0.5 * (s_hi - a0)
         s = a0 + half[:, None] * (gl_x[None, :] + 1.0)
         ws = half[:, None] * gl_w[None, :]
@@ -583,7 +587,7 @@ def _x_grid(params: SystemParams):
     u_max = -math.log(X_WEIGHT_CUTOFF)
     breaks = np.array([0.0, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.5,
                        7.5, 10.0, 13.0, 17.0, u_max])
-    u, w = gauss_legendre_panels(breaks, DEFAULT_QUAD.grid_outer)
+    u, w = gauss_legendre_panels(breaks, GRID_OUTER)
     return u, w
 
 

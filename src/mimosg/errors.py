@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: configuration problems exit 2,
-numerical failures exit 3, a failed validation gate exits 4.
+The CLI maps these onto exit codes: configuration and domain problems
+exit 2, numerical, realization and estimation failures exit 3, a failed
+validation gate exits 4.
 """
 
 
@@ -19,27 +20,6 @@ class DomainError(MimosgError, ValueError):
 
 class NumericalError(MimosgError, RuntimeError):
     """A numerical routine produced a non-finite or inconsistent result."""
-
-
-class QuadratureError(NumericalError):
-    """Adaptive quadrature failed to converge.
-
-    Carries diagnostics: the best estimate so far, the error estimate and
-    the subdivision count at failure.
-    """
-
-    def __init__(self, message, estimate=None, error=None, intervals=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error = error
-        self.intervals = intervals
-
-    def __str__(self):
-        base = super().__str__()
-        if self.estimate is not None:
-            base += (f" [estimate={self.estimate!r}, err={self.error!r}, "
-                     f"intervals={self.intervals!r}]")
-        return base
 
 
 class RealizationError(MimosgError, RuntimeError):

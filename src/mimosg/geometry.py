@@ -143,32 +143,16 @@ def serving_given_user_pair_sample(r, x, lam: float, r0: float,
 # network realization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointSet:
-    """Points of one process realization inside a [0, window]^2 square (km)."""
-
-    points: np.ndarray
-    window: float
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "points", pts)
-        if pts.size and (pts.min() < -1e-12 or pts.max() > self.window + 1e-12):
-            raise DomainError("points outside window")
-
-    def __len__(self):
-        return self.points.shape[0]
-
-
-def sample_hppp(lam: float, window: float, rng: np.random.Generator) -> PointSet:
-    """Homogeneous Poisson process of density lam on a window x window square."""
+def sample_hppp(lam: float, window: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """Homogeneous Poisson process of density lam on a window x window
+    square: an (n, 2) array of points in km."""
     if lam < 0:
         raise DomainError(f"lambda must be >= 0, got {lam!r}")
     if window <= 0:
         raise DomainError(f"window side must be > 0, got {window!r}")
     n = rng.poisson(lam * window * window)
-    pts = rng.random((n, 2)) * window
-    return PointSet(points=pts, window=window)
+    return rng.random((n, 2)) * window
 
 
 @dataclass
@@ -229,10 +213,9 @@ def build_network(params: SystemParams, window: float,
     replays depend on this order. Cells still short of users after the
     attempt budget are flagged invalid and excluded from measurement.
     """
-    bs_set = sample_hppp(params.lam, window, rng)
-    if len(bs_set) == 0:
+    bs = sample_hppp(params.lam, window, rng)
+    if len(bs) == 0:
         raise RealizationError("no base stations fell in the window")
-    bs = bs_set.points
     n_bs = bs.shape[0]
     k = params.k
 

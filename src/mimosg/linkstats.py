@@ -1,4 +1,4 @@
-"""Per-link statistics: path loss, power control, channel-estimation
+"""Per-link statistics: path loss, power control, pilot observation
 variances, phase-overlap indicators and the inverse-SINR decomposition.
 
 These are the scalar reference implementations operating on a single
@@ -48,13 +48,6 @@ def uplink_power(beta_serving, p_u: float, eps: float):
     return float(out) if out.ndim == 0 else out
 
 
-def pilot_matrix(n_p: int) -> np.ndarray:
-    """DFT pilot book: n_p orthogonal unit-magnitude columns,
-    phi_k^H phi_l = n_p * delta(k, l)."""
-    idx = np.arange(n_p)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n_p)
-
-
 @dataclass
 class PhaseIndicators:
     """Realized phase of each interfering cell at the observed symbol."""
@@ -85,20 +78,6 @@ def draw_phases(params: SystemParams, n_cells: int,
     probs = phase_probabilities(params, "observer_in_downlink")
     draws = rng.choice(3, size=n_cells, p=list(probs))
     return PhaseIndicators(phase=draws.astype(np.int8))
-
-
-@dataclass
-class EstimationStats:
-    """Per-link LMMSE estimation statistics at the tagged base station."""
-
-    delta: float                # observation variance of the tagged user
-    delta1: float               # power-normalized excess observation variance
-    est_var_own: float          # estimate variance of the own link
-    err_var_own: float
-    est_var: np.ndarray         # (n_o, K) estimate variance per foreign link
-    err_var: np.ndarray         # (n_o, K)
-    f_var: float                # variance of the pilot/uplink leakage weight
-    g_var: float                # variance of the downlink leakage weight
 
 
 @dataclass
@@ -160,43 +139,6 @@ def delta1(delta: float, x: float, params: SystemParams) -> float:
         raise DomainError("serving distance must be positive")
     p = params
     return (p.omega ** (p.eps - 1.0) / p.p_u) * delta - x ** (-p.alpha * (1.0 - p.eps))
-
-
-def lmmse_variances(bundle: DistanceBundle, same_cell_deltas: np.ndarray,
-                    params: SystemParams, tol: float = 1e-9) -> EstimationStats:
-    """LMMSE estimate/error variances for the own link and all foreign links
-    seen from the tagged base station."""
-    p = params
-    same_cell_deltas = np.asarray(same_cell_deltas, dtype=float)
-    if same_cell_deltas.shape != (p.k,):
-        raise DomainError(f"expected {p.k} same-cell deltas, "
-                          f"got shape {same_cell_deltas.shape}")
-    d_tag = float(same_cell_deltas[bundle.pilot_index])
-
-    beta_own = path_loss(bundle.x, p.omega, p.alpha)
-    pwr_own = uplink_power(beta_own, p.p_u, p.eps)
-    est_own = pwr_own * beta_own ** 2 / d_tag
-    err_own = beta_own - est_own
-
-    beta = path_loss(bundle.cross_to_desired_bs, p.omega, p.alpha)
-    pwr = uplink_power(path_loss(bundle.cross_serving, p.omega, p.alpha),
-                       p.p_u, p.eps)
-    if p.sync:
-        est = pwr * beta ** 2 / same_cell_deltas[None, :]
-    else:
-        est = ((p.n_p + p.n_u) / p.n_tot ** 2
-               * pwr * beta ** 2 * float(np.sum(1.0 / same_cell_deltas)))
-    err = beta - est
-    if err_own < -tol * beta_own or np.any(err < -tol * beta):
-        raise NumericalError(
-            "negative estimation-error variance: inconsistent deltas")
-
-    return EstimationStats(
-        delta=d_tag, delta1=delta1(d_tag, bundle.x, p),
-        est_var_own=est_own, err_var_own=err_own,
-        est_var=est, err_var=err,
-        f_var=(p.n_p + p.n_u) / p.n_tot ** 2,
-        g_var=p.n_d / p.n_tot ** 2)
 
 
 def inverse_sinr(bundle: DistanceBundle, phases: PhaseIndicators,

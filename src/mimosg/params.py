@@ -33,22 +33,8 @@ def normalize_mode(mode: str) -> str:
         raise ConfigError(f"unknown mode {mode!r}; expected 'sync' or 'async'") from None
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    if value <= 0:
-        raise DomainError(f"cannot express non-positive value {value!r} in dB")
-    return 10.0 * math.log10(value)
-
-
 def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(watt: float) -> float:
-    return linear_to_db(watt) + 30.0
 
 
 def attenuation_db_to_linear(db: float) -> float:

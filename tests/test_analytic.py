@@ -14,7 +14,7 @@ from mimosg.analytic import (_TAYLOR_Z, CoverageCurve, _coefficients,
                              gamma_cdf_exact, q1, q2, q3)
 from mimosg.errors import DomainError
 from mimosg.params import (default_params, derived_constants, eta_shape)
-from mimosg.quadrature import log_panel_grid, quad_1d
+from mimosg.quadrature import log_panel_grid
 
 # frozen high-precision oracle values for the reference geometry
 CROSS_MOMENT = {0.0: 16.0, 0.5: 2.8856400139492937, 1.0: 0.9783991390254186}
@@ -269,15 +269,20 @@ class TestLaplaceTerms:
             ct = float(c[0]) * p.pi_lam ** p.alpha
             a = p.pi_lam * x * x
 
-            def f(t):
-                return np.expm1(bt * t ** (-p.alpha / 2.0) + ct * t ** -p.alpha)
+            def f(u):
+                t = math.exp(u)
+                return t * math.expm1(bt * t ** (-p.alpha / 2.0)
+                                      + ct * t ** -p.alpha)
 
             # finite split keeps the adaptive reference free of truncation
             # loss; the algebraic remainder beyond t_cut is added in closed
-            # form to first order (second order is ~1e-12 here)
+            # form to first order (second order is ~1e-12 here). The
+            # integral runs in u = log t: on t itself the integrand's
+            # features at t ~ a are invisible across [a, 1e8]
             t_cut = 1e8
-            ref = quad_1d(f, a, t_cut) + bt * t_cut ** (1.0 - p.alpha / 2.0) \
-                / (p.alpha / 2.0 - 1.0)
+            ref = quad(f, math.log(a), math.log(t_cut), epsabs=0.0,
+                       epsrel=1e-12)[0] \
+                + bt * t_cut ** (1.0 - p.alpha / 2.0) / (p.alpha / 2.0 - 1.0)
             got = math.log(e1_term(t_lin, 1, x, p, 1))
             assert got == pytest.approx(ref, rel=1e-7, abs=1e-12)
 

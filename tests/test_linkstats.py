@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from mimosg import _kernels
-from mimosg.errors import DomainError, NumericalError
+from mimosg.errors import DomainError
 from mimosg.geometry import NetworkRealization, build_network, extract_bundle
 from mimosg.linkstats import (PHASE_DOWNLINK, PHASE_PILOT, PHASE_UPLINK,
                               DeltaSet, PhaseIndicators, compute_delta, delta1,
                               draw_phases, inverse_sinr, isolated_cell_sinr,
-                              lmmse_variances, path_loss, pilot_matrix,
-                              uplink_power)
+                              path_loss, uplink_power)
 from mimosg.montecarlo import _flatten_users
 from mimosg.params import default_params, derived_constants
 
@@ -70,16 +69,6 @@ class TestUplinkPower:
     def test_eps_domain(self):
         with pytest.raises(DomainError):
             uplink_power(1e-9, 0.2, 1.2)
-
-
-class TestPilotMatrix:
-    def test_orthogonality(self):
-        phi = pilot_matrix(10)
-        gram = phi.conj().T @ phi
-        np.testing.assert_allclose(gram, 10.0 * np.eye(10), atol=1e-9)
-
-    def test_unit_magnitude(self):
-        assert np.allclose(np.abs(pilot_matrix(7)), 1.0)
 
 
 class TestDrawPhases:
@@ -186,51 +175,6 @@ class TestDelta1:
     def test_full_control_collapses_omega(self):
         p = default_params("async", eps=1.0)
         assert delta1(3.0, 0.4, p) == pytest.approx(3.0 / p.p_u - 1.0)
-
-
-class TestLmmse:
-    def test_perfect_estimation_limit(self):
-        p = default_params("async", eps=0.0, sigma2=0.0)
-        net = make_isolated(p)
-        b = extract_bundle(net, 0, 0, margin=1.0)
-        same = np.array([compute_delta(extract_bundle(net, 0, k, 1.0), p)
-                         for k in range(p.k)])
-        st = lmmse_variances(b, same, p)
-        beta = path_loss(b.x, p.omega, p.alpha)
-        assert st.est_var_own == pytest.approx(beta, rel=1e-12)
-        assert st.err_var_own == pytest.approx(0.0, abs=1e-25)
-
-    @pytest.mark.parametrize("mode", ["async", "sync"])
-    def test_case_formulas(self, mode, rng):
-        p = default_params(mode, eps=0.5)
-        net = build_network(p, 4.0, rng)
-        b = extract_bundle(net, int(net.central_cells(1.0)[0]), 2, margin=1.0)
-        table = deltas_for(net, p)
-        same = table[b.cell_index]
-        st = lmmse_variances(b, same, p)
-        row, k = 1, 4
-        beta = path_loss(b.cross_to_desired_bs[row, k], p.omega, p.alpha)
-        pw = uplink_power(path_loss(b.cross_serving[row, k], p.omega, p.alpha),
-                          p.p_u, p.eps)
-        if mode == "sync":
-            expected = pw * beta ** 2 / same[k]
-        else:
-            expected = ((p.n_p + p.n_u) / p.n_tot ** 2 * pw * beta ** 2
-                        * np.sum(1.0 / same))
-        assert st.est_var[row, k] == pytest.approx(expected, rel=1e-12)
-        np.testing.assert_allclose(st.est_var + st.err_var,
-                                   path_loss(b.cross_to_desired_bs, p.omega,
-                                             p.alpha), rtol=1e-12)
-        assert np.all(st.err_var >= 0.0)
-        assert st.f_var == pytest.approx(20.0 / 1600.0)
-        assert st.g_var == pytest.approx(20.0 / 1600.0)
-
-    def test_inconsistent_deltas_rejected(self, params_async, rng):
-        net = build_network(params_async, 4.0, rng)
-        b = extract_bundle(net, int(net.central_cells(1.0)[0]), 0, margin=1.0)
-        bogus = np.full(params_async.k, 1e-40)  # far below the own-pilot floor
-        with pytest.raises(NumericalError):
-            lmmse_variances(b, bogus, params_async)
 
 
 class TestInverseSinr:

@@ -162,42 +162,6 @@ class TestKernelParity:
             want = [inv.gamma1, inv.gamma2, inv.gamma3]
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-18)
 
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                        reason="numba is not installed: nothing to compare "
-                               "the numpy kernels with")
-    @pytest.mark.parametrize("mode,eps", [("async", 0.5), ("sync", 0.5)])
-    def test_numba_matches_numpy(self, mode, eps, rng):
-        p = default_params(mode, eps=eps)
-        net = build_network(p, 4.0, rng)
-        _, user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
-        d_bu = _kernels.pairwise_dist(net.bs, pos)
-        d_bb = _kernels.pairwise_dist(net.bs, net.bs)
-        args = (d_serv, user_cell, pilot_slot, d_bu, d_bb,
-                net.valid.astype(np.uint8), 1 if p.sync else 0, p.alpha,
-                p.eps, float(p.n_p), p.n_u, p.n_d, float(p.n_tot), p.p_d,
-                p.p_u, p.omega, p.sigma2, p.k)
-        d_np = _kernels._deltas_np(*args)
-        deltas = _kernels.all_deltas(*args)
-        np.testing.assert_allclose(d_np, deltas, rtol=1e-12)
-
-        tag = np.arange(min(25, d_serv.size))
-        phases = rng.integers(0, 3, size=(tag.size, net.n_bs)).astype(np.int8)
-        inv_dp = np.zeros((net.n_bs, p.k))
-        inv_dp[user_cell, pilot_slot] = 1.0 / deltas
-        inv_ds = inv_dp.sum(axis=1)
-        d_uu = _kernels.pairwise_dist(pos, pos[tag])
-        dc = derived_constants(p.m, 1)
-        sargs = (d_serv[tag], tag, user_cell[tag], pilot_slot, d_serv,
-                 user_cell, d_bu, d_bb, d_uu, deltas, inv_ds, inv_dp,
-                 net.valid.astype(np.uint8), phases, 1 if p.sync else 0,
-                 p.alpha, p.eps, float(p.n_p), p.n_u, p.n_d, float(p.n_tot),
-                 dc.c_m_sq, dc.v_m, float(p.m), p.p_d, p.p_u, p.omega,
-                 p.sigma2)
-        ref = _kernels._sinr_batch_np(*sargs)
-        got = _kernels.sinr_batch(*sargs)
-        for a, b in zip(ref, got):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-18)
-
     def test_nearest_station_paths(self, rng):
         """nearest_bs against a brute-force norm and argmin at 20 and 80
         stations; one point sits exactly on a station."""
@@ -212,9 +176,6 @@ class TestKernelParity:
             np.testing.assert_allclose(dist, full.min(axis=1), rtol=1e-15,
                                        atol=0)
             assert idx[123] == 7 and dist[123] == 0.0
-
-    def test_numba_flag_exposed(self):
-        assert isinstance(_kernels.USE_NUMBA, bool)
 
 
 def _kernel_run(p, net, rng):
@@ -247,8 +208,7 @@ def _kernel_run(p, net, rng):
 class TestGoldenTrials:
     """run_trial outputs pinned bit for bit (seed 42, 4 km window, the
     seven thresholds of THR). Trial 171 is skipped: its zero-cell lies
-    outside the margin. With numba active the SINR sums run in another
-    order, so rate_sum is then compared to 1e-12 relative."""
+    outside the margin."""
 
     CASES = {
         ("async", 0): (10, [1, 1, 0, 0, 0, 0, 0], 1.0936720626592726),
@@ -269,7 +229,4 @@ class TestGoldenTrials:
         want_n, want_counts, want_rate = self.CASES[mode, index]
         assert n == want_n
         assert counts.tolist() == want_counts
-        if _kernels.USE_NUMBA:
-            assert rate_sum == pytest.approx(want_rate, rel=1e-12)
-        else:
-            assert rate_sum == want_rate
+        assert rate_sum == want_rate

@@ -18,10 +18,9 @@ from .linkstats import (DeltaSet, InverseSinr, PhaseIndicators, compute_delta,
                         uplink_power)
 from .montecarlo import (McConfig, ValidationReport, run_coverage_mc,
                          run_rate_mc, validate)
-from .params import (DerivedConstants, SystemParams, c_m, default_gamma_shape,
-                     default_params, density_from_exclusion, derive_frame,
-                     derived_constants, eta_shape, make_params,
-                     phase_probabilities, v_m)
+from .params import (SystemParams, c_m, default_gamma_shape, default_params,
+                     density_from_exclusion, derive_frame, eta_shape,
+                     make_params, phase_probabilities, v_m)
 
 __all__ = [
     "CoverageCurve", "RateResult", "coverage", "coverage_fullpc_async",
@@ -36,9 +35,8 @@ __all__ = [
     "draw_phases", "inverse_sinr", "path_loss", "uplink_power",
     "McConfig", "ValidationReport", "run_coverage_mc", "run_rate_mc",
     "validate",
-    "DerivedConstants", "SystemParams", "c_m", "default_gamma_shape",
-    "default_params", "density_from_exclusion", "derive_frame",
-    "derived_constants", "eta_shape", "make_params", "phase_probabilities",
-    "v_m",
+    "SystemParams", "c_m", "default_gamma_shape", "default_params",
+    "density_from_exclusion", "derive_frame", "eta_shape", "make_params",
+    "phase_probabilities", "v_m",
     "__version__",
 ]

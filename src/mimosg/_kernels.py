@@ -4,8 +4,16 @@ Distances (``nearest_bs``, ``pairwise_dist``) are formed one coordinate
 column at a time as dx*dx + dy*dy. ``all_deltas`` and ``sinr_batch``
 evaluate the same sums as the scalar reference in :mod:`mimosg.linkstats`,
 batched over all users of a realization; the test-suite pins the two
-against each other. ``perfbench/run.py --trace 1`` times each kernel
-inside a full Monte Carlo run.
+against each other. They take the realization's arrays and the
+:class:`~mimosg.params.SystemParams` whole:
+
+    all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb, valid, p)
+    sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
+               deltas, valid, phases, p)
+
+and derive everything else (tagged distances and cells, the 1/Delta
+tables, C_M^2 and V_M) themselves. ``perfbench/run.py --trace 1`` times
+each kernel inside a full Monte Carlo run.
 
 All randomness stays outside these kernels (numpy Generators in the
 callers), so replays are bit-exact.
@@ -13,6 +21,8 @@ callers), so replays are bit-exact.
 from __future__ import annotations
 
 import numpy as np
+
+from .params import c_m, v_m
 
 
 # ---------------------------------------------------------------------------
@@ -48,25 +58,38 @@ def pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # batched inverse-SINR accumulation
 #
 # Index conventions: users of all valid cells are flattened into one axis
-# ("nu"); tagged users are a subset ("nt"). d_bu[j, i] is the distance from
-# base station j to user i; d_uu[i, t] from user i to tagged user t.
-# phase codes: 0 pilot, 1 uplink, 2 downlink.
+# ("nu"); tagged users are a subset ("nt"), given by their indices into
+# it. d_bu[j, i] is the distance from base station j to user i; d_uu[i, t]
+# from user i to tagged user t. phase codes: 0 pilot, 1 uplink,
+# 2 downlink. The first argument of each kernel is the per-user array its
+# work scales with (all users for all_deltas, the tagged users for
+# sinr_batch), so a wrapper can size a call from len(args[0]) alone; the
+# benchmark's tracer counts users that way.
 # ---------------------------------------------------------------------------
 
-def sinr_batch(x, tag_user, tag_cell, pilot_slot, d_serv, user_cell, d_bu,
-               d_bb, d_uu, deltas, inv_delta_sum, inv_delta_pilot, cell_valid,
-               phases, sync, alpha, eps, n_p, n_u, n_d, n_tot, c2, vm, mm,
-               p_d, p_u, omega, sigma2):
+def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
+               deltas, valid, phases, p):
     """Inverse-SINR decomposition (g1, g2, g3) for every tagged user of one
     realization.
 
-    phases: (nt, n_bs) int8 phase of every cell as seen by each tagged
-    user's observer cell (entries for the observer itself are ignored).
-    inv_delta_sum[j] = sum_k' 1/Delta_{jk'}; inv_delta_pilot[j, k] = 1/Delta_{jk}.
+    tag_user: (nt,) flat indices of the tagged users. deltas: (nu,) output
+    of :func:`all_deltas`. valid: (n_bs,) bool cell validity. phases:
+    (nt, n_bs) int8 phase of every cell as seen by each tagged user's
+    observer cell (entries for the observer itself are ignored).
     """
+    alpha, eps, sigma2, omega = p.alpha, p.eps, p.sigma2, p.omega
+    n_p, n_u, n_d, n_tot, p_d, p_u = p.n_p, p.n_u, p.n_d, p.n_tot, p.p_d, p.p_u
+    c = c_m(p.m)
+    c2 = c * c
+    vm = v_m(p.m)
+    x = d_serv[tag_user]
+    tag_cell = user_cell[tag_user]
     nt = x.shape[0]
     n_bs = d_bb.shape[0]
-    valid = cell_valid.astype(bool)
+
+    # inv_delta_pilot[j, k] = 1/Delta_{jk}; its row sums sum_k' 1/Delta_{jk'}
+    inv_delta_pilot = np.zeros((n_bs, p.k))
+    inv_delta_pilot[user_cell, pilot_slot] = 1.0 / deltas
 
     xa = x ** alpha
     x1e = x ** (alpha * (1.0 - eps))
@@ -90,7 +113,7 @@ def sinr_batch(x, tag_user, tag_cell, pilot_slot, d_serv, user_cell, d_bu,
     other_c = (cells[None, :] != tag_cell[:, None]) & valid[None, :]
 
     w_lu = d_bu[tag_cell, :] ** (-alpha)                          # (nt, nu)
-    if sync:
+    if p.sync:
         same_pilot = pilot_slot[None, :] == pilot_slot[tag_user][:, None]
         cross = np.sum(serv_ae[None, :] * w_lu * (other_u & same_pilot), axis=1)
         g1 = base + (x1e / c2) * noise_amp * cross
@@ -103,18 +126,19 @@ def sinr_batch(x, tag_user, tag_cell, pilot_slot, d_serv, user_cell, d_bu,
             f_w * cross + p_d * n_p * n_d / (p_u * omega ** (-eps) * n_tot ** 2) * bsbs)
 
     r_jl = d_bu[:, tag_user].T                                    # (nt, n_bs)
-    if sync:
+    if p.sync:
         beam = np.sum(r_jl ** (-alpha) * other_c, axis=1)
         pil = np.sum(inv_delta_pilot[:, pilot_slot[tag_user]].T * other_c
                      * r_jl ** (-2.0 * alpha), axis=1)
-        g2 = (n_p / c2) * amp * beam + ((mm - 1.0) / c2) * x2a * delta_t * pil
+        g2 = (n_p / c2) * amp * beam + ((p.m - 1.0) / c2) * x2a * delta_t * pil
         g3 = np.zeros(nt)
     else:
+        inv_delta_sum = inv_delta_pilot.sum(axis=1)
         chi_dd = (phases == 2) & other_c
         beam = np.sum(r_jl ** (-alpha) * chi_dd, axis=1)
         pil = np.sum(inv_delta_sum[None, :] * chi_dd * r_jl ** (-2.0 * alpha), axis=1)
         g2 = ((n_p / c2) * amp * beam
-              + ((mm - 1.0) / c2) * x2a * f_w * delta_t * pil)
+              + ((p.m - 1.0) / c2) * x2a * f_w * delta_t * pil)
         chi_pu_user = phases[:, user_cell] <= 1                   # (nt, nu)
         um = other_u & chi_pu_user
         d_ut = np.where(um, d_uu.T, 1.0)
@@ -127,12 +151,12 @@ def sinr_batch(x, tag_user, tag_cell, pilot_slot, d_serv, user_cell, d_bu,
 # per-cell delta accumulation
 # ---------------------------------------------------------------------------
 
-def all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb, cell_valid, sync,
-               alpha, eps, n_p, n_u, n_d, n_tot, p_d, p_u, omega, sigma2, k):
+def all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb, valid, p):
     """Observation variance Delta for every user at its own base station."""
+    alpha, eps, sigma2, omega = p.alpha, p.eps, p.sigma2, p.omega
+    n_p, n_u, n_d, n_tot, p_d, p_u = p.n_p, p.n_u, p.n_d, p.n_tot, p.p_d, p.p_u
     nu = d_serv.shape[0]
     n_bs = d_bb.shape[0]
-    valid = cell_valid.astype(bool)
     cells = np.arange(n_bs)
 
     pwr_beta = p_u * omega ** (1.0 - eps) * d_serv ** (alpha * eps)  # P_i * omega
@@ -140,10 +164,10 @@ def all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb, cell_valid, sync,
     own = p_u * omega ** (1.0 - eps) * d_serv ** (-alpha * (1.0 - eps))
 
     othercell = (user_cell[None, :] != cells[:, None])
-    if sync:
+    if p.sync:
         # per pilot slot: sum over co-pilot users of other cells
         deltas = np.empty(nu)
-        for s in range(k):
+        for s in range(p.k):
             cols = pilot_slot == s
             contrib = np.sum(w[:, cols] * othercell[:, cols], axis=1)  # (n_bs,)
             rows = cols

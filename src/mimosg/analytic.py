@@ -46,8 +46,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gammainc, gammaln
 
 from .errors import DomainError, NumericalError
-from .params import (SystemParams, default_gamma_shape,
-                     derived_constants, eta_shape)
+from .params import SystemParams, c_m, default_gamma_shape, eta_shape, v_m
 from .quadrature import gauss_legendre_panels, leggauss, log_panel_grid
 
 log = logging.getLogger(__name__)
@@ -245,6 +244,16 @@ def gamma_cdf_exact(a, n_shape: int):
     return float(out) if out.ndim == 0 else out
 
 
+def _gamma_shape(n_shape: int | None, params: SystemParams) -> int:
+    """The Gamma shape N of the coverage expansion: the mode's default when
+    ``n_shape`` is None, else ``n_shape``, which must be at least 1."""
+    if n_shape is None:
+        return default_gamma_shape(params.mode)
+    if n_shape < 1:
+        raise DomainError(f"n_shape must be >= 1, got {n_shape!r}")
+    return int(n_shape)
+
+
 # ---------------------------------------------------------------------------
 # exclusion-ball constants
 # ---------------------------------------------------------------------------
@@ -386,17 +395,16 @@ def coefficients(t_lin: float, n: int, x, params: SystemParams,
     """Campbell exponent coefficients (B, C, D) at threshold T, expansion
     index n and serving distance x. All three are <= 0."""
     p = params
-    if n_shape is None:
-        n_shape = default_gamma_shape(p.mode)
+    eta = eta_shape(_gamma_shape(n_shape, p))
     if t_lin < 0:
         raise DomainError("threshold must be >= 0")
-    eta = eta_shape(n_shape)
-    dc = derived_constants(p.m, n_shape)
-    return _coefficients(t_lin, n, np.asarray(x, dtype=float), p,
-                         eta, dc.c_m_sq, _q1_const(p))
+    return _coefficients(t_lin, n, np.asarray(x, dtype=float), p, eta,
+                         _q1_const(p))
 
 
-def _coefficients(t_lin, n, x, p: SystemParams, eta, c2, q1_val):
+def _coefficients(t_lin, n, x, p: SystemParams, eta, q1_val):
+    c = c_m(p.m)
+    c2 = c * c
     xa = x ** p.alpha
     x2e = x ** (p.alpha * (2.0 - p.eps))
     x1e = x ** (p.alpha * (1.0 - p.eps))
@@ -455,14 +463,16 @@ class _Context:
     unit_d: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        dc = derived_constants(self.params.m, 1)
-        self.c1_x = self.c1(self.x_vals, dc.c_m_sq, dc.v_m)
+        self.c1_x = self.c1(self.x_vals)
         self.unit_b, self.unit_c, self.unit_d = _coefficients(
-            1.0, 1, self.x_vals, self.params, 1.0, dc.c_m_sq, self.q1)
+            1.0, 1, self.x_vals, self.params, 1.0, self.q1)
 
     # --- c1 -------------------------------------------------------------
-    def c1(self, x, c2, vm):
+    def c1(self, x):
         p = self.params
+        c = c_m(p.m)
+        c2 = c * c
+        vm = v_m(p.m)
         x = np.asarray(x, dtype=float)
         xa = x ** p.alpha
         x1e = x ** (p.alpha * (1.0 - p.eps))
@@ -607,35 +617,25 @@ def _context(params: SystemParams) -> _Context:
 def e1_term(t_lin: float, n: int, x: float, params: SystemParams,
             n_shape: int | None = None) -> float:
     """Laplace functional of the station interference field at (T, n, x)."""
-    if n_shape is None:
-        n_shape = default_gamma_shape(params.mode)
+    eta = eta_shape(_gamma_shape(n_shape, params))
     ctx = _context(params)
-    eta = eta_shape(n_shape)
-    dc = derived_constants(params.m, n_shape)
-    b, c, _ = _coefficients(t_lin, n, np.asarray([x]), params, eta,
-                            dc.c_m_sq, ctx.q1)
+    b, c, _ = _coefficients(t_lin, n, np.asarray([x]), params, eta, ctx.q1)
     return float(np.exp(ctx.e1_exponent(b, c, np.asarray([x])))[0])
 
 
 def e2_term(t_lin: float, n: int, x: float, params: SystemParams,
             n_shape: int | None = None) -> float:
     """Laplace functional of the foreign-user interference field."""
-    if n_shape is None:
-        n_shape = default_gamma_shape(params.mode)
+    eta = eta_shape(_gamma_shape(n_shape, params))
     ctx = _context(params)
-    eta = eta_shape(n_shape)
-    dc = derived_constants(params.m, n_shape)
-    _, _, d = _coefficients(t_lin, n, np.asarray([x]), params, eta,
-                            dc.c_m_sq, ctx.q1)
+    _, _, d = _coefficients(t_lin, n, np.asarray([x]), params, eta, ctx.q1)
     mult = params.n_p if not params.sync else 1.0
     return float(np.exp(mult * ctx.e2_exponent(d))[0])
 
 
 def c1_term(x, params: SystemParams) -> np.ndarray:
     """Deterministic part of the approximate inverse SINR at distance x."""
-    ctx = _context(params)
-    dc = derived_constants(params.m, 1)
-    return ctx.c1(np.asarray(x, dtype=float), dc.c_m_sq, dc.v_m)
+    return _context(params).c1(x)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +678,8 @@ def _fullpc_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
     # dominant foreign-uplink term only (eps = 1)
     p = ctx.params
     x = ctx.x_vals
-    c2 = derived_constants(p.m, 1).c_m_sq
+    c = c_m(p.m)
+    c2 = c * c
     term = ((x ** p.alpha + x ** (p.alpha * (2.0 - p.eps)) * ctx.q1)
             * p.p_u * p.n_d * (p.n_p + p.n_u) * ctx.q3
             / (p.p_d * p.omega ** p.eps * c2 * p.n_tot ** 2))
@@ -743,8 +744,9 @@ def _e2_exponent_no_pc(ctx: _Context, d) -> np.ndarray:
     return ctx.e1_exponent(np.asarray(d, dtype=float), 0.0, p.r_e)
 
 
-def _analytic_curve(thresholds, params: SystemParams, n_shape: int,
+def _analytic_curve(thresholds, params: SystemParams, n_shape: int | None,
                     exponent, method: str) -> CoverageCurve:
+    n_shape = _gamma_shape(n_shape, params)
     thresholds = np.asarray(thresholds, dtype=float)
     vals, clamped = _coverage_values(thresholds, params, n_shape, exponent)
     return CoverageCurve(thresholds=thresholds, coverage=vals,
@@ -755,11 +757,7 @@ def _analytic_curve(thresholds, params: SystemParams, n_shape: int,
 def coverage(thresholds, params: SystemParams,
              n_shape: int | None = None) -> CoverageCurve:
     """Coverage probability P(SINR > T) on a grid of linear thresholds."""
-    if n_shape is None:
-        n_shape = default_gamma_shape(params.mode)
-    if n_shape < 1:
-        raise DomainError("n_shape must be >= 1")
-    return _analytic_curve(thresholds, params, int(n_shape),
+    return _analytic_curve(thresholds, params, n_shape,
                            _general_exponent, "analytic")
 
 
@@ -769,9 +767,7 @@ def coverage_fullpc_async(thresholds, params: SystemParams,
     foreign-uplink term survives."""
     if params.sync or params.eps != 1.0:
         raise DomainError("full-power-control case requires async mode, eps=1")
-    if n_shape is None:
-        n_shape = default_gamma_shape(params.mode)
-    return _analytic_curve(thresholds, params, int(n_shape),
+    return _analytic_curve(thresholds, params, n_shape,
                            _fullpc_exponent, "analytic-special")
 
 
@@ -779,9 +775,7 @@ def coverage_infinite_m(thresholds, params: SystemParams,
                         n_shape: int | None = None) -> CoverageCurve:
     """Antenna-count limit: only the pilot-contamination exponent survives,
     with its (M-1)/C_M^2 prefactor -> 1."""
-    if n_shape is None:
-        n_shape = default_gamma_shape(params.mode)
-    return _analytic_curve(thresholds, params, int(n_shape),
+    return _analytic_curve(thresholds, params, n_shape,
                            _infinite_m_exponent, "analytic-special")
 
 
@@ -791,9 +785,7 @@ def coverage_no_pc(thresholds, params: SystemParams,
     integral. Sanity route for the general pipeline."""
     if params.eps != 0.0:
         raise DomainError("no-power-control case requires eps=0")
-    if n_shape is None:
-        n_shape = default_gamma_shape(params.mode)
-    return _analytic_curve(thresholds, params, int(n_shape),
+    return _analytic_curve(thresholds, params, n_shape,
                            _no_pc_exponent, "analytic-special")
 
 
@@ -808,12 +800,11 @@ def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult
     The integral ends at t_hi, the first of 1, 10, .., 1e8 where coverage
     is below RATE_COVERAGE_CUTOFF, else at 1e9; ``tail_truncated`` says
     that coverage at 1e9 was still above the cutoff."""
-    if n_shape is None:
-        n_shape = default_gamma_shape(params.mode)
+    n_shape = _gamma_shape(n_shape, params)
 
     # locate the threshold where coverage dies off: all decades in one call
     decades = 10.0 ** np.arange(10)
-    cov, _ = _coverage_values(decades, params, int(n_shape))
+    cov, _ = _coverage_values(decades, params, n_shape)
     below = np.flatnonzero(cov[:-1] < RATE_COVERAGE_CUTOFF)
     t_hi = float(decades[below[0]] if below.size else decades[-1])
     truncated = bool(not below.size and cov[-1] >= RATE_COVERAGE_CUTOFF)
@@ -829,7 +820,7 @@ def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult
         w_all = np.concatenate([head_w, tail_w])
     else:
         t_all, w_all = head_t, head_w
-    cov, _ = _coverage_values(t_all, params, int(n_shape))
+    cov, _ = _coverage_values(t_all, params, n_shape)
     pref = params.n_p * params.n_d / params.n_tot
     rate = pref / math.log(2.0) * float(np.dot(w_all, cov / (1.0 + t_all)))
     return RateResult(rate=rate, method="analytic", t_hi=t_hi,

@@ -28,7 +28,7 @@ from .geometry import (serving_cdf, serving_given_bs_cdf,
                        serving_given_user_pair_sample, serving_sample)
 from .montecarlo import McConfig, run_coverage_mc, run_rate_mc, validate
 from .params import (SystemParams, attenuation_db_to_linear, dbm_to_watt,
-                     default_gamma_shape, make_params)
+                     make_params)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -195,8 +195,7 @@ def _rate_record(res: RateResult, label, value, params, cfg, seed=None) -> dict:
 def cmd_coverage(cfg: dict) -> int:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
-    n_shape = cfg["n_gamma"] or default_gamma_shape(params.mode)
-    curve = coverage(thr, params, int(n_shape))
+    curve = coverage(thr, params, cfg["n_gamma"])
     write_results(_curve_record(curve, cfg), cfg["output"], cfg["format"])
     return EXIT_OK
 
@@ -212,8 +211,7 @@ def cmd_coverage_mc(cfg: dict) -> int:
 
 def cmd_rate(cfg: dict) -> int:
     params = build_params(cfg)
-    n_shape = cfg["n_gamma"] or default_gamma_shape(params.mode)
-    res = ergodic_rate(params, int(n_shape))
+    res = ergodic_rate(params, cfg["n_gamma"])
     write_results(_rate_record(res, "eps", params.eps, params, cfg),
                   cfg["output"], cfg["format"])
     return EXIT_OK
@@ -238,8 +236,7 @@ def cmd_sweep(cfg: dict, param: str, values: list[float]) -> int:
         else:
             raise ConfigError(f"sweep parameter must be np or eps, got {param!r}")
         params = build_params(base, strict_frame=False)
-        n_shape = cfg["n_gamma"] or default_gamma_shape(params.mode)
-        res = ergodic_rate(params, int(n_shape))
+        res = ergodic_rate(params, cfg["n_gamma"])
         rows.append((float(v), res.rate))
         diagnostics.append(_rate_diagnostics(res, param, v))
     params = build_params(cfg, strict_frame=False)
@@ -258,8 +255,7 @@ def cmd_sweep(cfg: dict, param: str, values: list[float]) -> int:
 def cmd_validate(cfg: dict, gate: float) -> int:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
-    n_shape = cfg["n_gamma"] or default_gamma_shape(params.mode)
-    report = validate(params, build_mc_config(cfg, thr), gate, int(n_shape))
+    report = validate(params, build_mc_config(cfg, thr), gate, cfg["n_gamma"])
     sys.stderr.write(report.format_table() + "\n")
     record = dict(report.to_json_dict())
     record["header"] = ["threshold_db", "analytic", "monte_carlo",
@@ -279,13 +275,12 @@ def cmd_validate(cfg: dict, gate: float) -> int:
 def cmd_special(cfg: dict, case: str) -> int:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
-    n_shape = cfg["n_gamma"] or default_gamma_shape(params.mode)
     if case == "full-pc":
-        curve = coverage_fullpc_async(thr, params, int(n_shape))
+        curve = coverage_fullpc_async(thr, params, cfg["n_gamma"])
     elif case == "infinite-m":
-        curve = coverage_infinite_m(thr, params, int(n_shape))
+        curve = coverage_infinite_m(thr, params, cfg["n_gamma"])
     elif case == "no-pc":
-        curve = coverage_no_pc(thr, params, int(n_shape))
+        curve = coverage_no_pc(thr, params, cfg["n_gamma"])
     else:
         raise ConfigError(f"unknown special case {case!r}")
     write_results(_curve_record(curve, cfg), cfg["output"], cfg["format"])

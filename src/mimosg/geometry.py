@@ -185,20 +185,6 @@ class NetworkRealization:
         inside = np.all((self.bs >= lo) & (self.bs <= hi), axis=1)
         return np.flatnonzero(inside & self.valid)
 
-    def to_json_dict(self) -> dict:
-        """Debug dump of coordinates and associations for external plotting."""
-        return {
-            "window_km": self.window,
-            "base_stations": self.bs.tolist(),
-            "users": [
-                {"cell": int(j),
-                 "valid": bool(self.valid[j]),
-                 "coords": (self.users[j].tolist() if self.valid[j] else []),
-                 "serving_km": (self.serving[j].tolist() if self.valid[j] else [])}
-                for j in range(self.n_bs)
-            ],
-        }
-
 
 def build_network(params: SystemParams, window: float,
                   rng: np.random.Generator,

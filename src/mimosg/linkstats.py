@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .geometry import DistanceBundle
-from .params import (MODE_SYNC, SystemParams, derived_constants,
-                     phase_probabilities)
+from .params import MODE_SYNC, SystemParams, c_m, phase_probabilities, v_m
 
 PHASE_PILOT = 0
 PHASE_UPLINK = 1
@@ -100,7 +99,6 @@ class DeltaSet:
     """Observation variances needed by one tagged user's SINR."""
 
     tagged: float               # Delta of the tagged user at its own BS
-    same_cell: np.ndarray       # (K,) Deltas of the tagged cell's users
     other: np.ndarray           # (n_o, K) Deltas of interfering cells' users
 
 
@@ -147,8 +145,8 @@ def inverse_sinr(bundle: DistanceBundle, phases: PhaseIndicators,
     intra-cell/noise part (gamma1), the pilot-contamination part (gamma2)
     and the foreign-uplink part (gamma3, asynchronous only)."""
     p = params
-    dc = derived_constants(p.m, 1)
-    c2 = dc.c_m_sq
+    c = c_m(p.m)
+    c2 = c * c
     x = bundle.x
 
     xa = x ** p.alpha
@@ -156,7 +154,7 @@ def inverse_sinr(bundle: DistanceBundle, phases: PhaseIndicators,
     x2e = x ** (p.alpha * (2.0 - p.eps))
     x2a = x ** (2.0 * p.alpha)
 
-    g1 = ((dc.v_m - 1.0) / c2 + p.n_p / c2
+    g1 = ((v_m(p.m) - 1.0) / c2 + p.n_p / c2
           + p.sigma2 * xa / (p.p_d * p.omega * c2)
           + p.sigma2 * x1e / (p.p_u * c2 * p.omega ** (1.0 - p.eps))
           + p.sigma2 ** 2 * x2e
@@ -222,5 +220,5 @@ def _check_finite(inv: InverseSinr) -> None:
 
 def isolated_cell_sinr(m: int, n_p: int) -> float:
     """Noise-free single-cell SINR: c_m^2 / (v_m - 1 + n_p)."""
-    dc = derived_constants(m, 1)
-    return dc.c_m_sq / (dc.v_m - 1.0 + n_p)
+    c = c_m(m)
+    return c * c / (v_m(m) - 1.0 + n_p)

@@ -36,11 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .analytic import CoverageCurve, RateResult, coverage
+from .analytic import CoverageCurve, RateResult, _gamma_shape, coverage
 from .errors import ConfigError, EstimationError, RealizationError
 from .geometry import build_network
 from .linkstats import PHASE_DOWNLINK, draw_phases
-from .params import SystemParams, default_gamma_shape, derived_constants
+from .params import SystemParams
 
 log = logging.getLogger(__name__)
 
@@ -107,36 +107,25 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
 
     p = params
-    deltas = _kernels.all_deltas(
-        d_serv, user_cell, pilot_slot, d_bu, d_bb, net.valid, p.sync,
-        p.alpha, p.eps, p.n_p, p.n_u, p.n_d, p.n_tot, p.p_d, p.p_u,
-        p.omega, p.sigma2, p.k)
-
-    # per-cell reductions used by the pilot-contamination ratio terms
-    n_bs = net.n_bs
-    inv_delta_pilot = np.zeros((n_bs, p.k))
-    inv_delta_pilot[user_cell, pilot_slot] = 1.0 / deltas
-    inv_delta_sum = inv_delta_pilot.sum(axis=1)
+    deltas = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb,
+                                 net.valid, p)
 
     tag_user = np.flatnonzero(user_cell == zero_cell)[:cfg.users_per_trial_cap]
     if tag_user.size == 0:
         return 0, np.zeros(thr.size), 0.0
-    tag_cell = user_cell[tag_user]
 
     # one phase draw per interfering cell, shared by the observer cell's users
     if p.sync:
-        phases = np.full((tag_user.size, n_bs), PHASE_DOWNLINK, dtype=np.int8)
+        phases = np.full((tag_user.size, net.n_bs), PHASE_DOWNLINK,
+                         dtype=np.int8)
     else:
-        drawn = draw_phases(p, n_bs, rng).phase
+        drawn = draw_phases(p, net.n_bs, rng).phase
         phases = np.tile(drawn, (tag_user.size, 1))
 
     d_uu = _kernels.pairwise_dist(pos, pos[tag_user])  # (nu, nt)
-    dc = derived_constants(p.m, 1)
     g1, g2, g3 = _kernels.sinr_batch(
-        d_serv[tag_user], tag_user, tag_cell, pilot_slot, d_serv, user_cell,
-        d_bu, d_bb, d_uu, deltas, inv_delta_sum, inv_delta_pilot,
-        net.valid, phases, p.sync, p.alpha, p.eps, p.n_p, p.n_u, p.n_d,
-        p.n_tot, dc.c_m_sq, dc.v_m, p.m, p.p_d, p.p_u, p.omega, p.sigma2)
+        tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu, deltas,
+        net.valid, phases, p)
 
     sinr = 1.0 / (g1 + g2 + g3)
     counts = (sinr[:, None] > thr[None, :]).sum(axis=0).astype(float)
@@ -256,8 +245,7 @@ class ValidationReport:
 def validate(params: SystemParams, cfg: McConfig, gate: float,
              n_shape: int | None = None) -> ValidationReport:
     """Run both engines on the same thresholds and compare."""
-    if n_shape is None:
-        n_shape = default_gamma_shape(params.mode)
+    n_shape = _gamma_shape(n_shape, params)   # checked before any trial runs
     mc_curve = run_coverage_mc(params, cfg)
     an_curve = coverage(mc_curve.thresholds, params, n_shape)
     dev = np.abs(an_curve.coverage - mc_curve.coverage)
@@ -266,7 +254,7 @@ def validate(params: SystemParams, cfg: McConfig, gate: float,
         thresholds=mc_curve.thresholds, analytic=an_curve.coverage,
         mc=mc_curve.coverage, mc_half_width=mc_curve.ci_half_width,
         abs_dev=dev, worst_dev=worst, gate=float(gate),
-        passed=bool(worst <= gate), mode=params.mode, n_shape=int(n_shape),
+        passed=bool(worst <= gate), mode=params.mode, n_shape=n_shape,
         trials=cfg.trials, trials_used=mc_curve.trials_used,
         trials_skipped=cfg.trials - mc_curve.trials_used,
         analytic_clamped=an_curve.clamped)

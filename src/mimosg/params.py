@@ -46,23 +46,15 @@ def derive_frame(n_tot: int, n_p: int, z: float) -> tuple[int, int]:
     """Split the data part of an ``n_tot``-symbol coherence block.
 
     The non-pilot symbols are divided into uplink and downlink parts with
-    ``n_d = z * n_u``. Both parts must come out as positive integers.
+    ``n_d = z * n_u`` (see :func:`split_frame_real`). Both parts must come
+    out as positive integers.
     """
     if n_tot != int(n_tot) or n_p != int(n_p):
         raise ConfigError(f"n_tot and n_p must be integers, got ({n_tot!r}, {n_p!r})")
-    n_tot = int(n_tot)
-    n_p = int(n_p)
-    if n_p < 1:
-        raise ConfigError(f"n_p must be >= 1, got {n_p}")
-    if z <= 0:
-        raise ConfigError(f"Z must be > 0, got {z!r}")
-    data = n_tot - n_p
-    if data <= 0:
-        raise ConfigError(
-            f"no data symbols left: n_tot={n_tot}, n_p={n_p}, Z={z!r}")
-    n_u = data / (1.0 + z)
+    n_tot, n_p = int(n_tot), int(n_p)
+    n_u, _ = split_frame_real(n_tot, n_p, z)
     n_u_int = round(n_u)
-    n_d_int = data - n_u_int
+    n_d_int = n_tot - n_p - n_u_int
     if (n_u_int < 1 or n_d_int < 1
             or abs(n_u - n_u_int) > 1e-9 * max(1.0, abs(n_u))
             or abs(n_d_int - z * n_u_int) > 1e-9 * max(1.0, n_d_int)):
@@ -133,25 +125,6 @@ def eta_shape(n: int) -> float:
         raise DomainError(f"shape parameter must be a positive integer, got {n!r}")
     n = int(n)
     return float(n * math.exp(-gammaln(n + 1) / n))
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Constants derived from the antenna count and Gamma shape."""
-
-    c_m: float
-    v_m: float
-    eta: float
-    n_shape: int
-
-    @property
-    def c_m_sq(self) -> float:
-        return self.c_m * self.c_m
-
-
-def derived_constants(m: int, n_shape: int) -> DerivedConstants:
-    return DerivedConstants(c_m=c_m(m), v_m=v_m(m), eta=eta_shape(n_shape),
-                            n_shape=int(n_shape))
 
 
 def default_gamma_shape(mode: str) -> int:

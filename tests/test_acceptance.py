@@ -50,7 +50,7 @@ from mimosg.geometry import (NetworkRealization, extract_bundle, serving_cdf,
 from mimosg.linkstats import (DeltaSet, PhaseIndicators, compute_delta,
                               inverse_sinr, isolated_cell_sinr)
 from mimosg.montecarlo import McConfig, run_rate_mc, validate
-from mimosg.params import c_m, default_params, derived_constants
+from mimosg.params import c_m, default_params
 
 THRESHOLD_DB = np.arange(-10.0, 21.0, 1.0)
 THRESHOLDS = tuple((10.0 ** (THRESHOLD_DB / 10.0)).tolist())
@@ -295,10 +295,6 @@ class TestCriterion8ClosedFormSpotValues:
             for k in range(p.k):
                 b = extract_bundle(net, 0, k, margin=1.0)
                 dset = DeltaSet(tagged=compute_delta(b, p),
-                                same_cell=np.array([
-                                    compute_delta(extract_bundle(net, 0, kk,
-                                                                 1.0), p)
-                                    for kk in range(p.k)]),
                                 other=np.zeros((0, p.k)))
                 inv = inverse_sinr(b, PhaseIndicators(np.zeros(0, np.int8)),
                                    dset, p)

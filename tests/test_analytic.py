@@ -13,7 +13,7 @@ from mimosg.analytic import (_TAYLOR_Z, CoverageCurve, _coefficients,
                              e2_term, ergodic_rate, gamma_cdf_approx,
                              gamma_cdf_exact, q1, q2, q3)
 from mimosg.errors import DomainError
-from mimosg.params import (default_params, derived_constants, eta_shape)
+from mimosg.params import c_m, default_params, eta_shape, v_m
 from mimosg.quadrature import log_panel_grid
 
 # frozen high-precision oracle values for the reference geometry
@@ -70,13 +70,11 @@ def _e1_oracle_rows(case):
         p = default_params("async" if case == "async" else "sync", eps=0.5)
         ctx = _context(p)
         x = ctx.x_vals
-        dc = derived_constants(p.m, 4)
         calls = []
         for t_db in np.arange(-10.0, 31.0, 2.0):
             t_lin = 10.0 ** (t_db / 10.0)
             for n in range(1, 5):
-                b, c, _ = _coefficients(t_lin, n, x, p, eta_shape(4),
-                                        dc.c_m_sq, ctx.q1)
+                b, c, _ = _coefficients(t_lin, n, x, p, eta_shape(4), ctx.q1)
                 if case == "infinite_m":
                     b = np.zeros_like(x)
                     c = -eta_shape(4) * n * t_lin * x ** (2.0 * p.alpha)
@@ -261,10 +259,8 @@ class TestLaplaceTerms:
         p = params_async
         ctx = _context(p)
         eta = eta_shape(1)
-        dc = derived_constants(p.m, 1)
         for t_lin, x in [(1.0, 0.3), (4.0, 0.8)]:
-            b, c, _ = _coefficients(t_lin, 1, np.array([x]), p, eta,
-                                    dc.c_m_sq, ctx.q1)
+            b, c, _ = _coefficients(t_lin, 1, np.array([x]), p, eta, ctx.q1)
             bt = float(b[0]) * p.pi_lam ** (p.alpha / 2.0)
             ct = float(c[0]) * p.pi_lam ** p.alpha
             a = p.pi_lam * x * x
@@ -293,9 +289,8 @@ class TestLaplaceTerms:
         p = params_async
         t_lin, n, x = 1.0, 1, 0.3
         ctx = _context(p)
-        dc = derived_constants(p.m, n)
         b, c, _ = _coefficients(t_lin, n, np.array([x]), p, eta_shape(n),
-                                dc.c_m_sq, ctx.q1)
+                                ctx.q1)
         b, c = float(b[0]), float(c[0])
         r_far = 12.0  # exponent tail beyond this is ~1e-4 of the total
         area = math.pi * (r_far ** 2 - x * x)
@@ -390,10 +385,8 @@ class TestLaplaceTerms:
         ctx = _context(p)
         from mimosg.analytic import _e2_exponent_no_pc
         eta = eta_shape(1)
-        dc = derived_constants(p.m, 1)
         for t_lin, x in [(0.5, 0.3), (2.0, 0.7), (20.0, 1.2)]:
-            _, _, d = _coefficients(t_lin, 1, np.array([x]), p, eta,
-                                    dc.c_m_sq, ctx.q1)
+            _, _, d = _coefficients(t_lin, 1, np.array([x]), p, eta, ctx.q1)
             full = float(ctx.e2_exponent(d)[0])
             red = float(_e2_exponent_no_pc(ctx, d)[0])
             assert full == pytest.approx(red, rel=1e-6, abs=1e-12)
@@ -507,8 +500,8 @@ class TestCoverage:
             coverage_no_pc(np.array([1.0]), params_sync, 4)  # eps != 0
 
     def test_c1_contains_isolated_floor(self, params_async):
-        dc = derived_constants(params_async.m, 1)
-        floor = (dc.v_m - 1.0 + params_async.n_p) / dc.c_m_sq
+        m = params_async.m
+        floor = (v_m(m) - 1.0 + params_async.n_p) / c_m(m) ** 2
         assert float(c1_term(0.3, params_async)) > floor
 
 

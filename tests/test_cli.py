@@ -138,6 +138,21 @@ class TestSubcommands:
         assert code == EXIT_CONFIG
         assert "error" in err
 
+    @pytest.mark.parametrize("command,extra", [
+        ("coverage", []),
+        ("rate", []),
+        ("sweep", ["--param", "np", "--values", "5"]),
+        ("special", ["--case", "no-pc", "--eps", "0"]),
+        ("validate", ["--gate", "0.9", "--trials", "5"])])
+    def test_zero_gamma_shape_rejected(self, capsys, command, extra):
+        """--n-gamma 0 is an error, not a request for the mode default."""
+        code, out, err = run_cli(capsys, command, "--mode", "sync",
+                                 "--n-gamma", "0", "--thresholds-db", "0:6:3",
+                                 *extra)
+        assert code == EXIT_CONFIG
+        assert "n_shape must be >= 1" in err
+        assert out == ""
+
     def test_pdf_check_passes(self, capsys):
         code, out, err = run_cli(capsys, "pdf-check", "--samples", "40000")
         assert code == EXIT_OK

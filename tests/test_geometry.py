@@ -263,13 +263,6 @@ class TestNetwork:
                                + math.log(2.0) / params_async.pi_lam)
         assert np.median(sample) < median_law  # stochastically shorter
 
-    def test_json_dump(self, params_async, rng):
-        net = build_network(params_async, 4.0, rng)
-        doc = net.to_json_dict()
-        assert doc["window_km"] == 4.0
-        assert len(doc["base_stations"]) == net.n_bs
-        assert len(doc["users"][0]["coords"]) == 10
-
 
 def _digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]

@@ -9,7 +9,7 @@ from mimosg.linkstats import (PHASE_DOWNLINK, PHASE_PILOT, PHASE_UPLINK,
                               draw_phases, inverse_sinr, isolated_cell_sinr,
                               path_loss, uplink_power)
 from mimosg.montecarlo import _flatten_users
-from mimosg.params import default_params, derived_constants
+from mimosg.params import c_m, default_params, v_m
 
 
 def make_isolated(params, seed=5, window=4.0):
@@ -27,11 +27,8 @@ def deltas_for(net, params):
     _, user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
     d_bu = _kernels.pairwise_dist(net.bs, pos)
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
-    flat = _kernels.all_deltas(
-        d_serv, user_cell, pilot_slot, d_bu, d_bb, net.valid, params.sync,
-        params.alpha, params.eps, params.n_p, params.n_u, params.n_d,
-        params.n_tot, params.p_d, params.p_u, params.omega, params.sigma2,
-        params.k)
+    flat = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb,
+                               net.valid, params)
     table = np.full((net.n_bs, params.k), np.nan)
     table[user_cell, pilot_slot] = flat
     return table
@@ -39,7 +36,6 @@ def deltas_for(net, params):
 
 def delta_set_for(bundle, table):
     return DeltaSet(tagged=table[bundle.cell_index, bundle.pilot_index],
-                    same_cell=table[bundle.cell_index],
                     other=table[bundle.other_cells])
 
 
@@ -212,10 +208,10 @@ class TestInverseSinr:
         ph = draw_phases(p, b.n_other, rng2)
         inv = inverse_sinr(b, ph, dset, p)
 
-        dc = derived_constants(p.m, 1)
-        c2 = dc.c_m_sq
+        c = c_m(p.m)
+        c2 = c * c
         x = b.x
-        g1 = (dc.v_m - 1.0) / c2 + p.n_p / c2
+        g1 = (v_m(p.m) - 1.0) / c2 + p.n_p / c2
         g1 += p.sigma2 * x ** p.alpha / (p.p_d * p.omega * c2)
         g1 += (p.sigma2 * x ** (p.alpha * (1 - p.eps))
                / (p.p_u * c2 * p.omega ** (1 - p.eps)))
@@ -287,8 +283,7 @@ class TestInverseSinr:
             user_to_user=b.user_to_user[:-1])
         ph_t = PhaseIndicators(ph.phase[:-1])
         dset = delta_set_for(b, table)
-        dset_t = DeltaSet(tagged=dset.tagged, same_cell=dset.same_cell,
-                          other=dset.other[:-1])
+        dset_t = DeltaSet(tagged=dset.tagged, other=dset.other[:-1])
         part = inverse_sinr(trimmed, ph_t, dset_t, p)
         assert part.total <= full.total + 1e-15
 

@@ -11,7 +11,7 @@ from mimosg.linkstats import (PHASE_DOWNLINK, DeltaSet, PhaseIndicators,
 from mimosg.montecarlo import (McConfig, ValidationReport, _flatten_users,
                                run_coverage_mc, run_rate_mc, run_trial,
                                trial_rng, validate, wilson_interval)
-from mimosg.params import default_params, derived_constants, make_params
+from mimosg.params import default_params, make_params
 
 THR_DB = np.arange(-10.0, 21.0, 5.0)
 THR = tuple((10.0 ** (THR_DB / 10.0)).tolist())
@@ -156,7 +156,6 @@ class TestKernelParity:
             inv = inverse_sinr(
                 b, PhaseIndicators(phase=phases[t, b.other_cells]),
                 DeltaSet(tagged=table[b.cell_index, b.pilot_index],
-                         same_cell=table[b.cell_index],
                          other=table[b.other_cells]), p)
             got = [g[t] for g in sinr]
             want = [inv.gamma1, inv.gamma2, inv.gamma3]
@@ -184,24 +183,16 @@ def _kernel_run(p, net, rng):
     _, user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
     d_bu = _kernels.pairwise_dist(net.bs, pos)
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
-    deltas = _kernels.all_deltas(
-        d_serv, user_cell, pilot_slot, d_bu, d_bb, net.valid, p.sync,
-        p.alpha, p.eps, p.n_p, p.n_u, p.n_d, p.n_tot, p.p_d, p.p_u,
-        p.omega, p.sigma2, p.k)
+    deltas = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb,
+                                 net.valid, p)
     tag = np.flatnonzero(user_cell == net.central_cells(1.0)[0])
     if p.sync:
         phases = np.full((tag.size, net.n_bs), PHASE_DOWNLINK, dtype=np.int8)
     else:
         phases = rng.integers(0, 3, size=(tag.size, net.n_bs)).astype(np.int8)
-    inv_dp = np.zeros((net.n_bs, p.k))
-    inv_dp[user_cell, pilot_slot] = 1.0 / deltas
-    dc = derived_constants(p.m, 1)
     sinr = _kernels.sinr_batch(
-        d_serv[tag], tag, user_cell[tag], pilot_slot, d_serv, user_cell,
-        d_bu, d_bb, _kernels.pairwise_dist(pos, pos[tag]), deltas,
-        inv_dp.sum(axis=1), inv_dp, net.valid, phases, p.sync, p.alpha,
-        p.eps, p.n_p, p.n_u, p.n_d, p.n_tot, dc.c_m_sq, dc.v_m, p.m, p.p_d,
-        p.p_u, p.omega, p.sigma2)
+        tag, pilot_slot, d_serv, user_cell, d_bu, d_bb,
+        _kernels.pairwise_dist(pos, pos[tag]), deltas, net.valid, phases, p)
     return deltas, phases, tag, sinr
 
 

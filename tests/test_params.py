@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mimosg.errors import ConfigError, DomainError
 from mimosg.params import (SystemParams, c_m, dbm_to_watt, default_gamma_shape,
                            default_params, density_from_exclusion,
-                           derive_frame, derived_constants, eta_shape,
+                           derive_frame, eta_shape,
                            exclusion_from_density, make_params,
                            phase_probabilities, split_frame_real, v_m)
 
@@ -96,11 +96,6 @@ class TestNormConstants:
     @pytest.mark.parametrize("n,expected", sorted(ETA_REFERENCE.items()))
     def test_eta(self, n, expected):
         assert eta_shape(n) == pytest.approx(expected, rel=1e-12)
-
-    def test_derived_constants(self):
-        dc = derived_constants(64, 4)
-        assert dc.c_m_sq == pytest.approx(c_m(64) ** 2)
-        assert dc.eta == pytest.approx(eta_shape(4))
 
 
 class TestDensity:

@@ -11,9 +11,12 @@ against each other. They take the realization's arrays and the
     sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
                deltas, valid, phases, p)
 
-and derive everything else (tagged distances and cells, the 1/Delta
-tables, C_M^2 and V_M) themselves. ``perfbench/run.py --trace 1`` times
-each kernel inside a full Monte Carlo run.
+and derive everything else (tagged distances and the tagged cell, the
+1/Delta tables, C_M^2 and V_M) themselves. The frame parts ``n_u`` and
+``n_d`` they use are properties of the parameter set, derived from
+``n_tot``, ``n_p`` and ``z``. ``phases`` is the one phase draw of the
+realization, shape (n_bs,). ``perfbench/run.py --trace 1`` times each
+kernel inside a full Monte Carlo run.
 
 All randomness stays outside these kernels (numpy Generators in the
 callers), so replays are bit-exact.
@@ -58,13 +61,13 @@ def pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # batched inverse-SINR accumulation
 #
 # Index conventions: users of all valid cells are flattened into one axis
-# ("nu"); tagged users are a subset ("nt"), given by their indices into
-# it. d_bu[j, i] is the distance from base station j to user i; d_uu[i, t]
-# from user i to tagged user t. phase codes: 0 pilot, 1 uplink,
-# 2 downlink. The first argument of each kernel is the per-user array its
-# work scales with (all users for all_deltas, the tagged users for
-# sinr_batch), so a wrapper can size a call from len(args[0]) alone; the
-# benchmark's tracer counts users that way.
+# ("nu"); the tagged users ("nt") are the users of one cell, given by
+# their indices into it. d_bu[j, i] is the distance from base station j
+# to user i; d_uu[i, t] from user i to tagged user t. phase codes:
+# 0 pilot, 1 uplink, 2 downlink. The first argument of each kernel is
+# the per-user array its work scales with (all users for all_deltas, the
+# tagged users for sinr_batch), so a wrapper can size a call from
+# len(args[0]) alone; the benchmark's tracer counts users that way.
 # ---------------------------------------------------------------------------
 
 def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
@@ -72,10 +75,10 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
     """Inverse-SINR decomposition (g1, g2, g3) for every tagged user of one
     realization.
 
-    tag_user: (nt,) flat indices of the tagged users. deltas: (nu,) output
-    of :func:`all_deltas`. valid: (n_bs,) bool cell validity. phases:
-    (nt, n_bs) int8 phase of every cell as seen by each tagged user's
-    observer cell (entries for the observer itself are ignored).
+    tag_user: (nt,) flat indices of the tagged users, all of one cell.
+    deltas: (nu,) output of :func:`all_deltas`. valid: (n_bs,) bool cell
+    validity. phases: (n_bs,) int8 phase of every cell as seen by the
+    tagged cell (its own entry is ignored).
     """
     alpha, eps, sigma2, omega = p.alpha, p.eps, p.sigma2, p.omega
     n_p, n_u, n_d, n_tot, p_d, p_u = p.n_p, p.n_u, p.n_d, p.n_tot, p.p_d, p.p_u
@@ -83,7 +86,7 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
     c2 = c * c
     vm = v_m(p.m)
     x = d_serv[tag_user]
-    tag_cell = user_cell[tag_user]
+    tag_cell = user_cell[tag_user[0]]
     nt = x.shape[0]
     n_bs = d_bb.shape[0]
 
@@ -109,19 +112,19 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
 
     serv_ae = d_serv ** (alpha * eps)
     cells = np.arange(n_bs)
-    other_u = (user_cell[None, :] != tag_cell[:, None])          # (nt, nu)
-    other_c = (cells[None, :] != tag_cell[:, None]) & valid[None, :]
+    other_u = user_cell != tag_cell                                # (nu,)
+    other_c = (cells != tag_cell) & valid                          # (n_bs,)
 
-    w_lu = d_bu[tag_cell, :] ** (-alpha)                          # (nt, nu)
+    w_lu = d_bu[tag_cell] ** (-alpha)                              # (nu,)
     if p.sync:
         same_pilot = pilot_slot[None, :] == pilot_slot[tag_user][:, None]
-        cross = np.sum(serv_ae[None, :] * w_lu * (other_u & same_pilot), axis=1)
+        cross = np.sum(serv_ae * w_lu * (other_u & same_pilot), axis=1)
         g1 = base + (x1e / c2) * noise_amp * cross
     else:
-        cross = np.sum(serv_ae[None, :] * w_lu * other_u, axis=1)
-        # zero self-distances on the diagonal must not poison masked sums
-        d_lj = np.where(other_c, d_bb[tag_cell, :], 1.0)
-        bsbs = np.sum(d_lj ** (-alpha) * other_c, axis=1)
+        cross = np.sum(serv_ae * w_lu * other_u)
+        # the zero self-distance of the tagged cell must not poison the sum
+        d_lj = np.where(other_c, d_bb[tag_cell], 1.0)
+        bsbs = np.sum(d_lj ** (-alpha) * other_c)
         g1 = base + (x1e / c2) * noise_amp * (
             f_w * cross + p_d * n_p * n_d / (p_u * omega ** (-eps) * n_tot ** 2) * bsbs)
 
@@ -136,11 +139,10 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
         inv_delta_sum = inv_delta_pilot.sum(axis=1)
         chi_dd = (phases == 2) & other_c
         beam = np.sum(r_jl ** (-alpha) * chi_dd, axis=1)
-        pil = np.sum(inv_delta_sum[None, :] * chi_dd * r_jl ** (-2.0 * alpha), axis=1)
+        pil = np.sum(inv_delta_sum * chi_dd * r_jl ** (-2.0 * alpha), axis=1)
         g2 = ((n_p / c2) * amp * beam
               + ((p.m - 1.0) / c2) * x2a * f_w * delta_t * pil)
-        chi_pu_user = phases[:, user_cell] <= 1                   # (nt, nu)
-        um = other_u & chi_pu_user
+        um = other_u & (phases[user_cell] <= 1)                    # (nu,)
         d_ut = np.where(um, d_uu.T, 1.0)
         g3 = (amp * p_u / (p_d * omega ** eps * c2)
               * np.sum(serv_ae[None, :] * (d_ut ** (-alpha)) * um, axis=1))

@@ -246,11 +246,13 @@ def gamma_cdf_exact(a, n_shape: int):
 
 def _gamma_shape(n_shape: int | None, params: SystemParams) -> int:
     """The Gamma shape N of the coverage expansion: the mode's default when
-    ``n_shape`` is None, else ``n_shape``, which must be at least 1."""
+    ``n_shape`` is None, else ``n_shape``, which must be an integer >= 1."""
     if n_shape is None:
         return default_gamma_shape(params.mode)
     if n_shape < 1:
         raise DomainError(f"n_shape must be >= 1, got {n_shape!r}")
+    if n_shape != int(n_shape):
+        raise DomainError(f"n_shape must be an integer, got {n_shape!r}")
     return int(n_shape)
 
 
@@ -308,12 +310,12 @@ def q1(x: float, params: SystemParams) -> float:
     """
     if x <= params.r0:
         raise DomainError(f"need x > r0={params.r0!r}, got {x!r}")
-    return _q1_const(params)
+    return _q1_const(params, _cross_moment(params))
 
 
-def _q1_const(params: SystemParams) -> float:
+def _q1_const(params: SystemParams, cm: float) -> float:
+    """Q1 from the cross moment ``cm`` = :func:`_cross_moment`."""
     p = params
-    cm = _cross_moment(p)
     noise = p.sigma2 * p.omega ** (p.eps - 1.0) / (p.n_p * p.p_u)
     if p.sync:
         return cm + noise
@@ -399,7 +401,7 @@ def coefficients(t_lin: float, n: int, x, params: SystemParams,
     if t_lin < 0:
         raise DomainError("threshold must be >= 0")
     return _coefficients(t_lin, n, np.asarray(x, dtype=float), p, eta,
-                         _q1_const(p))
+                         _q1_const(p, _cross_moment(p)))
 
 
 def _coefficients(t_lin, n, x, p: SystemParams, eta, q1_val):
@@ -483,13 +485,20 @@ class _Context:
                + p.sigma2 ** 2 * x2e
                / (p.n_p * p.p_u * p.p_d * c2 * p.omega ** (2.0 - p.eps)))
         if not p.sync:
-            val = val + ((xa + x2e * self.q1)
-                         * p.p_u * p.n_d * (p.n_p + p.n_u) * self.q3
-                         / (p.p_d * p.omega ** p.eps * c2 * p.n_tot ** 2))
+            val = val + self.foreign_uplink(x)
             val = val + ((p.n_p + p.sigma2 * xa / (p.p_d * p.omega))
                          * p.p_d * p.n_p * p.n_d * x1e * self.q2
                          / (p.p_u * p.omega ** (-p.eps) * c2 * p.n_tot ** 2))
         return val
+
+    def foreign_uplink(self, x):
+        """The mean foreign-uplink term of c1(x) (asynchronous mode)."""
+        p = self.params
+        c = c_m(p.m)
+        c2 = c * c
+        return ((x ** p.alpha + x ** (p.alpha * (2.0 - p.eps)) * self.q1)
+                * p.p_u * p.n_d * (p.n_p + p.n_u) * self.q3
+                / (p.p_d * p.omega ** p.eps * c2 * p.n_tot ** 2))
 
     # --- E1 exponent ------------------------------------------------------
     def e1_exponent(self, b, c, x):
@@ -605,9 +614,10 @@ def _x_grid(params: SystemParams):
 def _context(params: SystemParams) -> _Context:
     u, w = _x_grid(params)
     x = np.sqrt(params.r0 ** 2 + u / params.pi_lam)
-    q3_simpl = 0.0 if params.sync else params.n_p * _cross_moment(params)
-    return _Context(params=params, q1=_q1_const(params), q2=q2(params),
-                    q3=q3_simpl, x_nodes=u, x_weights=w, x_vals=x)
+    cm = _cross_moment(params)
+    return _Context(params=params, q1=_q1_const(params, cm), q2=q2(params),
+                    q3=0.0 if params.sync else params.n_p * cm,
+                    x_nodes=u, x_weights=w, x_vals=x)
 
 
 # ---------------------------------------------------------------------------
@@ -676,14 +686,7 @@ def _infinite_m_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
 
 def _fullpc_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
     # dominant foreign-uplink term only (eps = 1)
-    p = ctx.params
-    x = ctx.x_vals
-    c = c_m(p.m)
-    c2 = c * c
-    term = ((x ** p.alpha + x ** (p.alpha * (2.0 - p.eps)) * ctx.q1)
-            * p.p_u * p.n_d * (p.n_p + p.n_u) * ctx.q3
-            / (p.p_d * p.omega ** p.eps * c2 * p.n_tot ** 2))
-    return -ent * term
+    return -ent * ctx.foreign_uplink(ctx.x_vals)
 
 
 def _alternating_sum(ctx: _Context, exponent, ent: np.ndarray,

@@ -56,7 +56,6 @@ DEFAULT_CONFIG = {
     "seed": 1,
     "window_km": 4.0,
     "margin_km": 1.0,
-    "users_per_trial_cap": 10000,
     "workers": 1,
     "output": None,
     "format": "csv",
@@ -94,7 +93,6 @@ def build_mc_config(cfg: dict, thresholds) -> McConfig:
                     window=float(cfg["window_km"]),
                     margin=float(cfg["margin_km"]),
                     thresholds=tuple(np.asarray(thresholds, dtype=float)),
-                    users_per_trial_cap=int(cfg["users_per_trial_cap"]),
                     workers=int(cfg["workers"]))
 
 
@@ -389,11 +387,6 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = ("mode", "m", "eps", "n_p", "n_gamma", "thresholds_db",
-                  "trials", "seed", "window_km", "margin_km", "workers",
-                  "output", "format")
-
-
 def _merge_negative_values(argv):
     """Let '--thresholds-db -10:20:1' parse even though the value starts
     with a dash (argparse would read it as an option otherwise)."""
@@ -422,7 +415,8 @@ def main(argv=None) -> int:
         level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
+        overrides = {k: v for k, v in vars(args).items()
+                     if k in DEFAULT_CONFIG}
         cfg = load_config(args.config, overrides)
         if args.command == "coverage":
             return cmd_coverage(cfg)

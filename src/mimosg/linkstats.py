@@ -74,7 +74,7 @@ def draw_phases(params: SystemParams, n_cells: int,
     if params.mode == MODE_SYNC:
         return PhaseIndicators(phase=np.full(n_cells, PHASE_DOWNLINK,
                                              dtype=np.int8))
-    probs = phase_probabilities(params, "observer_in_downlink")
+    probs = phase_probabilities(params)
     draws = rng.choice(3, size=n_cells, p=list(probs))
     return PhaseIndicators(phase=draws.astype(np.int8))
 

@@ -39,7 +39,7 @@ from . import _kernels
 from .analytic import CoverageCurve, RateResult, _gamma_shape, coverage
 from .errors import ConfigError, EstimationError, RealizationError
 from .geometry import build_network
-from .linkstats import PHASE_DOWNLINK, draw_phases
+from .linkstats import draw_phases
 from .params import SystemParams
 
 log = logging.getLogger(__name__)
@@ -54,7 +54,6 @@ class McConfig:
     window: float = 4.0            # km, square side
     margin: float = 1.0            # km, border trim for tagged cells
     thresholds: tuple = ()         # linear SINR thresholds
-    users_per_trial_cap: int = 10_000
     workers: int = 1
 
     def __post_init__(self):
@@ -80,7 +79,7 @@ def _flatten_users(net):
     pilot_slot = np.tile(np.arange(k), valid_cells.size)
     pos = net.users[valid_cells].reshape(-1, 2)
     d_serv = net.serving[valid_cells].reshape(-1)
-    return valid_cells, user_cell, pilot_slot, pos, d_serv
+    return user_cell, pilot_slot, pos, d_serv
 
 
 def run_trial(params: SystemParams, cfg: McConfig, index: int):
@@ -102,7 +101,7 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
     if not net.valid[zero_cell] or zero_cell not in net.central_cells(cfg.margin):
         return 0, np.zeros(thr.size), 0.0
 
-    valid_cells, user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
+    user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
     d_bu = _kernels.pairwise_dist(net.bs, pos)
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
 
@@ -110,17 +109,11 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
     deltas = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb,
                                  net.valid, p)
 
-    tag_user = np.flatnonzero(user_cell == zero_cell)[:cfg.users_per_trial_cap]
-    if tag_user.size == 0:
-        return 0, np.zeros(thr.size), 0.0
+    # a valid cell holds exactly K users, so the zero-cell tags K of them
+    tag_user = np.flatnonzero(user_cell == zero_cell)
 
-    # one phase draw per interfering cell, shared by the observer cell's users
-    if p.sync:
-        phases = np.full((tag_user.size, net.n_bs), PHASE_DOWNLINK,
-                         dtype=np.int8)
-    else:
-        drawn = draw_phases(p, net.n_bs, rng).phase
-        phases = np.tile(drawn, (tag_user.size, 1))
+    # one phase draw per interfering cell, shared by the zero-cell's users
+    phases = draw_phases(p, net.n_bs, rng).phase
 
     d_uu = _kernels.pairwise_dist(pos, pos[tag_user])  # (nu, nt)
     g1, g2, g3 = _kernels.sinr_batch(

@@ -67,9 +67,10 @@ def derive_frame(n_tot: int, n_p: int, z: float) -> tuple[int, int]:
 def split_frame_real(n_tot: int, n_p: int, z: float) -> tuple[float, float]:
     """Like :func:`derive_frame` but allowing fractional uplink/downlink parts.
 
-    Used by parameter sweeps over the pilot length, where the remaining
-    symbols rarely divide evenly; every formula downstream is well defined
-    for real-valued phase durations.
+    :class:`SystemParams` derives ``n_u``/``n_d`` with it. Under a sweep
+    over the pilot length the remaining symbols rarely divide evenly;
+    every formula downstream is well defined for real-valued phase
+    durations.
     """
     if n_p < 1 or n_p != int(n_p):
         raise ConfigError(f"n_p must be a positive integer, got {n_p!r}")
@@ -88,12 +89,6 @@ def density_from_exclusion(r_e: float) -> float:
     if r_e <= 0:
         raise DomainError(f"r_e must be > 0, got {r_e!r}")
     return 1.0 / (math.pi * r_e * r_e)
-
-
-def exclusion_from_density(lam: float) -> float:
-    if lam <= 0:
-        raise DomainError(f"lambda must be > 0, got {lam!r}")
-    return 1.0 / math.sqrt(math.pi * lam)
 
 
 def c_m(m: int) -> float:
@@ -139,43 +134,25 @@ class PhaseTriple(NamedTuple):
     downlink: float
 
 
-_CONDITIONINGS = ("unconditioned", "observer_in_downlink", "observer_in_pilot")
-
-
-def phase_probabilities(params: "SystemParams", conditioning: str,
-                        observer: str = "downlink") -> PhaseTriple:
-    """Probabilities that an interfering cell is in each phase.
-
-    ``observer_in_downlink`` / ``observer_in_pilot`` give the distribution
-    of the interfering cell's phase at a symbol of the observer's stated
-    phase; by independence of the frame offsets this is (n_p, n_u, n_d) /
-    n_tot and sums to one. ``unconditioned`` folds in the probability that
-    the observer itself is in the ``observer`` phase, so the triple sums to
-    n_d/n_tot (downlink observer) or n_p/n_tot (pilot observer).
-    """
-    if conditioning not in _CONDITIONINGS:
-        raise ConfigError(
-            f"conditioning must be one of {_CONDITIONINGS}, got {conditioning!r}")
-    base = PhaseTriple(params.n_p / params.n_tot, params.n_u / params.n_tot,
+def phase_probabilities(params: "SystemParams") -> PhaseTriple:
+    """Probabilities (n_p, n_u, n_d) / n_tot that an interfering cell is in
+    its pilot, uplink or downlink phase at a symbol of the observer's
+    downlink phase; by independence of the frame offsets they sum to one."""
+    return PhaseTriple(params.n_p / params.n_tot, params.n_u / params.n_tot,
                        params.n_d / params.n_tot)
-    if conditioning != "unconditioned":
-        return base
-    if observer == "downlink":
-        w = params.n_d / params.n_tot
-    elif observer == "pilot":
-        w = params.n_p / params.n_tot
-    else:
-        raise ConfigError(f"observer must be 'downlink' or 'pilot', got {observer!r}")
-    return PhaseTriple(w * base.pilot, w * base.uplink, w * base.downlink)
 
 
 @dataclass(frozen=True)
 class SystemParams:
-    """All scalar model parameters in internal units.
+    """The independent scalar model inputs, in internal units.
 
-    Powers in watts, distances in km, ``omega`` linear. ``n_u``/``n_d`` may
-    be fractional (pilot-length sweeps); ``n_p`` is also the number K of
-    users scheduled per cell and must be an integer.
+    Powers in watts, distances in km, ``omega`` linear. The geometry is
+    given by the exclusion-ball radius ``r_e`` and the frame by ``n_tot``,
+    ``n_p`` and the downlink/uplink ratio ``z``; the station density
+    ``lam`` and the uplink/downlink symbol counts ``n_u``/``n_d`` follow
+    from them as properties. ``n_u``/``n_d`` may be fractional (pilot-length
+    sweeps); ``n_p`` is also the number K of users scheduled per cell and
+    must be an integer.
     """
 
     p_d: float          # downlink BS power, W
@@ -186,10 +163,8 @@ class SystemParams:
     m: int              # antennas per BS
     n_tot: int          # symbols per coherence block
     n_p: int            # pilot symbols (= users per cell)
-    n_u: float          # uplink symbols
-    n_d: float          # downlink symbols
+    z: float            # downlink/uplink symbol ratio n_d / n_u
     eps: float          # fractional power-control parameter in [0, 1]
-    lam: float          # BS density, km^-2
     r0: float           # user exclusion radius, km
     r_e: float          # exclusion-ball radius, km
     mode: str           # 'sync' or 'async'
@@ -207,29 +182,30 @@ class SystemParams:
             raise ConfigError(f"m must be a positive integer, got {self.m!r}")
         if self.n_p < 1 or self.n_p != int(self.n_p):
             raise ConfigError(f"n_p must be a positive integer, got {self.n_p!r}")
-        if self.n_u < 1 - 1e-9 or self.n_d < 1 - 1e-9:
+        n_u, n_d = split_frame_real(self.n_tot, self.n_p, self.z)
+        if n_u < 1 - 1e-9 or n_d < 1 - 1e-9:
             raise ConfigError(
-                f"frame parts must be >= 1, got n_u={self.n_u!r}, n_d={self.n_d!r}")
-        total = self.n_p + self.n_u + self.n_d
-        if abs(total - self.n_tot) > 1e-9 * max(1.0, self.n_tot):
-            raise ConfigError(
-                f"frame split {self.n_p}+{self.n_u}+{self.n_d} != n_tot={self.n_tot}")
+                f"frame parts must be >= 1, got n_u={n_u!r}, n_d={n_d!r}")
         if not 0.0 <= self.eps <= 1.0:
             raise ConfigError(f"eps must lie in [0, 1], got {self.eps!r}")
-        if self.lam <= 0:
-            raise ConfigError(f"lambda must be > 0, got {self.lam!r}")
-        r_e_expected = exclusion_from_density(self.lam)
-        if abs(self.r_e - r_e_expected) > 1e-6 * r_e_expected:
-            raise ConfigError(
-                f"r_e={self.r_e!r} inconsistent with lambda={self.lam!r} "
-                f"(expected r_e={r_e_expected!r})")
         if not 0 < self.r0 < self.r_e:
             raise ConfigError(
                 f"need 0 < r0 < r_e, got r0={self.r0!r}, r_e={self.r_e!r}")
 
     @property
-    def z(self) -> float:
-        return self.n_d / self.n_u
+    def lam(self) -> float:
+        """Station density, km^-2."""
+        return density_from_exclusion(self.r_e)
+
+    @property
+    def n_u(self) -> float:
+        """Uplink symbols."""
+        return split_frame_real(self.n_tot, self.n_p, self.z)[0]
+
+    @property
+    def n_d(self) -> float:
+        """Downlink symbols."""
+        return split_frame_real(self.n_tot, self.n_p, self.z)[1]
 
     @property
     def k(self) -> int:
@@ -251,35 +227,19 @@ class SystemParams:
 
 def make_params(*, p_d: float, p_u: float, sigma2: float, omega: float,
                 alpha: float, m: int, n_tot: int, n_p: int, mode: str,
-                eps: float, z: float | None = None,
-                n_u: float | None = None, n_d: float | None = None,
-                lam: float | None = None, r_e: float | None = None,
-                r0: float = 0.05, strict_frame: bool = True) -> SystemParams:
-    """Build :class:`SystemParams`, deriving whichever pieces were omitted.
+                eps: float, z: float, r_e: float, r0: float = 0.05,
+                strict_frame: bool = True) -> SystemParams:
+    """Build :class:`SystemParams` from its inputs.
 
-    Exactly one of ``z`` or the (``n_u``, ``n_d``) pair must pin down the
-    frame; at least one of ``lam`` / ``r_e`` must pin down the geometry
-    (given both, they must be consistent). ``strict_frame=False`` allows a
+    ``strict_frame=True`` also requires the frame split to come out in
+    whole symbols (:func:`derive_frame`); ``strict_frame=False`` allows a
     fractional uplink/downlink split.
     """
-    if (n_u is None) != (n_d is None):
-        raise ConfigError("n_u and n_d must be given together")
-    if n_u is None:
-        if z is None:
-            raise ConfigError("either z or (n_u, n_d) is required")
-        if strict_frame:
-            n_u, n_d = derive_frame(n_tot, n_p, z)
-        else:
-            n_u, n_d = split_frame_real(n_tot, n_p, z)
-    if lam is None and r_e is None:
-        raise ConfigError("either lam or r_e is required")
-    if lam is None:
-        lam = density_from_exclusion(r_e)
-    if r_e is None:
-        r_e = exclusion_from_density(lam)
+    if strict_frame:
+        derive_frame(n_tot, n_p, z)
     return SystemParams(p_d=p_d, p_u=p_u, sigma2=sigma2, omega=omega,
-                        alpha=alpha, m=m, n_tot=n_tot, n_p=n_p, n_u=n_u,
-                        n_d=n_d, eps=eps, lam=lam, r0=r0, r_e=r_e, mode=mode)
+                        alpha=alpha, m=m, n_tot=n_tot, n_p=n_p, z=z, eps=eps,
+                        r0=r0, r_e=r_e, mode=mode)
 
 
 def default_params(mode: str = MODE_ASYNC, *, m: int = 64, eps: float = 0.0,

@@ -144,13 +144,23 @@ class TestSubcommands:
         ("sweep", ["--param", "np", "--values", "5"]),
         ("special", ["--case", "no-pc", "--eps", "0"]),
         ("validate", ["--gate", "0.9", "--trials", "5"])])
-    def test_zero_gamma_shape_rejected(self, capsys, command, extra):
-        """--n-gamma 0 is an error, not a request for the mode default."""
+    def test_zero_gamma_shape_rejected(self, capsys, tmp_path, command,
+                                       extra):
+        """--n-gamma 0 is an error, not a request for the mode default; a
+        fractional shape from a config file is an error, not truncated."""
         code, out, err = run_cli(capsys, command, "--mode", "sync",
                                  "--n-gamma", "0", "--thresholds-db", "0:6:3",
                                  *extra)
         assert code == EXIT_CONFIG
         assert "n_shape must be >= 1" in err
+        assert out == ""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_gamma": 2.5}))
+        code, out, err = run_cli(capsys, command, "--mode", "sync",
+                                 "--config", str(path), "--thresholds-db",
+                                 "0:6:3", *extra)
+        assert code == EXIT_CONFIG
+        assert "n_shape must be an integer" in err
         assert out == ""
 
     def test_pdf_check_passes(self, capsys):

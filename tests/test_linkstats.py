@@ -24,7 +24,7 @@ def make_isolated(params, seed=5, window=4.0):
 
 
 def deltas_for(net, params):
-    _, user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
+    user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
     d_bu = _kernels.pairwise_dist(net.bs, pos)
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
     flat = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb,

@@ -72,8 +72,8 @@ class TestEstimates:
         SINR bound c_m^2 / (v_m - 1 + n_p) = 8.38 dB for 64 antennas."""
         p = make_params(p_d=default_params().p_d, p_u=default_params().p_u,
                         sigma2=0.0, omega=1e-13, alpha=4.0, m=64, n_tot=40,
-                        n_p=10, z=2.0, lam=0.01, r0=0.05, eps=0.0,
-                        mode="async")
+                        n_p=10, z=2.0, r_e=1.0 / math.sqrt(math.pi * 0.01),
+                        r0=0.05, eps=0.0, mode="async")
         bound = isolated_cell_sinr(64, 10)
         assert 10 * math.log10(bound) == pytest.approx(8.3837, abs=1e-3)
         cfg = McConfig(trials=1500, seed=3, window=4.0, margin=0.2,
@@ -97,7 +97,7 @@ class TestEstimates:
 
     def test_degenerate_trials_raise(self):
         p = default_params("async").with_updates(
-            lam=1e-6, r_e=1.0 / math.sqrt(math.pi * 1e-6))
+            r_e=1.0 / math.sqrt(math.pi * 1e-6))
         with pytest.raises(EstimationError):
             run_coverage_mc(p, small_cfg(trials=3))
 
@@ -146,7 +146,7 @@ class TestKernelParity:
         p = default_params(mode, eps=eps)
         net = build_network(p, 4.0, rng)
         deltas, phases, tag, sinr = _kernel_run(p, net, rng)
-        _, user_cell, pilot_slot, _, _ = _flatten_users(net)
+        user_cell, pilot_slot, _, _ = _flatten_users(net)
         table = np.full((net.n_bs, p.k), np.nan)
         table[user_cell, pilot_slot] = deltas
         for t, u in enumerate(tag):
@@ -154,7 +154,7 @@ class TestKernelParity:
             assert b is not None
             assert compute_delta(b, p) == pytest.approx(deltas[u], rel=1e-12)
             inv = inverse_sinr(
-                b, PhaseIndicators(phase=phases[t, b.other_cells]),
+                b, PhaseIndicators(phase=phases[b.other_cells]),
                 DeltaSet(tagged=table[b.cell_index, b.pilot_index],
                          other=table[b.other_cells]), p)
             got = [g[t] for g in sinr]
@@ -179,17 +179,17 @@ class TestKernelParity:
 
 def _kernel_run(p, net, rng):
     """Deltas of every user and (g1, g2, g3) of every user of the first
-    central cell, with one random phase per (tagged user, cell)."""
-    _, user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
+    central cell, with one random phase per cell."""
+    user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
     d_bu = _kernels.pairwise_dist(net.bs, pos)
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
     deltas = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb,
                                  net.valid, p)
     tag = np.flatnonzero(user_cell == net.central_cells(1.0)[0])
     if p.sync:
-        phases = np.full((tag.size, net.n_bs), PHASE_DOWNLINK, dtype=np.int8)
+        phases = np.full(net.n_bs, PHASE_DOWNLINK, dtype=np.int8)
     else:
-        phases = rng.integers(0, 3, size=(tag.size, net.n_bs)).astype(np.int8)
+        phases = rng.integers(0, 3, size=net.n_bs).astype(np.int8)
     sinr = _kernels.sinr_batch(
         tag, pilot_slot, d_serv, user_cell, d_bu, d_bb,
         _kernels.pairwise_dist(pos, pos[tag]), deltas, net.valid, phases, p)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 from mimosg.errors import ConfigError, DomainError
 from mimosg.params import (SystemParams, c_m, dbm_to_watt, default_gamma_shape,
                            default_params, density_from_exclusion,
-                           derive_frame, eta_shape,
-                           exclusion_from_density, make_params,
+                           derive_frame, eta_shape, make_params,
                            phase_probabilities, split_frame_real, v_m)
 
 # Reference values computed with a 40-digit log-gamma oracle.
@@ -110,26 +110,17 @@ class TestDensity:
         with pytest.raises(DomainError):
             density_from_exclusion(0.0)
 
-    @given(st.floats(1e-3, 1e3))
-    def test_roundtrip(self, r_e):
-        assert exclusion_from_density(
-            density_from_exclusion(r_e)) == pytest.approx(r_e, rel=1e-12)
-
 
 class TestPhaseProbabilities:
     def test_conditioned_reference(self, params_async):
-        tri = phase_probabilities(params_async, "observer_in_downlink")
+        tri = phase_probabilities(params_async)
         assert tri == pytest.approx((0.25, 0.25, 0.5))
         assert sum(tri) == pytest.approx(1.0)
 
-    def test_unconditioned_downlink(self, params_async):
-        tri = phase_probabilities(params_async, "unconditioned")
-        assert tri.downlink == pytest.approx(0.25)  # (n_d / n_tot)^2
-        assert sum(tri) == pytest.approx(params_async.n_d / params_async.n_tot)
-
     def test_frame_offset_simulation_oracle(self, params_async, rng):
         """Draw uniform integer frame offsets and count phase overlaps; the
-        empirical overlap frequencies must match both probability triples."""
+        empirical overlap frequencies, given that the observer is in its
+        downlink phase, must match the probability triple."""
         p = params_async
         n = 200_000
         # observer symbol uniform over its frame; interferer offset uniform
@@ -138,31 +129,16 @@ class TestPhaseProbabilities:
         other_sym = (obs_sym + off) % p.n_tot
         obs_dl = obs_sym >= p.n_p + p.n_u          # frame order: p, u, d
         other_dl = other_sym >= p.n_p + p.n_u
-        other_pilot = other_sym < p.n_p
         sig = 3.0 / math.sqrt(n)
-        # unconditioned joint overlap ~ (n_d/n_tot)^2
-        tri_u = phase_probabilities(p, "unconditioned")
-        assert abs(np.mean(obs_dl & other_dl) - tri_u.downlink) < sig
-        assert abs(np.mean(obs_dl & other_pilot) - tri_u.pilot) < sig
-        # conditioned on the observer being in downlink
-        tri_c = phase_probabilities(p, "observer_in_downlink")
-        assert abs(np.mean(other_dl[obs_dl]) - tri_c.downlink) < 2.0 * sig
-
-    def test_unconditioned_pilot(self, params_async):
-        tri = phase_probabilities(params_async, "unconditioned",
-                                  observer="pilot")
-        assert sum(tri) == pytest.approx(params_async.n_p / params_async.n_tot)
+        tri = phase_probabilities(p)
+        assert abs(np.mean(other_dl[obs_dl]) - tri.downlink) < 2.0 * sig
 
     def test_pilot_only_frame(self):
         p = make_params(p_d=1.0, p_u=1.0, sigma2=0.0, omega=1e-13, alpha=4.0,
                         m=8, n_tot=42, n_p=40, z=1.0, r_e=0.5, eps=0.0,
                         mode="async")
-        tri = phase_probabilities(p, "observer_in_pilot")
+        tri = phase_probabilities(p)
         assert tri.pilot == pytest.approx(40.0 / 42.0)
-
-    def test_bad_conditioning(self, params_async):
-        with pytest.raises(ConfigError):
-            phase_probabilities(params_async, "sideways")
 
 
 class TestSystemParams:
@@ -171,8 +147,30 @@ class TestSystemParams:
         assert default_params("synchronous").mode == "sync"
 
     def test_frame_sum_enforced(self, params_async):
-        with pytest.raises(ConfigError):
+        """n_u and n_d are derived, so they cannot be set apart from the
+        frame and always fill it."""
+        with pytest.raises(TypeError):
             params_async.with_updates(n_u=11)
+        p = params_async.with_updates(n_p=15)
+        assert p.n_p + p.n_u + p.n_d == pytest.approx(p.n_tot, rel=1e-15)
+        assert p.n_d == pytest.approx(p.z * p.n_u, rel=1e-15)
+
+    def test_frame_parts_at_least_one(self, params_async):
+        with pytest.raises(ConfigError, match="frame parts"):
+            params_async.with_updates(n_p=39)   # n_u = 1/3
+
+    def test_derived_values_exact(self):
+        """lam, n_u and n_d are properties of r_e, n_tot, n_p and z, not
+        stored fields."""
+        p = default_params()
+        assert p.lam == 1.0 / (math.pi * 0.5 * 0.5)
+        assert p.n_u == 10
+        assert p.n_d == 20
+        assert not {"lam", "n_u", "n_d"} & {f.name for f in fields(p)}
+
+    def test_pilot_sweep_by_update(self):
+        assert (default_params("sync").with_updates(n_p=15)
+                == default_params("sync", n_p=15, strict_frame=False))
 
     def test_alpha_bound(self, params_async):
         with pytest.raises(ConfigError):
@@ -181,10 +179,6 @@ class TestSystemParams:
     def test_eps_range(self, params_async):
         with pytest.raises(ConfigError):
             params_async.with_updates(eps=1.5)
-
-    def test_inconsistent_exclusion_radius(self, params_async):
-        with pytest.raises(ConfigError, match="inconsistent"):
-            params_async.with_updates(r_e=0.6)
 
     def test_r0_inside_ball(self, params_async):
         with pytest.raises(ConfigError):

@@ -39,7 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -531,10 +531,35 @@ class _Context:
         return a * rows.reshape(shape)
 
     # --- E2 exponent ------------------------------------------------------
+    def _e2_inner_rows(self, s_hi: np.ndarray):
+        """The inner s-rule on [a0, s_hi] for each upper end: the nodes
+        s^p and the weights w e^-s, one row of GRID_INNER per end."""
+        p = self.params
+        a0 = p.pi_lam * p.r0 ** 2
+        gl_x, gl_w = leggauss(GRID_INNER)
+        half = 0.5 * (s_hi - a0)
+        s = a0 + half[:, None] * (gl_x[None, :] + 1.0)
+        return s ** (p.alpha * p.eps / 2.0), half[:, None] * gl_w * np.exp(-s)
+
+    @cached_property
+    def _e2_cap_row(self):
+        """(s_cap, s^p, w e^-s): the inner s is cut at s_cap = a0 + 45, so
+        every t node at or above s_cap has this one row."""
+        p = self.params
+        s_cap = p.pi_lam * p.r0 ** 2 + 45.0
+        sp, w = self._e2_inner_rows(np.array([s_cap]))
+        return s_cap, sp, w
+
     def _e2_direct(self, dt_coef: float) -> float:
         """Doubly-integrated exponent at coupling coefficient dt_coef <= 0:
-        int_te^inf int_a0^t e^-s expm1(dt_coef s^p t^(-a/2)) /
-        (e^-a0 - e^-t) ds dt."""
+        int_te^inf int_a0^min(t, s_cap) e^-s expm1(dt_coef s^p t^(-a/2)) /
+        (e^-a0 - e^-t) ds dt, with s_cap = a0 + 45, past which e^-s is
+        below 3e-20 of its value at a0.
+
+        The t-grid is log-spaced up to a truncation point of its own. The
+        t nodes below s_cap each build their inner row; the nodes at or
+        above it share ``_e2_cap_row``, which a context forms once. Each
+        row is summed over its own nodes, in the same order either way."""
         p = self.params
         q = p.pi_lam
         a0 = q * p.r0 ** 2
@@ -548,14 +573,14 @@ class _Context:
                      / (TAIL_CUTOFF * (p.alpha / 2.0 - 1.0)))
                     ** (2.0 / (p.alpha - 2.0)))
         t, wt = log_panel_grid(te, t_max, panels_per_decade=4, n_per_panel=10)
-        s_cap = a0 + 45.0
-        s_hi = np.minimum(t, s_cap)
-        gl_x, gl_w = leggauss(GRID_INNER)
-        half = 0.5 * (s_hi - a0)
-        s = a0 + half[:, None] * (gl_x[None, :] + 1.0)
-        ws = half[:, None] * gl_w[None, :]
-        z = dt_coef * s ** pexp * t[:, None] ** (-p.alpha / 2.0)
-        inner = np.sum(ws * np.exp(-s) * np.expm1(z), axis=1)
+        s_cap, sp_cap, w_cap = self._e2_cap_row
+        tp = t[:, None] ** (-p.alpha / 2.0)
+        own = t < s_cap
+        sp, w = self._e2_inner_rows(t[own])
+        inner = np.empty(t.size)
+        inner[own] = np.sum(w * np.expm1(dt_coef * sp * tp[own]), axis=1)
+        inner[~own] = np.sum(w_cap * np.expm1(dt_coef * sp_cap * tp[~own]),
+                             axis=1)
         return float(np.dot(wt, inner / (math.exp(-a0) - np.exp(-t))))
 
     def _build_e2_table(self) -> _E2Table:
@@ -802,13 +827,22 @@ def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult
 
     The integral ends at t_hi, the first of 1, 10, .., 1e8 where coverage
     is below RATE_COVERAGE_CUTOFF, else at 1e9; ``tail_truncated`` says
-    that coverage at 1e9 was still above the cutoff."""
+    that coverage at 1e9 was still above the cutoff. The search takes two
+    calls at most: 1 .. 1e3, and 1e4 .. 1e9 only when none of the first
+    four is below the cutoff. A coverage value does not depend on the
+    thresholds it is computed with, so t_hi is the one a search over all
+    ten decades at once finds."""
     n_shape = _gamma_shape(n_shape, params)
 
-    # locate the threshold where coverage dies off: all decades in one call
+    # locate the threshold where coverage dies off
     decades = 10.0 ** np.arange(10)
-    cov, _ = _coverage_values(decades, params, n_shape)
-    below = np.flatnonzero(cov[:-1] < RATE_COVERAGE_CUTOFF)
+    cov = np.empty(0)
+    for stage in (decades[:4], decades[4:]):
+        stage_cov, _ = _coverage_values(stage, params, n_shape)
+        cov = np.concatenate([cov, stage_cov])
+        below = np.flatnonzero(cov[:decades.size - 1] < RATE_COVERAGE_CUTOFF)
+        if below.size:
+            break
     t_hi = float(decades[below[0]] if below.size else decades[-1])
     truncated = bool(not below.size and cov[-1] >= RATE_COVERAGE_CUTOFF)
     if truncated:

@@ -75,25 +75,54 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+def _number(cfg: dict, key: str, kind: type):
+    """cfg[key] converted by ``kind`` (int or float). A value that does not
+    convert, a boolean, NaN or, for int, a fractional value is a
+    ConfigError naming the key, so that it is neither truncated nor left
+    to fail later with a traceback."""
+    value = cfg[key]
+    try:
+        out = kind(value)
+        ok = not isinstance(value, bool) and out == float(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    return out
+
+
+def _n_gamma(cfg: dict):
+    """The Gamma shape as configured: None (the mode default) or a number,
+    which the analytic engine checks further."""
+    value = cfg["n_gamma"]
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, (int, float))):
+        raise ConfigError(f"config key 'n_gamma' must be a number, "
+                          f"got {value!r}")
+    return value
+
+
 def build_params(cfg: dict, strict_frame: bool = True) -> SystemParams:
     return make_params(
-        p_d=dbm_to_watt(float(cfg["p_d_dbm"])),
-        p_u=dbm_to_watt(float(cfg["p_u_dbm"])),
-        sigma2=dbm_to_watt(float(cfg["sigma2_dbm"])),
-        omega=attenuation_db_to_linear(float(cfg["omega_db"])),
-        alpha=float(cfg["alpha"]), m=int(cfg["m"]),
-        n_tot=int(cfg["n_tot"]), n_p=int(cfg["n_p"]), z=float(cfg["z"]),
-        eps=float(cfg["eps"]), r_e=float(cfg["r_e_km"]),
-        r0=float(cfg["r0_km"]), mode=str(cfg["mode"]),
-        strict_frame=strict_frame)
+        p_d=dbm_to_watt(_number(cfg, "p_d_dbm", float)),
+        p_u=dbm_to_watt(_number(cfg, "p_u_dbm", float)),
+        sigma2=dbm_to_watt(_number(cfg, "sigma2_dbm", float)),
+        omega=attenuation_db_to_linear(_number(cfg, "omega_db", float)),
+        alpha=_number(cfg, "alpha", float), m=_number(cfg, "m", int),
+        n_tot=_number(cfg, "n_tot", int), n_p=_number(cfg, "n_p", int),
+        z=_number(cfg, "z", float), eps=_number(cfg, "eps", float),
+        r_e=_number(cfg, "r_e_km", float), r0=_number(cfg, "r0_km", float),
+        mode=str(cfg["mode"]), strict_frame=strict_frame)
 
 
 def build_mc_config(cfg: dict, thresholds) -> McConfig:
-    return McConfig(trials=int(cfg["trials"]), seed=int(cfg["seed"]),
-                    window=float(cfg["window_km"]),
-                    margin=float(cfg["margin_km"]),
+    return McConfig(trials=_number(cfg, "trials", int),
+                    seed=_number(cfg, "seed", int),
+                    window=_number(cfg, "window_km", float),
+                    margin=_number(cfg, "margin_km", float),
                     thresholds=tuple(np.asarray(thresholds, dtype=float)),
-                    workers=int(cfg["workers"]))
+                    workers=_number(cfg, "workers", int))
 
 
 def parse_threshold_grid(grid: str) -> np.ndarray:
@@ -193,7 +222,7 @@ def _rate_record(res: RateResult, label, value, params, cfg, seed=None) -> dict:
 def cmd_coverage(cfg: dict) -> int:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
-    curve = coverage(thr, params, cfg["n_gamma"])
+    curve = coverage(thr, params, _n_gamma(cfg))
     write_results(_curve_record(curve, cfg), cfg["output"], cfg["format"])
     return EXIT_OK
 
@@ -209,7 +238,7 @@ def cmd_coverage_mc(cfg: dict) -> int:
 
 def cmd_rate(cfg: dict) -> int:
     params = build_params(cfg)
-    res = ergodic_rate(params, cfg["n_gamma"])
+    res = ergodic_rate(params, _n_gamma(cfg))
     write_results(_rate_record(res, "eps", params.eps, params, cfg),
                   cfg["output"], cfg["format"])
     return EXIT_OK
@@ -223,6 +252,23 @@ def cmd_rate_mc(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _sweep_values(param: str, text: str) -> list[float]:
+    """The comma-separated sweep values; pilot lengths must be integers."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError("sweep values must be numbers, "
+                          f"got {text!r}") from None
+    if not values:
+        raise ConfigError("sweep needs at least one value")
+    if param == "np":
+        bad = [v for v in values if not v.is_integer()]
+        if bad:
+            raise ConfigError(f"sweep values of np must be integers, "
+                              f"got {bad[0]!r}")
+    return values
+
+
 def cmd_sweep(cfg: dict, param: str, values: list[float]) -> int:
     rows, diagnostics = [], []
     base = dict(cfg)
@@ -234,7 +280,7 @@ def cmd_sweep(cfg: dict, param: str, values: list[float]) -> int:
         else:
             raise ConfigError(f"sweep parameter must be np or eps, got {param!r}")
         params = build_params(base, strict_frame=False)
-        res = ergodic_rate(params, cfg["n_gamma"])
+        res = ergodic_rate(params, _n_gamma(cfg))
         rows.append((float(v), res.rate))
         diagnostics.append(_rate_diagnostics(res, param, v))
     params = build_params(cfg, strict_frame=False)
@@ -253,7 +299,7 @@ def cmd_sweep(cfg: dict, param: str, values: list[float]) -> int:
 def cmd_validate(cfg: dict, gate: float) -> int:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
-    report = validate(params, build_mc_config(cfg, thr), gate, cfg["n_gamma"])
+    report = validate(params, build_mc_config(cfg, thr), gate, _n_gamma(cfg))
     sys.stderr.write(report.format_table() + "\n")
     record = dict(report.to_json_dict())
     record["header"] = ["threshold_db", "analytic", "monte_carlo",
@@ -274,11 +320,11 @@ def cmd_special(cfg: dict, case: str) -> int:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
     if case == "full-pc":
-        curve = coverage_fullpc_async(thr, params, cfg["n_gamma"])
+        curve = coverage_fullpc_async(thr, params, _n_gamma(cfg))
     elif case == "infinite-m":
-        curve = coverage_infinite_m(thr, params, cfg["n_gamma"])
+        curve = coverage_infinite_m(thr, params, _n_gamma(cfg))
     elif case == "no-pc":
-        curve = coverage_no_pc(thr, params, cfg["n_gamma"])
+        curve = coverage_no_pc(thr, params, _n_gamma(cfg))
     else:
         raise ConfigError(f"unknown special case {case!r}")
     write_results(_curve_record(curve, cfg), cfg["output"], cfg["format"])
@@ -288,7 +334,7 @@ def cmd_special(cfg: dict, case: str) -> int:
 def cmd_pdf_check(cfg: dict, samples: int) -> int:
     """Kolmogorov-Smirnov suite for the three conditional distance laws."""
     params = build_params(cfg)
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(_number(cfg, "seed", int))
     lam, r0 = params.lam, params.r0
 
     def ks(sample, cdf) -> float:
@@ -431,10 +477,8 @@ def main(argv=None) -> int:
         if args.command == "special":
             return cmd_special(cfg, args.case)
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-            if not values:
-                raise ConfigError("sweep needs at least one value")
-            return cmd_sweep(cfg, args.param, values)
+            return cmd_sweep(cfg, args.param,
+                             _sweep_values(args.param, args.values))
         if args.command == "pdf-check":
             return cmd_pdf_check(cfg, args.samples)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.special import gammainc
 
 from mimosg import analytic
@@ -14,7 +15,7 @@ from mimosg.analytic import (_TAYLOR_Z, CoverageCurve, _coefficients,
                              gamma_cdf_exact, q1, q2, q3)
 from mimosg.errors import DomainError
 from mimosg.params import c_m, default_params, eta_shape, v_m
-from mimosg.quadrature import log_panel_grid
+from mimosg.quadrature import leggauss, log_panel_grid
 
 # frozen high-precision oracle values for the reference geometry
 CROSS_MOMENT = {0.0: 16.0, 0.5: 2.8856400139492937, 1.0: 0.9783991390254186}
@@ -60,6 +61,37 @@ def e1_exponent_full_grid(p, b, c, x):
     z *= th
     np.expm1(z, out=z)
     return a * (z @ wtau)
+
+
+def e2_table_own_rows(p):
+    """Oracle for `_Context._build_e2_table`: every t node of every
+    coefficient builds its own inner s-row, capped at s_cap = a0 + 45,
+    with no row shared between nodes. Returns (spline, lo, hi, slope)."""
+    q = p.pi_lam
+    a0 = q * p.r0 ** 2
+    te = q * p.r_e ** 2
+    pexp = p.alpha * p.eps / 2.0
+    gl_x, gl_w = leggauss(32)
+    lo, hi = 1e-12, 1e15
+    grid = np.geomspace(lo, hi, int(math.log10(hi / lo)) * 8 + 1)
+    vals = []
+    for dt_coef in -grid:
+        t_max = max(10.0 * te,
+                    (abs(dt_coef) * 40.0 ** pexp
+                     / (1e-15 * (p.alpha / 2.0 - 1.0)))
+                    ** (2.0 / (p.alpha - 2.0)))
+        t, wt = log_panel_grid(te, t_max, panels_per_decade=4,
+                               n_per_panel=10)
+        s_hi = np.minimum(t, a0 + 45.0)
+        half = 0.5 * (s_hi - a0)
+        s = a0 + half[:, None] * (gl_x[None, :] + 1.0)
+        ws = half[:, None] * gl_w[None, :]
+        z = dt_coef * s ** pexp * t[:, None] ** (-p.alpha / 2.0)
+        inner = np.sum(ws * np.exp(-s) * np.expm1(z), axis=1)
+        vals.append(float(np.dot(wt, inner / (math.exp(-a0) - np.exp(-t)))))
+    vals = np.array(vals)
+    return (CubicSpline(np.log(grid), np.log(-vals)), lo, hi,
+            vals[0] / (-grid[0]))
 
 
 def _e1_oracle_rows(case):
@@ -368,6 +400,19 @@ class TestLaplaceTerms:
         np.testing.assert_array_equal(fresh.spline.x, shared.spline.x)
         np.testing.assert_array_equal(fresh.spline.c, shared.spline.c)
 
+    @pytest.mark.parametrize("r0", [0.05, 0.3])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    def test_e2_table_equals_own_row_build(self, eps, r0):
+        """The table built on one shared capped inner row is bit for bit
+        the table of the build where every t node has its own row."""
+        p = default_params("async", eps=eps).with_updates(r0=r0)
+        table = _context(p)._build_e2_table()
+        spline, lo, hi, slope = e2_table_own_rows(p)
+        assert (table.lo, table.hi) == (lo, hi)
+        assert table.linear_slope == slope
+        np.testing.assert_array_equal(table.spline.x, spline.x)
+        np.testing.assert_array_equal(table.spline.c, spline.c)
+
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_e2_spline_against_direct(self, eps):
         """Tabulated-spline evaluation vs direct double quadrature."""
@@ -524,18 +569,25 @@ class TestErgodicRate:
         assert r == pytest.approx(manual, rel=5e-3, abs=2 * head)
 
 
-    @pytest.mark.parametrize("mode, eps, n_p", [
-        ("sync", 0.5, 2), ("sync", 0.0, 30), ("async", 0.0, 10),
-        ("async", 0.5, 20)])
-    def test_tail_search_matches_decade_loop(self, mode, eps, n_p):
-        """The one-call decade search ends the integral where stepping
+    @pytest.mark.parametrize("mode, eps, n_p, m", [
+        pytest.param("sync", 0.5, 2, 64, id="sync-0.5-2"),
+        pytest.param("sync", 0.0, 30, 64, id="sync-0.0-30"),
+        pytest.param("async", 0.0, 10, 64, id="async-0.0-10"),
+        pytest.param("async", 0.5, 20, 64, id="async-0.5-20"),
+        # the search ends past 1e3, in its second stage
+        pytest.param("sync", 0.0, 10, 4096, id="sync-0.0-10-m4096"),
+        pytest.param("async", 0.0, 10, 4096, id="async-0.0-10-m4096")])
+    def test_tail_search_matches_decade_loop(self, mode, eps, n_p, m):
+        """The two-stage decade search ends the integral where stepping
         t_hi = 1, 10, .. up to 1e9 one coverage value at a time does."""
-        p = default_params(mode, eps=eps, n_p=n_p, strict_frame=False)
+        p = default_params(mode, m=m, eps=eps, n_p=n_p, strict_frame=False)
         t_hi = 1.0
         while t_hi < 1e9:
             if coverage(np.array([t_hi]), p).coverage[0] < 1e-6:
                 break
             t_hi *= 10.0
+        if m == 4096:
+            assert t_hi > 1e3
         res = ergodic_rate(p)
         assert (res.t_hi, res.tail_truncated) == (t_hi, False)
 

@@ -163,6 +163,30 @@ class TestSubcommands:
         assert "n_shape must be an integer" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command, loaded, message", [
+        ("coverage", {"m": "abc"}, "key 'm' must be an integer, got 'abc'"),
+        ("validate", {"m": "abc"}, "key 'm' must be an integer, got 'abc'"),
+        ("coverage", {"n_gamma": "2"}, "key 'n_gamma' must be a number"),
+        ("validate", {"n_gamma": "2"}, "key 'n_gamma' must be a number"),
+        ("coverage", {"m": 64.5}, "key 'm' must be an integer, got 64.5"),
+        ("coverage", {"eps": True}, "key 'eps' must be a number, got True"),
+        ("validate", {"window_km": "x"}, "key 'window_km' must be a number")],
+        ids=["coverage-m-abc", "validate-m-abc", "coverage-n_gamma-str",
+             "validate-n_gamma-str", "coverage-m-fraction",
+             "coverage-eps-bool", "validate-window_km-str"])
+    def test_config_value_of_wrong_type(self, capsys, tmp_path, command,
+                                        loaded, message):
+        """A config-file value of the wrong type exits 2 with the key
+        named, not with a traceback or a truncated value."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(loaded))
+        extra = ["--gate", "0.9", "--trials", "5"] * (command == "validate")
+        code, out, err = run_cli(capsys, command, *extra, "--config",
+                                 str(path), "--thresholds-db", "0:6:3")
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert out == ""
+
     def test_pdf_check_passes(self, capsys):
         code, out, err = run_cli(capsys, "pdf-check", "--samples", "40000")
         assert code == EXIT_OK
@@ -239,6 +263,19 @@ class TestSubcommands:
                             "async", "--eps", "0.5", "--trials", "60",
                             "--thresholds-db", "0:6:3", "--format", "json")
         assert json.loads(out)["analytic_clamped"] == 0
+
+    @pytest.mark.parametrize("values, message", [
+        ("5.5,5", "must be integers, got 5.5"),
+        ("2,x", "must be numbers, got '2,x'")], ids=["fraction", "text"])
+    def test_sweep_np_rejects_non_integer_values(self, capsys, values,
+                                                 message):
+        """A fractional pilot length is an error, not truncated into a row
+        labelled with the wrong value; a non-number is an error too."""
+        code, out, err = run_cli(capsys, "sweep", "--param", "np", "--mode",
+                                 "sync", "--values", values)
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert out == ""
 
     def test_sweep_eps(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--param", "eps", "--values",

@@ -16,6 +16,12 @@ unconditioned exclusion-ball values Q1/Q2/Q3). The Monte Carlo engine
 uses exact realized values, so the gap between the two engines measures
 the quality of exactly these approximations.
 
+The synchronous and asynchronous modes share every formula. They differ
+only in the frame weights of an interfering cell (see ``_Context``): the
+weight of its pilot and uplink symbols, its downlink share, and how many
+of its users contaminate the tagged pilot. In synchronous mode all of them
+are exactly 1, and Q2 = Q3 = 0.
+
 Numerical strategy: all integrands are smooth after mapping semi-infinite
 tails onto log-spaced Gauss-Legendre panels, so fixed tensorised panels
 (vectorised in numpy) replace adaptive quadrature in the hot path. A
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -310,24 +316,13 @@ def q1(x: float, params: SystemParams) -> float:
     """
     if x <= params.r0:
         raise DomainError(f"need x > r0={params.r0!r}, got {x!r}")
-    return _q1_const(params, _cross_moment(params))
-
-
-def _q1_const(params: SystemParams, cm: float) -> float:
-    """Q1 from the cross moment ``cm`` = :func:`_cross_moment`."""
-    p = params
-    noise = p.sigma2 * p.omega ** (p.eps - 1.0) / (p.n_p * p.p_u)
-    if p.sync:
-        return cm + noise
-    return ((p.n_p + p.n_u) / p.n_tot ** 2 * p.n_p * cm
-            + p.p_d * p.n_p * p.n_d * q2(p)
-            / (p.p_u * p.omega ** (-p.eps) * p.n_tot ** 2)
-            + noise)
+    return _context(params).q1
 
 
 def q3(x: float, params: SystemParams, exact: bool = False) -> float:
     """Mean foreign-uplink interference moment sum_j sum_k'
-    r_jjk'^(alpha eps) r_lkjk'^-alpha given serving distance x.
+    r_jjk'^(alpha eps) r_lkjk'^-alpha given serving distance x; zero
+    synchronous.
 
     The production form replaces the user-to-user distance by the
     station-to-user distance, which makes it x-independent (N_p times the
@@ -344,10 +339,8 @@ def q3(x: float, params: SystemParams, exact: bool = False) -> float:
     p = params
     if x <= p.r0:
         raise DomainError(f"need x > r0={p.r0!r}, got {x!r}")
-    if p.sync:
-        return 0.0
-    if not exact:
-        return p.n_p * _cross_moment(p)
+    if not exact or p.sync:
+        return _context(p).q3
     if x >= p.r_e:
         raise DomainError(
             "exact foreign-uplink moment diverges for x >= r_e "
@@ -389,43 +382,6 @@ def _q3_exact(x: float, params: SystemParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# coefficient functions
-# ---------------------------------------------------------------------------
-
-def coefficients(t_lin: float, n: int, x, params: SystemParams,
-                 n_shape: int | None = None):
-    """Campbell exponent coefficients (B, C, D) at threshold T, expansion
-    index n and serving distance x. All three are <= 0."""
-    p = params
-    eta = eta_shape(_gamma_shape(n_shape, p))
-    if t_lin < 0:
-        raise DomainError("threshold must be >= 0")
-    return _coefficients(t_lin, n, np.asarray(x, dtype=float), p, eta,
-                         _q1_const(p, _cross_moment(p)))
-
-
-def _coefficients(t_lin, n, x, p: SystemParams, eta, q1_val):
-    c = c_m(p.m)
-    c2 = c * c
-    xa = x ** p.alpha
-    x2e = x ** (p.alpha * (2.0 - p.eps))
-    x1e = x ** (p.alpha * (1.0 - p.eps))
-    ent = eta * n * t_lin
-    amp = xa + x2e * q1_val
-    if p.sync:
-        b = -ent * (p.n_p / c2) * amp
-        c = -ent * ((p.m - 1.0) / c2) * x ** (2.0 * p.alpha)
-        d = -(ent / c2) * x1e * (p.n_p + p.sigma2 * xa / (p.p_d * p.omega))
-    else:
-        b = -ent * (p.n_p / c2) * (p.n_d ** 2 / p.n_tot ** 2) * amp
-        c = (-ent * ((p.m - 1.0) / c2) * x ** (2.0 * p.alpha)
-             * p.n_p * p.n_d ** 2 * (p.n_p + p.n_u) / p.n_tot ** 4)
-        d = (-(ent / c2) * ((p.n_p + p.n_u) / p.n_tot ** 2) * x1e
-             * (p.n_p + p.sigma2 * xa / (p.p_d * p.omega)))
-    return b, c, d
-
-
-# ---------------------------------------------------------------------------
 # engine context: grids and tabulated exponents per parameter set
 # ---------------------------------------------------------------------------
 
@@ -448,57 +404,96 @@ def _e2_slot(pi_lam: float, r0: float, r_e: float, alpha: float,
     return []
 
 
-@dataclass
 class _Context:
-    params: SystemParams
-    q1: float
-    q2: float
-    q3: float
-    x_nodes: np.ndarray        # in u = pi lam (x^2 - r0^2) coordinates
-    x_weights: np.ndarray
-    x_vals: np.ndarray
-    # on the x grid: c1, and B, C, D per unit of eta n T (all three are
-    # linear in it); C_M and V_M depend on m only, not on the Gamma shape
-    c1_x: np.ndarray = field(init=False)
-    unit_b: np.ndarray = field(init=False)
-    unit_c: np.ndarray = field(init=False)
-    unit_d: np.ndarray = field(init=False)
+    """What the analytic engine derives from one parameter set: the cross
+    moment, computed once, and from it Q1, Q2 and Q3; C_M^2 and V_M; and
+    on the fixed x grid c1 and B, C, D per unit of eta n T (all three are
+    linear in it).
 
-    def __post_init__(self):
+    The modes differ only in how much of an interfering cell's frame
+    counts. Asynchronous, the frame weights are f_w = (n_p + n_u) /
+    n_tot^2 (pilot and uplink symbols), rho2 = n_d^2 / n_tot^2 (downlink
+    share, squared), users = n_p (users per pilot: the multiplicity of E2)
+    and the C factor n_p n_d^2 (n_p + n_u) / n_tot^4, applied one factor
+    after the other (:meth:`c_frame`). Synchronous, all of them are
+    exactly 1 and Q2 = Q3 = 0, so the foreign-uplink and
+    station-to-station terms are exactly zero.
+    """
+
+    def __init__(self, params: SystemParams):
+        p = self.params = params
+        c = c_m(p.m)
+        self.c2 = c * c
+        self.vm = v_m(p.m)
+        cm = _cross_moment(p)
+        if p.sync:
+            self.f_w = self.rho2 = 1.0
+            self.users = 1
+            self._c_frame = (1, 1, 1, 1)
+            self.q3 = 0.0
+        else:
+            self.f_w = (p.n_p + p.n_u) / p.n_tot ** 2
+            self.rho2 = p.n_d ** 2 / p.n_tot ** 2
+            self.users = p.n_p
+            self._c_frame = (p.n_p, p.n_d ** 2, p.n_p + p.n_u, p.n_tot ** 4)
+            self.q3 = p.n_p * cm
+        self.q2 = q2(p)
+        self.q1 = (self.f_w * self.users * cm
+                   + p.p_d * p.n_p * p.n_d * self.q2
+                   / (p.p_u * p.omega ** (-p.eps) * p.n_tot ** 2)
+                   + p.sigma2 * p.omega ** (p.eps - 1.0) / (p.n_p * p.p_u))
+        # the x grid, in u = pi lam (x^2 - r0^2) coordinates
+        self.x_nodes, self.x_weights = _x_grid()
+        self.x_vals = np.sqrt(p.r0 ** 2 + self.x_nodes / p.pi_lam)
         self.c1_x = self.c1(self.x_vals)
-        self.unit_b, self.unit_c, self.unit_d = _coefficients(
-            1.0, 1, self.x_vals, self.params, 1.0, self.q1)
+        self.unit_b, self.unit_c, self.unit_d = self.coefficients(
+            1.0, self.x_vals)
+
+    def c_frame(self, c):
+        """``c`` times the frame factor of C, n_p n_d^2 (n_p + n_u) /
+        n_tot^4, one factor after the other (ones synchronous)."""
+        n_p, n_d2, n_pu, n_tot4 = self._c_frame
+        return c * n_p * n_d2 * n_pu / n_tot4
+
+    def coefficients(self, ent, x):
+        """Campbell coefficients (B, C, D) at distances x, with ``ent`` =
+        eta n T."""
+        p = self.params
+        c2 = self.c2
+        xa = x ** p.alpha
+        x2e = x ** (p.alpha * (2.0 - p.eps))
+        x1e = x ** (p.alpha * (1.0 - p.eps))
+        b = -ent * (p.n_p / c2) * self.rho2 * (xa + x2e * self.q1)
+        c = self.c_frame(-ent * ((p.m - 1.0) / c2) * x ** (2.0 * p.alpha))
+        d = (-(ent / c2) * self.f_w * x1e
+             * (p.n_p + p.sigma2 * xa / (p.p_d * p.omega)))
+        return b, c, d
 
     # --- c1 -------------------------------------------------------------
     def c1(self, x):
         p = self.params
-        c = c_m(p.m)
-        c2 = c * c
-        vm = v_m(p.m)
+        c2 = self.c2
         x = np.asarray(x, dtype=float)
         xa = x ** p.alpha
         x1e = x ** (p.alpha * (1.0 - p.eps))
         x2e = x ** (p.alpha * (2.0 - p.eps))
-        val = ((vm - 1.0) / c2 + p.n_p / c2
+        val = ((self.vm - 1.0) / c2 + p.n_p / c2
                + p.sigma2 * xa / (p.p_d * p.omega * c2)
                + p.sigma2 * x1e / (p.p_u * c2 * p.omega ** (1.0 - p.eps))
                + p.sigma2 ** 2 * x2e
                / (p.n_p * p.p_u * p.p_d * c2 * p.omega ** (2.0 - p.eps)))
-        if not p.sync:
-            val = val + self.foreign_uplink(x)
-            val = val + ((p.n_p + p.sigma2 * xa / (p.p_d * p.omega))
-                         * p.p_d * p.n_p * p.n_d * x1e * self.q2
-                         / (p.p_u * p.omega ** (-p.eps) * c2 * p.n_tot ** 2))
+        val = val + self.foreign_uplink(x)
+        val = val + ((p.n_p + p.sigma2 * xa / (p.p_d * p.omega))
+                     * p.p_d * p.n_p * p.n_d * x1e * self.q2
+                     / (p.p_u * p.omega ** (-p.eps) * c2 * p.n_tot ** 2))
         return val
 
     def foreign_uplink(self, x):
-        """The mean foreign-uplink term of c1(x) (asynchronous mode)."""
+        """The mean foreign-uplink term of c1(x), proportional to Q3."""
         p = self.params
-        c = c_m(p.m)
-        c2 = c * c
         return ((x ** p.alpha + x ** (p.alpha * (2.0 - p.eps)) * self.q1)
                 * p.p_u * p.n_d * (p.n_p + p.n_u) * self.q3
-                / (p.p_d * p.omega ** p.eps * c2 * p.n_tot ** 2))
+                / (p.p_d * p.omega ** p.eps * self.c2 * p.n_tot ** 2))
 
     # --- E1 exponent ------------------------------------------------------
     def e1_exponent(self, b, c, x):
@@ -625,36 +620,39 @@ class _Context:
         return out
 
 
-def _x_grid(params: SystemParams):
+def _x_grid():
     """Gauss-Legendre panels in u = pi lam (x^2 - r0^2), where the serving
     density is exactly e^-u du."""
     u_max = -math.log(X_WEIGHT_CUTOFF)
     breaks = np.array([0.0, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.5,
                        7.5, 10.0, 13.0, 17.0, u_max])
-    u, w = gauss_legendre_panels(breaks, GRID_OUTER)
-    return u, w
+    return gauss_legendre_panels(breaks, GRID_OUTER)
 
 
-@lru_cache(maxsize=32)
-def _context(params: SystemParams) -> _Context:
-    u, w = _x_grid(params)
-    x = np.sqrt(params.r0 ** 2 + u / params.pi_lam)
-    cm = _cross_moment(params)
-    return _Context(params=params, q1=_q1_const(params, cm), q2=q2(params),
-                    q3=0.0 if params.sync else params.n_p * cm,
-                    x_nodes=u, x_weights=w, x_vals=x)
+_context = lru_cache(maxsize=32)(_Context)
 
 
 # ---------------------------------------------------------------------------
 # public single-point terms
 # ---------------------------------------------------------------------------
 
+def coefficients(t_lin: float, n: int, x, params: SystemParams,
+                 n_shape: int | None = None):
+    """Campbell exponent coefficients (B, C, D) at threshold T, expansion
+    index n and serving distance x. All three are <= 0."""
+    eta = eta_shape(_gamma_shape(n_shape, params))
+    if t_lin < 0:
+        raise DomainError("threshold must be >= 0")
+    return _context(params).coefficients(eta * n * t_lin,
+                                         np.asarray(x, dtype=float))
+
+
 def e1_term(t_lin: float, n: int, x: float, params: SystemParams,
             n_shape: int | None = None) -> float:
     """Laplace functional of the station interference field at (T, n, x)."""
     eta = eta_shape(_gamma_shape(n_shape, params))
     ctx = _context(params)
-    b, c, _ = _coefficients(t_lin, n, np.asarray([x]), params, eta, ctx.q1)
+    b, c, _ = ctx.coefficients(eta * n * t_lin, np.asarray([x]))
     return float(np.exp(ctx.e1_exponent(b, c, np.asarray([x])))[0])
 
 
@@ -663,9 +661,8 @@ def e2_term(t_lin: float, n: int, x: float, params: SystemParams,
     """Laplace functional of the foreign-user interference field."""
     eta = eta_shape(_gamma_shape(n_shape, params))
     ctx = _context(params)
-    _, _, d = _coefficients(t_lin, n, np.asarray([x]), params, eta, ctx.q1)
-    mult = params.n_p if not params.sync else 1.0
-    return float(np.exp(mult * ctx.e2_exponent(d))[0])
+    _, _, d = ctx.coefficients(eta * n * t_lin, np.asarray([x]))
+    return float(np.exp(ctx.users * ctx.e2_exponent(d))[0])
 
 
 def c1_term(x, params: SystemParams) -> np.ndarray:
@@ -690,22 +687,18 @@ def _no_pc_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
 
 
 def _c1_e1_e2_exponent(ctx: _Context, ent: np.ndarray, e2) -> np.ndarray:
-    """-eta n T c1 + E1 + mult E2, summed in this order into one array."""
-    mult = 1.0 if ctx.params.sync else float(ctx.params.n_p)
+    """-eta n T c1 + E1 + users E2, summed in this order into one array."""
     e1 = ctx.e1_exponent(ent * ctx.unit_b, ent * ctx.unit_c, ctx.x_vals)
     expo = -ent * ctx.c1_x
     expo += e1
     del e1
-    expo += mult * e2(ent * ctx.unit_d)
+    expo += ctx.users * e2(ent * ctx.unit_d)
     return expo
 
 
 def _infinite_m_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
     # C with its (M-1)/C_M^2 prefactor -> 1; B and D vanish
-    p = ctx.params
-    c_inf = -ctx.x_vals ** (2.0 * p.alpha)
-    if not p.sync:
-        c_inf = c_inf * p.n_p * p.n_d ** 2 * (p.n_p + p.n_u) / p.n_tot ** 4
+    c_inf = ctx.c_frame(-ctx.x_vals ** (2.0 * ctx.params.alpha))
     return ctx.e1_exponent(0.0, ent * c_inf, ctx.x_vals)
 
 

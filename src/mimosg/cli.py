@@ -95,12 +95,7 @@ def _number(cfg: dict, key: str, kind: type):
 def _n_gamma(cfg: dict):
     """The Gamma shape as configured: None (the mode default) or a number,
     which the analytic engine checks further."""
-    value = cfg["n_gamma"]
-    if value is not None and (isinstance(value, bool)
-                              or not isinstance(value, (int, float))):
-        raise ConfigError(f"config key 'n_gamma' must be a number, "
-                          f"got {value!r}")
-    return value
+    return None if cfg["n_gamma"] is None else _number(cfg, "n_gamma", float)
 
 
 def build_params(cfg: dict, strict_frame: bool = True) -> SystemParams:
@@ -176,6 +171,16 @@ def write_results(record: dict, path: str | None, fmt: str) -> None:
             fh.write(text)
 
 
+def _record(params: SystemParams, cfg: dict, header, rows, **meta) -> dict:
+    """One result record: its columns and rows, ``meta``, and what every
+    record carries: the mode, program version, parameter snapshot and
+    effective configuration."""
+    return {"header": header, "rows": rows, "mode": params.mode, **meta,
+            "version": f"mimosg-{__version__}",
+            "params": _params_snapshot(params),
+            "effective_config": {k: cfg[k] for k in sorted(cfg)}}
+
+
 def _curve_record(curve: CoverageCurve, cfg: dict, seed=None) -> dict:
     rows = [(10.0 * math.log10(t), float(c))
             for t, c in zip(curve.thresholds, curve.coverage)]
@@ -183,14 +188,9 @@ def _curve_record(curve: CoverageCurve, cfg: dict, seed=None) -> dict:
     if curve.ci_half_width is not None:
         header.append("ci95_half_width")
         rows = [r + (float(h),) for r, h in zip(rows, curve.ci_half_width)]
-    return {
-        "header": header, "rows": rows, "kind": "coverage",
-        "method": curve.method, "mode": curve.mode,
-        "n_shape": curve.n_shape, "seed": seed, "clamped": curve.clamped,
-        "version": f"mimosg-{__version__}",
-        "params": _params_snapshot(curve.params),
-        "effective_config": {k: cfg[k] for k in sorted(cfg)},
-    }
+    return _record(curve.params, cfg, header, rows, kind="coverage",
+                   method=curve.method, n_shape=curve.n_shape, seed=seed,
+                   clamped=curve.clamped)
 
 
 def _rate_diagnostics(res: RateResult, label, value) -> dict:
@@ -204,12 +204,8 @@ def _rate_record(res: RateResult, label, value, params, cfg, seed=None) -> dict:
             + ((res.ci_half_width,) if res.ci_half_width is not None else ())]
     header = [label, "rate_bps_hz"] + (
         ["ci95_half_width"] if res.ci_half_width is not None else [])
-    record = {
-        "header": header, "rows": rows, "kind": "rate", "method": res.method,
-        "mode": params.mode, "seed": seed, "version": f"mimosg-{__version__}",
-        "params": _params_snapshot(params),
-        "effective_config": {k: cfg[k] for k in sorted(cfg)},
-    }
+    record = _record(params, cfg, header, rows, kind="rate",
+                     method=res.method, seed=seed)
     if res.t_hi is not None:
         record["diagnostics"] = [_rate_diagnostics(res, label, value)]
     return record
@@ -283,15 +279,9 @@ def cmd_sweep(cfg: dict, param: str, values: list[float]) -> int:
         res = ergodic_rate(params, _n_gamma(cfg))
         rows.append((float(v), res.rate))
         diagnostics.append(_rate_diagnostics(res, param, v))
-    params = build_params(cfg, strict_frame=False)
-    record = {
-        "header": [param, "rate_bps_hz"], "rows": rows, "kind": "sweep",
-        "diagnostics": diagnostics,
-        "method": "analytic", "mode": params.mode, "seed": None,
-        "version": f"mimosg-{__version__}",
-        "params": _params_snapshot(params),
-        "effective_config": {k: cfg[k] for k in sorted(cfg)},
-    }
+    record = _record(build_params(cfg, strict_frame=False), cfg,
+                     [param, "rate_bps_hz"], rows, kind="sweep",
+                     method="analytic", seed=None, diagnostics=diagnostics)
     write_results(record, cfg["output"], cfg["format"])
     return EXIT_OK
 
@@ -301,32 +291,26 @@ def cmd_validate(cfg: dict, gate: float) -> int:
     thr = parse_threshold_grid(cfg["thresholds_db"])
     report = validate(params, build_mc_config(cfg, thr), gate, _n_gamma(cfg))
     sys.stderr.write(report.format_table() + "\n")
-    record = dict(report.to_json_dict())
-    record["header"] = ["threshold_db", "analytic", "monte_carlo",
-                        "mc_ci95_half_width", "abs_deviation"]
-    record["rows"] = [
-        (10.0 * math.log10(t), float(a), float(m), float(h), float(d))
-        for t, a, m, h, d in zip(report.thresholds, report.analytic,
-                                 report.mc, report.mc_half_width,
-                                 report.abs_dev)]
-    record["params"] = _params_snapshot(params)
-    record["version"] = f"mimosg-{__version__}"
-    record["effective_config"] = {k: cfg[k] for k in sorted(cfg)}
+    rows = [(10.0 * math.log10(t), float(a), float(m), float(h), float(d))
+            for t, a, m, h, d in zip(report.thresholds, report.analytic,
+                                     report.mc, report.mc_half_width,
+                                     report.abs_dev)]
+    record = _record(params, cfg, ["threshold_db", "analytic", "monte_carlo",
+                                   "mc_ci95_half_width", "abs_deviation"],
+                     rows, **report.to_json_dict())
     write_results(record, cfg["output"], cfg["format"])
     return EXIT_OK if report.passed else EXIT_GATE
+
+
+SPECIAL_CASES = {"full-pc": coverage_fullpc_async,
+                 "infinite-m": coverage_infinite_m,
+                 "no-pc": coverage_no_pc}
 
 
 def cmd_special(cfg: dict, case: str) -> int:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
-    if case == "full-pc":
-        curve = coverage_fullpc_async(thr, params, _n_gamma(cfg))
-    elif case == "infinite-m":
-        curve = coverage_infinite_m(thr, params, _n_gamma(cfg))
-    elif case == "no-pc":
-        curve = coverage_no_pc(thr, params, _n_gamma(cfg))
-    else:
-        raise ConfigError(f"unknown special case {case!r}")
+    curve = SPECIAL_CASES[case](thr, params, _n_gamma(cfg))
     write_results(_curve_record(curve, cfg), cfg["output"], cfg["format"])
     return EXIT_OK
 
@@ -357,13 +341,9 @@ def cmd_pdf_check(cfg: dict, samples: int) -> int:
     rows.append(("serving_given_user_pair",
                  ks(s3, lambda s: serving_given_user_pair_cdf(
                      s, r_uu, x_tag, lam, r0))))
-    record = {
-        "header": ["law", "ks_distance"], "rows": rows, "kind": "pdf-check",
-        "method": "inverse-cdf-sampler", "mode": params.mode,
-        "seed": cfg["seed"], "version": f"mimosg-{__version__}",
-        "params": _params_snapshot(params),
-        "effective_config": {k: cfg[k] for k in sorted(cfg)},
-    }
+    record = _record(params, cfg, ["law", "ks_distance"], rows,
+                     kind="pdf-check", method="inverse-cdf-sampler",
+                     seed=cfg["seed"])
     write_results(record, cfg["output"], cfg["format"])
     worst = max(v for _, v in rows)
     sys.stderr.write(f"worst KS distance: {worst:.5f} (gate 0.02)\n")
@@ -423,7 +403,7 @@ def make_parser() -> argparse.ArgumentParser:
                              help="max |analytic - MC| allowed")
         if name == "special":
             sub.add_argument("--case", required=True,
-                             choices=["full-pc", "infinite-m", "no-pc"])
+                             choices=list(SPECIAL_CASES))
         if name == "sweep":
             sub.add_argument("--param", required=True, choices=["np", "eps"])
             sub.add_argument("--values", required=True,

@@ -7,9 +7,9 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gammainc
 
 from mimosg import analytic
-from mimosg.analytic import (_TAYLOR_Z, CoverageCurve, _coefficients,
-                             _context, _e1_splits, _tau_grid, c1_term,
-                             coefficients, coverage, coverage_fullpc_async,
+from mimosg.analytic import (_TAYLOR_Z, CoverageCurve, _context,
+                             _e1_splits, _tau_grid, c1_term, coefficients,
+                             coverage, coverage_fullpc_async,
                              coverage_infinite_m, coverage_no_pc, e1_term,
                              e2_term, ergodic_rate, gamma_cdf_approx,
                              gamma_cdf_exact, q1, q2, q3)
@@ -42,6 +42,77 @@ GOLDEN_SWEEP_RATES = {
     2: 3.757892999729242, 5: 6.416150260741081, 10: 8.250295766581141,
     15: 8.445045283296238, 20: 7.697616841995412, 25: 6.33042809039451,
     30: 4.523470081247356}
+# the same for async, m=64, N=1 coverage at -10..20 dB (eps 0 and 0.5), the
+# special cases at eps 0.5 (infinite M; N=1 async, N=4 sync), eps 0 (no power
+# control, async, N=1) and eps 1 (full power control, async, N=1, at
+# -70..-30 dB where coverage is not trivially 0), and the async eps=0.5, N=1
+# rates at n_p 5, 10 and 20
+GOLDEN_ASYNC_COVERAGE_EPS0 = [
+    0.671853693690126, 0.6367138598750035, 0.6004373222709359,
+    0.5632944448312232, 0.5255580497481009, 0.48749516906497314,
+    0.44936032626369093, 0.4113909151111491, 0.3738051468761038,
+    0.3368029288787997, 0.3005699098065176, 0.26528475424938686,
+    0.23112943925791174, 0.1983019192869322, 0.1670297797190008,
+    0.1375823974312096, 0.11027763838853691, 0.08547747343767609,
+    0.06356578355905829, 0.04490246147775072, 0.029752756411829194,
+    0.01820143606117154, 0.010076838957586449, 0.004923180285634756,
+    0.0020563216750627052, 0.0007055087713714794, 0.00018906624605076884,
+    3.714351201069767e-05, 4.938779931635172e-06, 4.0192066523793544e-07,
+    1.7637791383021018e-08]
+GOLDEN_ASYNC_COVERAGE_EPS05 = [
+    0.19110702657884102, 0.17147373115764866, 0.15335569216668726,
+    0.1366766483308372, 0.12135367444950626, 0.10730027361251351,
+    0.0944290913343164, 0.08265430108437441, 0.07189372183915788,
+    0.06207072875414088, 0.053116005372979405, 0.04496915550754793,
+    0.03758013861347767, 0.03091040689864895, 0.024933501043610994,
+    0.019634710515028193, 0.01500925525319233, 0.011058374382802863,
+    0.007782853435191826, 0.005174074606584521, 0.0032037874255654176,
+    0.001815366573202685, 0.0009206773478219088, 0.0004064440733828512,
+    0.00015081690602619793, 4.501486442436563e-05, 1.0225884620044912e-05,
+    1.6492078737002331e-06, 1.7301664923701545e-07, 1.0575996333294369e-08,
+    3.278685192894768e-10]
+GOLDEN_INFINITE_M_ASYNC = [
+    0.9989497139923507, 0.9986783529255858, 0.9983370706137918,
+    0.9979079612203603, 0.9973685978563244, 0.9966909284628072,
+    0.9958399238224276, 0.9947719348919508, 0.9934327172312035,
+    0.9917550870652126, 0.9896561908418214, 0.9870344045170927,
+    0.9837659393375053, 0.979701329613064, 0.9746621292177904,
+    0.9684383614527914, 0.9607875593209018, 0.9514365898225016,
+    0.9400878281457206, 0.9264315218028141, 0.9101661547809159,
+    0.8910279844619404, 0.8688293368842688, 0.8435024962356192,
+    0.8151423261561024, 0.7840370826640074, 0.7506750391910916,
+    0.7157167099978583, 0.6799299268590021, 0.6440967841500906,
+    0.6089135775398485]
+GOLDEN_INFINITE_M_SYNC = [
+    0.9994074829534316, 0.9987713657252995, 0.9975418751960001,
+    0.9952739278379887, 0.9912997326732267, 0.9847109526245674,
+    0.9744105359049344, 0.9592636441728857, 0.9383456529782528,
+    0.9112347926414213, 0.8782472505064778, 0.8404928441817776,
+    0.7996723875328007, 0.7576578701065997, 0.7160386553210083,
+    0.6758535015049945, 0.6375952137592478, 0.6013907682771356,
+    0.5671954951107678, 0.534911520791177, 0.5044338760954781,
+    0.4756616967469216, 0.4484996200293805, 0.422857614090296,
+    0.39865068515343904, 0.3757985959352521, 0.35422560019356286,
+    0.33386019092723673, 0.31463486372117955, 0.2964858931506893,
+    0.27935312104757815]
+GOLDEN_NO_PC_ASYNC = [
+    0.6718536936904865, 0.6367138598754085, 0.6004373222713884,
+    0.5632944448317176, 0.5255580497486327, 0.48749516906553914,
+    0.4493603262642757, 0.41139091511175574, 0.37380514687670946,
+    0.33680292887940755, 0.3005699098071048, 0.2652847542499541,
+    0.23112943925843882, 0.19830191928742014, 0.16702977971944105,
+    0.13758239743158554, 0.11027763838886351, 0.08547747343793415,
+    0.06356578355926235, 0.044902461477900994, 0.029752756411933798,
+    0.018201436061236975, 0.010076838957622729, 0.004923180285652303,
+    0.0020563216750709213, 0.0007055087713746117, 0.0001890662460516382,
+    3.714351201084631e-05, 4.938779931652231e-06, 4.0192066523977355e-07,
+    1.7637791383121484e-08]
+GOLDEN_FULLPC_ASYNC_LOW = [
+    0.18036653553703458, 0.1032575374685955, 0.055822658875865516,
+    0.027832074121992772, 0.011917657139821528, 0.0036107066652566093,
+    0.0004433344003042277, 3.935413580686666e-06, 3.758554597230521e-12]
+GOLDEN_ASYNC_RATES = {5: 0.8150381196102723, 10: 0.8735451455272458,
+                      20: 0.7502087792729966}
 
 
 def e1_exponent_full_grid(p, b, c, x):
@@ -106,7 +177,7 @@ def _e1_oracle_rows(case):
         for t_db in np.arange(-10.0, 31.0, 2.0):
             t_lin = 10.0 ** (t_db / 10.0)
             for n in range(1, 5):
-                b, c, _ = _coefficients(t_lin, n, x, p, eta_shape(4), ctx.q1)
+                b, c, _ = ctx.coefficients(eta_shape(4) * n * t_lin, x)
                 if case == "infinite_m":
                     b = np.zeros_like(x)
                     c = -eta_shape(4) * n * t_lin * x ** (2.0 * p.alpha)
@@ -292,7 +363,7 @@ class TestLaplaceTerms:
         ctx = _context(p)
         eta = eta_shape(1)
         for t_lin, x in [(1.0, 0.3), (4.0, 0.8)]:
-            b, c, _ = _coefficients(t_lin, 1, np.array([x]), p, eta, ctx.q1)
+            b, c, _ = ctx.coefficients(eta * t_lin, np.array([x]))
             bt = float(b[0]) * p.pi_lam ** (p.alpha / 2.0)
             ct = float(c[0]) * p.pi_lam ** p.alpha
             a = p.pi_lam * x * x
@@ -321,8 +392,7 @@ class TestLaplaceTerms:
         p = params_async
         t_lin, n, x = 1.0, 1, 0.3
         ctx = _context(p)
-        b, c, _ = _coefficients(t_lin, n, np.array([x]), p, eta_shape(n),
-                                ctx.q1)
+        b, c, _ = ctx.coefficients(eta_shape(n) * n * t_lin, np.array([x]))
         b, c = float(b[0]), float(c[0])
         r_far = 12.0  # exponent tail beyond this is ~1e-4 of the total
         area = math.pi * (r_far ** 2 - x * x)
@@ -431,7 +501,7 @@ class TestLaplaceTerms:
         from mimosg.analytic import _e2_exponent_no_pc
         eta = eta_shape(1)
         for t_lin, x in [(0.5, 0.3), (2.0, 0.7), (20.0, 1.2)]:
-            _, _, d = _coefficients(t_lin, 1, np.array([x]), p, eta, ctx.q1)
+            _, _, d = ctx.coefficients(eta * t_lin, np.array([x]))
             full = float(ctx.e2_exponent(d)[0])
             red = float(_e2_exponent_no_pc(ctx, d)[0])
             assert full == pytest.approx(red, rel=1e-6, abs=1e-12)
@@ -610,3 +680,32 @@ class TestGoldenValues:
         for n_p, golden in GOLDEN_SWEEP_RATES.items():
             p = default_params("sync", eps=0.5, n_p=n_p, strict_frame=False)
             assert ergodic_rate(p, 4).rate == pytest.approx(golden, rel=1e-12)
+
+    @pytest.mark.parametrize("eps, golden", [
+        (0.0, GOLDEN_ASYNC_COVERAGE_EPS0), (0.5, GOLDEN_ASYNC_COVERAGE_EPS05)],
+        ids=["eps0", "eps0.5"])
+    def test_async_coverage(self, eps, golden):
+        th = 10.0 ** (np.arange(-10.0, 21.0, 1.0) / 10.0)
+        cov = coverage(th, default_params("async", m=64, eps=eps), 1).coverage
+        np.testing.assert_allclose(cov, golden, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("curve_fn, mode, eps, n_shape, db, golden", [
+        (coverage_infinite_m, "async", 0.5, 1, (-10, 20),
+         GOLDEN_INFINITE_M_ASYNC),
+        (coverage_infinite_m, "sync", 0.5, 4, (-10, 20),
+         GOLDEN_INFINITE_M_SYNC),
+        (coverage_no_pc, "async", 0.0, 1, (-10, 20), GOLDEN_NO_PC_ASYNC),
+        (coverage_fullpc_async, "async", 1.0, 1, (-70, -30),
+         GOLDEN_FULLPC_ASYNC_LOW)],
+        ids=["infinite_m-async", "infinite_m-sync", "no_pc-async",
+             "fullpc-async"])
+    def test_special_cases(self, curve_fn, mode, eps, n_shape, db, golden):
+        step = 1.0 if db[0] == -10 else 5.0
+        th = 10.0 ** (np.arange(db[0], db[1] + 1.0, step) / 10.0)
+        cov = curve_fn(th, default_params(mode, eps=eps), n_shape).coverage
+        np.testing.assert_allclose(cov, golden, rtol=0.0, atol=1e-12)
+
+    def test_async_rates(self):
+        for n_p, golden in GOLDEN_ASYNC_RATES.items():
+            p = default_params("async", eps=0.5, n_p=n_p, strict_frame=False)
+            assert ergodic_rate(p, 1).rate == pytest.approx(golden, rel=1e-12)

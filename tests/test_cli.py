@@ -166,13 +166,10 @@ class TestSubcommands:
     @pytest.mark.parametrize("command, loaded, message", [
         ("coverage", {"m": "abc"}, "key 'm' must be an integer, got 'abc'"),
         ("validate", {"m": "abc"}, "key 'm' must be an integer, got 'abc'"),
-        ("coverage", {"n_gamma": "2"}, "key 'n_gamma' must be a number"),
-        ("validate", {"n_gamma": "2"}, "key 'n_gamma' must be a number"),
         ("coverage", {"m": 64.5}, "key 'm' must be an integer, got 64.5"),
         ("coverage", {"eps": True}, "key 'eps' must be a number, got True"),
         ("validate", {"window_km": "x"}, "key 'window_km' must be a number")],
-        ids=["coverage-m-abc", "validate-m-abc", "coverage-n_gamma-str",
-             "validate-n_gamma-str", "coverage-m-fraction",
+        ids=["coverage-m-abc", "validate-m-abc", "coverage-m-fraction",
              "coverage-eps-bool", "validate-window_km-str"])
     def test_config_value_of_wrong_type(self, capsys, tmp_path, command,
                                         loaded, message):
@@ -186,6 +183,21 @@ class TestSubcommands:
         assert code == EXIT_CONFIG
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["coverage", "validate"])
+    def test_config_n_gamma_numeric_string(self, capsys, tmp_path, command):
+        """n_gamma follows the type rule of every numeric key: the string
+        "2" runs, with the output of the number 2."""
+        extra = ["--gate", "0.9", "--trials", "5"] * (command == "validate")
+        path = tmp_path / "cfg.json"
+        results = []
+        for value in (2, "2"):
+            path.write_text(json.dumps({"n_gamma": value}))
+            results.append(run_cli(capsys, command, "--mode", "sync", *extra,
+                                   "--config", str(path), "--thresholds-db",
+                                   "0:6:3"))
+        assert results[0][0] == EXIT_OK
+        assert results[1] == results[0]
 
     def test_pdf_check_passes(self, capsys):
         code, out, err = run_cli(capsys, "pdf-check", "--samples", "40000")

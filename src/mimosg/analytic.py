@@ -39,6 +39,13 @@ through one nonpositive scalar, so it is tabulated once per geometry
 (pi lam, r0, r_e, alpha, eps) on a log-log grid and spline-interpolated;
 tests pin these shortcuts against direct quadrature and against
 ``scipy.integrate.quad`` as the adaptive reference.
+
+The module needs numpy alone. Its two special functions are its own: the
+regularized lower incomplete gamma function of the exclusion-ball moments
+(``_gammainc``: power series, finite Poisson sum or continued fraction)
+and the not-a-knot cubic spline of the E2 table (``_Spline``). Tests check
+both against ``scipy.special.gammainc`` and
+``scipy.interpolate.CubicSpline``.
 """
 from __future__ import annotations
 
@@ -48,8 +55,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import gammainc, gammaln
 
 from .errors import DomainError, NumericalError
 from .params import SystemParams, c_m, default_gamma_shape, eta_shape, v_m
@@ -92,6 +97,10 @@ _TAU_MAX = 1e24
 _HEAD_CHUNK = 32768
 # (T, n, x) rows per coverage block: whole thresholds, 32 of them at N = 4
 _ROW_BLOCK = 21504
+# E2 lookups per chunk (64 KiB per array): the arrays of a chunk are then
+# reused from the heap, where lookups of whole blocks map fresh pages and
+# fault them in on every call
+_E2_CHUNK = 8192
 
 
 def _int_powers(v: np.ndarray, k: int) -> np.ndarray:
@@ -246,8 +255,102 @@ def gamma_cdf_approx(a, n_shape: int):
 def gamma_cdf_exact(a, n_shape: int):
     """CDF of the unit-mean Gamma(N, 1/N) variable: P(N, N*A)."""
     a = np.asarray(a, dtype=float)
-    out = gammainc(n_shape, n_shape * a)
+    out = _gammainc(n_shape, n_shape * a)
     return float(out) if out.ndim == 0 else out
+
+
+# P(a, x) below 1 by less than half an ulp rounds to 1: log 2^-54
+_LOG_HALF_ULP = -54.0 * math.log(2.0)
+# The continued fraction of Q stops once a step changes it by less than
+# _LENTZ_TOL, a few ulps: a test at or below the unit roundoff may never
+# pass. _LENTZ_TINY stands in for a zero denominator.
+_LENTZ_TOL = 1e-15
+_LENTZ_TINY = 1e-300
+_LENTZ_MAX_ITER = 1000
+
+
+def _gammainc(a: float, x) -> np.ndarray:
+    """Regularized lower incomplete gamma P(a, x), one shape a > 0 over an
+    array x (nan where x < 0).
+
+    Below x = a + 1 the power series e^-x x^a / Gamma(a + 1) sum_k x^k /
+    ((a+1)..(a+k)). From there P = 1 - Q, with Q = f s, f = x^(a-1) e^-x /
+    Gamma(a): an integer shape takes the finite Poisson sum s = sum_{j<a}
+    (a-1)!/(a-1-j)! x^-j, any other shape the continued fraction of Q
+    (modified Lentz). Since s <= max(1, a) there, nodes where f max(1, a)
+    is below half an ulp of 1 are 1 without iteration. Each node iterates
+    to its own stopping rule, so its value does not depend on the other
+    nodes of the call."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, np.nan)
+    out[x == 0.0] = 0.0
+
+    low = (x > 0.0) & (x < a + 1.0)
+    xs = x[low]
+    out[low] = (_lower_gamma_series(a, xs)
+                * np.exp(a * np.log(xs) - xs - math.lgamma(a)) / a)
+
+    high = x >= a + 1.0
+    log_f = np.full(x.shape, -np.inf)
+    log_f[high] = (a - 1.0) * np.log(x[high]) - x[high] - math.lgamma(a)
+    out[high & (log_f + math.log(max(1.0, a)) < _LOG_HALF_ULP)] = 1.0
+    open_ = high & np.isnan(out)
+    xs = x[open_]
+    if a == int(a):
+        s = np.ones(xs.size)
+        for k in range(1, int(a)):
+            s = 1.0 + s * (k / xs)
+    else:
+        s = _upper_gamma_fraction(a, xs)
+    out[open_] = 1.0 - np.exp(log_f[open_]) * s
+    return out
+
+
+def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
+    """sum_{k >= 0} x^k / ((a+1)..(a+k)), each node summed in order until
+    its term is at most 2^-53 of its sum. The terms and running sums of
+    all nodes are formed as (k, node) arrays, over twice as many k as long
+    as some node has not stopped."""
+    n_terms = 32
+    while True:
+        ratio = x / (a + np.arange(1.0, n_terms + 1.0))[:, None]
+        terms = np.cumprod(ratio, axis=0)
+        sums = np.cumsum(np.vstack([np.ones(x.size), terms]), axis=0)
+        done = terms <= sums[1:] * 2.0 ** -53
+        if done.any(axis=0).all():
+            return sums[done.argmax(axis=0) + 1, np.arange(x.size)]
+        n_terms *= 2
+
+
+def _upper_gamma_fraction(a: float, x: np.ndarray) -> np.ndarray:
+    """x / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / ...)), the
+    continued fraction of Q(a, x) e^x x^(1-a) Gamma(a), by the modified
+    Lentz method: all nodes step together, and each leaves once its own
+    step is within _LENTZ_TOL of 1."""
+    out = np.empty(x.size)
+    live = np.arange(x.size)
+    b = x + 1.0 - a
+    c = np.full(x.size, 1.0 / _LENTZ_TINY)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, _LENTZ_MAX_ITER + 1):
+        if not live.size:
+            return out * x
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d[np.abs(d) < _LENTZ_TINY] = _LENTZ_TINY
+        c = b + an / c
+        c[np.abs(c) < _LENTZ_TINY] = _LENTZ_TINY
+        d = 1.0 / d
+        step = d * c
+        h *= step
+        done = np.abs(step - 1.0) < _LENTZ_TOL
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
+    raise NumericalError(f"incomplete gamma continued fraction at a={a!r}")
 
 
 def _gamma_shape(n_shape: int | None, params: SystemParams) -> int:
@@ -268,8 +371,8 @@ def _gamma_shape(n_shape: int | None, params: SystemParams) -> int:
 
 def _lower_inc(p1: float, a, b):
     """integral_a^b s^(p1-1) e^-s ds via regularized lower incomplete gamma."""
-    scale = math.exp(gammaln(p1))
-    return (gammainc(p1, b) - gammainc(p1, a)) * scale
+    scale = math.exp(math.lgamma(p1))
+    return (_gammainc(p1, b) - _gammainc(p1, a)) * scale
 
 
 def q2(params: SystemParams) -> float:
@@ -298,7 +401,7 @@ def _cross_moment(params: SystemParams) -> float:
 
     # the tail integral beyond t_max is ~ Gamma(pexp+1) t_max^(1-alpha/2)
     # / (alpha/2 - 1); size t_max so that remainder is negligible
-    gtot = math.exp(gammaln(pexp + 1.0))
+    gtot = math.exp(math.lgamma(pexp + 1.0))
     t_max = max(10.0 * te,
                 (gtot / (1e-13 * (p.alpha / 2.0 - 1.0))) ** (2.0 / (p.alpha - 2.0)))
     t, wt = log_panel_grid(te, t_max, panels_per_decade=4,
@@ -358,7 +461,7 @@ def _q3_exact(x: float, params: SystemParams) -> float:
     th, wth = gauss_legendre_panels(th_breaks, 16)
 
     # outer radial grid: graded near r_e then log tail
-    tail_scale = math.exp(gammaln(pexp + 1.0)) * q ** (-pexp)
+    tail_scale = math.exp(math.lgamma(pexp + 1.0)) * q ** (-pexp)
     r_max = max(10.0 * p.r_e,
                 (tail_scale * p.n_p * p.lam / TAIL_CUTOFF) ** (1.0 / (p.alpha - 2.0)))
     r_breaks = np.concatenate([
@@ -385,11 +488,98 @@ def _q3_exact(x: float, params: SystemParams) -> float:
 # engine context: grids and tabulated exponents per parameter set
 # ---------------------------------------------------------------------------
 
+class _Spline:
+    """The not-a-knot cubic spline through (x, y), at least 4 knots, x
+    increasing and equally spaced (as the E2 table's log grid is, to
+    rounding): the interpolant of ``scipy.interpolate.CubicSpline`` with
+    its default end conditions. ``x`` and ``c`` have the layout of scipy's
+    ``PPoly``: on [x[i], x[i+1]] the value is sum_k c[k, i] h^(3-k), h =
+    t - x[i]; beyond the ends the end pieces continue.
+
+    The knot slopes solve scipy's tridiagonal system (the not-a-knot rows
+    included) by the Thomas algorithm, without pivoting: on any increasing
+    x every pivot of the elimination is positive. The equal spacing gives
+    each point its piece without a search."""
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dx = np.diff(x)
+        step = (x[-1] - x[0]) / dx.size
+        if not np.allclose(dx, step, rtol=1e-9, atol=0.0):
+            raise ValueError("spline knots must be equally spaced")
+        slope = np.diff(y) / dx
+        # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+        lower = np.r_[0.0, dx[1:], x[-1] - x[-3]]
+        diag = np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]]
+        upper = np.r_[x[2] - x[0], dx[:-1], 0.0]
+        rhs = np.empty(x.size)
+        rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0]
+                  + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2]
+                   + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = np.array(_thomas(lower.tolist(), diag.tolist(), upper.tolist(),
+                             rhs.tolist()))
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        self.x = x
+        self.c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+        self._inv_step = 1.0 / step
+
+    def __call__(self, t, nu: int = 0):
+        """Value (nu = 0) or first derivative (nu = 1) at t."""
+        if nu not in (0, 1):
+            raise ValueError(f"derivative order must be 0 or 1, got {nu!r}")
+        t = np.asarray(t, dtype=float)
+        shape, t = t.shape, t.ravel()
+        x = self.x
+        # the piece from the spacing; a point within rounding of a knot may
+        # take either piece next to it, and the two agree there to rounding
+        i = ((t - x[0]) * self._inv_step).astype(np.intp)
+        np.clip(i, 0, x.size - 2, out=i)
+        h = x.take(i)
+        np.subtract(t, h, out=h)
+        # Horner's rule in place: a call holds four arrays the size of t
+        out = self.c[0].take(i)
+        tmp = np.empty_like(out)
+        if nu == 0:
+            for row in self.c[1:]:
+                out *= h
+                out += np.take(row, i, out=tmp)
+        else:
+            out *= 3.0
+            out *= h
+            np.take(self.c[1], i, out=tmp)
+            tmp *= 2.0
+            out += tmp
+            out *= h
+            out += np.take(self.c[2], i, out=tmp)
+        return out.reshape(shape)
+
+
+def _thomas(lower, diag, upper, rhs):
+    """Solution of a tridiagonal system, row i being lower[i] s[i-1] +
+    diag[i] s[i] + upper[i] s[i+1] = rhs[i]; on Python floats, which is
+    faster than numpy at a few hundred rows."""
+    n = len(diag)
+    cp, dp = [0.0] * n, [0.0] * n
+    cp[0], dp[0] = upper[0] / diag[0], rhs[0] / diag[0]
+    for i in range(1, n):
+        piv = diag[i] - lower[i] * cp[i - 1]
+        cp[i] = upper[i] / piv
+        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / piv
+    for i in range(n - 2, -1, -1):
+        dp[i] -= cp[i] * dp[i + 1]
+    return dp
+
+
 @dataclass(frozen=True)
 class _E2Table:
     """Log-log spline of -E2 exponent over the coupling magnitude, with
     the exact linear slope below ``lo``."""
-    spline: CubicSpline
+    spline: _Spline
     lo: float
     hi: float
     linear_slope: float
@@ -574,8 +764,11 @@ class _Context:
         sp, w = self._e2_inner_rows(t[own])
         inner = np.empty(t.size)
         inner[own] = np.sum(w * np.expm1(dt_coef * sp * tp[own]), axis=1)
-        inner[~own] = np.sum(w_cap * np.expm1(dt_coef * sp_cap * tp[~own]),
-                             axis=1)
+        # in place: one (nodes x GRID_INNER) array per call, not three
+        z = dt_coef * sp_cap * tp[~own]
+        np.expm1(z, out=z)
+        z *= w_cap
+        inner[~own] = np.sum(z, axis=1)
         return float(np.dot(wt, inner / (math.exp(-a0) - np.exp(-t))))
 
     def _build_e2_table(self) -> _E2Table:
@@ -585,7 +778,7 @@ class _Context:
         if np.any(vals >= 0):
             raise NumericalError("E2 exponent table is not negative")
         # small-coupling behaviour is exactly linear with this slope
-        return _E2Table(spline=CubicSpline(np.log(grid), np.log(-vals)),
+        return _E2Table(spline=_Spline(np.log(grid), np.log(-vals)),
                         lo=lo, hi=hi, linear_slope=vals[0] / (-grid[0]))
 
     def e2_table(self) -> _E2Table:
@@ -599,9 +792,17 @@ class _Context:
 
     def e2_exponent(self, d):
         """Exponent of E2 (before the per-user multiplicity factor) at
-        coefficient D; spline-interpolated in log-log space."""
-        p = self.params
+        coefficient D; spline-interpolated in log-log space. Evaluated in
+        chunks of _E2_CHUNK values; each value depends on its own D only."""
         d = np.atleast_1d(np.asarray(d, dtype=float))
+        flat = d.ravel()
+        out = np.empty(flat.size)
+        for lo in range(0, flat.size, _E2_CHUNK):
+            out[lo:lo + _E2_CHUNK] = self._e2_values(flat[lo:lo + _E2_CHUNK])
+        return out.reshape(d.shape)
+
+    def _e2_values(self, d: np.ndarray) -> np.ndarray:
+        p = self.params
         dt_coef = d * p.pi_lam ** (p.alpha * (1.0 - p.eps) / 2.0)
         table = self.e2_table()
         lo, hi = table.lo, table.hi

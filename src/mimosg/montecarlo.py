@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +128,8 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
 def _run_trials(params: SystemParams, cfg: McConfig):
     results = [None] * cfg.trials
     if cfg.workers > 1:
+        # imported here: a serial run does not pay for loading it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             chunk = max(1, cfg.trials // (cfg.workers * 8))
             for i, res in enumerate(pool.map(

@@ -4,14 +4,16 @@ Internal conventions: distances in kilometres, powers in watts (linear
 scale). dB/dBm values are converted once at the configuration boundary
 (see :mod:`mimosg.cli`). The path-loss coefficient ``omega`` is the linear
 attenuation at a reference distance of 1 km, so ``omega < 1``.
+
+The special functions here, ``c_m`` and the log-Gamma of ``eta_shape``,
+come from :mod:`math` alone; the tests check them against exact forms and
+against scipy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from scipy.special import gammaln, poch
 
 from .errors import ConfigError, DomainError
 
@@ -91,14 +93,34 @@ def density_from_exclusion(r_e: float) -> float:
     return 1.0 / (math.pi * r_e * r_e)
 
 
+# sqrt(pi), correctly rounded; c_m switches from the exact form to the
+# asymptotic series at _C_M_SERIES_FROM, where the series' first dropped
+# term is below 1e-18 of the value
+_SQRT_PI = 1.772453850905516
+_C_M_SERIES_FROM = 128
+# Gamma(m + 1/2) / (Gamma(m) sqrt(m)) = sum_k _C_M_SERIES[k] m^-k + O(m^-7)
+_C_M_SERIES = (1.0, -1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144,
+               869 / 4194304)
+
+
 def c_m(m: int) -> float:
     """Mean of the norm of an M-variate standard complex Gaussian vector,
-    Gamma(M + 1/2) / Gamma(M). Evaluated as a rising-factorial ratio, which
-    never forms the raw Gamma values, so it neither overflows nor loses
-    precision to log-difference cancellation at very large M."""
-    if m < 1:
-        raise DomainError(f"antenna count must be >= 1, got {m!r}")
-    return float(poch(m, 0.5))
+    Gamma(M + 1/2) / Gamma(M), to about one ulp.
+
+    Below _C_M_SERIES_FROM it is the closed form sqrt(pi) M C(2M, M) / 4^M,
+    whose rational part is one correctly rounded integer division; from
+    there on sqrt(M) times the asymptotic series in 1/M. Neither forms a
+    Gamma value or a difference of log-Gammas, so nothing overflows and
+    nothing cancels at any M."""
+    if m < 1 or m != int(m):
+        raise DomainError(f"antenna count must be a positive integer, got {m!r}")
+    m = int(m)
+    if m < _C_M_SERIES_FROM:
+        return _SQRT_PI * (m * math.comb(2 * m, m) / 4 ** m)
+    inv, acc = 1.0 / m, 0.0
+    for coef in reversed(_C_M_SERIES):
+        acc = acc * inv + coef
+    return math.sqrt(m) * acc
 
 
 def v_m(m: int) -> float:
@@ -119,7 +141,7 @@ def eta_shape(n: int) -> float:
     if n < 1 or n != int(n):
         raise DomainError(f"shape parameter must be a positive integer, got {n!r}")
     n = int(n)
-    return float(n * math.exp(-gammaln(n + 1) / n))
+    return n * math.exp(-math.lgamma(n + 1) / n)
 
 
 def default_gamma_shape(mode: str) -> int:

@@ -137,7 +137,8 @@ def e1_exponent_full_grid(p, b, c, x):
 def e2_table_own_rows(p):
     """Oracle for `_Context._build_e2_table`: every t node of every
     coefficient builds its own inner s-row, capped at s_cap = a0 + 45,
-    with no row shared between nodes. Returns (spline, lo, hi, slope)."""
+    with no row shared between nodes; the spline is the production one.
+    Returns (spline, lo, hi, slope)."""
     q = p.pi_lam
     a0 = q * p.r0 ** 2
     te = q * p.r_e ** 2
@@ -161,7 +162,7 @@ def e2_table_own_rows(p):
         inner = np.sum(ws * np.exp(-s) * np.expm1(z), axis=1)
         vals.append(float(np.dot(wt, inner / (math.exp(-a0) - np.exp(-t)))))
     vals = np.array(vals)
-    return (CubicSpline(np.log(grid), np.log(-vals)), lo, hi,
+    return (analytic._Spline(np.log(grid), np.log(-vals)), lo, hi,
             vals[0] / (-grid[0]))
 
 
@@ -233,6 +234,52 @@ class TestGammaApprox:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_cdf_approx(-0.1, 2)
+
+
+class TestInHouseSpecialFunctions:
+    """The incomplete gamma function and the cubic spline of the engine
+    against scipy, which the engine does not import."""
+
+    @pytest.mark.parametrize("a", [0.3, 1.0, 1.25, 1.5, 2.0, 2.7, 3.0, 8.0])
+    def test_gammainc_against_scipy(self, a):
+        x = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 1001)])
+        got = analytic._gammainc(a, x)
+        want = gammainc(a, x)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_gammainc_outside_domain_is_nan(self):
+        got = analytic._gammainc(1.5, np.array([-1.0, np.nan]))
+        assert np.isnan(got).all()
+
+    def test_gammainc_value_does_not_depend_on_batch(self):
+        x = np.geomspace(0.5, 60.0, 97)
+        whole = analytic._gammainc(2.7, x)
+        alone = [analytic._gammainc(2.7, v) for v in x]
+        assert whole.tolist() == [float(v) for v in alone]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    def test_spline_against_scipy(self, eps):
+        """Rebuilt on the knots and knot values of the E2 table, the
+        spline matches scipy's not-a-knot CubicSpline in value and first
+        derivative at the knots and between them."""
+        table = _context(default_params("async", eps=eps)).e2_table()
+        x = table.spline.x
+        y = np.append(table.spline.c[3], table.spline(x[-1]))
+        ours, ref = analytic._Spline(x, y), CubicSpline(x, y)
+        t = np.sort(np.concatenate([x, 0.5 * (x[1:] + x[:-1])]))
+        for nu in (0, 1):
+            np.testing.assert_allclose(ours(t, nu), ref(t, nu), rtol=1e-14,
+                                       atol=0.0)
+            # a scalar, as the continuation past the table's end asks
+            assert float(ours(x[-1], nu)) == pytest.approx(
+                float(ref(x[-1], nu)), rel=1e-14, abs=0.0)
+        assert ours.c.shape == ref.c.shape == (4, x.size - 1)
+
+    def test_spline_needs_equal_spacing(self):
+        with pytest.raises(ValueError, match="equally spaced"):
+            analytic._Spline([0.0, 1.0, 3.0, 4.0, 5.0],
+                             [0.0, 1.0, 0.0, 1.0, 0.0])
 
 
 class TestExclusionBallConstants:

@@ -199,16 +199,17 @@ def _kernel_run(p, net, rng):
 class TestGoldenTrials:
     """run_trial outputs pinned bit for bit (seed 42, 4 km window, the
     seven thresholds of THR). Trial 171 is skipped: its zero-cell lies
-    outside the margin."""
+    outside the margin. The rate sums were recorded with c_m(64) from its
+    exact closed form."""
 
     CASES = {
-        ("async", 0): (10, [1, 1, 0, 0, 0, 0, 0], 1.0936720626592726),
-        ("async", 5): (10, [10, 7, 6, 4, 0, 0, 0], 15.220517214018319),
-        ("async", 10): (10, [1, 0, 0, 0, 0, 0, 0], 0.31637391877057236),
+        ("async", 0): (10, [1, 1, 0, 0, 0, 0, 0], 1.0936720626592944),
+        ("async", 5): (10, [10, 7, 6, 4, 0, 0, 0], 15.220517214018969),
+        ("async", 10): (10, [1, 0, 0, 0, 0, 0, 0], 0.31637391877057713),
         ("async", 171): (0, [0] * 7, 0.0),
-        ("sync", 0): (10, [10, 7, 1, 1, 0, 0, 0], 8.724844879602905),
-        ("sync", 5): (10, [10, 10, 9, 6, 0, 0, 0], 21.618841964457733),
-        ("sync", 10): (10, [10, 10, 4, 0, 0, 0, 0], 10.386198374987368),
+        ("sync", 0): (10, [10, 7, 1, 1, 0, 0, 0], 8.724844879603152),
+        ("sync", 5): (10, [10, 10, 9, 6, 0, 0, 0], 21.61884196445868),
+        ("sync", 10): (10, [10, 10, 4, 0, 0, 0, 0], 10.386198374987632),
         ("sync", 171): (0, [0] * 7, 0.0),
     }
 

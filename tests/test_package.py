@@ -1,4 +1,9 @@
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +39,35 @@ class TestImportSurface:
         # the tracer counts the rows of e1_exponent's b argument
         assert list(inspect.signature(methods["e1_exponent"]).parameters) \
             == ["self", "b", "c", "x"]
+
+
+# Runs the CLI on coverage, rate, sweep and a 3-trial validate, then prints
+# the scipy modules the process has loaded.
+_GUARD_SCRIPT = """
+import json, sys
+from mimosg.cli import main
+out = sys.argv[1]
+common = ["--thresholds-db", "0:10:5", "--output", out, "--format", "json"]
+codes = [main(["coverage", "--mode", "async", *common]),
+         main(["rate", "--mode", "sync", "--eps", "0.5", "--output", out]),
+         main(["sweep", "--param", "np", "--values", "5,10", "--mode", "sync",
+               "--output", out]),
+         main(["validate", "--mode", "async", "--gate", "0.9", "--trials",
+               "3", *common])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    """scipy is a test-only oracle: no command the CLI runs imports it."""
+    src = str(Path(mimosg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD_SCRIPT, str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"][:3] == [0, 0, 0]
+    assert result["codes"][3] in (0, 4)
+    assert result["scipy"] == []

@@ -1,10 +1,12 @@
 import math
 from dataclasses import fields
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from mimosg.errors import ConfigError, DomainError
 from mimosg.params import (SystemParams, c_m, dbm_to_watt, default_gamma_shape,
@@ -12,6 +14,7 @@ from mimosg.params import (SystemParams, c_m, dbm_to_watt, default_gamma_shape,
                            derive_frame, eta_shape, make_params,
                            phase_probabilities, split_frame_real, v_m)
 
+PI_50 = "3.14159265358979323846264338327950288419716939937510"
 # Reference values computed with a 40-digit log-gamma oracle.
 C_M_REFERENCE = {
     1: 0.88622692545275801,
@@ -77,6 +80,28 @@ class TestNormConstants:
     def test_c_m_domain(self):
         with pytest.raises(DomainError):
             c_m(0)
+        with pytest.raises(DomainError):
+            c_m(2.5)
+
+    @pytest.mark.parametrize("m", [*range(1, 65), 128, 512, 4096, 10_000,
+                                   20_000])
+    def test_c_m_within_two_ulp_of_exact_form(self, m):
+        """Against sqrt(pi) M C(2M, M) / 4^M in 50-digit arithmetic; both
+        the closed form and the asymptotic series are covered."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = (Decimal(PI_50).sqrt() * (m * math.comb(2 * m, m))
+                     / Decimal(4) ** m)
+            got = c_m(m)
+            assert abs(Decimal(got) - exact) <= 2 * Decimal(math.ulp(got))
+
+    @pytest.mark.parametrize("m", [10 ** 5, 10 ** 6, 10 ** 7])
+    def test_c_m_follows_sqrt_m_asymptote(self, m):
+        c = c_m(m)
+        assert math.isfinite(c)
+        assert c == pytest.approx(
+            math.sqrt(m) * (1.0 - 1.0 / (8 * m) + 1.0 / (128 * m * m)),
+            rel=1e-15)
 
     def test_v_m_values(self):
         assert v_m(1) == pytest.approx(1.0 - math.pi / 4.0, rel=1e-12)
@@ -96,6 +121,11 @@ class TestNormConstants:
     @pytest.mark.parametrize("n,expected", sorted(ETA_REFERENCE.items()))
     def test_eta(self, n, expected):
         assert eta_shape(n) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_eta_against_scipy_gammaln(self, n):
+        assert eta_shape(n) == pytest.approx(
+            n * math.exp(-gammaln(n + 1) / n), rel=1e-15, abs=0.0)
 
 
 class TestDensity:

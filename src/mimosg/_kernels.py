@@ -1,11 +1,15 @@
 """Hot numeric kernels of the Monte Carlo engine, in vectorised numpy.
 
 Distances (``nearest_bs``, ``pairwise_dist``) are formed one coordinate
-column at a time as dx*dx + dy*dy. ``all_deltas`` and ``sinr_batch``
-evaluate the same sums as the scalar reference in :mod:`mimosg.linkstats`,
-batched over all users of a realization; the test-suite pins the two
-against each other. They take the realization's arrays and the
-:class:`~mimosg.params.SystemParams` whole:
+column at a time as dx*dx + dy*dy. ``nearest_bs`` works station-major:
+its (n_bs, n_pts) matrix has the points on the long, contiguous axis, and
+the search reduces over the short station axis.
+
+``all_deltas`` and ``sinr_batch`` evaluate the same sums as the scalar
+reference in :mod:`mimosg.linkstats`, batched over all users of a
+realization; the test-suite pins the two against each other. They take
+the realization's arrays and the :class:`~mimosg.params.SystemParams`
+whole:
 
     all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb, valid, p)
     sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
@@ -44,11 +48,20 @@ def _sq_dist(a, b):
 
 
 def nearest_bs(pts: np.ndarray, bs: np.ndarray):
-    """Index of and distance to the nearest base station for each point."""
-    d2 = _sq_dist(pts, bs)
-    idx = np.argmin(d2, axis=1)
-    dist = np.sqrt(d2[np.arange(pts.shape[0]), idx])
-    return idx, dist
+    """Index of and distance to the nearest base station for each point.
+
+    d2[j, i] = |bs_j - pts_i|^2 is reduced over its station axis j.
+    ``dist`` is the square root of the exact minimum. ``idx`` is the first
+    station that reaches it, as argmin would pick: each hit is weighted by
+    n_bs - j and the largest weight wins. ``idx`` has the narrowest unsigned
+    integer type that holds n_bs.
+    """
+    n_bs = bs.shape[0]
+    d2 = _sq_dist(bs, pts)
+    d2_min = d2.min(axis=0)
+    rank = np.arange(n_bs, 0, -1, dtype=np.min_scalar_type(n_bs))
+    idx = n_bs - (rank[:, None] * (d2 == d2_min)).max(axis=0)
+    return idx, np.sqrt(d2_min)
 
 
 def pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -118,34 +131,35 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
     w_lu = d_bu[tag_cell] ** (-alpha)                              # (nu,)
     if p.sync:
         same_pilot = pilot_slot[None, :] == pilot_slot[tag_user][:, None]
-        cross = np.sum(serv_ae * w_lu * (other_u & same_pilot), axis=1)
+        cross = (serv_ae * w_lu * (other_u & same_pilot)).sum(axis=1)
         g1 = base + (x1e / c2) * noise_amp * cross
     else:
-        cross = np.sum(serv_ae * w_lu * other_u)
+        cross = (serv_ae * w_lu * other_u).sum()
         # the zero self-distance of the tagged cell must not poison the sum
         d_lj = np.where(other_c, d_bb[tag_cell], 1.0)
-        bsbs = np.sum(d_lj ** (-alpha) * other_c)
+        bsbs = (d_lj ** (-alpha) * other_c).sum()
         g1 = base + (x1e / c2) * noise_amp * (
             f_w * cross + p_d * n_p * n_d / (p_u * omega ** (-eps) * n_tot ** 2) * bsbs)
 
     r_jl = d_bu[:, tag_user].T                                    # (nt, n_bs)
     if p.sync:
-        beam = np.sum(r_jl ** (-alpha) * other_c, axis=1)
-        pil = np.sum(inv_delta_pilot[:, pilot_slot[tag_user]].T * other_c
-                     * r_jl ** (-2.0 * alpha), axis=1)
+        beam = (r_jl ** (-alpha) * other_c).sum(axis=1)
+        pil = (inv_delta_pilot[:, pilot_slot[tag_user]].T * other_c
+               * r_jl ** (-2.0 * alpha)).sum(axis=1)
         g2 = (n_p / c2) * amp * beam + ((p.m - 1.0) / c2) * x2a * delta_t * pil
         g3 = np.zeros(nt)
     else:
         inv_delta_sum = inv_delta_pilot.sum(axis=1)
         chi_dd = (phases == 2) & other_c
-        beam = np.sum(r_jl ** (-alpha) * chi_dd, axis=1)
-        pil = np.sum(inv_delta_sum * chi_dd * r_jl ** (-2.0 * alpha), axis=1)
+        beam = (r_jl ** (-alpha) * chi_dd).sum(axis=1)
+        pil = (inv_delta_sum * chi_dd * r_jl ** (-2.0 * alpha)).sum(axis=1)
         g2 = ((n_p / c2) * amp * beam
               + ((p.m - 1.0) / c2) * x2a * f_w * delta_t * pil)
         um = other_u & (phases[user_cell] <= 1)                    # (nu,)
         d_ut = np.where(um, d_uu.T, 1.0)
+        # masking P_i before the product gives the same +0.0 terms
         g3 = (amp * p_u / (p_d * omega ** eps * c2)
-              * np.sum(serv_ae[None, :] * (d_ut ** (-alpha)) * um, axis=1))
+              * ((serv_ae * um)[None, :] * d_ut ** (-alpha)).sum(axis=1))
     return g1, g2, g3
 
 
@@ -161,24 +175,26 @@ def all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb, valid, p):
     n_bs = d_bb.shape[0]
     cells = np.arange(n_bs)
 
-    pwr_beta = p_u * omega ** (1.0 - eps) * d_serv ** (alpha * eps)  # P_i * omega
+    pwr = p_u * omega ** (1.0 - eps)
+    pwr_beta = pwr * d_serv ** (alpha * eps)                   # P_i * omega
     w = pwr_beta[None, :] * d_bu ** (-alpha)       # P_i' * beta_{j i'}, (n_bs, nu)
-    own = p_u * omega ** (1.0 - eps) * d_serv ** (-alpha * (1.0 - eps))
+    # a user's own station takes no part in its sums: +0.0 there, the
+    # value a mask multiply gives
+    w[user_cell, np.arange(nu)] = 0.0
+    own = pwr * d_serv ** (-alpha * (1.0 - eps))
 
-    othercell = (user_cell[None, :] != cells[:, None])
     if p.sync:
         # per pilot slot: sum over co-pilot users of other cells
         deltas = np.empty(nu)
         for s in range(p.k):
-            cols = pilot_slot == s
-            contrib = np.sum(w[:, cols] * othercell[:, cols], axis=1)  # (n_bs,)
-            rows = cols
+            rows = pilot_slot == s
+            contrib = w[:, rows].sum(axis=1)                          # (n_bs,)
             deltas[rows] = own[rows] + contrib[user_cell[rows]] + sigma2 / n_p
         return deltas
-    cross = np.sum(w * othercell, axis=1)                               # (n_bs,)
+    cross = w.sum(axis=1)                                               # (n_bs,)
     other_bs = (cells[None, :] != cells[:, None]) & valid[None, :]
     d_off = np.where(other_bs, d_bb, 1.0)  # keep the zero diagonal out
-    bsterm = np.sum(omega * d_off ** (-alpha) * other_bs, axis=1)
+    bsterm = (omega * d_off ** (-alpha) * other_bs).sum(axis=1)
     per_cell = ((n_p + n_u) / n_tot ** 2 * cross
                 + p_d * n_p * n_d / n_tot ** 2 * bsterm)
     return own + per_cell[user_cell] + sigma2 / n_p

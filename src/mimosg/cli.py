@@ -67,6 +67,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {path!r} must hold a JSON "
+                              f"object, got {json.dumps(loaded):.60}")
         unknown = set(loaded) - set(DEFAULT_CONFIG)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -127,6 +130,9 @@ def parse_threshold_grid(grid: str) -> np.ndarray:
     except ValueError:
         raise ConfigError(
             f"threshold grid must be 'a:b:step' in dB, got {grid!r}") from None
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ConfigError(f"threshold grid bounds and step must be finite, "
+                          f"got {grid!r}")
     if step <= 0 or b < a:
         raise ConfigError(f"bad threshold grid {grid!r}")
     n = int(math.floor((b - a) / step + 0.5)) + 1

@@ -208,30 +208,39 @@ def build_network(params: SystemParams, window: float,
     users = np.full((n_bs, k, 2), np.nan)
     serving = np.full((n_bs, k), np.nan)
     fill = np.zeros(n_bs, dtype=np.int64)
+    # flat views: cell j's user slots start at j * k
+    flat_users = users.reshape(-1, 2)
+    flat_serving = serving.reshape(-1)
+    first_slot = np.arange(n_bs) * k
 
-    # Global batches amortize the nearest-station search over all cells.
+    # One batch of points for the whole window: a single station-major
+    # nearest-station search gives every point its cell.
     batch = max(1024, 8 * n_bs * k)
     budget = attempts_per_cell * n_bs
     drawn = 0
     while drawn < budget and (fill < k).any():
-        pts = rng.random((batch, 2)) * window
+        pts = rng.random((batch, 2))
+        pts *= window
         drawn += batch
         idx, dist = _kernels.nearest_bs(pts, bs)
-        keep = np.flatnonzero(dist > params.r0)
-        # Eligible points grouped by cell, draw order kept within a cell
-        # (stable sort, a radix sort on the narrowest integer type that holds
-        # a cell index); a point's rank in its group gives its user slot.
-        order = keep[np.argsort(idx[keep].astype(np.min_scalar_type(n_bs)),
-                                kind="stable")]
-        cells = idx[order]
-        per_cell = np.bincount(cells, minlength=n_bs)
-        first = np.cumsum(per_cell) - per_cell
-        slot = fill[cells] + np.arange(cells.size) - first[cells]
-        take = slot < k
-        order, cells, slot = order[take], cells[take], slot[take]
-        users[cells, slot] = pts[order]
-        serving[cells, slot] = dist[order]
-        fill = np.minimum(fill + per_cell, k)
+        keep = (dist > params.r0).nonzero()[0]
+        # Eligible points grouped by cell, draw order kept within a cell (a
+        # stable radix sort: idx comes in the narrowest integer type that
+        # holds a cell index). Each cell takes the head of its group, as many
+        # points as it has free slots, so the taken points form one
+        # contiguous run per cell in both the sorted order and the slots.
+        cand = idx[keep]
+        order = keep[cand.argsort(kind="stable")]
+        per_cell = np.bincount(cand, minlength=n_bs)
+        take = np.minimum(per_cell, k - fill)
+        run_end = take.cumsum()
+        run_start = run_end - take
+        run = np.arange(run_end[-1])
+        src = order[run + (per_cell.cumsum() - per_cell - run_start).repeat(take)]
+        dst = run + (first_slot + fill - run_start).repeat(take)
+        flat_users[dst] = pts[src]
+        flat_serving[dst] = dist[src]
+        fill += take
 
     valid = fill >= k
     if not valid.all():

@@ -74,8 +74,11 @@ def draw_phases(params: SystemParams, n_cells: int,
     if params.mode == MODE_SYNC:
         return PhaseIndicators(phase=np.full(n_cells, PHASE_DOWNLINK,
                                              dtype=np.int8))
-    probs = phase_probabilities(params)
-    draws = rng.choice(3, size=n_cells, p=list(probs))
+    # the steps of rng.choice(3, size=n_cells, p=probs), without its
+    # per-call checks of p: the same uniforms give the same draws
+    cdf = np.array(phase_probabilities(params)).cumsum()
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(rng.random(n_cells), side="right")
     return PhaseIndicators(phase=draws.astype(np.int8))
 
 

@@ -58,6 +58,8 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
         if not 0 <= self.margin < self.window / 2:
             raise ConfigError(
                 f"margin must lie in [0, window/2), got {self.margin!r}")
@@ -72,10 +74,10 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 def _flatten_users(net):
     """Flat arrays over users of valid cells."""
-    valid_cells = np.flatnonzero(net.valid)
+    valid_cells = net.valid.nonzero()[0]
     k = net.k
-    user_cell = np.repeat(valid_cells, k)
-    pilot_slot = np.tile(np.arange(k), valid_cells.size)
+    user_cell = valid_cells.repeat(k)
+    pilot_slot = np.arange(valid_cells.size * k) % k
     pos = net.users[valid_cells].reshape(-1, 2)
     d_serv = net.serving[valid_cells].reshape(-1)
     return user_cell, pilot_slot, pos, d_serv
@@ -96,8 +98,12 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
         return 0, np.zeros(thr.size), 0.0
 
     centre = np.array([cfg.window / 2.0, cfg.window / 2.0])
-    zero_cell = int(np.argmin(np.hypot(*(net.bs - centre).T)))
-    if not net.valid[zero_cell] or zero_cell not in net.central_cells(cfg.margin):
+    zero_cell = int(np.hypot(*(net.bs - centre).T).argmin())
+    # the zero-cell must be valid and its station inside the margin-trimmed
+    # core (NetworkRealization.central_cells, for this one cell)
+    lo, hi = cfg.margin, cfg.window - cfg.margin
+    bx, by = net.bs[zero_cell]
+    if not (net.valid[zero_cell] and lo <= bx <= hi and lo <= by <= hi):
         return 0, np.zeros(thr.size), 0.0
 
     user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
@@ -109,7 +115,7 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
                                  net.valid, p)
 
     # a valid cell holds exactly K users, so the zero-cell tags K of them
-    tag_user = np.flatnonzero(user_cell == zero_cell)
+    tag_user = (user_cell == zero_cell).nonzero()[0]
 
     # one phase draw per interfering cell, shared by the zero-cell's users
     phases = draw_phases(p, net.n_bs, rng).phase
@@ -121,7 +127,7 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
 
     sinr = 1.0 / (g1 + g2 + g3)
     counts = (sinr[:, None] > thr[None, :]).sum(axis=0).astype(float)
-    rate_sum = float(np.sum(np.log2(1.0 + sinr)))
+    rate_sum = float(np.log2(1.0 + sinr).sum())
     return int(tag_user.size), counts, rate_sum
 
 

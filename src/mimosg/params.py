@@ -11,6 +11,7 @@ against scipy.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -103,6 +104,7 @@ _C_M_SERIES = (1.0, -1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144,
                869 / 4194304)
 
 
+@functools.lru_cache(maxsize=64)
 def c_m(m: int) -> float:
     """Mean of the norm of an M-variate standard complex Gaussian vector,
     Gamma(M + 1/2) / Gamma(M), to about one ulp.

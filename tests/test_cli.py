@@ -29,6 +29,12 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             parse_threshold_grid("oops")
 
+    @pytest.mark.parametrize("grid", ["nan:1:1", "0:inf:1", "0:1:nan",
+                                      "-inf:0:1", "0:1:inf"])
+    def test_non_finite_grid(self, grid):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_threshold_grid(grid)
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"frobnicate": 1}))
@@ -294,6 +300,36 @@ class TestSubcommands:
                                "0,1", "--mode", "sync", "--n-gamma", "2")
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("text", ["5", "null", '["m"]', "[]", '"eps"'],
+                             ids=["number", "null", "list", "empty-list",
+                                  "string"])
+    def test_config_top_level_not_an_object(self, capsys, tmp_path, text):
+        """A config file must hold a JSON object; anything else exits 2
+        with that said, before any command runs."""
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "coverage", "--config", str(path),
+                                 "--thresholds-db", "0:6:3")
+        assert code == EXIT_CONFIG
+        assert f"must hold a JSON object, got {text}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("grid", ["nan:1:1", "0:inf:1"])
+    def test_non_finite_grid_exits_config(self, capsys, grid):
+        code, out, err = run_cli(capsys, "coverage", "--thresholds-db", grid)
+        assert code == EXIT_CONFIG
+        assert "must be finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_exit_config(self, capsys, workers):
+        code, out, err = run_cli(capsys, "validate", "--gate", "0.9",
+                                 "--trials", "5", "--workers", workers,
+                                 "--thresholds-db", "0:6:3")
+        assert code == EXIT_CONFIG
+        assert f"workers must be >= 1, got {workers}" in err
+        assert out == ""
 
     def test_bad_flag_exits_config(self, capsys):
         code, _, err = run_cli(capsys, "coverage", "--thresholds-db", "junk")

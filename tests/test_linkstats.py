@@ -9,7 +9,7 @@ from mimosg.linkstats import (PHASE_DOWNLINK, PHASE_PILOT, PHASE_UPLINK,
                               draw_phases, inverse_sinr, isolated_cell_sinr,
                               path_loss, uplink_power)
 from mimosg.montecarlo import _flatten_users
-from mimosg.params import c_m, default_params, v_m
+from mimosg.params import c_m, default_params, phase_probabilities, v_m
 
 
 def make_isolated(params, seed=5, window=4.0):
@@ -86,6 +86,20 @@ class TestDrawPhases:
         a = draw_phases(params_async, 50, np.random.default_rng(8)).phase
         b = draw_phases(params_async, 50, np.random.default_rng(8)).phase
         np.testing.assert_array_equal(a, b)
+
+    def test_async_draw_matches_weighted_choice(self, params_async):
+        """The phase draw is rng.choice(3, p=...) value for value, and it
+        leaves the generator at the same next draw."""
+        probs = list(phase_probabilities(params_async))
+        for seed in range(50):
+            for n in range(65):
+                mine = np.random.default_rng((seed, n))
+                ref = np.random.default_rng((seed, n))
+                got = draw_phases(params_async, n, mine).phase
+                want = ref.choice(3, size=n, p=probs)
+                assert got.dtype == np.int8
+                assert got.tolist() == want.tolist()
+                assert mine.random() == ref.random()
 
     def test_indicator_views(self, params_async, rng):
         ph = draw_phases(params_async, 1000, rng)

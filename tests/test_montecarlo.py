@@ -32,6 +32,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             McConfig(trials=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_bound(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            McConfig(trials=10, workers=workers)
+
 
 class TestDeterminism:
     def test_seed_replay(self, params_async):
@@ -175,6 +180,55 @@ class TestKernelParity:
             np.testing.assert_allclose(dist, full.min(axis=1), rtol=1e-15,
                                        atol=0)
             assert idx[123] == 7 and dist[123] == 0.0
+
+
+class TestNearestStation:
+    """The station-major nearest_bs against argmin on the point-major
+    matrix: the same index, ties to the lower station, and a distance equal
+    (==) to sqrt(dx*dx + dy*dy) of the chosen station."""
+
+    @staticmethod
+    def _check(pts, bs):
+        idx, dist = _kernels.nearest_bs(pts, bs)
+        dx = pts[:, 0:1] - bs[:, 0]
+        dy = pts[:, 1:2] - bs[:, 1]
+        want = (dx * dx + dy * dy).argmin(axis=1)
+        rows = np.arange(len(pts))
+        assert idx.tolist() == want.tolist()
+        assert np.all(dist == np.sqrt(dx[rows, want] * dx[rows, want]
+                                      + dy[rows, want] * dy[rows, want]))
+        return idx, dist
+
+    def test_coincident_stations_lower_index_wins(self, rng):
+        bs = rng.random((6, 2)) * 4.0
+        bs[4] = bs[1]
+        pts = np.vstack([bs[1] + 1e-3, rng.random((200, 2)) * 4.0])
+        idx, _ = self._check(pts, bs)
+        assert idx[0] == 1
+        assert 4 not in idx.tolist()
+
+    def test_exactly_equidistant_point(self):
+        bs = np.array([[2.0, 5.0], [3.0, 1.0], [1.0, 1.0]])
+        pts = np.array([[2.0, 1.0], [2.0, 3.0], [0.0, 0.0]])
+        idx, dist = self._check(pts, bs)
+        # (2, 1) is exactly 1 from stations 1 and 2: station 1 wins. (2, 3)
+        # ties stations 1 and 2 at sqrt(5), but station 0 is nearer at 2.
+        assert idx.tolist() == [1, 0, 2]
+        assert dist.tolist() == [1.0, 2.0, math.sqrt(2.0)]
+
+    def test_single_station(self, rng):
+        bs = rng.random((1, 2))
+        idx, _ = self._check(rng.random((50, 2)), bs)
+        assert not idx.any()
+
+    def test_many_stations(self, rng):
+        """300 stations: indices past any 8-bit type."""
+        bs = rng.random((300, 2)) * 20.0
+        pts = np.vstack([bs[[0, 255, 256, 299]], rng.random((700, 2)) * 20.0])
+        idx, dist = self._check(pts, bs)
+        assert idx[:4].tolist() == [0, 255, 256, 299]
+        assert not dist[:4].any()
+        assert idx.max() > 255
 
 
 def _kernel_run(p, net, rng):

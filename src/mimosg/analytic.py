@@ -30,15 +30,22 @@ in one array pass: the Campbell coefficients are linear in eta n T, so each
 row is one scalar times a per-context vector over the x grid. E1 is
 integrated on one fixed log tau-grid shared by every row (tau in
 [1, 1e24], 960 nodes, built once per alpha). Each row splits that grid at
-the first node where its |z| bound drops below 1e-4: the head is summed
-with expm1, in chunks of bounded size, and the far tail from the degree-4
-Taylor polynomial of expm1 through precomputed suffix sums of the grid
-moments, whose remainder (below 8e-19 of the tail) is under the unit
-roundoff. The doubly-integrated E2 exponent depends on its arguments only
-through one nonpositive scalar, so it is tabulated once per geometry
-(pi lam, r0, r_e, alpha, eps) on a log-log grid and spline-interpolated;
-tests pin these shortcuts against direct quadrature and against
-``scipy.integrate.quad`` as the adaptive reference.
+the first node where its |z| bound drops below 1e-2: the head is summed
+with expm1, in chunks of bounded size, and the far tail from the degree-7
+Taylor polynomial of expm1, whose remainder (below Z^K/(K+1)! = 2.5e-19
+of the tail) is under the unit roundoff. The tail reads precomputed suffix
+moments of the grid normalized at the split node, so the polynomial runs
+in beta th_s and gam th_s^2, which are at most 1e-2 in size, and never
+forms a power of beta or gam (their 7th powers may overflow). The
+doubly-integrated E2 exponent depends on its arguments only through one
+nonpositive scalar coupling, so it is tabulated once per geometry
+(pi lam, r0, r_e, alpha, eps) on a log-log grid of 217 knots and
+spline-interpolated. The table is built in one pass for all knots: a
+shared t-grid below the inner cut, and beyond it, where every t has the
+same inner row, one cumulative sum of panels between consecutive knots of
+a universal function of the coupling. Tests pin these shortcuts against
+direct quadrature and against ``scipy.integrate.quad`` as the adaptive
+reference.
 
 The module needs numpy alone. Its two special functions are its own: the
 regularized lower incomplete gamma function of the exclusion-ball moments
@@ -52,7 +59,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,18 +85,15 @@ GRID_INNER = 32
 _GUARD_LIMIT = 2.0  # |alternating sum| beyond this signals lost precision
 
 # E1 Taylor tail (see _Context.e1_exponent); fixed so that the remainder,
-# below Z^K/(K+1)! of the tail, stays under the unit roundoff. Not tunable.
-_TAYLOR_Z = 1e-4
-_TAYLOR_K = 4
+# below Z^K/(K+1)! ~ 2.5e-19 of the tail, stays under the unit roundoff.
+# Not tunable.
+_TAYLOR_Z = 1e-2
+_TAYLOR_K = 7
 # With z = beta th + gam th^2, z^k/k! is the sum over i+j = k of
-# (beta th)^i/i! (gam th^2)^j/j!, so the polynomial is the sum over
-# 1 <= i+j <= K of beta^i gam^j/(i! j!) times th^(i+2j).
-_TAYLOR_PAIRS = [(i, j) for i in range(_TAYLOR_K + 1)
-                 for j in range(_TAYLOR_K + 1 - i) if i + j >= 1]
-_TAYLOR_I = np.array([i for i, _ in _TAYLOR_PAIRS])
-_TAYLOR_J = np.array([j for _, j in _TAYLOR_PAIRS])
-_TAYLOR_COEF = np.array([1.0 / (math.factorial(i) * math.factorial(j))
-                         for i, j in _TAYLOR_PAIRS])
+# (beta th)^i/i! (gam th^2)^j/j!, so the polynomial is the sum over the
+# 35 pairs 1 <= i+j <= K of beta^i gam^j/(i! j!) times th^(i+2j).
+_INV_FACTORIAL = np.array([1.0 / math.factorial(k)
+                           for k in range(_TAYLOR_K + 1)])
 # The one E1 tau grid: [1, 1e24] in quarter decades of 10 nodes. The head
 # of a call is evaluated in chunks of at most _HEAD_CHUNK (row, node)
 # elements, so the working set does not grow with the row count.
@@ -101,27 +105,32 @@ _ROW_BLOCK = 21504
 # reused from the heap, where lookups of whole blocks map fresh pages and
 # fault them in on every call
 _E2_CHUNK = 8192
+# Gauss-Legendre nodes per panel of the E2 table's far field, one panel
+# between consecutive knots (an eighth of a decade in coupling)
+_E2_PANEL_NODES = 8
 
 
-def _int_powers(v: np.ndarray, k: int) -> np.ndarray:
-    """v^0 .. v^k along a new first axis, by repeated products (pow() of a
-    negative base is many times slower)."""
-    out = np.empty((k + 1,) + v.shape)
+def _taylor_powers(v: np.ndarray, out: np.ndarray) -> None:
+    """v^k / k! for k = 0..K into the rows of ``out``, by repeated products
+    (pow() of a negative base is many times slower)."""
     out[0] = 1.0
     out[1] = v
-    for n in range(2, k + 1):
-        np.multiply(out[n - 1], v, out=out[n])
-    return out
+    for k in range(2, _TAYLOR_K + 1):
+        np.multiply(out[k - 1], v, out=out[k])
+    out *= _INV_FACTORIAL[:, None]
 
 
 @dataclass(frozen=True)
 class _TauGrid:
     """The fixed E1 grid of one alpha: th = tau^(-alpha/2), falling from 1
-    along the nodes, the weights w, and ``moments[k, s]`` = coef_k times
-    sum_{j >= s} w_j th_j^(i_k + 2 j_k) for every Taylor pair k, so the
-    tail sum from any split s is one column lookup."""
+    along the nodes, and the weights w. For every split s = 0..n (n
+    nodes), ``th_split[s]`` is th_s and ``moments[m, s]`` the suffix
+    moment sum_{j >= s} w_j (th_j/th_s)^m, m = 0..2K, normalized at the
+    split node, so the tail sum from any split is one column lookup; both
+    are 0 at s = n, where no tail is left."""
     th: np.ndarray
     w: np.ndarray
+    th_split: np.ndarray
     moments: np.ndarray
 
 
@@ -130,16 +139,24 @@ def _tau_grid(alpha: float) -> _TauGrid:
     tau, w = log_panel_grid(1.0, _TAU_MAX, panels_per_decade=4,
                             n_per_panel=10)
     th = tau ** (-alpha / 2.0)
-    # th^m as exp(m log th); powers below ~1e-300 are dropped so that no
-    # subnormal enters the sums. Suffix sums run from the far end, the
-    # small terms first.
-    lp = np.multiply.outer(np.arange(2 * _TAYLOR_K + 1.0), np.log(th))
-    lp[lp < -690.0] = -np.inf
-    terms = np.exp(lp) * w
-    suffix = np.zeros((lp.shape[0], th.size + 1))
-    suffix[:, :-1] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-    moments = suffix[_TAYLOR_I + 2 * _TAYLOR_J] * _TAYLOR_COEF[:, None]
-    return _TauGrid(th=th, w=w, moments=moments)
+    # The moments in blocks of one decade (40 nodes): within a block, the
+    # powers of th relative to the block's first node, which neither
+    # underflow nor overflow for m <= 2K, and their suffix sums from the
+    # far end; each block's sum at its first node is then carried into the
+    # block before it, the last block first.
+    lth = np.log(th).reshape(-1, 40)
+    m = np.arange(2 * _TAYLOR_K + 1.0)[:, None, None]
+    rel = m * (lth - lth[:, :1])
+    local = np.cumsum((np.exp(rel) * w.reshape(lth.shape))[..., ::-1],
+                      axis=-1)[..., ::-1]
+    step = np.exp(m[:, :, 0] * (lth[1:, 0] - lth[:-1, 0]))
+    carry = np.zeros(local.shape[:2])
+    for b in range(lth.shape[0] - 2, -1, -1):
+        carry[:, b] = step[:, b] * (local[:, b + 1, 0] + carry[:, b + 1])
+    moments = np.zeros((m.size, th.size + 1))
+    moments[:, :-1] = ((local + carry[..., None]) * np.exp(-rel)).reshape(
+        m.size, -1)
+    return _TauGrid(th=th, w=w, th_split=np.append(th, 0.0), moments=moments)
 
 
 def _e1_splits(grid: _TauGrid, beta, gam) -> np.ndarray:
@@ -159,6 +176,38 @@ def _e1_splits(grid: _TauGrid, beta, gam) -> np.ndarray:
     return np.searchsorted(-grid.th, root, side="right").astype(np.int16)
 
 
+def _e1_tail(grid: _TauGrid, beta: np.ndarray, gam: np.ndarray,
+             split: np.ndarray) -> np.ndarray:
+    """The Taylor tail of every row from its split, over chunks of rows
+    with buffers reused from chunk to chunk: by powers of gam, (gam
+    th_s^2)^j/j! times the sum over i of (beta th_s)^i/i! N_(i+2j). The
+    arguments beta th_s and gam th_s^2 are at most Z in size, where raw
+    powers of beta and gam may overflow. numpy adds the at most K terms
+    of a sum over axis 0 one after the other, whatever the row count."""
+    out = np.zeros(beta.shape)
+    step = _HEAD_CHUNK // 16
+    k1 = _TAYLOR_K + 1
+    pb, pg, prod = (np.empty((k1, step)) for _ in range(3))
+    for lo in range(0, beta.size, step):
+        s = split[lo:lo + step]
+        n = s.size
+        ts = grid.th_split.take(s)
+        _taylor_powers(beta[lo:lo + n] * ts, pb[:, :n])
+        ts *= ts
+        _taylor_powers(gam[lo:lo + n] * ts, pg[:, :n])
+        acc = out[lo:lo + n]
+        for j in range(k1):
+            i0 = 1 if j == 0 else 0
+            t = prod[:k1 - j - i0, :n]
+            np.take(grid.moments[2 * j + i0:_TAYLOR_K + j + 1], s, axis=1,
+                    out=t)
+            t *= pb[i0:k1 - j, :n]
+            inner = t.sum(axis=0)
+            inner *= pg[j, :n]
+            acc += inner
+    return out
+
+
 def _e1_integral(grid: _TauGrid, beta: np.ndarray,
                  gam: np.ndarray) -> np.ndarray:
     """sum_j w_j expm1(beta th_j + gam th_j^2) for 1-D rows beta, gam: the
@@ -166,21 +215,13 @@ def _e1_integral(grid: _TauGrid, beta: np.ndarray,
 
     Every sum runs in a fixed order per row, so that a row's value does
     not depend on the rows it is batched with (a BLAS product, or a numpy
-    reduction, may round by row position or array size). The tail adds
-    the Taylor terms one pair after the other. For the head, rows are
-    taken in the order of their split, so that the rows of a chunk share
-    about one head width; the chunk is laid out node by row, the nodes
-    past a row's own split are zeroed, and einsum adds it node after
-    node."""
+    reduction, may round by row position or array size); see
+    ``_e1_tail`` for the tail. For the head, rows are taken in the order
+    of their split, so that the rows of a chunk share about one head
+    width; the chunk is laid out node by row, the nodes past a row's own
+    split are zeroed, and einsum adds it node after node."""
     split = _e1_splits(grid, beta, gam)
-    out = np.zeros(beta.shape)
-    step = _HEAD_CHUNK // 16
-    for lo in range(0, beta.size, step):
-        rows = slice(lo, lo + step)
-        pb = _int_powers(beta[rows], _TAYLOR_K)
-        pg = _int_powers(gam[rows], _TAYLOR_K)
-        for k, (i, j) in enumerate(_TAYLOR_PAIRS):
-            out[rows] += pb[i] * pg[j] * grid.moments[k, split[rows]]
+    out = _e1_tail(grid, beta, gam, split)
 
     order = np.argsort(split, kind="stable")
     buf = np.empty(_HEAD_CHUNK + grid.th.size)
@@ -577,8 +618,10 @@ def _thomas(lower, diag, upper, rhs):
 
 @dataclass(frozen=True)
 class _E2Table:
-    """Log-log spline of -E2 exponent over the coupling magnitude, with
-    the exact linear slope below ``lo``."""
+    """Log-log spline of -E2 exponent over the coupling magnitude (217
+    knots, 8 per decade from ``lo`` to ``hi``, built in one pass by
+    :meth:`_Context._build_e2_table`), with the exact linear slope below
+    ``lo``."""
     spline: _Spline
     lo: float
     hi: float
@@ -697,10 +740,14 @@ class _Context:
         its own first node where |beta| th + |gam| th^2 < _TAYLOR_Z: the
         head is summed with expm1, in chunks of at most _HEAD_CHUNK
         elements over rows ordered by split, and the tail from the
-        degree-K Taylor polynomial of expm1 through the suffix sums of the
-        grid moments M_m = sum w th^m, m <= 2K, exactly. The dropped
-        remainder is below Z^K/(K+1)! ~ 8e-19 of the tail. A row's value
-        does not depend on the other rows of the call."""
+        degree-K Taylor polynomial of expm1 (K = 7, Z = 1e-2). With the
+        suffix moments normalized at the split node s, N_m = sum_{j >= s}
+        w_j (th_j/th_s)^m, m <= 2K, the tail is exactly the polynomial's
+        sum over i + j <= K of (beta th_s)^i/i! (gam th_s^2)^j/j! N_(i+2j):
+        its arguments are at most Z in size, so no power overflows however
+        large beta and gam are. The dropped remainder is below
+        Z^K/(K+1)! ~ 2.5e-19 of the tail. A row's value does not depend on
+        the other rows of the call."""
         p = self.params
         q = p.pi_lam
         x = np.asarray(x, dtype=float)
@@ -726,55 +773,61 @@ class _Context:
         s = a0 + half[:, None] * (gl_x[None, :] + 1.0)
         return s ** (p.alpha * p.eps / 2.0), half[:, None] * gl_w * np.exp(-s)
 
-    @cached_property
-    def _e2_cap_row(self):
-        """(s_cap, s^p, w e^-s): the inner s is cut at s_cap = a0 + 45, so
-        every t node at or above s_cap has this one row."""
-        p = self.params
-        s_cap = p.pi_lam * p.r0 ** 2 + 45.0
-        sp, w = self._e2_inner_rows(np.array([s_cap]))
-        return s_cap, sp, w
+    def _build_e2_table(self) -> _E2Table:
+        """The exponent -E(g) at the table's couplings g, all in one pass:
 
-    def _e2_direct(self, dt_coef: float) -> float:
-        """Doubly-integrated exponent at coupling coefficient dt_coef <= 0:
-        int_te^inf int_a0^min(t, s_cap) e^-s expm1(dt_coef s^p t^(-a/2)) /
-        (e^-a0 - e^-t) ds dt, with s_cap = a0 + 45, past which e^-s is
-        below 3e-20 of its value at a0.
+            E(g) = int_te^inf int_a0^min(t, s_cap) e^-s expm1(-g s^p
+                   t^(-a/2)) / (e^-a0 - e^-t) ds dt,
 
-        The t-grid is log-spaced up to a truncation point of its own. The
-        t nodes below s_cap each build their inner row; the nodes at or
-        above it share ``_e2_cap_row``, which a context forms once. Each
-        row is summed over its own nodes, in the same order either way."""
+        with s_cap = a0 + 45, past which e^-s is below 3e-20 of its value
+        at a0. On te <= t < s_cap, one log t-grid, each node with its own
+        inner row, serves every g. From t_c = max(te, s_cap) on, every t
+        has the inner row capped at s_cap and e^-a0 - e^-t rounds to e^-a0,
+        so with v = g t^(-a/2) that part is (2/a) g^(2/a) H(g t_c^(-a/2)) /
+        e^-a0, H(V) = int_0^V F(-v) v^(-2/a-1) dv and F(y) = sum w
+        expm1(y s^p) over the capped row: H runs up the knots as one
+        cumulative sum of Gauss-Legendre panels in log v, one panel
+        between consecutive knots, from its power series below the
+        first."""
         p = self.params
         q = p.pi_lam
         a0 = q * p.r0 ** 2
         te = q * p.r_e ** 2
-        pexp = p.alpha * p.eps / 2.0
-        if dt_coef == 0.0:
-            return 0.0
-        # tail ~ |coef| E{s^p} t^(-a/2): truncate on the remaining integral
-        t_max = max(10.0 * te,
-                    (abs(dt_coef) * 40.0 ** pexp
-                     / (TAIL_CUTOFF * (p.alpha / 2.0 - 1.0)))
-                    ** (2.0 / (p.alpha - 2.0)))
-        t, wt = log_panel_grid(te, t_max, panels_per_decade=4, n_per_panel=10)
-        s_cap, sp_cap, w_cap = self._e2_cap_row
-        tp = t[:, None] ** (-p.alpha / 2.0)
-        own = t < s_cap
-        sp, w = self._e2_inner_rows(t[own])
-        inner = np.empty(t.size)
-        inner[own] = np.sum(w * np.expm1(dt_coef * sp * tp[own]), axis=1)
-        # in place: one (nodes x GRID_INNER) array per call, not three
-        z = dt_coef * sp_cap * tp[~own]
-        np.expm1(z, out=z)
-        z *= w_cap
-        inner[~own] = np.sum(z, axis=1)
-        return float(np.dot(wt, inner / (math.exp(-a0) - np.exp(-t))))
-
-    def _build_e2_table(self) -> _E2Table:
+        s_cap = a0 + 45.0
+        k = 2.0 / p.alpha
         lo, hi = 1e-12, 1e15
         grid = np.geomspace(lo, hi, int(math.log10(hi / lo)) * 8 + 1)
-        vals = np.array([self._e2_direct(-g) for g in grid])
+
+        sp, w = (row[0] for row in self._e2_inner_rows(np.array([s_cap])))
+        v = grid * max(te, s_cap) ** (-p.alpha / 2.0)
+        # below the first knot v s^p <= 1e-12, and F(-v) is its series
+        h = sum((-v[0]) ** n * np.dot(w, sp ** n) / math.factorial(n)
+                * v[0] ** -k / (n - k) for n in (1, 2, 3))
+        u, wu = gauss_legendre_panels(np.log(v), _E2_PANEL_NODES)
+        vu = np.exp(u)
+        f = np.empty(u.size)
+        step = _HEAD_CHUNK // GRID_INNER
+        for i in range(0, u.size, step):
+            z = np.multiply.outer(-vu[i:i + step], sp)
+            np.expm1(z, out=z)
+            f[i:i + step] = np.einsum("ns,s->n", z, w)
+        f *= wu * vu ** -k
+        h += np.concatenate(
+            [[0.0], np.cumsum(f.reshape(-1, _E2_PANEL_NODES).sum(axis=1))])
+        vals = k * grid ** k * h / math.exp(-a0)
+
+        if te < s_cap:
+            t, wt = log_panel_grid(te, s_cap, panels_per_decade=4,
+                                   n_per_panel=10)
+            c, w = self._e2_inner_rows(t)
+            c *= t[:, None] ** (-p.alpha / 2.0)    # s^p t^(-a/2)
+            wt = wt / (math.exp(-a0) - np.exp(-t))
+            step = max(1, _HEAD_CHUNK // c.size)
+            for i in range(0, grid.size, step):
+                z = np.multiply.outer(-grid[i:i + step], c)
+                np.expm1(z, out=z)
+                z *= w
+                vals[i:i + step] += np.einsum("kts,t->k", z, wt)
         if np.any(vals >= 0):
             raise NumericalError("E2 exponent table is not negative")
         # small-coupling behaviour is exactly linear with this slope

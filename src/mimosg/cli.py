@@ -35,6 +35,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_GATE = 4
 
+# Most points a threshold grid may have: a coverage curve is evaluated at
+# every one of them, so a larger grid is a typo, not a request.
+MAX_THRESHOLDS = 1_000_000
+
 # Human-unit defaults of the validation suite's reference setting.
 DEFAULT_CONFIG = {
     "p_d_dbm": 45.0,
@@ -135,7 +139,13 @@ def parse_threshold_grid(grid: str) -> np.ndarray:
                           f"got {grid!r}")
     if step <= 0 or b < a:
         raise ConfigError(f"bad threshold grid {grid!r}")
-    n = int(math.floor((b - a) / step + 0.5)) + 1
+    # floor(count) + 1 points, checked before anything is allocated and
+    # while the count is a float, which may be inf
+    count = (b - a) / step + 0.5
+    if not count < MAX_THRESHOLDS:
+        raise ConfigError(f"threshold grid {grid!r} has more than "
+                          f"{MAX_THRESHOLDS} points")
+    n = int(math.floor(count)) + 1
     db = a + step * np.arange(n)
     return 10.0 ** (db / 10.0)
 
@@ -324,7 +334,10 @@ def cmd_special(cfg: dict, case: str) -> int:
 def cmd_pdf_check(cfg: dict, samples: int) -> int:
     """Kolmogorov-Smirnov suite for the three conditional distance laws."""
     params = build_params(cfg)
-    rng = np.random.default_rng(_number(cfg, "seed", int))
+    seed = _number(cfg, "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
+    rng = np.random.default_rng(seed)
     lam, r0 = params.lam, params.r0
 
     def ks(sample, cdf) -> float:

@@ -58,6 +58,8 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
         if not 0 <= self.margin < self.window / 2:

@@ -29,6 +29,15 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             parse_threshold_grid("oops")
 
+    @pytest.mark.parametrize("grid", ["0:1e12:1e-9", "0:1:1e-320",
+                                      "0:1000000:1"])
+    def test_oversized_grid(self, grid):
+        """Refused before any array is allocated; the count of the second
+        grid overflows to inf. A grid of 1000000 points is accepted."""
+        with pytest.raises(ConfigError, match="more than 1000000 points"):
+            parse_threshold_grid(grid)
+        assert parse_threshold_grid("0:99.9999:0.0001").size == 1_000_000
+
     @pytest.mark.parametrize("grid", ["nan:1:1", "0:inf:1", "0:1:nan",
                                       "-inf:0:1", "0:1:inf"])
     def test_non_finite_grid(self, grid):
@@ -320,6 +329,23 @@ class TestSubcommands:
         code, out, err = run_cli(capsys, "coverage", "--thresholds-db", grid)
         assert code == EXIT_CONFIG
         assert "must be finite" in err
+        assert out == ""
+
+    def test_oversized_grid_exits_config(self, capsys):
+        code, out, err = run_cli(capsys, "coverage", "--thresholds-db",
+                                 "0:1e12:1e-9")
+        assert code == EXIT_CONFIG
+        assert "more than 1000000 points" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("validate", ["--gate", "0.9", "--trials", "5", "--thresholds-db",
+                      "0:6:3"]),
+        ("pdf-check", ["--samples", "100"])], ids=["validate", "pdf-check"])
+    def test_negative_seed_exits_config(self, capsys, command, extra):
+        code, out, err = run_cli(capsys, command, *extra, "--seed", "-1")
+        assert code == EXIT_CONFIG
+        assert "seed must be >= 0, got -1" in err
         assert out == ""
 
     @pytest.mark.parametrize("workers", ["0", "-2"])

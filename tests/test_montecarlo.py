@@ -32,6 +32,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             McConfig(trials=0)
 
+    def test_seed_bound(self):
+        """A negative seed is a ConfigError, not a ValueError from the
+        per-trial SeedSequence."""
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            McConfig(trials=10, seed=-1)
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_bound(self, workers):
         with pytest.raises(ConfigError, match="workers"):

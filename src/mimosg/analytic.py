@@ -47,12 +47,11 @@ a universal function of the coupling. Tests pin these shortcuts against
 direct quadrature and against ``scipy.integrate.quad`` as the adaptive
 reference.
 
-The module needs numpy alone. Its two special functions are its own: the
-regularized lower incomplete gamma function of the exclusion-ball moments
-(``_gammainc``: power series, finite Poisson sum or continued fraction)
-and the not-a-knot cubic spline of the E2 table (``_Spline``). Tests check
-both against ``scipy.special.gammainc`` and
-``scipy.interpolate.CubicSpline``.
+The module needs numpy alone. Its one special function is its own: the
+not-a-knot cubic spline of the E2 table (``_Spline``), which tests check
+against ``scipy.interpolate.CubicSpline``. The incomplete gamma integral
+of the exclusion-ball moments runs on the same Gauss-Legendre panels as
+every other integral here (``_cross_moment``).
 """
 from __future__ import annotations
 
@@ -71,10 +70,8 @@ log = logging.getLogger(__name__)
 
 # Truncation levels (documented design choices, not tunables):
 # the x-integral stops where its exponential weight drops below 1e-10,
-# tail integrands are chased down to ~1e-15 of their leading coefficient,
 # and the rate integral stops once coverage falls below 1e-6.
 X_WEIGHT_CUTOFF = 1e-10
-TAIL_CUTOFF = 1e-15
 RATE_COVERAGE_CUTOFF = 1e-6
 
 # Gauss-Legendre points per outer panel (x grid, cross-moment t grid) and
@@ -293,107 +290,6 @@ def gamma_cdf_approx(a, n_shape: int):
     return float(out) if out.ndim == 0 else out
 
 
-def gamma_cdf_exact(a, n_shape: int):
-    """CDF of the unit-mean Gamma(N, 1/N) variable: P(N, N*A)."""
-    a = np.asarray(a, dtype=float)
-    out = _gammainc(n_shape, n_shape * a)
-    return float(out) if out.ndim == 0 else out
-
-
-# P(a, x) below 1 by less than half an ulp rounds to 1: log 2^-54
-_LOG_HALF_ULP = -54.0 * math.log(2.0)
-# The continued fraction of Q stops once a step changes it by less than
-# _LENTZ_TOL, a few ulps: a test at or below the unit roundoff may never
-# pass. _LENTZ_TINY stands in for a zero denominator.
-_LENTZ_TOL = 1e-15
-_LENTZ_TINY = 1e-300
-_LENTZ_MAX_ITER = 1000
-
-
-def _gammainc(a: float, x) -> np.ndarray:
-    """Regularized lower incomplete gamma P(a, x), one shape a > 0 over an
-    array x (nan where x < 0).
-
-    Below x = a + 1 the power series e^-x x^a / Gamma(a + 1) sum_k x^k /
-    ((a+1)..(a+k)). From there P = 1 - Q, with Q = f s, f = x^(a-1) e^-x /
-    Gamma(a): an integer shape takes the finite Poisson sum s = sum_{j<a}
-    (a-1)!/(a-1-j)! x^-j, any other shape the continued fraction of Q
-    (modified Lentz). Since s <= max(1, a) there, nodes where f max(1, a)
-    is below half an ulp of 1 are 1 without iteration. Each node iterates
-    to its own stopping rule, so its value does not depend on the other
-    nodes of the call."""
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, np.nan)
-    out[x == 0.0] = 0.0
-
-    low = (x > 0.0) & (x < a + 1.0)
-    xs = x[low]
-    out[low] = (_lower_gamma_series(a, xs)
-                * np.exp(a * np.log(xs) - xs - math.lgamma(a)) / a)
-
-    high = x >= a + 1.0
-    log_f = np.full(x.shape, -np.inf)
-    log_f[high] = (a - 1.0) * np.log(x[high]) - x[high] - math.lgamma(a)
-    out[high & (log_f + math.log(max(1.0, a)) < _LOG_HALF_ULP)] = 1.0
-    open_ = high & np.isnan(out)
-    xs = x[open_]
-    if a == int(a):
-        s = np.ones(xs.size)
-        for k in range(1, int(a)):
-            s = 1.0 + s * (k / xs)
-    else:
-        s = _upper_gamma_fraction(a, xs)
-    out[open_] = 1.0 - np.exp(log_f[open_]) * s
-    return out
-
-
-def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
-    """sum_{k >= 0} x^k / ((a+1)..(a+k)), each node summed in order until
-    its term is at most 2^-53 of its sum. The terms and running sums of
-    all nodes are formed as (k, node) arrays, over twice as many k as long
-    as some node has not stopped."""
-    n_terms = 32
-    while True:
-        ratio = x / (a + np.arange(1.0, n_terms + 1.0))[:, None]
-        terms = np.cumprod(ratio, axis=0)
-        sums = np.cumsum(np.vstack([np.ones(x.size), terms]), axis=0)
-        done = terms <= sums[1:] * 2.0 ** -53
-        if done.any(axis=0).all():
-            return sums[done.argmax(axis=0) + 1, np.arange(x.size)]
-        n_terms *= 2
-
-
-def _upper_gamma_fraction(a: float, x: np.ndarray) -> np.ndarray:
-    """x / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / ...)), the
-    continued fraction of Q(a, x) e^x x^(1-a) Gamma(a), by the modified
-    Lentz method: all nodes step together, and each leaves once its own
-    step is within _LENTZ_TOL of 1."""
-    out = np.empty(x.size)
-    live = np.arange(x.size)
-    b = x + 1.0 - a
-    c = np.full(x.size, 1.0 / _LENTZ_TINY)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, _LENTZ_MAX_ITER + 1):
-        if not live.size:
-            return out * x
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d[np.abs(d) < _LENTZ_TINY] = _LENTZ_TINY
-        c = b + an / c
-        c[np.abs(c) < _LENTZ_TINY] = _LENTZ_TINY
-        d = 1.0 / d
-        step = d * c
-        h *= step
-        done = np.abs(step - 1.0) < _LENTZ_TOL
-        if done.any():
-            out[live[done]] = h[done]
-            keep = ~done
-            live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
-    raise NumericalError(f"incomplete gamma continued fraction at a={a!r}")
-
-
 def _gamma_shape(n_shape: int | None, params: SystemParams) -> int:
     """The Gamma shape N of the coverage expansion: the mode's default when
     ``n_shape`` is None, else ``n_shape``, which must be an integer >= 1."""
@@ -410,12 +306,6 @@ def _gamma_shape(n_shape: int | None, params: SystemParams) -> int:
 # exclusion-ball constants
 # ---------------------------------------------------------------------------
 
-def _lower_inc(p1: float, a, b):
-    """integral_a^b s^(p1-1) e^-s ds via regularized lower incomplete gamma."""
-    scale = math.exp(math.lgamma(p1))
-    return (_gammainc(p1, b) - _gammainc(p1, a)) * scale
-
-
 def q2(params: SystemParams) -> float:
     """Mean aggregate path-gain of interfering stations under the exclusion
     ball: 2 R_e^-alpha / (alpha - 2) asynchronous, zero synchronous."""
@@ -431,8 +321,12 @@ def _cross_moment(params: SystemParams) -> float:
     of a foreign user's serving distance and its distance to the tagged
     station, integrated over the exclusion-ball field.
 
-    Evaluated as q^(alpha(1-eps)/2) * int_te^inf t^(-alpha/2)
-    [gamma_inc between a0 and t] / (e^-a0 - e^-t) dt with q = pi lam.
+    Evaluated as q^(alpha(1-eps)/2) * int_te^inf t^(-alpha/2) I(t) /
+    (e^-a0 - e^-t) dt with q = pi lam and I(t) = int_a0^t s^p e^-s ds,
+    p = alpha eps / 2. The outer integral runs on a log t-grid. I(t) at
+    every outer node is one cumulative sum of Gauss-Legendre panels in
+    ln s, where the integrand s^(p+1) e^-s is entire: eight log-spaced
+    panels from a0 to te, then one panel between consecutive t nodes.
     """
     p = params
     q = p.pi_lam
@@ -447,7 +341,11 @@ def _cross_moment(params: SystemParams) -> float:
                 (gtot / (1e-13 * (p.alpha / 2.0 - 1.0))) ** (2.0 / (p.alpha - 2.0)))
     t, wt = log_panel_grid(te, t_max, panels_per_decade=4,
                            n_per_panel=GRID_OUTER)
-    inner = _lower_inc(pexp + 1.0, a0, t)
+    u, wu = gauss_legendre_panels(
+        np.log(np.concatenate([np.geomspace(a0, te, 9), t])), 8)
+    # s^(p+1) e^-s as one exponential, which cannot overflow at large s
+    wu *= np.exp((pexp + 1.0) * u - np.exp(u))
+    inner = np.cumsum(wu.reshape(-1, 8).sum(axis=1))[8:]
     vals = t ** (-p.alpha / 2.0) * inner / (math.exp(-a0) - np.exp(-t))
     return q ** (p.alpha * (1.0 - p.eps) / 2.0) * float(np.dot(wt, vals))
 
@@ -463,66 +361,26 @@ def q1(x: float, params: SystemParams) -> float:
     return _context(params).q1
 
 
-def q3(x: float, params: SystemParams, exact: bool = False) -> float:
+def q3(x: float, params: SystemParams) -> float:
     """Mean foreign-uplink interference moment sum_j sum_k'
     r_jjk'^(alpha eps) r_lkjk'^-alpha given serving distance x; zero
     synchronous.
 
-    The production form replaces the user-to-user distance by the
+    This simplified form replaces the user-to-user distance by the
     station-to-user distance, which makes it x-independent (N_p times the
     cross moment). It also conditions the foreign user's serving distance
     on (r0, |y|), with |y| that user's distance to the tagged station,
     where the exact form uses (max(r0, x - d), x + d) with d the
     user-to-user distance. At eps = 0 the serving-distance moment is 1, so
     only the distance swap shows; for eps > 0 the gap between the two forms
-    mixes both changes. ``exact=True`` evaluates the full triple integral
-    over the exclusion-ball field with the law-of-cosines coupling; it only
-    converges for x < r_e (an interferer may otherwise coincide with the
-    tagged user) and exists as the quality oracle for the approximation.
+    mixes both changes. The exact form, a double integral over the
+    exclusion-ball field with the law-of-cosines coupling that converges
+    only for x < r_e, is the test oracle
+    ``tests/test_acceptance.py::q3_reference``.
     """
-    p = params
-    if x <= p.r0:
-        raise DomainError(f"need x > r0={p.r0!r}, got {x!r}")
-    if not exact or p.sync:
-        return _context(p).q3
-    if x >= p.r_e:
-        raise DomainError(
-            "exact foreign-uplink moment diverges for x >= r_e "
-            f"(x={x!r}, r_e={p.r_e!r})")
-    return _q3_exact(x, p)
-
-
-def _q3_exact(x: float, params: SystemParams) -> float:
-    p = params
-    q = p.pi_lam
-    pexp = p.alpha * p.eps / 2.0
-
-    # theta panels graded toward 0 where the user-to-user distance bottoms out
-    th_breaks = np.array([0.0, 0.05, 0.15, 0.4, 0.9, 1.8, math.pi])
-    th, wth = gauss_legendre_panels(th_breaks, 16)
-
-    # outer radial grid: graded near r_e then log tail
-    tail_scale = math.exp(math.lgamma(pexp + 1.0)) * q ** (-pexp)
-    r_max = max(10.0 * p.r_e,
-                (tail_scale * p.n_p * p.lam / TAIL_CUTOFF) ** (1.0 / (p.alpha - 2.0)))
-    r_breaks = np.concatenate([
-        p.r_e * np.array([1.0, 1.02, 1.06, 1.15, 1.3, 1.6, 2.0]),
-        np.geomspace(2.2 * p.r_e, r_max, 24),
-    ])
-    r, wr = gauss_legendre_panels(r_breaks, 12)
-
-    rr = r[:, None]
-    r1 = np.sqrt(rr ** 2 + x ** 2 - 2.0 * rr * x * np.cos(th[None, :]))
-    lo = np.maximum(p.r0, x - r1)
-    hi = x + r1
-    u1 = q * lo ** 2
-    u2 = q * hi ** 2
-    den = np.exp(-u1) - np.exp(-u2)
-    mom = q ** (-pexp) * _lower_inc(pexp + 1.0, u1, u2) / den
-    integrand = mom * r1 ** (-p.alpha)
-    inner = integrand @ wth                      # theta integral, half range
-    total = float(np.dot(wr, inner * r)) * 2.0   # symmetric in theta
-    return p.n_p * p.lam * total
+    if x <= params.r0:
+        raise DomainError(f"need x > r0={params.r0!r}, got {x!r}")
+    return _context(params).q3
 
 
 # ---------------------------------------------------------------------------

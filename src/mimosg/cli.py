@@ -333,6 +333,8 @@ def cmd_special(cfg: dict, case: str) -> int:
 
 def cmd_pdf_check(cfg: dict, samples: int) -> int:
     """Kolmogorov-Smirnov suite for the three conditional distance laws."""
+    if samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {samples!r}")
     params = build_params(cfg)
     seed = _number(cfg, "seed", int)
     if seed < 0:
@@ -373,9 +375,16 @@ def cmd_pdf_check(cfg: dict, samples: int) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _add_verbose(parser: argparse.ArgumentParser, default) -> None:
+    parser.add_argument("--verbose", "-v", action="store_true",
+                        default=default,
+                        help="progress and diagnostics on standard error")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--verbose", "-v", action="store_true",
-                     help="progress and diagnostics on standard error")
+    # no default of its own, so that it does not overwrite a -v given
+    # before the subcommand
+    _add_verbose(sub, argparse.SUPPRESS)
     sub.add_argument("--config", help="JSON config file; flags override it")
     sub.add_argument("--mode", choices=["sync", "async", "synchronous",
                                         "asynchronous"])
@@ -402,8 +411,7 @@ def make_parser() -> argparse.ArgumentParser:
                     "MIMO networks: analytic quadrature and Monte Carlo.")
     parser.add_argument("--version", action="version",
                         version=f"mimosg {__version__}")
-    parser.add_argument("--verbose", "-v", action="store_true",
-                        help="progress and diagnostics on standard error")
+    _add_verbose(parser, False)
     subs = parser.add_subparsers(dest="command", required=True)
 
     for name, hlp in [
@@ -457,7 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_negative_values(argv))
     logging.basicConfig(
         stream=sys.stderr,
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
+        level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
         overrides = {k: v for k, v in vars(args).items()

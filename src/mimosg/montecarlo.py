@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,11 +136,14 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
 
 def _run_trials(params: SystemParams, cfg: McConfig):
     results = [None] * cfg.trials
-    if cfg.workers > 1:
+    # a pool starts all its workers up front, so it gets no more than there
+    # are trials or CPUs; the results do not depend on the count
+    workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: a serial run does not pay for loading it
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunk = max(1, cfg.trials // (cfg.workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, cfg.trials // (workers * 8))
             for i, res in enumerate(pool.map(
                     _trial_star, ((params, cfg, i) for i in range(cfg.trials)),
                     chunksize=chunk)):
@@ -247,7 +251,10 @@ class ValidationReport:
 def validate(params: SystemParams, cfg: McConfig, gate: float,
              n_shape: int | None = None) -> ValidationReport:
     """Run both engines on the same thresholds and compare."""
-    n_shape = _gamma_shape(n_shape, params)   # checked before any trial runs
+    # checked before any trial runs: no result passes a negative or NaN gate
+    if not (math.isfinite(gate) and gate >= 0.0):
+        raise ConfigError(f"gate must be a finite number >= 0, got {gate!r}")
+    n_shape = _gamma_shape(n_shape, params)
     mc_curve = run_coverage_mc(params, cfg)
     an_curve = coverage(mc_curve.thresholds, params, n_shape)
     dev = np.abs(an_curve.coverage - mc_curve.coverage)

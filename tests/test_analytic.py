@@ -11,8 +11,8 @@ from mimosg.analytic import (_TAYLOR_K, _TAYLOR_Z, CoverageCurve, _context,
                              _e1_splits, _tau_grid, c1_term, coefficients,
                              coverage, coverage_fullpc_async,
                              coverage_infinite_m, coverage_no_pc, e1_term,
-                             e2_term, ergodic_rate, gamma_cdf_approx,
-                             gamma_cdf_exact, q1, q2, q3)
+                             e2_term, ergodic_rate, gamma_cdf_approx, q1,
+                             q2, q3)
 from mimosg.errors import DomainError
 from mimosg.params import c_m, default_params, eta_shape, v_m
 from mimosg.quadrature import leggauss, log_panel_grid
@@ -21,7 +21,6 @@ from mimosg.quadrature import leggauss, log_panel_grid
 CROSS_MOMENT = {0.0: 16.0, 0.5: 2.8856400139492937, 1.0: 0.9783991390254186}
 Q1_ASYNC = {0.0: 318.9786384922728, 0.5: 0.36080523919038715,
             1.0: 0.1222998924098752}
-Q3_EXACT_X03 = {0.0: 390.625, 0.5: 68.64538414}
 
 # frozen engine outputs that any re-arrangement of the same quadrature sums
 # must reproduce to 1e-12: sync, m=64, eps=0.5, N=4 coverage at -10..20 dB
@@ -216,8 +215,8 @@ def _e1_oracle_rows(case):
 class TestGammaApprox:
     def test_shape_one_is_exact(self):
         a = np.linspace(0.0, 20.0, 801)
-        np.testing.assert_allclose(gamma_cdf_approx(a, 1),
-                                   gamma_cdf_exact(a, 1), atol=1e-12)
+        np.testing.assert_allclose(gamma_cdf_approx(a, 1), gammainc(1, a),
+                                   atol=1e-12)
 
     def test_zero(self):
         assert gamma_cdf_approx(0.0, 4) == 0.0
@@ -228,7 +227,7 @@ class TestGammaApprox:
         # Gamma CDF for shape > 1 (it only coincides at shape 1). The
         # acceptance suite reports the upper-bound claim separately.
         a = np.linspace(0.0, 20.0, 2001)
-        diff = gamma_cdf_approx(a, n) - gamma_cdf_exact(a, n)
+        diff = gamma_cdf_approx(a, n) - gammainc(n, n * a)
         assert diff.max() <= 1e-12
         assert diff.min() < -0.01  # strictly below somewhere
 
@@ -248,26 +247,8 @@ class TestGammaApprox:
 
 
 class TestInHouseSpecialFunctions:
-    """The incomplete gamma function and the cubic spline of the engine
-    against scipy, which the engine does not import."""
-
-    @pytest.mark.parametrize("a", [0.3, 1.0, 1.25, 1.5, 2.0, 2.7, 3.0, 8.0])
-    def test_gammainc_against_scipy(self, a):
-        x = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 1001)])
-        got = analytic._gammainc(a, x)
-        want = gammainc(a, x)
-        assert got[0] == 0.0
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-
-    def test_gammainc_outside_domain_is_nan(self):
-        got = analytic._gammainc(1.5, np.array([-1.0, np.nan]))
-        assert np.isnan(got).all()
-
-    def test_gammainc_value_does_not_depend_on_batch(self):
-        x = np.geomspace(0.5, 60.0, 97)
-        whole = analytic._gammainc(2.7, x)
-        alone = [analytic._gammainc(2.7, v) for v in x]
-        assert whole.tolist() == [float(v) for v in alone]
+    """The cubic spline of the engine against scipy, which the engine does
+    not import."""
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_spline_against_scipy(self, eps):
@@ -342,23 +323,26 @@ class TestExclusionBallConstants:
         assert q3(0.3, params_async) == pytest.approx(
             params_async.n_p * CROSS_MOMENT[0.0], rel=1e-9)
 
-    @pytest.mark.parametrize("eps", [0.0, 0.5])
-    def test_q3_exact_oracle(self, eps):
-        p = default_params("async", eps=eps)
-        assert q3(0.3, p, exact=True) == pytest.approx(Q3_EXACT_X03[eps],
-                                                       rel=1e-5)
+    @pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("eps", [0.25, 0.3, 0.75])
+    @pytest.mark.parametrize("r0", [0.05, 0.3])
+    def test_cross_moment_against_scipy_quad(self, alpha, eps, r0):
+        """The panel sums of the cross moment against the adaptive oracle:
+        ``quad`` over t with the inner integral int_a0^t s^p e^-s ds from
+        ``gammainc``, at non-integer shapes p + 1 = alpha eps / 2 + 1."""
+        p = default_params("async", eps=eps).with_updates(alpha=alpha, r0=r0)
+        q = p.pi_lam
+        a0, te = q * p.r0 ** 2, q * p.r_e ** 2
+        k = alpha * eps / 2.0 + 1.0
 
-    def test_q3_exact_diverges_outside_ball(self, params_async):
-        with pytest.raises(DomainError):
-            q3(0.6, params_async, exact=True)
+        def f(t):
+            inner = math.gamma(k) * (gammainc(k, t) - gammainc(k, a0))
+            return t ** (-alpha / 2.0) * inner / (math.exp(-a0) - math.exp(-t))
 
-    @pytest.mark.parametrize("x", [0.1, 0.2, 0.3, 0.45])
-    def test_q3_exact_closed_form_no_pc(self, params_async, x):
-        # without power control the angular integral has a closed form:
-        # N_p * lam * pi * r_e^2 / (r_e^2 - x^2)^2
-        p = params_async
-        expected = p.n_p * p.lam * math.pi * p.r_e ** 2 / (p.r_e ** 2 - x * x) ** 2
-        assert q3(x, p, exact=True) == pytest.approx(expected, rel=1e-6)
+        ref = (q ** (alpha * (1.0 - eps) / 2.0)
+               * quad(f, te, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0])
+        assert analytic._cross_moment(p) == pytest.approx(ref, rel=1e-12,
+                                                          abs=0.0)
 
     def test_q1_monte_carlo_estimator(self, params_async, rng):
         """Sample the exclusion-ball field and the conditional serving law;

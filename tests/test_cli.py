@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from mimosg import montecarlo
 from mimosg.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_OK, build_params,
-                        format_csv, load_config, main, parse_threshold_grid,
-                        write_results)
+                        format_csv, load_config, main, make_parser,
+                        parse_threshold_grid, write_results)
 from mimosg.errors import ConfigError
 
 
@@ -222,6 +223,27 @@ class TestSubcommands:
         assert rows[0].strip() == "law,ks_distance"
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_pdf_check_non_positive_samples_exits_config(self, capsys,
+                                                         samples):
+        code, out, err = run_cli(capsys, "pdf-check", "--samples", samples)
+        assert code == EXIT_CONFIG
+        assert f"--samples must be >= 1, got {samples}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("gate", ["-1", "nan", "inf"])
+    def test_validate_unpassable_gate_exits_config(self, capsys, monkeypatch,
+                                                   gate):
+        """Refused before any trial runs."""
+        def no_trials(*args):
+            raise AssertionError("trials ran")
+        monkeypatch.setattr(montecarlo, "_run_trials", no_trials)
+        code, out, err = run_cli(capsys, "validate", "--gate", gate,
+                                 "--trials", "5", "--thresholds-db", "0:6:3")
+        assert code == EXIT_CONFIG
+        assert "gate must be a finite number >= 0" in err
+        assert out == ""
+
     def test_validate_gate_failure_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "validate", "--gate", "0.0",
                                  "--mode", "async", "--eps", "0.5",
@@ -356,6 +378,12 @@ class TestSubcommands:
         assert code == EXIT_CONFIG
         assert f"workers must be >= 1, got {workers}" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv, verbose", [
+        (["-v", "rate"], True), (["rate", "-v"], True),
+        (["--verbose", "rate", "--verbose"], True), (["rate"], False)])
+    def test_verbose_flag_before_or_after_command(self, argv, verbose):
+        assert make_parser().parse_args(argv).verbose is verbose
 
     def test_bad_flag_exits_config(self, capsys):
         code, _, err = run_cli(capsys, "coverage", "--thresholds-db", "junk")

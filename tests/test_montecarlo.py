@@ -1,9 +1,10 @@
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
-from mimosg import _kernels
+from mimosg import _kernels, montecarlo
 from mimosg.errors import ConfigError, EstimationError
 from mimosg.geometry import build_network, extract_bundle
 from mimosg.linkstats import (PHASE_DOWNLINK, DeltaSet, PhaseIndicators,
@@ -57,6 +58,37 @@ class TestDeterminism:
         a = run_coverage_mc(params_async, cfg1)
         b = run_coverage_mc(params_async, cfg2)
         np.testing.assert_array_equal(a.coverage, b.coverage)
+
+    @pytest.mark.parametrize("workers, trials, cpus, pool", [
+        (5000, 10, 4, 4), (5000, 3, 64, 3), (2, 10, 4, 2), (5000, 10, None, 0)])
+    def test_pool_size_is_capped(self, params_async, monkeypatch, workers,
+                                 trials, cpus, pool):
+        """The pool starts min(workers, trials, CPUs) processes, none
+        when that is 1, and the curve is the serial one. The executor is a
+        fake that records its size and maps in this process."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                return map(fn, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        serial = run_coverage_mc(params_async, small_cfg(trials=trials))
+        got = run_coverage_mc(params_async,
+                              small_cfg(trials=trials, workers=workers))
+        assert sizes == ([pool] if pool else [])
+        np.testing.assert_array_equal(got.coverage, serial.coverage)
 
     def test_trial_rng_is_stable_hash(self):
         a = trial_rng(7, 3).random(4)

@@ -6,35 +6,27 @@ __version__ = "0.1.0"
 
 from .analytic import (CoverageCurve, RateResult, coverage,
                        coverage_fullpc_async, coverage_infinite_m,
-                       coverage_no_pc, e1_term, e2_term, ergodic_rate,
-                       gamma_cdf_approx, q1, q2, q3)
+                       coverage_no_pc, ergodic_rate, gamma_cdf_approx, q2, q3)
 from .errors import (ConfigError, DomainError, EstimationError, MimosgError,
                      NumericalError, RealizationError)
-from .geometry import (DistanceBundle, NetworkRealization, build_network,
-                       extract_bundle, sample_hppp, serving_cdf, serving_pdf,
-                       serving_sample)
-from .linkstats import (DeltaSet, InverseSinr, PhaseIndicators, compute_delta,
-                        delta1, draw_phases, inverse_sinr, path_loss,
-                        uplink_power)
-from .montecarlo import (McConfig, ValidationReport, run_coverage_mc,
-                         run_rate_mc, validate)
+from .geometry import (NetworkRealization, build_network, sample_hppp,
+                       serving_cdf, serving_pdf, serving_sample)
+from .montecarlo import (McConfig, ValidationReport, draw_phases,
+                         run_coverage_mc, run_rate_mc, validate)
 from .params import (SystemParams, c_m, default_gamma_shape, default_params,
                      density_from_exclusion, derive_frame, eta_shape,
                      make_params, phase_probabilities, v_m)
 
 __all__ = [
     "CoverageCurve", "RateResult", "coverage", "coverage_fullpc_async",
-    "coverage_infinite_m", "coverage_no_pc", "e1_term", "e2_term",
-    "ergodic_rate", "gamma_cdf_approx", "q1", "q2", "q3",
+    "coverage_infinite_m", "coverage_no_pc", "ergodic_rate",
+    "gamma_cdf_approx", "q2", "q3",
     "ConfigError", "DomainError", "EstimationError", "MimosgError",
     "NumericalError", "RealizationError",
-    "DistanceBundle", "NetworkRealization", "build_network",
-    "extract_bundle", "sample_hppp", "serving_cdf", "serving_pdf",
-    "serving_sample",
-    "DeltaSet", "InverseSinr", "PhaseIndicators", "compute_delta", "delta1",
-    "draw_phases", "inverse_sinr", "path_loss", "uplink_power",
-    "McConfig", "ValidationReport", "run_coverage_mc", "run_rate_mc",
-    "validate",
+    "NetworkRealization", "build_network", "sample_hppp", "serving_cdf",
+    "serving_pdf", "serving_sample",
+    "McConfig", "ValidationReport", "draw_phases", "run_coverage_mc",
+    "run_rate_mc", "validate",
     "SystemParams", "c_m", "default_gamma_shape", "default_params",
     "density_from_exclusion", "derive_frame", "eta_shape", "make_params",
     "phase_probabilities", "v_m",

@@ -6,10 +6,10 @@ its (n_bs, n_pts) matrix has the points on the long, contiguous axis, and
 the search reduces over the short station axis.
 
 ``all_deltas`` and ``sinr_batch`` evaluate the same sums as the scalar
-reference in :mod:`mimosg.linkstats`, batched over all users of a
-realization; the test-suite pins the two against each other. They take
-the realization's arrays and the :class:`~mimosg.params.SystemParams`
-whole:
+one-user reference in ``tests/reference_sinr.py``, batched over all users
+of a realization; the kernel-parity tests pin the two against each other.
+They take the realization's arrays and the
+:class:`~mimosg.params.SystemParams` whole:
 
     all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb, valid, p)
     sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,

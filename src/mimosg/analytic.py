@@ -259,15 +259,13 @@ class CoverageCurve:
     trials_used: int | None = None    # Monte Carlo: trials with tagged users
     clamped: int | None = None   # analytic: values clamped into [0, 1]
 
-    def as_rows(self):
-        return list(zip(self.thresholds.tolist(), self.coverage.tolist()))
-
 
 @dataclass
 class RateResult:
     rate: float                  # bits/s/Hz aggregated over a cell
     method: str
     ci_half_width: float | None = None
+    trials_used: int | None = None    # Monte Carlo: trials with tagged users
     t_hi: float | None = None    # analytic: upper end of the rate integral
     # analytic: coverage at the largest t_hi (1e9) was still above
     # RATE_COVERAGE_CUTOFF, so the integral was cut short
@@ -348,17 +346,6 @@ def _cross_moment(params: SystemParams) -> float:
     inner = np.cumsum(wu.reshape(-1, 8).sum(axis=1))[8:]
     vals = t ** (-p.alpha / 2.0) * inner / (math.exp(-a0) - np.exp(-t))
     return q ** (p.alpha * (1.0 - p.eps) / 2.0) * float(np.dot(wt, vals))
-
-
-def q1(x: float, params: SystemParams) -> float:
-    """Mean excess observation variance given serving distance x.
-
-    The exclusion-ball step drops the conditioning on x, so the value is
-    constant in x; the argument is kept for the contract (x > r0).
-    """
-    if x <= params.r0:
-        raise DomainError(f"need x > r0={params.r0!r}, got {x!r}")
-    return _context(params).q1
 
 
 def q3(x: float, params: SystemParams) -> float:
@@ -742,44 +729,6 @@ def _x_grid():
 
 
 _context = lru_cache(maxsize=32)(_Context)
-
-
-# ---------------------------------------------------------------------------
-# public single-point terms
-# ---------------------------------------------------------------------------
-
-def coefficients(t_lin: float, n: int, x, params: SystemParams,
-                 n_shape: int | None = None):
-    """Campbell exponent coefficients (B, C, D) at threshold T, expansion
-    index n and serving distance x. All three are <= 0."""
-    eta = eta_shape(_gamma_shape(n_shape, params))
-    if t_lin < 0:
-        raise DomainError("threshold must be >= 0")
-    return _context(params).coefficients(eta * n * t_lin,
-                                         np.asarray(x, dtype=float))
-
-
-def e1_term(t_lin: float, n: int, x: float, params: SystemParams,
-            n_shape: int | None = None) -> float:
-    """Laplace functional of the station interference field at (T, n, x)."""
-    eta = eta_shape(_gamma_shape(n_shape, params))
-    ctx = _context(params)
-    b, c, _ = ctx.coefficients(eta * n * t_lin, np.asarray([x]))
-    return float(np.exp(ctx.e1_exponent(b, c, np.asarray([x])))[0])
-
-
-def e2_term(t_lin: float, n: int, x: float, params: SystemParams,
-            n_shape: int | None = None) -> float:
-    """Laplace functional of the foreign-user interference field."""
-    eta = eta_shape(_gamma_shape(n_shape, params))
-    ctx = _context(params)
-    _, _, d = ctx.coefficients(eta * n * t_lin, np.asarray([x]))
-    return float(np.exp(ctx.users * ctx.e2_exponent(d))[0])
-
-
-def c1_term(x, params: SystemParams) -> np.ndarray:
-    """Deterministic part of the approximate inverse SINR at distance x."""
-    return _context(params).c1(x)
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,15 @@ def _record(params: SystemParams, cfg: dict, header, rows, **meta) -> dict:
             "effective_config": {k: cfg[k] for k in sorted(cfg)}}
 
 
-def _curve_record(curve: CoverageCurve, cfg: dict, seed=None) -> dict:
+def _trial_counts(trials_used: int, mc: McConfig) -> dict:
+    """Of a Monte Carlo run's trials, how many gave tagged users and how
+    many were skipped (e.g. the zero-cell outside the margin)."""
+    return {"trials_used": trials_used,
+            "trials_skipped": mc.trials - trials_used}
+
+
+def _curve_record(curve: CoverageCurve, cfg: dict, seed=None,
+                  **meta) -> dict:
     rows = [(10.0 * math.log10(t), float(c))
             for t, c in zip(curve.thresholds, curve.coverage)]
     header = ["threshold_db", "coverage"]
@@ -206,7 +214,7 @@ def _curve_record(curve: CoverageCurve, cfg: dict, seed=None) -> dict:
         rows = [r + (float(h),) for r, h in zip(rows, curve.ci_half_width)]
     return _record(curve.params, cfg, header, rows, kind="coverage",
                    method=curve.method, n_shape=curve.n_shape, seed=seed,
-                   clamped=curve.clamped)
+                   clamped=curve.clamped, **meta)
 
 
 def _rate_diagnostics(res: RateResult, label, value) -> dict:
@@ -215,13 +223,14 @@ def _rate_diagnostics(res: RateResult, label, value) -> dict:
             "tail_truncated": res.tail_truncated}
 
 
-def _rate_record(res: RateResult, label, value, params, cfg, seed=None) -> dict:
+def _rate_record(res: RateResult, label, value, params, cfg, seed=None,
+                 **meta) -> dict:
     rows = [(float(value), res.rate)
             + ((res.ci_half_width,) if res.ci_half_width is not None else ())]
     header = [label, "rate_bps_hz"] + (
         ["ci95_half_width"] if res.ci_half_width is not None else [])
     record = _record(params, cfg, header, rows, kind="rate",
-                     method=res.method, seed=seed)
+                     method=res.method, seed=seed, **meta)
     if res.t_hi is not None:
         record["diagnostics"] = [_rate_diagnostics(res, label, value)]
     return record
@@ -242,8 +251,10 @@ def cmd_coverage(cfg: dict) -> int:
 def cmd_coverage_mc(cfg: dict) -> int:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
-    curve = run_coverage_mc(params, build_mc_config(cfg, thr))
-    write_results(_curve_record(curve, cfg, seed=cfg["seed"]),
+    mc = build_mc_config(cfg, thr)
+    curve = run_coverage_mc(params, mc)
+    write_results(_curve_record(curve, cfg, seed=cfg["seed"],
+                                **_trial_counts(curve.trials_used, mc)),
                   cfg["output"], cfg["format"])
     return EXIT_OK
 
@@ -258,9 +269,12 @@ def cmd_rate(cfg: dict) -> int:
 
 def cmd_rate_mc(cfg: dict) -> int:
     params = build_params(cfg)
-    res = run_rate_mc(params, build_mc_config(cfg, ()))
+    mc = build_mc_config(cfg, ())
+    res = run_rate_mc(params, mc)
     write_results(_rate_record(res, "eps", params.eps, params, cfg,
-                               seed=cfg["seed"]), cfg["output"], cfg["format"])
+                               seed=cfg["seed"],
+                               **_trial_counts(res.trials_used, mc)),
+                  cfg["output"], cfg["format"])
     return EXIT_OK
 
 

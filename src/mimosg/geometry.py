@@ -179,12 +179,6 @@ class NetworkRealization:
     def k(self) -> int:
         return self.users.shape[1]
 
-    def central_cells(self, margin: float) -> np.ndarray:
-        """Indices of valid cells whose BS lies in the margin-trimmed core."""
-        lo, hi = margin, self.window - margin
-        inside = np.all((self.bs >= lo) & (self.bs <= hi), axis=1)
-        return np.flatnonzero(inside & self.valid)
-
 
 def build_network(params: SystemParams, window: float,
                   rng: np.random.Generator,
@@ -250,65 +244,3 @@ def build_network(params: SystemParams, window: float,
         serving[~valid] = np.nan
     return NetworkRealization(bs=bs, users=users, serving=serving,
                               valid=valid, window=window)
-
-
-# ---------------------------------------------------------------------------
-# distance bundle for one tagged user
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DistanceBundle:
-    """Every distance family entering the SINR of one tagged user.
-
-    Arrays are aligned on the first axis with ``other_cells`` (valid
-    interfering cells, sorted by increasing distance to the tagged user);
-    columns of the 2-D arrays run over the K users of each cell.
-    """
-
-    cell_index: int
-    pilot_index: int
-    x: float                         # serving distance of the tagged user
-    other_cells: np.ndarray          # (n_o,) indices into the realization
-    bs_to_user: np.ndarray           # (n_o,)   BS j -> tagged user
-    bs_to_bs: np.ndarray             # (n_o,)   BS j -> serving BS
-    cross_serving: np.ndarray        # (n_o, K) user (j,k') -> its own BS
-    cross_to_desired_bs: np.ndarray  # (n_o, K) user (j,k') -> serving BS
-    user_to_user: np.ndarray         # (n_o, K) user (j,k') -> tagged user
-
-    @property
-    def n_other(self) -> int:
-        return self.other_cells.shape[0]
-
-
-def extract_bundle(net: NetworkRealization, cell: int, k: int,
-                   margin: float = 1.0) -> DistanceBundle | None:
-    """Collect the tagged user's distances; ``None`` when the tagged cell
-    falls outside the central measurement region (border-effect guard).
-    Interference always comes from the full window."""
-    if not net.valid[cell]:
-        raise DomainError(f"cell {cell} holds no eligible users")
-    if cell not in net.central_cells(margin):
-        return None
-
-    pos = net.users[cell, k]
-    bs_l = net.bs[cell]
-    others = np.flatnonzero(net.valid)
-    others = others[others != cell]
-
-    d_bs_user = np.hypot(*(net.bs[others] - pos).T)
-    order = np.argsort(d_bs_user, kind="stable")
-    others = others[order]
-    d_bs_user = d_bs_user[order]
-
-    d_bs_bs = np.hypot(*(net.bs[others] - bs_l).T)
-    cross_serving = net.serving[others]
-    flat = net.users[others].reshape(-1, 2)
-    cross_to_bs = np.hypot(*(flat - bs_l).T).reshape(len(others), net.k)
-    user_user = np.hypot(*(flat - pos).T).reshape(len(others), net.k)
-
-    return DistanceBundle(
-        cell_index=int(cell), pilot_index=int(k),
-        x=float(net.serving[cell, k]),
-        other_cells=others, bs_to_user=d_bs_user, bs_to_bs=d_bs_bs,
-        cross_serving=cross_serving, cross_to_desired_bs=cross_to_bs,
-        user_to_user=user_user)

@@ -5,9 +5,13 @@ Each trial samples a fresh network in a finite square window, computes the
 conditional SINR of every tagged user exactly (realized distances, realized
 observation variances, realized phase draws; interference truncated at the
 window edge like the reference simulation setup), and reduces per-trial
-means in a fixed deterministic order. Per-trial generators are derived as
-SeedSequence((master_seed, trial_index)), a documented stable scheme, so
-replays are bit-exact for any worker count.
+means in a fixed deterministic order. The conditional SINR is already an
+expectation over small-scale fading and precoding, so no fading is drawn;
+the phase of each interfering cell is drawn once per realization
+(``draw_phases``), given that the observer is in its downlink phase.
+Per-trial generators are derived as SeedSequence((master_seed,
+trial_index)), a documented stable scheme, so replays are bit-exact for
+any worker count.
 
 Measurement population: the users of the cell covering the window centre
 (the zero-cell). A uniform point in the cell that covers a fixed location
@@ -20,11 +24,17 @@ is not used. The zero-cell must lie inside the margin-trimmed central
 square or the trial is skipped; interference is summed from the full
 window.
 
-Uncertainty: Wilson 95% intervals for coverage (treating per-trial success
-fractions as the binomial unit, a slightly conservative convention given
-intra-trial correlation), normal-approximation intervals for the rate.
-There is no external convention for trial counts or uncertainty to match,
-so gates and intervals are defined by this package's validation suite.
+Uncertainty: Wilson 95% intervals for coverage, normal-approximation
+intervals for the rate. The Wilson interval treats each trial's success
+fraction as one binomial unit. The K tagged users of a trial share one
+cell and are correlated, so a trial's fraction varies far less than a
+Bernoulli variable: the reported half-width is 2.2-2.8 times the
+estimator's actual 95% half-width (measured from the spread of per-trial
+fractions; ROADMAP item 9). It is kept as is, because the benchmark gates
+Monte Carlo values on it. The rate interval uses the per-trial standard
+deviation and has no such excess. There is no external convention for
+trial counts or uncertainty to match, so gates and intervals are defined
+by this package's validation suite.
 """
 from __future__ import annotations
 
@@ -39,8 +49,7 @@ from . import _kernels
 from .analytic import CoverageCurve, RateResult, _gamma_shape, coverage
 from .errors import ConfigError, EstimationError, RealizationError
 from .geometry import build_network
-from .linkstats import draw_phases
-from .params import SystemParams
+from .params import SystemParams, phase_probabilities
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +77,29 @@ class McConfig:
                 f"margin must lie in [0, window/2), got {self.margin!r}")
         object.__setattr__(self, "thresholds",
                            tuple(float(t) for t in self.thresholds))
+
+
+# phase codes of an interfering cell at the observed symbol
+PHASE_PILOT, PHASE_UPLINK, PHASE_DOWNLINK = 0, 1, 2
+
+
+def draw_phases(params: SystemParams, n_cells: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """One categorical phase draw per interfering cell: an (n_cells,) int8
+    array of PHASE_PILOT, PHASE_UPLINK and PHASE_DOWNLINK codes.
+
+    The observer is in its downlink phase, so each independent interfering
+    cell is in pilot/uplink/downlink with probabilities (n_p, n_u, n_d) /
+    n_tot. The synchronous mode is degenerate: every cell shares the
+    observer's phase, and no uniform is drawn.
+    """
+    if params.sync:
+        return np.full(n_cells, PHASE_DOWNLINK, dtype=np.int8)
+    # the steps of rng.choice(3, size=n_cells, p=probs), without its
+    # per-call checks of p: the same uniforms give the same draws
+    cdf = np.array(phase_probabilities(params)).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n_cells), side="right").astype(np.int8)
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -102,8 +134,7 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
 
     centre = np.array([cfg.window / 2.0, cfg.window / 2.0])
     zero_cell = int(np.hypot(*(net.bs - centre).T).argmin())
-    # the zero-cell must be valid and its station inside the margin-trimmed
-    # core (NetworkRealization.central_cells, for this one cell)
+    # the zero-cell must be valid, its station in the margin-trimmed core
     lo, hi = cfg.margin, cfg.window - cfg.margin
     bx, by = net.bs[zero_cell]
     if not (net.valid[zero_cell] and lo <= bx <= hi and lo <= by <= hi):
@@ -121,7 +152,7 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
     tag_user = (user_cell == zero_cell).nonzero()[0]
 
     # one phase draw per interfering cell, shared by the zero-cell's users
-    phases = draw_phases(p, net.n_bs, rng).phase
+    phases = draw_phases(p, net.n_bs, rng)
 
     d_uu = _kernels.pairwise_dist(pos, pos[tag_user])  # (nu, nt)
     g1, g2, g3 = _kernels.sinr_batch(
@@ -171,7 +202,13 @@ def wilson_interval(p_hat: np.ndarray, n: int):
 
 
 def run_coverage_mc(params: SystemParams, cfg: McConfig) -> CoverageCurve:
-    """Empirical coverage curve with 95% Wilson half-widths."""
+    """Empirical coverage curve with 95% Wilson half-widths.
+
+    The half-widths take each used trial as one binomial unit, but the K
+    tagged users of a trial are correlated, so the half-widths are 2.2-2.8
+    times the estimator's actual 95% half-width (see the module docstring;
+    ROADMAP item 9).
+    """
     if not cfg.thresholds:
         raise ConfigError("McConfig.thresholds must be non-empty")
     results = _run_trials(params, cfg)
@@ -196,7 +233,8 @@ def run_rate_mc(params: SystemParams, cfg: McConfig) -> RateResult:
     rate = pref * float(means.mean())
     half = _Z95 * pref * float(means.std(ddof=1)) / math.sqrt(means.size) \
         if means.size > 1 else float("inf")
-    return RateResult(rate=rate, method="monte-carlo", ci_half_width=half)
+    return RateResult(rate=rate, method="monte-carlo", ci_half_width=half,
+                      trials_used=int(means.size))
 
 
 @dataclass

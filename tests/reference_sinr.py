@@ -1,16 +1,19 @@
-"""Per-link statistics: path loss, power control, pilot observation
-variances, phase-overlap indicators and the inverse-SINR decomposition.
+"""Scalar one-user reference of the Monte Carlo SINR: the oracle that the
+kernel-parity tests compare the batched ``mimosg._kernels``
+(``all_deltas``, ``sinr_batch``) against. Acceptance criteria 2 and 8
+take the isolated-cell SINR ceiling from it.
 
-These are the scalar reference implementations operating on a single
-tagged user's :class:`~mimosg.geometry.DistanceBundle`. The Monte Carlo
-engine evaluates the same sums batched over all tagged users through
-:mod:`mimosg._kernels`; the test-suite pins the two against each other.
+One tagged user at a time: ``extract_bundle`` collects every distance
+family entering its SINR into a :class:`DistanceBundle`,
+``compute_delta`` gives its observation variance and ``inverse_sinr`` the
+conditional inverse SINR, split into the intra-cell/noise part (gamma1),
+the pilot-contamination part (gamma2) and the foreign-uplink part (gamma3,
+asynchronous only). The sums run over one user's bundle, not over the
+kernels' realization-wide arrays, so the two share no indexing.
 
-The Monte Carlo path evaluates the conditional (geometry-given) SINR
-directly: the decomposition below is already an expectation over small
-scale fading and precoding randomness, so no per-symbol fading is drawn.
-Phase indicators are drawn once per realization per interfering cell,
-conditioned on the observer being in its downlink phase.
+The decomposition is already an expectation over small-scale fading and
+precoding randomness, so no per-symbol fading is drawn. Phases are the
+int8 codes of ``mimosg.montecarlo.draw_phases``, one per interfering cell.
 """
 from __future__ import annotations
 
@@ -18,68 +21,85 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
-from .geometry import DistanceBundle
-from .params import MODE_SYNC, SystemParams, c_m, phase_probabilities, v_m
-
-PHASE_PILOT = 0
-PHASE_UPLINK = 1
-PHASE_DOWNLINK = 2
+from mimosg.errors import DomainError, NumericalError
+from mimosg.geometry import NetworkRealization
+from mimosg.montecarlo import PHASE_DOWNLINK, PHASE_UPLINK
+from mimosg.params import SystemParams, c_m, v_m
 
 
-def path_loss(r, omega: float, alpha: float):
-    """beta = omega * r^-alpha with r in km."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("path loss undefined at non-positive distance")
-    out = omega * r ** (-alpha)
-    return float(out) if out.ndim == 0 else out
-
-
-def uplink_power(beta_serving, p_u: float, eps: float):
-    """Fractional power control: P = p_u * beta^-eps (uncapped)."""
-    if not 0.0 <= eps <= 1.0:
-        raise DomainError(f"eps must lie in [0, 1], got {eps!r}")
-    beta_serving = np.asarray(beta_serving, dtype=float)
-    if np.any(beta_serving <= 0):
-        raise DomainError("path loss must be positive")
-    out = p_u * beta_serving ** (-eps)
-    return float(out) if out.ndim == 0 else out
+def central_cells(net: NetworkRealization, margin: float) -> np.ndarray:
+    """Indices of valid cells whose BS lies in the margin-trimmed core."""
+    lo, hi = margin, net.window - margin
+    inside = np.all((net.bs >= lo) & (net.bs <= hi), axis=1)
+    return np.flatnonzero(inside & net.valid)
 
 
 @dataclass
-class PhaseIndicators:
-    """Realized phase of each interfering cell at the observed symbol."""
+class DistanceBundle:
+    """Every distance family entering the SINR of one tagged user.
 
-    phase: np.ndarray  # (n_cells,) int8 in {PHASE_PILOT, PHASE_UPLINK, PHASE_DOWNLINK}
-
-    @property
-    def chi_dd(self) -> np.ndarray:
-        return self.phase == PHASE_DOWNLINK
-
-    @property
-    def chi_pilot_or_uplink(self) -> np.ndarray:
-        return self.phase <= PHASE_UPLINK
-
-
-def draw_phases(params: SystemParams, n_cells: int,
-                rng: np.random.Generator) -> PhaseIndicators:
-    """One categorical phase draw per interfering cell.
-
-    The observer is in its downlink phase, so each independent interfering
-    cell is in pilot/uplink/downlink with probabilities (n_p, n_u, n_d) /
-    n_tot. The synchronous mode is degenerate: every cell shares the
-    observer's phase.
+    Arrays are aligned on the first axis with ``other_cells`` (valid
+    interfering cells, sorted by increasing distance to the tagged user);
+    columns of the 2-D arrays run over the K users of each cell.
     """
-    if params.mode == MODE_SYNC:
-        return PhaseIndicators(phase=np.full(n_cells, PHASE_DOWNLINK,
-                                             dtype=np.int8))
-    # the steps of rng.choice(3, size=n_cells, p=probs), without its
-    # per-call checks of p: the same uniforms give the same draws
-    cdf = np.array(phase_probabilities(params)).cumsum()
-    cdf /= cdf[-1]
-    draws = cdf.searchsorted(rng.random(n_cells), side="right")
-    return PhaseIndicators(phase=draws.astype(np.int8))
+
+    cell_index: int
+    pilot_index: int
+    x: float                         # serving distance of the tagged user
+    other_cells: np.ndarray          # (n_o,) indices into the realization
+    bs_to_user: np.ndarray           # (n_o,)   BS j -> tagged user
+    bs_to_bs: np.ndarray             # (n_o,)   BS j -> serving BS
+    cross_serving: np.ndarray        # (n_o, K) user (j,k') -> its own BS
+    cross_to_desired_bs: np.ndarray  # (n_o, K) user (j,k') -> serving BS
+    user_to_user: np.ndarray         # (n_o, K) user (j,k') -> tagged user
+
+    @property
+    def n_other(self) -> int:
+        return self.other_cells.shape[0]
+
+
+def extract_bundle(net: NetworkRealization, cell: int, k: int,
+                   margin: float = 1.0) -> DistanceBundle | None:
+    """Collect the tagged user's distances; ``None`` when the tagged cell
+    falls outside the central measurement region (border-effect guard).
+    Interference always comes from the full window."""
+    if not net.valid[cell]:
+        raise DomainError(f"cell {cell} holds no eligible users")
+    if cell not in central_cells(net, margin):
+        return None
+
+    pos = net.users[cell, k]
+    bs_l = net.bs[cell]
+    others = np.flatnonzero(net.valid)
+    others = others[others != cell]
+
+    d_bs_user = np.hypot(*(net.bs[others] - pos).T)
+    order = np.argsort(d_bs_user, kind="stable")
+    others = others[order]
+    d_bs_user = d_bs_user[order]
+
+    d_bs_bs = np.hypot(*(net.bs[others] - bs_l).T)
+    cross_serving = net.serving[others]
+    flat = net.users[others].reshape(-1, 2)
+    cross_to_bs = np.hypot(*(flat - bs_l).T).reshape(len(others), net.k)
+    user_user = np.hypot(*(flat - pos).T).reshape(len(others), net.k)
+
+    return DistanceBundle(
+        cell_index=int(cell), pilot_index=int(k),
+        x=float(net.serving[cell, k]),
+        other_cells=others, bs_to_user=d_bs_user, bs_to_bs=d_bs_bs,
+        cross_serving=cross_serving, cross_to_desired_bs=cross_to_bs,
+        user_to_user=user_user)
+
+
+def chi_dd(phases: np.ndarray) -> np.ndarray:
+    """Cells in their downlink phase, as the observer is."""
+    return phases == PHASE_DOWNLINK
+
+
+def chi_pilot_or_uplink(phases: np.ndarray) -> np.ndarray:
+    """Cells in their pilot or uplink phase."""
+    return phases <= PHASE_UPLINK
 
 
 @dataclass
@@ -142,11 +162,10 @@ def delta1(delta: float, x: float, params: SystemParams) -> float:
     return (p.omega ** (p.eps - 1.0) / p.p_u) * delta - x ** (-p.alpha * (1.0 - p.eps))
 
 
-def inverse_sinr(bundle: DistanceBundle, phases: PhaseIndicators,
+def inverse_sinr(bundle: DistanceBundle, phases: np.ndarray,
                  deltas: DeltaSet, params: SystemParams) -> InverseSinr:
-    """Conditional inverse SINR of the tagged user, split into the
-    intra-cell/noise part (gamma1), the pilot-contamination part (gamma2)
-    and the foreign-uplink part (gamma3, asynchronous only)."""
+    """Conditional inverse SINR of the tagged user; ``phases`` holds the
+    phase code of each of the bundle's interfering cells."""
     p = params
     c = c_m(p.m)
     c2 = c * c
@@ -172,7 +191,7 @@ def inverse_sinr(bundle: DistanceBundle, phases: PhaseIndicators,
         _check_finite(out)
         return out
 
-    if phases.phase.shape[0] != bundle.n_other:
+    if phases.shape[0] != bundle.n_other:
         raise DomainError("phase draw does not match the bundle's cell count")
 
     r_jl = bundle.bs_to_user
@@ -196,14 +215,14 @@ def inverse_sinr(bundle: DistanceBundle, phases: PhaseIndicators,
             + p.p_d * p.n_p * p.n_d / (p.p_u * p.omega ** (-p.eps) * p.n_tot ** 2)
             * bsbs)
 
-        dd = phases.chi_dd
+        dd = chi_dd(phases)
         beam = float(np.sum(r_jl[dd] ** (-p.alpha)))
         pil = float(np.sum((deltas.tagged / deltas.other[dd]).sum(axis=1)
                            * r_jl[dd] ** (-2.0 * p.alpha)))
         g2 = ((p.n_p / c2) * amp * beam
               + ((p.m - 1.0) / c2) * x2a * f_w * pil)
 
-        pu = phases.chi_pilot_or_uplink
+        pu = chi_pilot_or_uplink(phases)
         g3 = (amp * p.p_u / (p.p_d * p.omega ** p.eps * c2)
               * float(np.sum(bundle.cross_serving[pu] ** (p.alpha * p.eps)
                              * bundle.user_to_user[pu] ** (-p.alpha))))

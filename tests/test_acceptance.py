@@ -43,14 +43,14 @@ from scipy.special import gammainc
 from mimosg import _kernels
 from mimosg.analytic import (coverage, coverage_infinite_m, coverage_no_pc,
                              ergodic_rate, gamma_cdf_approx, q2, q3)
-from mimosg.geometry import (NetworkRealization, extract_bundle, serving_cdf,
+from mimosg.geometry import (NetworkRealization, serving_cdf,
                              serving_given_bs_cdf, serving_given_bs_sample,
                              serving_given_user_pair_cdf,
                              serving_given_user_pair_sample, serving_sample)
-from mimosg.linkstats import (DeltaSet, PhaseIndicators, compute_delta,
-                              inverse_sinr, isolated_cell_sinr)
 from mimosg.montecarlo import McConfig, run_rate_mc, validate
 from mimosg.params import c_m, default_params
+from reference_sinr import (DeltaSet, compute_delta, extract_bundle,
+                            inverse_sinr, isolated_cell_sinr)
 
 THRESHOLD_DB = np.arange(-10.0, 21.0, 1.0)
 THRESHOLDS = tuple((10.0 ** (THRESHOLD_DB / 10.0)).tolist())
@@ -295,8 +295,7 @@ class TestCriterion8ClosedFormSpotValues:
                 b = extract_bundle(net, 0, k, margin=1.0)
                 dset = DeltaSet(tagged=compute_delta(b, p),
                                 other=np.zeros((0, p.k)))
-                inv = inverse_sinr(b, PhaseIndicators(np.zeros(0, np.int8)),
-                                   dset, p)
+                inv = inverse_sinr(b, np.zeros(0, np.int8), dset, p)
                 worst = max(worst, abs(inv.sinr - bound) / bound)
         ok = worst < 1e-6
         report(8, ok, f"isolated-cell SINR: MC vs c_m^2/(v_m-1+n_p) = "

@@ -8,10 +8,9 @@ from scipy.special import gammainc
 
 from mimosg import analytic
 from mimosg.analytic import (_TAYLOR_K, _TAYLOR_Z, CoverageCurve, _context,
-                             _e1_splits, _tau_grid, c1_term, coefficients,
-                             coverage, coverage_fullpc_async,
-                             coverage_infinite_m, coverage_no_pc, e1_term,
-                             e2_term, ergodic_rate, gamma_cdf_approx, q1,
+                             _e1_splits, _tau_grid, coverage,
+                             coverage_fullpc_async, coverage_infinite_m,
+                             coverage_no_pc, ergodic_rate, gamma_cdf_approx,
                              q2, q3)
 from mimosg.errors import DomainError
 from mimosg.params import c_m, default_params, eta_shape, v_m
@@ -288,12 +287,7 @@ class TestExclusionBallConstants:
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_q1_async_reference(self, eps):
         p = default_params("async", eps=eps)
-        assert q1(0.3, p) == pytest.approx(Q1_ASYNC[eps], rel=1e-9)
-
-    def test_q1_x_independent_but_guarded(self, params_async):
-        assert q1(0.3, params_async) == q1(1.7, params_async)
-        with pytest.raises(DomainError):
-            q1(0.01, params_async)
+        assert _context(p).q1 == pytest.approx(Q1_ASYNC[eps], rel=1e-9)
 
     def test_q1_sync_vs_async_term_toggle(self):
         """The two modes differ exactly by the documented extra terms."""
@@ -302,17 +296,17 @@ class TestExclusionBallConstants:
             ps = default_params("sync", eps=eps)
             cm = CROSS_MOMENT[eps]
             noise = pa.sigma2 * pa.omega ** (eps - 1.0) / (pa.n_p * pa.p_u)
-            assert q1(0.3, ps) == pytest.approx(cm + noise, rel=1e-9)
+            assert _context(ps).q1 == pytest.approx(cm + noise, rel=1e-9)
             extra = (pa.p_d * pa.n_p * pa.n_d * q2(pa)
                      / (pa.p_u * pa.omega ** -eps * pa.n_tot ** 2))
             expected = (pa.n_p + pa.n_u) / pa.n_tot ** 2 * pa.n_p * cm + extra + noise
-            assert q1(0.3, pa) == pytest.approx(expected, rel=1e-9)
+            assert _context(pa).q1 == pytest.approx(expected, rel=1e-9)
 
     def test_q1_eps0_closed_reduction(self, params_async):
         # at eps=0 the cross moment reduces to R_e^-alpha * (pi lam R_e^2)
         # ^(1-alpha/2) / (alpha/2-1) = 16 for the reference geometry
         assert CROSS_MOMENT[0.0] == 16.0
-        assert q1(0.3, params_async) == pytest.approx(
+        assert _context(params_async).q1 == pytest.approx(
             0.0125 * 10 * 16.0 + Q1_ASYNC[0.0] - 2.0 - 5.0117e-11, rel=1e-6)
 
     def test_q3_sync_zero(self, params_sync):
@@ -365,37 +359,46 @@ class TestExclusionBallConstants:
 
 class TestCoefficients:
     def test_zero_threshold(self, params_async):
-        b, c, d = coefficients(0.0, 1, 0.3, params_async, 1)
+        b, c, d = _context(params_async).coefficients(0.0, 0.3)
         assert b == 0.0 and c == 0.0 and d == 0.0
 
     def test_nonpositive(self, params_sync):
-        b, c, d = coefficients(2.0, 3, 0.7, params_sync, 4)
+        b, c, d = _context(params_sync).coefficients(eta_shape(4) * 3 * 2.0,
+                                                     0.7)
         assert b <= 0.0 and c <= 0.0 and d <= 0.0
 
     def test_c_mode_ratio(self):
         pa = default_params("async", eps=0.5)
         ps = default_params("sync", eps=0.5)
-        _, ca, _ = coefficients(1.0, 1, 0.3, pa, 1)
-        _, cs, _ = coefficients(1.0, 1, 0.3, ps, 1)
+        _, ca, _ = _context(pa).coefficients(eta_shape(1) * 1.0, 0.3)
+        _, cs, _ = _context(ps).coefficients(eta_shape(1) * 1.0, 0.3)
         assert ca / cs == pytest.approx(10 * 400 * 20 / 40.0 ** 4, rel=1e-12)
 
     def test_d_mode_ratio(self):
         pa = default_params("async", eps=0.5)
         ps = default_params("sync", eps=0.5)
-        _, _, da = coefficients(1.0, 1, 0.3, pa, 1)
-        _, _, ds = coefficients(1.0, 1, 0.3, ps, 1)
+        _, _, da = _context(pa).coefficients(eta_shape(1) * 1.0, 0.3)
+        _, _, ds = _context(ps).coefficients(eta_shape(1) * 1.0, 0.3)
         assert da / ds == pytest.approx(20.0 / 1600.0, rel=1e-12)
 
 
 class TestLaplaceTerms:
     def test_unit_at_zero_threshold(self, params_async):
-        assert e1_term(0.0, 1, 0.3, params_async, 1) == pytest.approx(1.0)
-        assert e2_term(0.0, 1, 0.3, params_async, 1) == pytest.approx(1.0)
+        ctx = _context(params_async)
+        x = np.array([0.3])
+        b, c, d = ctx.coefficients(0.0, x)
+        assert np.exp(ctx.e1_exponent(b, c, x))[0] == pytest.approx(1.0)
+        assert np.exp(ctx.users * ctx.e2_exponent(d))[0] == pytest.approx(1.0)
 
     def test_bounded_and_monotone_in_threshold(self, params_async):
         ts = [0.1, 0.5, 1.0, 3.0, 10.0, 100.0]
-        e1s = [e1_term(t, 1, 0.4, params_async, 1) for t in ts]
-        e2s = [e2_term(t, 1, 0.4, params_async, 1) for t in ts]
+        ctx = _context(params_async)
+        x = np.array([0.4])
+        e1s, e2s = [], []
+        for t in ts:
+            b, c, d = ctx.coefficients(eta_shape(1) * t, x)
+            e1s.append(float(np.exp(ctx.e1_exponent(b, c, x))[0]))
+            e2s.append(float(np.exp(ctx.users * ctx.e2_exponent(d))[0]))
         for seq in (e1s, e2s):
             assert all(0.0 < v <= 1.0 for v in seq)
             assert all(a >= b for a, b in zip(seq, seq[1:]))
@@ -424,7 +427,7 @@ class TestLaplaceTerms:
             ref = quad(f, math.log(a), math.log(t_cut), epsabs=0.0,
                        epsrel=1e-12)[0] \
                 + bt * t_cut ** (1.0 - p.alpha / 2.0) / (p.alpha / 2.0 - 1.0)
-            got = math.log(e1_term(t_lin, 1, x, p, 1))
+            got = float(ctx.e1_exponent(b, c, np.array([x]))[0])
             assert got == pytest.approx(ref, rel=1e-7, abs=1e-12)
 
     def test_e1_against_field_simulation(self, params_async, rng):
@@ -434,8 +437,9 @@ class TestLaplaceTerms:
         p = params_async
         t_lin, n, x = 1.0, 1, 0.3
         ctx = _context(p)
-        b, c, _ = ctx.coefficients(eta_shape(n) * n * t_lin, np.array([x]))
-        b, c = float(b[0]), float(c[0])
+        xs = np.array([x])
+        b_row, c_row, _ = ctx.coefficients(eta_shape(n) * n * t_lin, xs)
+        b, c = float(b_row[0]), float(c_row[0])
         r_far = 12.0  # exponent tail beyond this is ~1e-4 of the total
         area = math.pi * (r_far ** 2 - x * x)
         vals = []
@@ -449,7 +453,8 @@ class TestLaplaceTerms:
                          0.0).sum(axis=1)
             vals.append(np.exp(s))
         estimate = float(np.concatenate(vals).mean())
-        assert e1_term(t_lin, n, x, p, n) == pytest.approx(estimate, rel=0.03)
+        e1 = float(np.exp(ctx.e1_exponent(b_row, c_row, xs))[0])
+        assert e1 == pytest.approx(estimate, rel=0.03)
 
     def test_e1_exponent_against_scipy_quad(self, params_sync):
         """Rows sharing one tau grid, from tiny through moderate to
@@ -595,10 +600,10 @@ class TestLaplaceTerms:
         pa = default_params("async", eps=0.5)
         ps = default_params("sync", eps=0.5)
         ctx_a, ctx_s = _context(pa), _context(ps)
-        _, _, da = coefficients(1.0, 1, 0.4, pa, 1)
-        _, _, ds = coefficients(1.0, 1, 0.4, ps, 1)
-        ea = math.log(e2_term(1.0, 1, 0.4, pa, 1))
-        es = math.log(e2_term(1.0, 1, 0.4, ps, 1))
+        _, _, da = ctx_a.coefficients(eta_shape(1) * 1.0, 0.4)
+        _, _, ds = ctx_s.coefficients(eta_shape(1) * 1.0, 0.4)
+        ea = math.log(np.exp(ctx_a.users * ctx_a.e2_exponent(da))[0])
+        es = math.log(np.exp(ctx_s.users * ctx_s.e2_exponent(ds))[0])
         assert ea == pytest.approx(
             pa.n_p * float(ctx_a.e2_exponent(np.array([da]))[0]), rel=1e-12)
         assert es == pytest.approx(
@@ -700,7 +705,7 @@ class TestCoverage:
     def test_c1_contains_isolated_floor(self, params_async):
         m = params_async.m
         floor = (v_m(m) - 1.0 + params_async.n_p) / c_m(m) ** 2
-        assert float(c1_term(0.3, params_async)) > floor
+        assert float(_context(params_async).c1(0.3)) > floor
 
 
 class TestErgodicRate:

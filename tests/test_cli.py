@@ -271,6 +271,23 @@ class TestSubcommands:
         assert (doc["trials_used"], doc["trials_skipped"]) == (199, 1)
         assert doc["trials_used"] + doc["trials_skipped"] == doc["trials"]
 
+    @pytest.mark.parametrize("command,extra", [
+        ("coverage-mc", ("--thresholds-db", "0:6:3")), ("rate-mc", ())],
+        ids=["coverage-mc", "rate-mc"])
+    def test_mc_json_counts_skipped_trials(self, capsys, command, extra):
+        """coverage-mc and rate-mc record their trial counts as validate
+        does: seed 42 skips trial 171, and a rerun writes the same bytes."""
+        argv = (command, "--mode", "async", "--trials", "200", "--seed",
+                "42", "--format", "json", *extra)
+        code, first, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        _, second, _ = run_cli(capsys, *argv)
+        assert first == second
+        doc = json.loads(first)
+        assert (doc["trials_used"], doc["trials_skipped"]) == (199, 1)
+        assert (doc["trials_used"] + doc["trials_skipped"]
+                == doc["effective_config"]["trials"])
+
     def test_sweep_np(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--param", "np", "--values",
                                "5,10,15", "--mode", "async", "--eps", "0.5")

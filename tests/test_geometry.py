@@ -9,8 +9,7 @@ from scipy.integrate import quad
 
 from mimosg import _kernels
 from mimosg.errors import DomainError, RealizationError
-from mimosg.geometry import (DistanceBundle, NetworkRealization,
-                             build_network, extract_bundle, sample_hppp,
+from mimosg.geometry import (NetworkRealization, build_network, sample_hppp,
                              serving_cdf, serving_given_bs_cdf,
                              serving_given_bs_pdf, serving_given_bs_sample,
                              serving_given_user_pair_cdf,
@@ -18,6 +17,7 @@ from mimosg.geometry import (DistanceBundle, NetworkRealization,
                              serving_given_user_pair_sample, serving_pdf,
                              serving_sample)
 from mimosg.params import default_params
+from reference_sinr import central_cells, extract_bundle
 
 LAM = 1.2732395447351628   # exclusion ball radius 0.5 km
 R0 = 0.05
@@ -252,7 +252,7 @@ class TestNetwork:
         dists = []
         while sum(d.size for d in dists) < 40_000:
             net = build_network(params_async, 4.0, rng)
-            cells = net.central_cells(1.0)
+            cells = central_cells(net, 1.0)
             if cells.size:
                 dists.append(net.serving[cells].ravel())
         sample = np.concatenate(dists)[:40_000]
@@ -317,7 +317,7 @@ class TestGoldenRealizations:
 class TestBundle:
     def test_brute_force_distances(self, params_async, rng):
         net = build_network(params_async, 4.0, rng)
-        cell = int(net.central_cells(1.0)[0])
+        cell = int(central_cells(net, 1.0)[0])
         b = extract_bundle(net, cell, 3, margin=1.0)
         pos = net.users[cell, 3]
         for row, j in enumerate(b.other_cells):
@@ -333,7 +333,7 @@ class TestBundle:
 
     def test_triangle_and_association_inequalities(self, params_async, rng):
         net = build_network(params_async, 4.0, rng)
-        for cell in net.central_cells(1.0)[:3]:
+        for cell in central_cells(net, 1.0)[:3]:
             for k in range(3):
                 b = extract_bundle(net, int(cell), k, margin=1.0)
                 assert np.all(b.cross_serving < b.cross_to_desired_bs)
@@ -343,13 +343,13 @@ class TestBundle:
 
     def test_sorted_by_distance(self, params_async, rng):
         net = build_network(params_async, 4.0, rng)
-        cell = int(net.central_cells(1.0)[0])
+        cell = int(central_cells(net, 1.0)[0])
         b = extract_bundle(net, cell, 0, margin=1.0)
         assert np.all(np.diff(b.bs_to_user) >= 0)
 
     def test_skip_signal_outside_central_region(self, params_async, rng):
         net = build_network(params_async, 4.0, rng)
-        central = set(net.central_cells(1.0).tolist())
+        central = set(central_cells(net, 1.0).tolist())
         border = [j for j in range(net.n_bs) if j not in central]
         if border:
             assert extract_bundle(net, border[0], 0, margin=1.0) is None

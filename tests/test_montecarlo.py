@@ -6,13 +6,14 @@ import pytest
 
 from mimosg import _kernels, montecarlo
 from mimosg.errors import ConfigError, EstimationError
-from mimosg.geometry import build_network, extract_bundle
-from mimosg.linkstats import (PHASE_DOWNLINK, DeltaSet, PhaseIndicators,
-                              compute_delta, inverse_sinr, isolated_cell_sinr)
-from mimosg.montecarlo import (McConfig, ValidationReport, _flatten_users,
-                               run_coverage_mc, run_rate_mc, run_trial,
-                               trial_rng, validate, wilson_interval)
+from mimosg.geometry import build_network
+from mimosg.montecarlo import (PHASE_DOWNLINK, McConfig, ValidationReport,
+                               _flatten_users, run_coverage_mc, run_rate_mc,
+                               run_trial, trial_rng, validate,
+                               wilson_interval)
 from mimosg.params import default_params, make_params
+from reference_sinr import (DeltaSet, central_cells, compute_delta,
+                            extract_bundle, inverse_sinr, isolated_cell_sinr)
 
 THR_DB = np.arange(-10.0, 21.0, 5.0)
 THR = tuple((10.0 ** (THR_DB / 10.0)).tolist())
@@ -185,7 +186,7 @@ class TestKernelParity:
     @pytest.mark.parametrize("mode,eps", [("async", 0.5), ("sync", 0.5)])
     def test_sinr_and_delta_paths(self, mode, eps, rng):
         """all_deltas and sinr_batch against the scalar per-bundle oracle
-        (linkstats.compute_delta / inverse_sinr), user by user."""
+        (reference_sinr.compute_delta / inverse_sinr), user by user."""
         p = default_params(mode, eps=eps)
         net = build_network(p, 4.0, rng)
         deltas, phases, tag, sinr = _kernel_run(p, net, rng)
@@ -197,7 +198,7 @@ class TestKernelParity:
             assert b is not None
             assert compute_delta(b, p) == pytest.approx(deltas[u], rel=1e-12)
             inv = inverse_sinr(
-                b, PhaseIndicators(phase=phases[b.other_cells]),
+                b, phases[b.other_cells],
                 DeltaSet(tagged=table[b.cell_index, b.pilot_index],
                          other=table[b.other_cells]), p)
             got = [g[t] for g in sinr]
@@ -277,7 +278,7 @@ def _kernel_run(p, net, rng):
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
     deltas = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb,
                                  net.valid, p)
-    tag = np.flatnonzero(user_cell == net.central_cells(1.0)[0])
+    tag = np.flatnonzero(user_cell == central_cells(net, 1.0)[0])
     if p.sync:
         phases = np.full(net.n_bs, PHASE_DOWNLINK, dtype=np.int8)
     else:

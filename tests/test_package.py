@@ -8,7 +8,21 @@ from pathlib import Path
 import pytest
 
 import mimosg
-from mimosg import _kernels, analytic
+from mimosg import _kernels, analytic, cli, montecarlo
+
+# the public API, sorted: a change to it is a change to this list
+PUBLIC_API = [
+    "ConfigError", "CoverageCurve", "DomainError", "EstimationError",
+    "McConfig", "MimosgError", "NetworkRealization", "NumericalError",
+    "RateResult", "RealizationError", "SystemParams", "ValidationReport",
+    "__version__", "build_network", "c_m", "coverage",
+    "coverage_fullpc_async", "coverage_infinite_m", "coverage_no_pc",
+    "default_gamma_shape", "default_params", "density_from_exclusion",
+    "derive_frame", "draw_phases", "ergodic_rate", "eta_shape",
+    "gamma_cdf_approx", "make_params", "phase_probabilities", "q2", "q3",
+    "run_coverage_mc", "run_rate_mc", "sample_hppp", "serving_cdf",
+    "serving_pdf", "serving_sample", "v_m", "validate",
+]
 
 
 class TestImportSurface:
@@ -16,6 +30,21 @@ class TestImportSurface:
         assert len(mimosg.__all__) == len(set(mimosg.__all__))
         missing = [n for n in mimosg.__all__ if not hasattr(mimosg, n)]
         assert missing == []
+
+    def test_public_api_is_pinned(self):
+        assert PUBLIC_API == sorted(PUBLIC_API)
+        assert sorted(mimosg.__all__) == PUBLIC_API
+
+    @pytest.mark.parametrize("module,name", [
+        (montecarlo, "draw_phases"), (montecarlo, "build_network"),
+        (montecarlo, "run_trial"), (montecarlo, "_run_trials"),
+        (montecarlo, "run_coverage_mc"), (cli, "validate"),
+        (cli, "ergodic_rate")])
+    def test_mc_and_cli_hook_targets_exist(self, module, name):
+        # the benchmark's tracer hooks these where their callers look them
+        # up: module attributes of montecarlo and cli, not of the modules
+        # that define them
+        assert callable(vars(module).get(name)), name
 
     @pytest.mark.parametrize("name", ["nearest_bs", "pairwise_dist",
                                       "all_deltas", "sinr_batch"])

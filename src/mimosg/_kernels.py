@@ -9,18 +9,23 @@ the search reduces over the short station axis.
 one-user reference in ``tests/reference_sinr.py``, batched over all users
 of a realization; the kernel-parity tests pin the two against each other.
 They take the realization's arrays and the
-:class:`~mimosg.params.SystemParams` whole:
+:class:`~mimosg.params.SystemParams` whole, and derive the rest (tagged
+distances, 1/Delta tables, C_M^2, V_M) themselves. The users of all valid
+cells are flattened cell-major into one axis ("nu"), K per cell in slot
+order; the tagged users ("nt") are those of one cell. d_bu[j, i] is the
+distance from station j to user i, d_uu[i, t] from user i to tagged user
+t. ``phases`` holds one code per cell: 0 pilot, 1 uplink, 2 downlink. The
+first argument of each kernel is the per-user array its work scales with,
+so a wrapper (``perfbench/run.py --trace 1``) sizes a call by len(args[0]).
 
-    all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb, valid, p)
-    sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
-               deltas, valid, phases, p)
-
-and derive everything else (tagged distances and the tagged cell, the
-1/Delta tables, C_M^2 and V_M) themselves. The frame parts ``n_u`` and
-``n_d`` they use are properties of the parameter set, derived from
-``n_tot``, ``n_p`` and ``z``. ``phases`` is the one phase draw of the
-realization, shape (n_bs,). ``perfbench/run.py --trace 1`` times each
-kernel inside a full Monte Carlo run.
+Both modes run the same formulas; the mode reaches them only as data, the
+frame weights of :func:`~mimosg.params.frame_weights`. Users whose pilots
+collide form a pilot group: the K slots of a cell fall into K // users
+groups, slot s into group s % (K // users). Asynchronous, every pilot
+collides and each cell is one group; synchronous, only equal slots do and
+each slot is a group. The weights are the frame fractions asynchronous
+and 1 synchronous, where the station-to-station weight is 0, and the
+synchronous phases are all downlink, so g3 is +0.0.
 
 All randomness stays outside these kernels (numpy Generators in the
 callers), so replays are bit-exact.
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import c_m, v_m
+from .params import c_m, frame_weights, v_m
 
 
 # ---------------------------------------------------------------------------
@@ -72,15 +77,6 @@ def pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # batched inverse-SINR accumulation
-#
-# Index conventions: users of all valid cells are flattened into one axis
-# ("nu"); the tagged users ("nt") are the users of one cell, given by
-# their indices into it. d_bu[j, i] is the distance from base station j
-# to user i; d_uu[i, t] from user i to tagged user t. phase codes:
-# 0 pilot, 1 uplink, 2 downlink. The first argument of each kernel is
-# the per-user array its work scales with (all users for all_deltas, the
-# tagged users for sinr_batch), so a wrapper can size a call from
-# len(args[0]) alone; the benchmark's tracer counts users that way.
 # ---------------------------------------------------------------------------
 
 def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
@@ -94,18 +90,22 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
     tagged cell (its own entry is ignored).
     """
     alpha, eps, sigma2, omega = p.alpha, p.eps, p.sigma2, p.omega
-    n_p, n_u, n_d, n_tot, p_d, p_u = p.n_p, p.n_u, p.n_d, p.n_tot, p.p_d, p.p_u
+    n_p, n_tot, p_d, p_u = p.n_p, p.n_tot, p.p_d, p.p_u
+    fw = frame_weights(p)
     c = c_m(p.m)
     c2 = c * c
     vm = v_m(p.m)
     x = d_serv[tag_user]
     tag_cell = user_cell[tag_user[0]]
-    nt = x.shape[0]
     n_bs = d_bb.shape[0]
+    n_groups = p.k // fw.users
+    group = pilot_slot % n_groups                                  # (nu,)
+    tag_group = group[tag_user]                                    # (nt,)
 
-    # inv_delta_pilot[j, k] = 1/Delta_{jk}; its row sums sum_k' 1/Delta_{jk'}
+    # 1/Delta_{jk} summed over the users k of each pilot group of cell j
     inv_delta_pilot = np.zeros((n_bs, p.k))
     inv_delta_pilot[user_cell, pilot_slot] = 1.0 / deltas
+    inv_delta_group = inv_delta_pilot.reshape(n_bs, fw.users, n_groups).sum(axis=1)
 
     xa = x ** alpha
     x1e = x ** (alpha * (1.0 - eps))
@@ -121,58 +121,48 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
     delta1 = (omega ** (eps - 1.0) / p_u) * delta_t - x ** (-alpha * (1.0 - eps))
     amp = xa + x2e * delta1
     noise_amp = n_p + sigma2 * xa / (p_d * omega)
-    f_w = (n_p + n_u) / n_tot ** 2
 
     serv_ae = d_serv ** (alpha * eps)
     cells = np.arange(n_bs)
     other_u = user_cell != tag_cell                                # (nu,)
     other_c = (cells != tag_cell) & valid                          # (n_bs,)
+    chi_dd = (phases == 2) & other_c                               # (n_bs,)
 
+    # one row per pilot group of the foreign users' pilot power at the
+    # tagged station, read by each tagged user's group
     w_lu = d_bu[tag_cell] ** (-alpha)                              # (nu,)
-    if p.sync:
-        same_pilot = pilot_slot[None, :] == pilot_slot[tag_user][:, None]
-        cross = (serv_ae * w_lu * (other_u & same_pilot)).sum(axis=1)
-        g1 = base + (x1e / c2) * noise_amp * cross
-    else:
-        cross = (serv_ae * w_lu * other_u).sum()
-        # the zero self-distance of the tagged cell must not poison the sum
-        d_lj = np.where(other_c, d_bb[tag_cell], 1.0)
-        bsbs = (d_lj ** (-alpha) * other_c).sum()
-        g1 = base + (x1e / c2) * noise_amp * (
-            f_w * cross + p_d * n_p * n_d / (p_u * omega ** (-eps) * n_tot ** 2) * bsbs)
+    in_group = group[None, :] == np.arange(n_groups)[:, None]
+    cross = (serv_ae * w_lu * (other_u & in_group)).sum(axis=1)[tag_group]
+    # the zero self-distance of the tagged cell must not poison the sum
+    d_lj = np.where(other_c, d_bb[tag_cell], 1.0)
+    bsbs = (d_lj ** (-alpha) * other_c).sum()
+    g1 = base + (x1e / c2) * noise_amp * (
+        fw.f_w * cross
+        + p_d * n_p * fw.bs / (p_u * omega ** (-eps) * n_tot ** 2) * bsbs)
 
     r_jl = d_bu[:, tag_user].T                                    # (nt, n_bs)
-    if p.sync:
-        beam = (r_jl ** (-alpha) * other_c).sum(axis=1)
-        pil = (inv_delta_pilot[:, pilot_slot[tag_user]].T * other_c
-               * r_jl ** (-2.0 * alpha)).sum(axis=1)
-        g2 = (n_p / c2) * amp * beam + ((p.m - 1.0) / c2) * x2a * delta_t * pil
-        g3 = np.zeros(nt)
-    else:
-        inv_delta_sum = inv_delta_pilot.sum(axis=1)
-        chi_dd = (phases == 2) & other_c
-        beam = (r_jl ** (-alpha) * chi_dd).sum(axis=1)
-        pil = (inv_delta_sum * chi_dd * r_jl ** (-2.0 * alpha)).sum(axis=1)
-        g2 = ((n_p / c2) * amp * beam
-              + ((p.m - 1.0) / c2) * x2a * f_w * delta_t * pil)
-        um = other_u & (phases[user_cell] <= 1)                    # (nu,)
-        d_ut = np.where(um, d_uu.T, 1.0)
-        # masking P_i before the product gives the same +0.0 terms
-        g3 = (amp * p_u / (p_d * omega ** eps * c2)
-              * ((serv_ae * um)[None, :] * d_ut ** (-alpha)).sum(axis=1))
+    beam = (r_jl ** (-alpha) * chi_dd).sum(axis=1)
+    pil = (inv_delta_group.T[tag_group] * chi_dd
+           * r_jl ** (-2.0 * alpha)).sum(axis=1)
+    g2 = ((n_p / c2) * amp * beam
+          + ((p.m - 1.0) / c2) * x2a * fw.f_w * delta_t * pil)
+
+    um = other_u & (phases[user_cell] <= 1)                        # (nu,)
+    d_ut = np.where(um, d_uu.T, 1.0)
+    # masking P_i before the product gives the same +0.0 terms
+    g3 = (amp * p_u / (p_d * omega ** eps * c2)
+          * ((serv_ae * um)[None, :] * d_ut ** (-alpha)).sum(axis=1))
     return g1, g2, g3
 
-
-# ---------------------------------------------------------------------------
-# per-cell delta accumulation
-# ---------------------------------------------------------------------------
 
 def all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb, valid, p):
     """Observation variance Delta for every user at its own base station."""
     alpha, eps, sigma2, omega = p.alpha, p.eps, p.sigma2, p.omega
-    n_p, n_u, n_d, n_tot, p_d, p_u = p.n_p, p.n_u, p.n_d, p.n_tot, p.p_d, p.p_u
+    n_p, n_tot, p_d, p_u = p.n_p, p.n_tot, p.p_d, p.p_u
+    fw = frame_weights(p)
     nu = d_serv.shape[0]
     n_bs = d_bb.shape[0]
+    n_groups = p.k // fw.users
     cells = np.arange(n_bs)
 
     pwr = p_u * omega ** (1.0 - eps)
@@ -183,18 +173,13 @@ def all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb, valid, p):
     w[user_cell, np.arange(nu)] = 0.0
     own = pwr * d_serv ** (-alpha * (1.0 - eps))
 
-    if p.sync:
-        # per pilot slot: sum over co-pilot users of other cells
-        deltas = np.empty(nu)
-        for s in range(p.k):
-            rows = pilot_slot == s
-            contrib = w[:, rows].sum(axis=1)                          # (n_bs,)
-            deltas[rows] = own[rows] + contrib[user_cell[rows]] + sigma2 / n_p
-        return deltas
-    cross = w.sum(axis=1)                                               # (n_bs,)
+    # the user axis runs K per cell in slot order, so its last reshaped
+    # axis is the pilot group: sums over the users of each group
+    cross = w.reshape(n_bs, -1, n_groups).sum(axis=1)          # (n_bs, n_groups)
     other_bs = (cells[None, :] != cells[:, None]) & valid[None, :]
     d_off = np.where(other_bs, d_bb, 1.0)  # keep the zero diagonal out
     bsterm = (omega * d_off ** (-alpha) * other_bs).sum(axis=1)
-    per_cell = ((n_p + n_u) / n_tot ** 2 * cross
-                + p_d * n_p * n_d / n_tot ** 2 * bsterm)
-    return own + per_cell[user_cell] + sigma2 / n_p
+    per_group = fw.f_w * cross + (p_d * n_p * fw.bs / n_tot ** 2 * bsterm)[:, None]
+    # each run of n_groups users is one user of every group, all of one cell
+    return (own.reshape(-1, n_groups) + per_group[user_cell[::n_groups]]
+            + sigma2 / n_p).reshape(-1)

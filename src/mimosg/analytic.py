@@ -63,7 +63,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .params import SystemParams, c_m, default_gamma_shape, eta_shape, v_m
+from .params import (SystemParams, c_m, default_gamma_shape, eta_shape,
+                     frame_weights, v_m)
 from .quadrature import gauss_legendre_panels, leggauss, log_panel_grid
 
 log = logging.getLogger(__name__)
@@ -348,25 +349,22 @@ def _cross_moment(params: SystemParams) -> float:
     return q ** (p.alpha * (1.0 - p.eps) / 2.0) * float(np.dot(wt, vals))
 
 
-def q3(x: float, params: SystemParams) -> float:
+def q3(params: SystemParams) -> float:
     """Mean foreign-uplink interference moment sum_j sum_k'
-    r_jjk'^(alpha eps) r_lkjk'^-alpha given serving distance x; zero
-    synchronous.
+    r_jjk'^(alpha eps) r_lkjk'^-alpha; zero synchronous.
 
     This simplified form replaces the user-to-user distance by the
-    station-to-user distance, which makes it x-independent (N_p times the
-    cross moment). It also conditions the foreign user's serving distance
-    on (r0, |y|), with |y| that user's distance to the tagged station,
-    where the exact form uses (max(r0, x - d), x + d) with d the
-    user-to-user distance. At eps = 0 the serving-distance moment is 1, so
-    only the distance swap shows; for eps > 0 the gap between the two forms
-    mixes both changes. The exact form, a double integral over the
-    exclusion-ball field with the law-of-cosines coupling that converges
-    only for x < r_e, is the test oracle
-    ``tests/test_acceptance.py::q3_reference``.
+    station-to-user distance, which makes it independent of the serving
+    distance x (N_p times the cross moment). It also conditions the
+    foreign user's serving distance on (r0, |y|), with |y| that user's
+    distance to the tagged station, where the exact form uses
+    (max(r0, x - d), x + d) with d the user-to-user distance. At eps = 0
+    the serving-distance moment is 1, so only the distance swap shows; for
+    eps > 0 the gap between the two forms mixes both changes. The exact
+    form, a double integral over the exclusion-ball field with the
+    law-of-cosines coupling that converges only for x < r_e, is the test
+    oracle ``tests/test_acceptance.py::q3_reference``.
     """
-    if x <= params.r0:
-        raise DomainError(f"need x > r0={params.r0!r}, got {x!r}")
     return _context(params).q3
 
 
@@ -489,13 +487,12 @@ class _Context:
     linear in it).
 
     The modes differ only in how much of an interfering cell's frame
-    counts. Asynchronous, the frame weights are f_w = (n_p + n_u) /
-    n_tot^2 (pilot and uplink symbols), rho2 = n_d^2 / n_tot^2 (downlink
-    share, squared), users = n_p (users per pilot: the multiplicity of E2)
-    and the C factor n_p n_d^2 (n_p + n_u) / n_tot^4, applied one factor
-    after the other (:meth:`c_frame`). Synchronous, all of them are
-    exactly 1 and Q2 = Q3 = 0, so the foreign-uplink and
-    station-to-station terms are exactly zero.
+    counts: the frame weights of :func:`~mimosg.params.frame_weights`,
+    f_w, rho2, users (the multiplicity of E2) and the C factor, applied
+    one factor after the other (:meth:`c_frame`). Synchronous, all of them
+    are exactly 1 and the station-to-station weight is 0; so are Q2 and
+    Q3, and the foreign-uplink and station-to-station terms are exactly
+    zero.
     """
 
     def __init__(self, params: SystemParams):
@@ -504,17 +501,8 @@ class _Context:
         self.c2 = c * c
         self.vm = v_m(p.m)
         cm = _cross_moment(p)
-        if p.sync:
-            self.f_w = self.rho2 = 1.0
-            self.users = 1
-            self._c_frame = (1, 1, 1, 1)
-            self.q3 = 0.0
-        else:
-            self.f_w = (p.n_p + p.n_u) / p.n_tot ** 2
-            self.rho2 = p.n_d ** 2 / p.n_tot ** 2
-            self.users = p.n_p
-            self._c_frame = (p.n_p, p.n_d ** 2, p.n_p + p.n_u, p.n_tot ** 4)
-            self.q3 = p.n_p * cm
+        self.f_w, self.rho2, self.users, self._c_frame, bs = frame_weights(p)
+        self.q3 = p.n_p * cm if bs else 0.0
         self.q2 = q2(p)
         self.q1 = (self.f_w * self.users * cm
                    + p.p_d * p.n_p * p.n_d * self.q2

@@ -72,6 +72,8 @@ class McConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
+        if not math.isfinite(self.window):
+            raise ConfigError(f"window must be finite, got {self.window!r}")
         if not 0 <= self.margin < self.window / 2:
             raise ConfigError(
                 f"margin must lie in [0, window/2), got {self.margin!r}")

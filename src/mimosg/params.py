@@ -166,6 +166,27 @@ def phase_probabilities(params: "SystemParams") -> PhaseTriple:
                        params.n_d / params.n_tot)
 
 
+class FrameWeights(NamedTuple):
+    """How much of an interfering cell's frame counts: the weights that make
+    the two modes one set of formulas in both engines. The fields hold
+    their asynchronous values; synchronous, all of them are 1, one user per
+    pilot group, and the station-to-station weight ``bs`` is 0."""
+    f_w: float      # its pilot and uplink symbols, (n_p + n_u) / n_tot^2
+    rho2: float     # its downlink share squared, n_d^2 / n_tot^2
+    users: int      # users per pilot group: n_p, every pilot collides
+    c_frame: tuple  # factors of the C weight: n_p, n_d^2, n_p + n_u, n_tot^4
+    bs: float       # its downlink symbols heard in the tagged pilot, n_d
+
+
+# cached: both Monte Carlo kernels read it on every trial
+@functools.lru_cache(maxsize=64)
+def frame_weights(p: "SystemParams") -> FrameWeights:
+    if p.sync:
+        return FrameWeights(1.0, 1.0, 1, (1, 1, 1, 1), 0.0)
+    return FrameWeights((p.n_p + p.n_u) / p.n_tot ** 2, p.n_d ** 2 / p.n_tot ** 2,
+                        p.n_p, (p.n_p, p.n_d ** 2, p.n_p + p.n_u, p.n_tot ** 4), p.n_d)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """The independent scalar model inputs, in internal units.
@@ -195,6 +216,9 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", normalize_mode(self.mode))
+        for name in ("p_d", "p_u", "sigma2", "omega", "alpha", "r_e"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("p_d", "p_u", "omega"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")

@@ -262,9 +262,9 @@ class TestCriterion8ClosedFormSpotValues:
         pa = default_params("async", eps=0.0)
         ps = default_params("sync", eps=0.0)
         ok = (abs(q2(pa) - 16.0) < 1e-9 and q2(ps) == 0.0
-              and q3(0.3, ps) == 0.0)
+              and q3(ps) == 0.0)
         report(8, ok, f"Q2(async) = {q2(pa):.12g} (= 16 km^-4); "
-                      f"Q2(sync) = {q2(ps)}, Q3(sync) = {q3(0.3, ps)}")
+                      f"Q2(sync) = {q2(ps)}, Q3(sync) = {q3(ps)}")
         assert ok
 
     def test_c64_against_independent_oracle(self):
@@ -355,7 +355,7 @@ class TestCriterion9ForeignUplinkGapReport:
         p = default_params("async", eps=eps)
         ref_exact, ref_simplified = q3_reference(Q3_X, p)
         exact = ref_exact
-        simplified = q3(Q3_X, p)
+        simplified = q3(p)
         pin = abs(simplified - ref_simplified) / ref_simplified
         gap = (exact - simplified) / exact
         ref_gap = (ref_exact - ref_simplified) / ref_exact

@@ -310,11 +310,11 @@ class TestExclusionBallConstants:
             0.0125 * 10 * 16.0 + Q1_ASYNC[0.0] - 2.0 - 5.0117e-11, rel=1e-6)
 
     def test_q3_sync_zero(self, params_sync):
-        assert q3(0.3, params_sync) == 0.0
+        assert q3(params_sync) == 0.0
 
     def test_q3_structural_identity(self, params_async):
         # simplified foreign-uplink moment = N_p * cross moment, exactly
-        assert q3(0.3, params_async) == pytest.approx(
+        assert q3(params_async) == pytest.approx(
             params_async.n_p * CROSS_MOMENT[0.0], rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])

@@ -200,6 +200,38 @@ class TestSubcommands:
         assert message in err
         assert out == ""
 
+    @pytest.mark.parametrize("command, argv, loaded, message", [
+        ("coverage-mc", ["--window-km", "inf"], {}, "window must be finite"),
+        ("coverage-mc", [], {"r_e_km": math.inf}, "r_e must be finite"),
+        ("rate", [], {"alpha": math.inf}, "alpha must be finite"),
+        ("rate", [], {"omega_db": -math.inf}, "omega must be finite"),
+        ("rate", [], {"p_u_dbm": math.inf}, "p_u must be finite"),
+        ("coverage", [], {"p_d_dbm": math.inf}, "p_d must be finite"),
+        ("coverage", [], {"sigma2_dbm": math.inf}, "sigma2 must be finite")],
+        ids=["window_km", "r_e_km", "alpha", "omega_db", "p_u_dbm",
+             "p_d_dbm", "sigma2_dbm"])
+    def test_non_finite_model_input_exits_config(self, capsys, tmp_path,
+                                                 command, argv, loaded,
+                                                 message):
+        """An infinite model input exits 2 with its name, instead of a
+        traceback, a numerical-error exit or a meaningless value."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(loaded))
+        code, out, err = run_cli(capsys, command, *argv, "--config", str(path),
+                                 "--trials", "5", "--thresholds-db", "0:6:3")
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert out == ""
+
+    def test_zero_noise_runs(self, capsys, tmp_path):
+        """sigma2_dbm = -Infinity is 0 W of noise, a valid model input."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sigma2_dbm": -math.inf}))
+        code, out, _ = run_cli(capsys, "coverage", "--config", str(path),
+                               "--thresholds-db", "0:6:3")
+        assert code == EXIT_OK
+        assert out.count("\n") == 4
+
     @pytest.mark.parametrize("command", ["coverage", "validate"])
     def test_config_n_gamma_numeric_string(self, capsys, tmp_path, command):
         """n_gamma follows the type rule of every numeric key: the string

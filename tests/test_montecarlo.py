@@ -183,11 +183,15 @@ class TestValidate:
 class TestKernelParity:
     """The production kernels against independent references."""
 
-    @pytest.mark.parametrize("mode,eps", [("async", 0.5), ("sync", 0.5)])
-    def test_sinr_and_delta_paths(self, mode, eps, rng):
+    @pytest.mark.parametrize("mode,eps,n_p", [
+        ("async", 0.5, 10), ("sync", 0.5, 10), ("async", 0.0, 10),
+        ("sync", 0.0, 10), ("async", 0.5, 7), ("sync", 0.5, 7)],
+        ids=["async-0.5", "sync-0.5", "async-0.0", "sync-0.0",
+             "async-0.5-np7", "sync-0.5-np7"])
+    def test_sinr_and_delta_paths(self, mode, eps, n_p, rng):
         """all_deltas and sinr_batch against the scalar per-bundle oracle
         (reference_sinr.compute_delta / inverse_sinr), user by user."""
-        p = default_params(mode, eps=eps)
+        p = default_params(mode, eps=eps, n_p=n_p)
         net = build_network(p, 4.0, rng)
         deltas, phases, tag, sinr = _kernel_run(p, net, rng)
         user_cell, pilot_slot, _, _ = _flatten_users(net)
@@ -312,6 +316,27 @@ class TestGoldenTrials:
         p = params_async if mode == "async" else params_sync
         n, counts, rate_sum = run_trial(p, small_cfg(), index)
         want_n, want_counts, want_rate = self.CASES[mode, index]
+        assert n == want_n
+        assert counts.tolist() == want_counts
+        assert rate_sum == want_rate
+
+    # an odd pilot length: K = 7 users in 7 pilot groups (sync) or one
+    # group of 7 (async), on the integral frame n_u = 11, n_d = 22
+    CASES_NP7 = {
+        ("async", 0): (7, [1, 0, 0, 0, 0, 0, 0], 0.370569923348431),
+        ("async", 5): (7, [7, 6, 5, 4, 1, 0, 0], 14.681612192368464),
+        ("async", 10): (7, [1, 0, 0, 0, 0, 0, 0], 0.5558637878219255),
+        ("sync", 0): (7, [7, 7, 3, 0, 0, 0, 0], 5.4972381791201),
+        ("sync", 5): (7, [7, 7, 6, 5, 1, 0, 0], 18.417779427677267),
+        ("sync", 10): (7, [7, 7, 4, 0, 0, 0, 0], 8.099727576986185),
+    }
+
+    @pytest.mark.parametrize("mode,index", sorted(CASES_NP7))
+    def test_odd_pilot_length_is_pinned(self, mode, index):
+        p = default_params(mode, m=64, eps=0.0 if mode == "async" else 0.5,
+                           n_p=7)
+        n, counts, rate_sum = run_trial(p, small_cfg(), index)
+        want_n, want_counts, want_rate = self.CASES_NP7[mode, index]
         assert n == want_n
         assert counts.tolist() == want_counts
         assert rate_sum == want_rate

@@ -11,8 +11,9 @@ from scipy.special import gammaln
 from mimosg.errors import ConfigError, DomainError
 from mimosg.params import (SystemParams, c_m, dbm_to_watt, default_gamma_shape,
                            default_params, density_from_exclusion,
-                           derive_frame, eta_shape, make_params,
-                           phase_probabilities, split_frame_real, v_m)
+                           derive_frame, eta_shape, frame_weights,
+                           make_params, phase_probabilities, split_frame_real,
+                           v_m)
 
 PI_50 = "3.14159265358979323846264338327950288419716939937510"
 # Reference values computed with a 40-digit log-gamma oracle.
@@ -233,3 +234,17 @@ class TestSystemParams:
 
     def test_hashable_for_caching(self, params_async):
         assert isinstance(hash(params_async), int)
+
+    def test_frame_weights(self):
+        """Synchronous, every weight is exactly 1, one user per pilot group
+        and no station-to-station weight; asynchronous, the frame
+        fractions of the reference frame n_p = n_u = 10, n_d = 20 of 40."""
+        sync = frame_weights(default_params("sync"))
+        assert sync == (1, 1, 1, (1, 1, 1, 1), 0)
+        assert sync.bs == 0.0 and sync.users == 1
+        fw = frame_weights(default_params("async"))
+        assert fw.f_w == (10 + 10) / 40 ** 2 == 0.0125
+        assert fw.rho2 == 20 ** 2 / 40 ** 2 == 0.25
+        assert fw.users == 10
+        assert fw.c_frame == (10, 20 ** 2, 10 + 10, 40 ** 4)
+        assert fw.bs == 20

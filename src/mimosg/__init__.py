@@ -6,11 +6,11 @@ __version__ = "0.1.0"
 
 from .analytic import (CoverageCurve, RateResult, coverage,
                        coverage_fullpc_async, coverage_infinite_m,
-                       coverage_no_pc, ergodic_rate, gamma_cdf_approx, q2, q3)
+                       coverage_no_pc, ergodic_rate, q2)
 from .errors import (ConfigError, DomainError, EstimationError, MimosgError,
                      NumericalError, RealizationError)
 from .geometry import (NetworkRealization, build_network, sample_hppp,
-                       serving_cdf, serving_pdf, serving_sample)
+                       serving_cdf, serving_sample)
 from .montecarlo import (McConfig, ValidationReport, draw_phases,
                          run_coverage_mc, run_rate_mc, validate)
 from .params import (SystemParams, c_m, default_gamma_shape, default_params,
@@ -20,11 +20,11 @@ from .params import (SystemParams, c_m, default_gamma_shape, default_params,
 __all__ = [
     "CoverageCurve", "RateResult", "coverage", "coverage_fullpc_async",
     "coverage_infinite_m", "coverage_no_pc", "ergodic_rate",
-    "gamma_cdf_approx", "q2", "q3",
+    "q2",
     "ConfigError", "DomainError", "EstimationError", "MimosgError",
     "NumericalError", "RealizationError",
     "NetworkRealization", "build_network", "sample_hppp", "serving_cdf",
-    "serving_pdf", "serving_sample",
+    "serving_sample",
     "McConfig", "ValidationReport", "draw_phases", "run_coverage_mc",
     "run_rate_mc", "validate",
     "SystemParams", "c_m", "default_gamma_shape", "default_params",

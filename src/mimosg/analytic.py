@@ -106,6 +106,9 @@ _E2_CHUNK = 8192
 # Gauss-Legendre nodes per panel of the E2 table's far field, one panel
 # between consecutive knots (an eighth of a decade in coupling)
 _E2_PANEL_NODES = 8
+# The coupling magnitudes the E2 table's knots span, 8 per decade; below
+# _E2_LO the exponent is linear, above _E2_HI a power law
+_E2_LO, _E2_HI = 1e-12, 1e15
 
 
 def _taylor_powers(v: np.ndarray, out: np.ndarray) -> None:
@@ -273,22 +276,6 @@ class RateResult:
     tail_truncated: bool = False
 
 
-def gamma_cdf_approx(a, n_shape: int):
-    """(1 - exp(-eta * A))^N: the exponential-mixture stand-in for the CDF
-    of a unit-mean Gamma variable with shape N.
-
-    Note the direction: for N > 1 this is a lower bound on the true CDF
-    (equality at N = 1); it is tight for moderate A, which is what the
-    coverage expansion relies on.
-    """
-    a = np.asarray(a, dtype=float)
-    if np.any(a < 0):
-        raise DomainError("gamma_cdf_approx requires A >= 0")
-    eta = eta_shape(n_shape)
-    out = (-np.expm1(-eta * a)) ** n_shape
-    return float(out) if out.ndim == 0 else out
-
-
 def _gamma_shape(n_shape: int | None, params: SystemParams) -> int:
     """The Gamma shape N of the coverage expansion: the mode's default when
     ``n_shape`` is None, else ``n_shape``, which must be an integer >= 1."""
@@ -349,25 +336,6 @@ def _cross_moment(params: SystemParams) -> float:
     return q ** (p.alpha * (1.0 - p.eps) / 2.0) * float(np.dot(wt, vals))
 
 
-def q3(params: SystemParams) -> float:
-    """Mean foreign-uplink interference moment sum_j sum_k'
-    r_jjk'^(alpha eps) r_lkjk'^-alpha; zero synchronous.
-
-    This simplified form replaces the user-to-user distance by the
-    station-to-user distance, which makes it independent of the serving
-    distance x (N_p times the cross moment). It also conditions the
-    foreign user's serving distance on (r0, |y|), with |y| that user's
-    distance to the tagged station, where the exact form uses
-    (max(r0, x - d), x + d) with d the user-to-user distance. At eps = 0
-    the serving-distance moment is 1, so only the distance swap shows; for
-    eps > 0 the gap between the two forms mixes both changes. The exact
-    form, a double integral over the exclusion-ball field with the
-    law-of-cosines coupling that converges only for x < r_e, is the test
-    oracle ``tests/test_acceptance.py::q3_reference``.
-    """
-    return _context(params).q3
-
-
 # ---------------------------------------------------------------------------
 # engine context: grids and tabulated exponents per parameter set
 # ---------------------------------------------------------------------------
@@ -412,10 +380,8 @@ class _Spline:
         self.c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
         self._inv_step = 1.0 / step
 
-    def __call__(self, t, nu: int = 0):
-        """Value (nu = 0) or first derivative (nu = 1) at t."""
-        if nu not in (0, 1):
-            raise ValueError(f"derivative order must be 0 or 1, got {nu!r}")
+    def __call__(self, t):
+        """Value at t."""
         t = np.asarray(t, dtype=float)
         shape, t = t.shape, t.ravel()
         x = self.x
@@ -428,18 +394,9 @@ class _Spline:
         # Horner's rule in place: a call holds four arrays the size of t
         out = self.c[0].take(i)
         tmp = np.empty_like(out)
-        if nu == 0:
-            for row in self.c[1:]:
-                out *= h
-                out += np.take(row, i, out=tmp)
-        else:
-            out *= 3.0
+        for row in self.c[1:]:
             out *= h
-            np.take(self.c[1], i, out=tmp)
-            tmp *= 2.0
-            out += tmp
-            out *= h
-            out += np.take(self.c[2], i, out=tmp)
+            out += np.take(row, i, out=tmp)
         return out.reshape(shape)
 
 
@@ -462,13 +419,14 @@ def _thomas(lower, diag, upper, rhs):
 @dataclass(frozen=True)
 class _E2Table:
     """Log-log spline of -E2 exponent over the coupling magnitude (217
-    knots, 8 per decade from ``lo`` to ``hi``, built in one pass by
+    knots, 8 per decade from _E2_LO to _E2_HI, built in one pass by
     :meth:`_Context._build_e2_table`), with the exact linear slope below
-    ``lo``."""
+    _E2_LO, and above _E2_HI the continuation of the spline's last piece
+    as a power law: its value and slope at log _E2_HI."""
     spline: _Spline
-    lo: float
-    hi: float
     linear_slope: float
+    end_value: float
+    end_slope: float
 
 
 @lru_cache(maxsize=32)
@@ -502,6 +460,19 @@ class _Context:
         self.vm = v_m(p.m)
         cm = _cross_moment(p)
         self.f_w, self.rho2, self.users, self._c_frame, bs = frame_weights(p)
+        # Q3, the mean foreign-uplink moment sum_j sum_k' r_jjk'^(alpha eps)
+        # r_lkjk'^-alpha, zero synchronous. This simplified form replaces
+        # the user-to-user distance by the station-to-user distance, which
+        # makes it independent of the serving distance x (N_p times the
+        # cross moment). It also conditions the foreign user's serving
+        # distance on (r0, |y|), with |y| that user's distance to the tagged
+        # station, where the exact form uses (max(r0, x - d), x + d) with d
+        # the user-to-user distance. At eps = 0 the serving-distance moment
+        # is 1, so only the distance swap shows; for eps > 0 the gap between
+        # the two forms mixes both changes. The exact form, a double
+        # integral over the exclusion-ball field with the law-of-cosines
+        # coupling that converges only for x < r_e, is the test oracle
+        # ``tests/test_acceptance.py::q3_reference``.
         self.q3 = p.n_p * cm if bs else 0.0
         self.q2 = q2(p)
         self.q1 = (self.f_w * self.users * cm
@@ -613,26 +584,27 @@ class _Context:
                    t^(-a/2)) / (e^-a0 - e^-t) ds dt,
 
         with s_cap = a0 + 45, past which e^-s is below 3e-20 of its value
-        at a0. On te <= t < s_cap, one log t-grid, each node with its own
-        inner row, serves every g. From t_c = max(te, s_cap) on, every t
-        has the inner row capped at s_cap and e^-a0 - e^-t rounds to e^-a0,
-        so with v = g t^(-a/2) that part is (2/a) g^(2/a) H(g t_c^(-a/2)) /
-        e^-a0, H(V) = int_0^V F(-v) v^(-2/a-1) dv and F(y) = sum w
-        expm1(y s^p) over the capped row: H runs up the knots as one
-        cumulative sum of Gauss-Legendre panels in log v, one panel
-        between consecutive knots, from its power series below the
-        first."""
+        at a0. The lower end te = pi lam r_e^2 is 1 (to rounding), since
+        lam = 1 / (pi r_e^2), so it lies below s_cap. On te <= t < s_cap,
+        one log t-grid, each node with its own inner row, serves every g.
+        From s_cap on, every t has the inner row capped at s_cap and e^-a0
+        - e^-t rounds to e^-a0, so with v = g t^(-a/2) that part is (2/a)
+        g^(2/a) H(g s_cap^(-a/2)) / e^-a0, H(V) = int_0^V F(-v) v^(-2/a-1)
+        dv and F(y) = sum w expm1(y s^p) over the capped row: H runs up
+        the knots as one cumulative sum of Gauss-Legendre panels in log v,
+        one panel between consecutive knots, from its power series below
+        the first."""
         p = self.params
         q = p.pi_lam
         a0 = q * p.r0 ** 2
         te = q * p.r_e ** 2
         s_cap = a0 + 45.0
         k = 2.0 / p.alpha
-        lo, hi = 1e-12, 1e15
-        grid = np.geomspace(lo, hi, int(math.log10(hi / lo)) * 8 + 1)
+        grid = np.geomspace(_E2_LO, _E2_HI,
+                            int(math.log10(_E2_HI / _E2_LO)) * 8 + 1)
 
         sp, w = (row[0] for row in self._e2_inner_rows(np.array([s_cap])))
-        v = grid * max(te, s_cap) ** (-p.alpha / 2.0)
+        v = grid * s_cap ** (-p.alpha / 2.0)
         # below the first knot v s^p <= 1e-12, and F(-v) is its series
         h = sum((-v[0]) ** n * np.dot(w, sp ** n) / math.factorial(n)
                 * v[0] ** -k / (n - k) for n in (1, 2, 3))
@@ -649,23 +621,26 @@ class _Context:
             [[0.0], np.cumsum(f.reshape(-1, _E2_PANEL_NODES).sum(axis=1))])
         vals = k * grid ** k * h / math.exp(-a0)
 
-        if te < s_cap:
-            t, wt = log_panel_grid(te, s_cap, panels_per_decade=4,
-                                   n_per_panel=10)
-            c, w = self._e2_inner_rows(t)
-            c *= t[:, None] ** (-p.alpha / 2.0)    # s^p t^(-a/2)
-            wt = wt / (math.exp(-a0) - np.exp(-t))
-            step = max(1, _HEAD_CHUNK // c.size)
-            for i in range(0, grid.size, step):
-                z = np.multiply.outer(-grid[i:i + step], c)
-                np.expm1(z, out=z)
-                z *= w
-                vals[i:i + step] += np.einsum("kts,t->k", z, wt)
+        t, wt = log_panel_grid(te, s_cap, panels_per_decade=4, n_per_panel=10)
+        c, w = self._e2_inner_rows(t)
+        c *= t[:, None] ** (-p.alpha / 2.0)    # s^p t^(-a/2)
+        wt = wt / (math.exp(-a0) - np.exp(-t))
+        step = max(1, _HEAD_CHUNK // c.size)
+        for i in range(0, grid.size, step):
+            z = np.multiply.outer(-grid[i:i + step], c)
+            np.expm1(z, out=z)
+            z *= w
+            vals[i:i + step] += np.einsum("kts,t->k", z, wt)
         if np.any(vals >= 0):
             raise NumericalError("E2 exponent table is not negative")
+        spline = _Spline(np.log(grid), np.log(-vals))
+        # the last piece, sum_k c[k] h^(3-k), and its slope at log _E2_HI
+        c3, c2, c1, c0 = spline.c[:, -1]
+        h = math.log(_E2_HI) - spline.x[-2]
         # small-coupling behaviour is exactly linear with this slope
-        return _E2Table(spline=_Spline(np.log(grid), np.log(-vals)),
-                        lo=lo, hi=hi, linear_slope=vals[0] / (-grid[0]))
+        return _E2Table(spline=spline, linear_slope=vals[0] / (-grid[0]),
+                        end_value=float(((c3 * h + c2) * h + c1) * h + c0),
+                        end_slope=float((3.0 * c3 * h + 2.0 * c2) * h + c1))
 
     def e2_table(self) -> _E2Table:
         """The E2 table of this geometry, built on first use and shared
@@ -691,19 +666,17 @@ class _Context:
         p = self.params
         dt_coef = d * p.pi_lam ** (p.alpha * (1.0 - p.eps) / 2.0)
         table = self.e2_table()
-        lo, hi = table.lo, table.hi
         mag = np.abs(dt_coef)
         out = np.zeros_like(mag)
-        tiny = (mag > 0) & (mag < lo)
+        tiny = (mag > 0) & (mag < _E2_LO)
         out[tiny] = dt_coef[tiny] * table.linear_slope
-        mid = (mag >= lo) & (mag <= hi)
+        mid = (mag >= _E2_LO) & (mag <= _E2_HI)
         out[mid] = -np.exp(table.spline(np.log(mag[mid])))
-        big = mag > hi
+        big = mag > _E2_HI
         if np.any(big):
             # asymptotic power-law continuation of the log-log spline
-            slope = float(table.spline(math.log(hi), 1))
-            base = float(table.spline(math.log(hi)))
-            out[big] = -np.exp(base + slope * (np.log(mag[big]) - math.log(hi)))
+            out[big] = -np.exp(table.end_value + table.end_slope
+                               * (np.log(mag[big]) - math.log(_E2_HI)))
         return out
 
 

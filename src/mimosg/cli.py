@@ -105,12 +105,24 @@ def _n_gamma(cfg: dict):
     return None if cfg["n_gamma"] is None else _number(cfg, "n_gamma", float)
 
 
+def _linear(cfg: dict, key: str, convert) -> float:
+    """cfg[key], a dB or dBm number, on the linear scale by ``convert``. A
+    finite value whose linear form overflows a float is a ConfigError
+    naming the key."""
+    value = _number(cfg, key, float)
+    try:
+        return convert(value)
+    except OverflowError:
+        raise ConfigError(f"config key {key!r} is out of range: {value!r} "
+                          "overflows on the linear scale") from None
+
+
 def build_params(cfg: dict, strict_frame: bool = True) -> SystemParams:
     return make_params(
-        p_d=dbm_to_watt(_number(cfg, "p_d_dbm", float)),
-        p_u=dbm_to_watt(_number(cfg, "p_u_dbm", float)),
-        sigma2=dbm_to_watt(_number(cfg, "sigma2_dbm", float)),
-        omega=attenuation_db_to_linear(_number(cfg, "omega_db", float)),
+        p_d=_linear(cfg, "p_d_dbm", dbm_to_watt),
+        p_u=_linear(cfg, "p_u_dbm", dbm_to_watt),
+        sigma2=_linear(cfg, "sigma2_dbm", dbm_to_watt),
+        omega=_linear(cfg, "omega_db", attenuation_db_to_linear),
         alpha=_number(cfg, "alpha", float), m=_number(cfg, "m", int),
         n_tot=_number(cfg, "n_tot", int), n_p=_number(cfg, "n_p", int),
         z=_number(cfg, "z", float), eps=_number(cfg, "eps", float),
@@ -240,7 +252,7 @@ def _rate_record(res: RateResult, label, value, params, cfg, seed=None,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_coverage(cfg: dict) -> int:
+def cmd_coverage(cfg: dict, args: argparse.Namespace) -> int:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
     curve = coverage(thr, params, _n_gamma(cfg))
@@ -248,7 +260,7 @@ def cmd_coverage(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_coverage_mc(cfg: dict) -> int:
+def cmd_coverage_mc(cfg: dict, args: argparse.Namespace) -> int:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
     mc = build_mc_config(cfg, thr)
@@ -259,7 +271,7 @@ def cmd_coverage_mc(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_rate(cfg: dict) -> int:
+def cmd_rate(cfg: dict, args: argparse.Namespace) -> int:
     params = build_params(cfg)
     res = ergodic_rate(params, _n_gamma(cfg))
     write_results(_rate_record(res, "eps", params.eps, params, cfg),
@@ -267,7 +279,7 @@ def cmd_rate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_rate_mc(cfg: dict) -> int:
+def cmd_rate_mc(cfg: dict, args: argparse.Namespace) -> int:
     params = build_params(cfg)
     mc = build_mc_config(cfg, ())
     res = run_rate_mc(params, mc)
@@ -295,16 +307,14 @@ def _sweep_values(param: str, text: str) -> list[float]:
     return values
 
 
-def cmd_sweep(cfg: dict, param: str, values: list[float]) -> int:
+def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
+    param = args.param
+    values = _sweep_values(param, args.values)
+    key, kind = {"np": ("n_p", int), "eps": ("eps", float)}[param]
     rows, diagnostics = [], []
     base = dict(cfg)
     for v in values:
-        if param == "np":
-            base["n_p"] = int(v)
-        elif param == "eps":
-            base["eps"] = float(v)
-        else:
-            raise ConfigError(f"sweep parameter must be np or eps, got {param!r}")
+        base[key] = kind(v)
         params = build_params(base, strict_frame=False)
         res = ergodic_rate(params, _n_gamma(cfg))
         rows.append((float(v), res.rate))
@@ -316,10 +326,11 @@ def cmd_sweep(cfg: dict, param: str, values: list[float]) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg: dict, gate: float) -> int:
+def cmd_validate(cfg: dict, args: argparse.Namespace) -> int:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
-    report = validate(params, build_mc_config(cfg, thr), gate, _n_gamma(cfg))
+    report = validate(params, build_mc_config(cfg, thr), args.gate,
+                      _n_gamma(cfg))
     sys.stderr.write(report.format_table() + "\n")
     rows = [(10.0 * math.log10(t), float(a), float(m), float(h), float(d))
             for t, a, m, h, d in zip(report.thresholds, report.analytic,
@@ -337,16 +348,17 @@ SPECIAL_CASES = {"full-pc": coverage_fullpc_async,
                  "no-pc": coverage_no_pc}
 
 
-def cmd_special(cfg: dict, case: str) -> int:
+def cmd_special(cfg: dict, args: argparse.Namespace) -> int:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
-    curve = SPECIAL_CASES[case](thr, params, _n_gamma(cfg))
+    curve = SPECIAL_CASES[args.case](thr, params, _n_gamma(cfg))
     write_results(_curve_record(curve, cfg), cfg["output"], cfg["format"])
     return EXIT_OK
 
 
-def cmd_pdf_check(cfg: dict, samples: int) -> int:
+def cmd_pdf_check(cfg: dict, args: argparse.Namespace) -> int:
     """Kolmogorov-Smirnov suite for the three conditional distance laws."""
+    samples = args.samples
     if samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {samples!r}")
     params = build_params(cfg)
@@ -428,16 +440,19 @@ def make_parser() -> argparse.ArgumentParser:
     _add_verbose(parser, False)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, hlp in [
-            ("coverage", "analytic coverage curve"),
-            ("coverage-mc", "Monte Carlo coverage curve"),
-            ("rate", "analytic ergodic rate"),
-            ("rate-mc", "Monte Carlo ergodic rate"),
-            ("validate", "compare analytic vs Monte Carlo coverage"),
-            ("special", "special-case analytic curves"),
-            ("sweep", "rate sweep over a parameter"),
-            ("pdf-check", "KS suite for the distance-law samplers")]:
+    for name, hlp, handler in [
+            ("coverage", "analytic coverage curve", cmd_coverage),
+            ("coverage-mc", "Monte Carlo coverage curve", cmd_coverage_mc),
+            ("rate", "analytic ergodic rate", cmd_rate),
+            ("rate-mc", "Monte Carlo ergodic rate", cmd_rate_mc),
+            ("validate", "compare analytic vs Monte Carlo coverage",
+             cmd_validate),
+            ("special", "special-case analytic curves", cmd_special),
+            ("sweep", "rate sweep over a parameter", cmd_sweep),
+            ("pdf-check", "KS suite for the distance-law samplers",
+             cmd_pdf_check)]:
         sub = subs.add_parser(name, help=hlp)
+        sub.set_defaults(handler=handler)
         _add_common(sub)
         if name == "validate":
             sub.add_argument("--gate", type=float, required=True,
@@ -485,24 +500,7 @@ def main(argv=None) -> int:
         overrides = {k: v for k, v in vars(args).items()
                      if k in DEFAULT_CONFIG}
         cfg = load_config(args.config, overrides)
-        if args.command == "coverage":
-            return cmd_coverage(cfg)
-        if args.command == "coverage-mc":
-            return cmd_coverage_mc(cfg)
-        if args.command == "rate":
-            return cmd_rate(cfg)
-        if args.command == "rate-mc":
-            return cmd_rate_mc(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg, args.gate)
-        if args.command == "special":
-            return cmd_special(cfg, args.case)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.param,
-                             _sweep_values(args.param, args.values))
-        if args.command == "pdf-check":
-            return cmd_pdf_check(cfg, args.samples)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(cfg, args)
     except (ConfigError, DomainError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

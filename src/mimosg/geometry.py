@@ -1,8 +1,9 @@
 """Poisson network sampling, user association and conditional distance laws.
 
-The three distance distributions used throughout are all truncated
-Rayleigh-type laws of the form 2*pi*lam*r*exp(-pi*lam*r^2) restricted to an
-interval (lo, hi):
+The three conditional distance laws serve `pdf-check` and acceptance
+criterion 1, which check each sampler against its CDF. All three are
+truncated Rayleigh-type laws of the form 2*pi*lam*r*exp(-pi*lam*r^2)
+restricted to an interval (lo, hi):
 
 * serving distance of a user with an exclusion disk of radius r0: support
   (r0, inf);
@@ -34,24 +35,6 @@ log = logging.getLogger(__name__)
 # truncated Rayleigh core
 # ---------------------------------------------------------------------------
 
-def _trunc_mass(lam: float, lo, hi):
-    """P(lo < R < hi) for the untruncated law, computed stably.
-
-    An infinite upper edge needs no special casing: expm1(-inf) = -1.
-    """
-    q = math.pi * lam
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    return np.exp(-q * lo ** 2) * (-np.expm1(-q * (hi ** 2 - lo ** 2)))
-
-
-def trunc_rayleigh_pdf(r, lam: float, lo, hi):
-    r = np.asarray(r, dtype=float)
-    q = math.pi * lam
-    dens = 2.0 * q * r * np.exp(-q * r ** 2) / _trunc_mass(lam, lo, hi)
-    return np.where((r > lo) & (r < hi), dens, 0.0)
-
-
 def trunc_rayleigh_cdf(r, lam: float, lo, hi):
     r = np.asarray(r, dtype=float)
     q = math.pi * lam
@@ -76,26 +59,12 @@ def trunc_rayleigh_sample(lam: float, lo, hi, rng: np.random.Generator,
 # the three laws
 # ---------------------------------------------------------------------------
 
-def serving_pdf(r, lam: float, r0: float):
-    """Density of the nearest-base-station distance outside the r0 disk."""
-    if r0 < 0:
-        raise DomainError(f"r0 must be >= 0, got {r0!r}")
-    return trunc_rayleigh_pdf(r, lam, r0, np.inf)
-
-
 def serving_cdf(r, lam: float, r0: float):
     return trunc_rayleigh_cdf(r, lam, r0, np.inf)
 
 
 def serving_sample(lam: float, r0: float, rng: np.random.Generator, size=None):
     return trunc_rayleigh_sample(lam, r0, np.inf, rng, size)
-
-
-def serving_given_bs_pdf(r1, r2, lam: float, r0: float):
-    """Serving-distance density given the distance r2 to another station."""
-    if np.any(np.asarray(r2) <= r0):
-        raise DomainError(f"conditioning distance must exceed r0={r0!r}")
-    return trunc_rayleigh_pdf(r1, lam, r0, r2)
 
 
 def serving_given_bs_cdf(r1, r2, lam: float, r0: float):
@@ -119,13 +88,6 @@ def _pair_support(r, x, r0: float):
     if np.any(r <= 0):
         raise DomainError("user-to-user distance must be positive")
     return np.maximum(r0, x - r), x + r
-
-
-def serving_given_user_pair_pdf(s, r, x, lam: float, r0: float):
-    """Foreign user's serving-distance density given the user-to-user
-    distance r and the tagged user's serving distance x."""
-    lo, hi = _pair_support(r, x, r0)
-    return trunc_rayleigh_pdf(s, lam, lo, hi)
 
 
 def serving_given_user_pair_cdf(s, r, x, lam: float, r0: float):

@@ -55,6 +55,12 @@ log = logging.getLogger(__name__)
 
 _Z95 = 1.959963984540054
 
+# Most elements the largest array of a trial may have at the expected
+# station count n = lam window^2: the nearest-station block of
+# ``build_network``, n x 8 n K distances (2**26 float64 values are 512 MiB).
+# A window that asks for more is a typo, not a request.
+MAX_TRIAL_BLOCK = 2 ** 26
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -91,12 +97,10 @@ def draw_phases(params: SystemParams, n_cells: int,
     array of PHASE_PILOT, PHASE_UPLINK and PHASE_DOWNLINK codes.
 
     The observer is in its downlink phase, so each independent interfering
-    cell is in pilot/uplink/downlink with probabilities (n_p, n_u, n_d) /
-    n_tot. The synchronous mode is degenerate: every cell shares the
-    observer's phase, and no uniform is drawn.
+    cell is in pilot/uplink/downlink with the probabilities of
+    :func:`~mimosg.params.phase_probabilities`: (n_p, n_u, n_d) / n_tot
+    asynchronous, and (0, 0, 1) synchronous, where every draw is downlink.
     """
-    if params.sync:
-        return np.full(n_cells, PHASE_DOWNLINK, dtype=np.int8)
     # the steps of rng.choice(3, size=n_cells, p=probs), without its
     # per-call checks of p: the same uniforms give the same draws
     cdf = np.array(phase_probabilities(params)).cumsum()
@@ -167,7 +171,20 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
     return int(tag_user.size), counts, rate_sum
 
 
+def _check_trial_size(params: SystemParams, cfg: McConfig) -> None:
+    """ConfigError when a trial's nearest-station block would exceed
+    MAX_TRIAL_BLOCK elements at the expected station count."""
+    n_bs = params.lam * cfg.window * cfg.window   # inf, not OverflowError
+    block = n_bs * 8.0 * n_bs * params.k
+    if not block <= MAX_TRIAL_BLOCK:
+        raise ConfigError(
+            f"window of {cfg.window!r} km is too large: its {n_bs:.3g} "
+            f"stations on average need a nearest-station block of "
+            f"{block:.3g} elements per trial, more than {MAX_TRIAL_BLOCK}")
+
+
 def _run_trials(params: SystemParams, cfg: McConfig):
+    _check_trial_size(params, cfg)
     results = [None] * cfg.trials
     # a pool starts all its workers up front, so it gets no more than there
     # are trials or CPUs; the results do not depend on the count

@@ -159,9 +159,12 @@ class PhaseTriple(NamedTuple):
 
 
 def phase_probabilities(params: "SystemParams") -> PhaseTriple:
-    """Probabilities (n_p, n_u, n_d) / n_tot that an interfering cell is in
-    its pilot, uplink or downlink phase at a symbol of the observer's
-    downlink phase; by independence of the frame offsets they sum to one."""
+    """Probabilities that an interfering cell is in its pilot, uplink or
+    downlink phase at a symbol of the observer's downlink phase: (n_p, n_u,
+    n_d) / n_tot asynchronous, by independence of the frame offsets, and
+    (0, 0, 1) synchronous, where every cell shares the observer's phase."""
+    if params.sync:
+        return PhaseTriple(0.0, 0.0, 1.0)
     return PhaseTriple(params.n_p / params.n_tot, params.n_u / params.n_tot,
                        params.n_d / params.n_tot)
 

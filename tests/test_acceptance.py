@@ -7,13 +7,15 @@ Two criteria check the true statement of the property they were written
 for, because the statement first proposed for each is false:
 
 * criterion 7 checks that the exponential-mixture form (1 - e^(-eta A))^N
-  with eta = N (N!)^(-1/N) lies at or below the unit-mean Gamma CDF, and
+  with eta = N (N!)^(-1/N) (the closed form of ``reference_mixture``, with
+  the engine's ``eta_shape``) lies at or below the unit-mean Gamma CDF, and
   strictly below it somewhere for N > 1. This is Alzer's lower bound
   (H. Alzer, "On some inequalities for the incomplete gamma function",
   Math. Comp. 66, 1997); the upper bound uses eta = N instead;
 * criterion 9 checks that the relative gap between the exact foreign-uplink
   moment at x = 0.3 km, from this suite's own reference, and the simplified
-  one that the engine computes is positive and equals its independently
+  one that the engine computes (``_context(p).q3``) is positive and equals
+  its independently
   derived value (59.04% at eps = 0 in closed form, 57.96% at eps = 0.5 by
   adaptive quadrature). The simplification
   replaces user-to-user distances, bounded below by r_e - x, with
@@ -41,14 +43,15 @@ from scipy import integrate
 from scipy.special import gammainc
 
 from mimosg import _kernels
-from mimosg.analytic import (coverage, coverage_infinite_m, coverage_no_pc,
-                             ergodic_rate, gamma_cdf_approx, q2, q3)
+from mimosg.analytic import (_context, coverage, coverage_infinite_m,
+                             coverage_no_pc, ergodic_rate, q2)
 from mimosg.geometry import (NetworkRealization, serving_cdf,
                              serving_given_bs_cdf, serving_given_bs_sample,
                              serving_given_user_pair_cdf,
                              serving_given_user_pair_sample, serving_sample)
 from mimosg.montecarlo import McConfig, run_rate_mc, validate
 from mimosg.params import c_m, default_params
+from reference_mixture import gamma_mixture_cdf
 from reference_sinr import (DeltaSet, compute_delta, extract_bundle,
                             inverse_sinr, isolated_cell_sinr)
 
@@ -230,7 +233,7 @@ class TestCriterion6SyncBeatsAsyncAtDefaults:
 class TestCriterion7GammaApproximation:
     def test_shape_one_equality(self):
         a = np.linspace(0.0, 20.0, 2001)
-        worst = float(np.max(np.abs(gamma_cdf_approx(a, 1) - gammainc(1, a))))
+        worst = float(np.max(np.abs(gamma_mixture_cdf(a, 1) - gammainc(1, a))))
         ok = worst < 1e-12
         report(7, ok, f"N=1 exact equality: max |dev| = {worst:.2e} < 1e-12")
         assert ok
@@ -244,7 +247,7 @@ class TestCriterion7GammaApproximation:
         constant) the mixture exceeds the exact CDF and this test fails.
         """
         a = np.linspace(0.0, 20.0, 2001)
-        diff = gamma_cdf_approx(a, n) - gammainc(n, n * a)
+        diff = gamma_mixture_cdf(a, n) - gammainc(n, n * a)
         below = bool(np.all(diff <= 1e-12))
         strict = float(diff.min()) < 0.0
         report(7, below and strict,
@@ -262,9 +265,9 @@ class TestCriterion8ClosedFormSpotValues:
         pa = default_params("async", eps=0.0)
         ps = default_params("sync", eps=0.0)
         ok = (abs(q2(pa) - 16.0) < 1e-9 and q2(ps) == 0.0
-              and q3(ps) == 0.0)
+              and _context(ps).q3 == 0.0)
         report(8, ok, f"Q2(async) = {q2(pa):.12g} (= 16 km^-4); "
-                      f"Q2(sync) = {q2(ps)}, Q3(sync) = {q3(ps)}")
+                      f"Q2(sync) = {q2(ps)}, Q3(sync) = {_context(ps).q3}")
         assert ok
 
     def test_c64_against_independent_oracle(self):
@@ -355,7 +358,7 @@ class TestCriterion9ForeignUplinkGapReport:
         p = default_params("async", eps=eps)
         ref_exact, ref_simplified = q3_reference(Q3_X, p)
         exact = ref_exact
-        simplified = q3(p)
+        simplified = _context(p).q3
         pin = abs(simplified - ref_simplified) / ref_simplified
         gap = (exact - simplified) / exact
         ref_gap = (ref_exact - ref_simplified) / ref_exact

@@ -10,11 +10,11 @@ from mimosg import analytic
 from mimosg.analytic import (_TAYLOR_K, _TAYLOR_Z, CoverageCurve, _context,
                              _e1_splits, _tau_grid, coverage,
                              coverage_fullpc_async, coverage_infinite_m,
-                             coverage_no_pc, ergodic_rate, gamma_cdf_approx,
-                             q2, q3)
+                             coverage_no_pc, ergodic_rate, q2)
 from mimosg.errors import DomainError
 from mimosg.params import c_m, default_params, eta_shape, v_m
 from mimosg.quadrature import leggauss, log_panel_grid
+from reference_mixture import gamma_mixture_cdf
 
 # frozen high-precision oracle values for the reference geometry
 CROSS_MOMENT = {0.0: 16.0, 0.5: 2.8856400139492937, 1.0: 0.9783991390254186}
@@ -212,13 +212,17 @@ def _e1_oracle_rows(case):
 
 
 class TestGammaApprox:
+    """The closed form (1 - e^-eta A)^N of the tests' oracle, with the
+    engine's eta, against the exact Gamma CDF; and the engine's binomial
+    expansion against the closed form."""
+
     def test_shape_one_is_exact(self):
         a = np.linspace(0.0, 20.0, 801)
-        np.testing.assert_allclose(gamma_cdf_approx(a, 1), gammainc(1, a),
+        np.testing.assert_allclose(gamma_mixture_cdf(a, 1), gammainc(1, a),
                                    atol=1e-12)
 
     def test_zero(self):
-        assert gamma_cdf_approx(0.0, 4) == 0.0
+        assert gamma_mixture_cdf(0.0, 4) == 0.0
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_lower_bound_direction(self, n):
@@ -226,23 +230,27 @@ class TestGammaApprox:
         # Gamma CDF for shape > 1 (it only coincides at shape 1). The
         # acceptance suite reports the upper-bound claim separately.
         a = np.linspace(0.0, 20.0, 2001)
-        diff = gamma_cdf_approx(a, n) - gammainc(n, n * a)
+        diff = gamma_mixture_cdf(a, n) - gammainc(n, n * a)
         assert diff.max() <= 1e-12
         assert diff.min() < -0.01  # strictly below somewhere
 
-    def test_expansion_identity(self):
-        # 1 - (1 - e^-eta*A)^N equals the alternating binomial sum
-        n = 5
-        eta = eta_shape(n)
-        a = 0.73
-        expansion = sum((-1.0) ** (k + 1) * math.comb(n, k)
-                        * math.exp(-eta * k * a) for k in range(1, n + 1))
-        assert 1.0 - gamma_cdf_approx(a, n) == pytest.approx(expansion,
-                                                             rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gamma_cdf_approx(-0.1, 2)
+    def test_expansion_identity(self, params_async):
+        """The engine's alternating binomial sum, with its eta, its terms
+        n = 1..N and its signs, equals 1 - (1 - e^-eta A)^N: given the
+        exponent -eta n A on every x row, the coverage at threshold A is
+        1 - F(A) times the x-grid mass of the serving density e^-u."""
+        a = np.array([0.05, 0.3, 0.73, 2.0])
+        ctx = _context(params_async)
+        mass = np.dot(ctx.x_weights, np.exp(-ctx.x_nodes))
+        assert mass == pytest.approx(1.0, abs=2e-10)
+        for n in (1, 2, 4, 5):
+            got, clamped = analytic._coverage_values(
+                a, params_async, n,
+                lambda c, ent: -ent * np.ones(c.x_vals.size))
+            np.testing.assert_allclose(
+                got, mass * (1.0 - gamma_mixture_cdf(a, n)), rtol=1e-12,
+                atol=1e-15)
+            assert clamped == 0
 
 
 class TestInHouseSpecialFunctions:
@@ -252,19 +260,23 @@ class TestInHouseSpecialFunctions:
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_spline_against_scipy(self, eps):
         """Rebuilt on the knots and knot values of the E2 table, the
-        spline matches scipy's not-a-knot CubicSpline in value and first
-        derivative at the knots and between them."""
+        spline matches scipy's not-a-knot CubicSpline in value at the knots
+        and between them; the table's power-law continuation past its end
+        matches scipy's value and first derivative there."""
         table = _context(default_params("async", eps=eps)).e2_table()
         x = table.spline.x
         y = np.append(table.spline.c[3], table.spline(x[-1]))
         ours, ref = analytic._Spline(x, y), CubicSpline(x, y)
         t = np.sort(np.concatenate([x, 0.5 * (x[1:] + x[:-1])]))
-        for nu in (0, 1):
-            np.testing.assert_allclose(ours(t, nu), ref(t, nu), rtol=1e-14,
-                                       atol=0.0)
-            # a scalar, as the continuation past the table's end asks
-            assert float(ours(x[-1], nu)) == pytest.approx(
-                float(ref(x[-1], nu)), rel=1e-14, abs=0.0)
+        np.testing.assert_allclose(ours(t), ref(t), rtol=1e-14, atol=0.0)
+        # a scalar
+        assert float(ours(x[-1])) == pytest.approx(float(ref(x[-1])),
+                                                   rel=1e-14, abs=0.0)
+        end = math.log(analytic._E2_HI)
+        assert table.end_value == pytest.approx(float(ref(end)), rel=1e-14,
+                                                abs=0.0)
+        assert table.end_slope == pytest.approx(float(ref(end, 1)),
+                                                rel=1e-14, abs=0.0)
         assert ours.c.shape == ref.c.shape == (4, x.size - 1)
 
     def test_spline_needs_equal_spacing(self):
@@ -310,11 +322,11 @@ class TestExclusionBallConstants:
             0.0125 * 10 * 16.0 + Q1_ASYNC[0.0] - 2.0 - 5.0117e-11, rel=1e-6)
 
     def test_q3_sync_zero(self, params_sync):
-        assert q3(params_sync) == 0.0
+        assert _context(params_sync).q3 == 0.0
 
     def test_q3_structural_identity(self, params_async):
         # simplified foreign-uplink moment = N_p * cross moment, exactly
-        assert q3(params_async) == pytest.approx(
+        assert _context(params_async).q3 == pytest.approx(
             params_async.n_p * CROSS_MOMENT[0.0], rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])
@@ -518,7 +530,8 @@ class TestLaplaceTerms:
         assert ctx_b.e2_table() is shared
         fresh = ctx_b._build_e2_table()
         assert fresh is not shared
-        assert (fresh.lo, fresh.hi) == (shared.lo, shared.hi)
+        assert (fresh.end_value, fresh.end_slope) == (shared.end_value,
+                                                      shared.end_slope)
         assert fresh.linear_slope == shared.linear_slope
         np.testing.assert_array_equal(fresh.spline.x, shared.spline.x)
         np.testing.assert_array_equal(fresh.spline.c, shared.spline.c)

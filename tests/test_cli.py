@@ -207,14 +207,24 @@ class TestSubcommands:
         ("rate", [], {"omega_db": -math.inf}, "omega must be finite"),
         ("rate", [], {"p_u_dbm": math.inf}, "p_u must be finite"),
         ("coverage", [], {"p_d_dbm": math.inf}, "p_d must be finite"),
-        ("coverage", [], {"sigma2_dbm": math.inf}, "sigma2 must be finite")],
+        ("coverage", [], {"sigma2_dbm": math.inf}, "sigma2 must be finite"),
+        ("coverage", [], {"p_d_dbm": 1e308},
+         "config key 'p_d_dbm' is out of range: 1e+308"),
+        ("rate", [], {"p_u_dbm": 4000.0},
+         "config key 'p_u_dbm' is out of range: 4000.0"),
+        ("coverage-mc", [], {"sigma2_dbm": 1e308},
+         "config key 'sigma2_dbm' is out of range: 1e+308"),
+        ("validate", ["--gate", "0.9"], {"omega_db": -1e308},
+         "config key 'omega_db' is out of range: -1e+308")],
         ids=["window_km", "r_e_km", "alpha", "omega_db", "p_u_dbm",
-             "p_d_dbm", "sigma2_dbm"])
+             "p_d_dbm", "sigma2_dbm", "p_d_dbm-overflow", "p_u_dbm-overflow",
+             "sigma2_dbm-overflow", "omega_db-overflow"])
     def test_non_finite_model_input_exits_config(self, capsys, tmp_path,
                                                  command, argv, loaded,
                                                  message):
-        """An infinite model input exits 2 with its name, instead of a
-        traceback, a numerical-error exit or a meaningless value."""
+        """An infinite model input, or a finite dB or dBm value whose
+        linear value overflows a float, exits 2 with its name, instead of
+        a traceback, a numerical-error exit or a meaningless value."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(loaded))
         code, out, err = run_cli(capsys, command, *argv, "--config", str(path),
@@ -222,6 +232,33 @@ class TestSubcommands:
         assert code == EXIT_CONFIG
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("coverage-mc", []), ("rate-mc", []), ("validate", ["--gate", "0.9"])],
+        ids=["coverage-mc", "rate-mc", "validate"])
+    def test_huge_window_exits_config_before_any_trial(
+            self, capsys, monkeypatch, command, extra):
+        """A window whose expected station count would need a
+        nearest-station block beyond MAX_TRIAL_BLOCK is refused before a
+        network is sampled (here: 190 GiB for one trial at 1e5 km)."""
+        def no_network(*args, **kwargs):
+            raise AssertionError("a trial sampled a network")
+        monkeypatch.setattr(montecarlo, "build_network", no_network)
+        code, out, err = run_cli(capsys, command, *extra, "--window-km", "1e5",
+                                 "--trials", "1", "--thresholds-db", "0:6:3")
+        assert code == EXIT_CONFIG
+        assert "window of 100000.0 km is too large" in err
+        assert str(montecarlo.MAX_TRIAL_BLOCK) in err
+        assert out == ""
+
+    @pytest.mark.parametrize("window", ["4", "8"])
+    def test_reference_windows_accepted(self, capsys, window):
+        """The 4 km window of the validation suite and the 8 km window of
+        perfbench's sync workload stay within MAX_TRIAL_BLOCK."""
+        code, out, _ = run_cli(capsys, "coverage-mc", "--window-km", window,
+                               "--trials", "2", "--thresholds-db", "0:6:3")
+        assert code == EXIT_OK
+        assert out.count("\n") == 4
 
     def test_zero_noise_runs(self, capsys, tmp_path):
         """sigma2_dbm = -Infinity is 0 W of noise, a valid model input."""

@@ -86,6 +86,23 @@ class TestDrawPhases:
                 assert got.tolist() == want.tolist()
                 assert mine.random() == ref.random()
 
+    def test_sync_draw_is_the_downlink_law(self, params_sync):
+        """The synchronous draw runs the same categorical draw on the law
+        (0, 0, 1): every cell downlink, value for value what
+        rng.choice(3, p=...) gives, with the generator left at the same
+        next draw."""
+        probs = list(phase_probabilities(params_sync))
+        assert probs == [0.0, 0.0, 1.0]
+        for seed in range(20):
+            for n in (0, 1, 12, 64):
+                mine = np.random.default_rng((seed, n))
+                ref = np.random.default_rng((seed, n))
+                got = draw_phases(params_sync, n, mine)
+                want = ref.choice(3, size=n, p=probs)
+                assert got.dtype == np.int8
+                assert got.tolist() == want.tolist() == [PHASE_DOWNLINK] * n
+                assert mine.random() == ref.random()
+
     def test_indicator_views(self, params_async, rng):
         ph = draw_phases(params_async, 1000, rng)
         np.testing.assert_array_equal(chi_dd(ph) | chi_pilot_or_uplink(ph),

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -19,9 +20,9 @@ PUBLIC_API = [
     "coverage_fullpc_async", "coverage_infinite_m", "coverage_no_pc",
     "default_gamma_shape", "default_params", "density_from_exclusion",
     "derive_frame", "draw_phases", "ergodic_rate", "eta_shape",
-    "gamma_cdf_approx", "make_params", "phase_probabilities", "q2", "q3",
-    "run_coverage_mc", "run_rate_mc", "sample_hppp", "serving_cdf",
-    "serving_pdf", "serving_sample", "v_m", "validate",
+    "make_params", "phase_probabilities", "q2", "run_coverage_mc",
+    "run_rate_mc", "sample_hppp", "serving_cdf", "serving_sample", "v_m",
+    "validate",
 ]
 
 
@@ -68,6 +69,62 @@ class TestImportSurface:
         # the tracer counts the rows of e1_exponent's b argument
         assert list(inspect.signature(methods["e1_exponent"]).parameters) \
             == ["self", "b", "c", "x"]
+
+
+# Module-level functions and classes of the program that no other program
+# code uses, each with the reason it stays
+UNREFERENCED_ALLOWED = {
+    "params.default_params": "the README's library entry point",
+}
+
+
+def _program_modules() -> dict:
+    """The parsed modules of the package, by module name, without the
+    re-exports of ``__init__``."""
+    src = Path(mimosg.__file__).resolve().parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(src.glob("*.py")) if path.stem != "__init__"}
+
+
+def _references(modules: dict) -> set:
+    """The "module.name" of every top-level definition that program code
+    uses outside the definition itself: as a name of its own module, a
+    name imported from its module, or an attribute of its imported
+    module."""
+    refs = set()
+    for mod, tree in modules.items():
+        imported, aliases = {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    name = a.asname or a.name
+                    if node.module is None:         # from . import _kernels
+                        aliases[name] = a.name
+                    else:
+                        imported[name] = f"{node.module}.{a.name}"
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    refs.add(imported.get(node.id, f"{mod}.{node.id}"))
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in aliases):
+                    refs.add(f"{aliases[node.value.id]}.{node.attr}")
+    return refs
+
+
+def test_program_definitions_are_used_by_the_program():
+    """Every module-level function and class in ``src/mimosg`` is used by
+    other program code, not only by tests or an ``__init__`` re-export;
+    the exceptions are UNREFERENCED_ALLOWED, which must stay exact."""
+    modules = _program_modules()
+    defined = {f"{mod}.{node.name}" for mod, tree in modules.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    unused = defined - _references(modules)
+    assert sorted(unused - set(UNREFERENCED_ALLOWED)) == []
+    assert sorted(set(UNREFERENCED_ALLOWED) - unused) == []
 
 
 # Runs the CLI on coverage, rate, sweep and a 3-trial validate, then prints

@@ -164,6 +164,13 @@ class TestPhaseProbabilities:
         tri = phase_probabilities(p)
         assert abs(np.mean(other_dl[obs_dl]) - tri.downlink) < 2.0 * sig
 
+    def test_sync_is_all_downlink(self, params_sync):
+        """Synchronous, every interfering cell shares the observer's
+        downlink phase."""
+        tri = phase_probabilities(params_sync)
+        assert tri == (0.0, 0.0, 1.0)
+        assert (tri.pilot, tri.uplink, tri.downlink) == (0.0, 0.0, 1.0)
+
     def test_pilot_only_frame(self):
         p = make_params(p_d=1.0, p_u=1.0, sigma2=0.0, omega=1e-13, alpha=4.0,
                         m=8, n_tot=42, n_p=40, z=1.0, r_e=0.5, eps=0.0,

@@ -18,6 +18,10 @@ t. ``phases`` holds one code per cell: 0 pilot, 1 uplink, 2 downlink. The
 first argument of each kernel is the per-user array its work scales with,
 so a wrapper (``perfbench/run.py --trace 1``) sizes a call by len(args[0]).
 
+``user_terms`` holds the terms of the inverse SINR that depend on a
+user's serving distance alone, and ``bs_gain`` the station-to-station
+gain; the analytic engine reads both and replaces only the realized sums.
+
 Both modes run the same formulas; the mode reaches them only as data, the
 frame weights of :func:`~mimosg.params.frame_weights`. Users whose pilots
 collide form a pilot group: the K slots of a cell fall into K // users
@@ -31,6 +35,8 @@ All randomness stays outside these kernels (numpy Generators in the
 callers), so replays are bit-exact.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +85,41 @@ def pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # batched inverse-SINR accumulation
 # ---------------------------------------------------------------------------
 
+class UserTerms(NamedTuple):
+    """The terms of the inverse SINR that depend on the serving distance x
+    alone, elementwise over x (:func:`user_terms`)."""
+    xa: np.ndarray          # x^alpha
+    x1e: np.ndarray         # x^(alpha (1 - eps))
+    x2e: np.ndarray         # x^(alpha (2 - eps))
+    x2a: np.ndarray         # x^(2 alpha)
+    base: np.ndarray        # the own-cell and noise sum of g1
+    noise_amp: np.ndarray   # pilot-noise amplitude, n_p + sigma2 x^a/(p_d omega)
+
+
+def user_terms(x, p) -> UserTerms:
+    """The x-only terms of the inverse SINR at serving distances x."""
+    alpha, eps, sigma2, omega = p.alpha, p.eps, p.sigma2, p.omega
+    n_p, p_d, p_u = p.n_p, p.p_d, p.p_u
+    c = c_m(p.m)
+    c2 = c * c
+    xa = x ** alpha
+    x1e = x ** (alpha * (1.0 - eps))
+    x2e = x ** (alpha * (2.0 - eps))
+    base = ((v_m(p.m) - 1.0) / c2 + n_p / c2
+            + sigma2 * xa / (p_d * omega * c2)
+            + sigma2 * x1e / (p_u * c2 * omega ** (1.0 - eps))
+            + sigma2 ** 2 * x2e / (n_p * p_u * p_d * c2 * omega ** (2.0 - eps)))
+    return UserTerms(xa, x1e, x2e, x ** (2.0 * alpha), base,
+                     n_p + sigma2 * xa / (p_d * omega))
+
+
+def bs_gain(p) -> float:
+    """The factor of g1's station-to-station sum, p_d n_p w_bs / (p_u
+    omega^-eps n_tot^2) with w_bs the ``bs`` frame weight; 0 synchronous."""
+    return (p.p_d * p.n_p * frame_weights(p).bs
+            / (p.p_u * p.omega ** (-p.eps) * p.n_tot ** 2))
+
+
 def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
                deltas, valid, phases, p):
     """Inverse-SINR decomposition (g1, g2, g3) for every tagged user of one
@@ -89,38 +130,26 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
     validity. phases: (n_bs,) int8 phase of every cell as seen by the
     tagged cell (its own entry is ignored).
     """
-    alpha, eps, sigma2, omega = p.alpha, p.eps, p.sigma2, p.omega
-    n_p, n_tot, p_d, p_u = p.n_p, p.n_tot, p.p_d, p.p_u
+    alpha, eps, omega, n_p = p.alpha, p.eps, p.omega, p.n_p
     fw = frame_weights(p)
     c = c_m(p.m)
     c2 = c * c
-    vm = v_m(p.m)
     x = d_serv[tag_user]
+    t = user_terms(x, p)
     tag_cell = user_cell[tag_user[0]]
     n_bs = d_bb.shape[0]
-    n_groups = p.k // fw.users
+    n_groups = n_p // fw.users
     group = pilot_slot % n_groups                                  # (nu,)
     tag_group = group[tag_user]                                    # (nt,)
 
     # 1/Delta_{jk} summed over the users k of each pilot group of cell j
-    inv_delta_pilot = np.zeros((n_bs, p.k))
+    inv_delta_pilot = np.zeros((n_bs, n_p))
     inv_delta_pilot[user_cell, pilot_slot] = 1.0 / deltas
     inv_delta_group = inv_delta_pilot.reshape(n_bs, fw.users, n_groups).sum(axis=1)
 
-    xa = x ** alpha
-    x1e = x ** (alpha * (1.0 - eps))
-    x2e = x ** (alpha * (2.0 - eps))
-    x2a = x ** (2.0 * alpha)
-
-    base = ((vm - 1.0) / c2 + n_p / c2
-            + sigma2 * xa / (p_d * omega * c2)
-            + sigma2 * x1e / (p_u * c2 * omega ** (1.0 - eps))
-            + sigma2 ** 2 * x2e / (n_p * p_u * p_d * c2 * omega ** (2.0 - eps)))
-
     delta_t = deltas[tag_user]
-    delta1 = (omega ** (eps - 1.0) / p_u) * delta_t - x ** (-alpha * (1.0 - eps))
-    amp = xa + x2e * delta1
-    noise_amp = n_p + sigma2 * xa / (p_d * omega)
+    delta1 = (omega ** (eps - 1.0) / p.p_u) * delta_t - x ** (-alpha * (1.0 - eps))
+    amp = t.xa + t.x2e * delta1
 
     serv_ae = d_serv ** (alpha * eps)
     cells = np.arange(n_bs)
@@ -136,21 +165,20 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
     # the zero self-distance of the tagged cell must not poison the sum
     d_lj = np.where(other_c, d_bb[tag_cell], 1.0)
     bsbs = (d_lj ** (-alpha) * other_c).sum()
-    g1 = base + (x1e / c2) * noise_amp * (
-        fw.f_w * cross
-        + p_d * n_p * fw.bs / (p_u * omega ** (-eps) * n_tot ** 2) * bsbs)
+    g1 = t.base + (t.x1e / c2) * t.noise_amp * (
+        fw.f_w * cross + bs_gain(p) * bsbs)
 
     r_jl = d_bu[:, tag_user].T                                    # (nt, n_bs)
     beam = (r_jl ** (-alpha) * chi_dd).sum(axis=1)
     pil = (inv_delta_group.T[tag_group] * chi_dd
            * r_jl ** (-2.0 * alpha)).sum(axis=1)
     g2 = ((n_p / c2) * amp * beam
-          + ((p.m - 1.0) / c2) * x2a * fw.f_w * delta_t * pil)
+          + ((p.m - 1.0) / c2) * t.x2a * fw.f_w * delta_t * pil)
 
     um = other_u & (phases[user_cell] <= 1)                        # (nu,)
     d_ut = np.where(um, d_uu.T, 1.0)
     # masking P_i before the product gives the same +0.0 terms
-    g3 = (amp * p_u / (p_d * omega ** eps * c2)
+    g3 = (amp * p.p_u / (p.p_d * omega ** eps * c2)
           * ((serv_ae * um)[None, :] * d_ut ** (-alpha)).sum(axis=1))
     return g1, g2, g3
 
@@ -162,7 +190,7 @@ def all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb, valid, p):
     fw = frame_weights(p)
     nu = d_serv.shape[0]
     n_bs = d_bb.shape[0]
-    n_groups = p.k // fw.users
+    n_groups = n_p // fw.users
     cells = np.arange(n_bs)
 
     pwr = p_u * omega ** (1.0 - eps)

@@ -9,18 +9,18 @@ the alternating binomial sum over n = 1..N of
     integral_{r0}^inf 2 pi lam x e^{-pi lam (x^2 - r0^2)}
         * exp(-eta n T c1(x)) * E1(T,n,x) * E2(T,n,x) dx.
 
-This module deliberately bakes in the mean-field approximations of the
-closed-form route (phase indicators and observation-variance ratios
-replaced by their means, conditional cross-moments replaced by the
-unconditioned exclusion-ball values Q1/Q2/Q3). The Monte Carlo engine
-uses exact realized values, so the gap between the two engines measures
-the quality of exactly these approximations.
+The inverse SINR is the Monte Carlo kernels' g1 + g2 + g3, with the same
+per-user terms (``_kernels.user_terms``: the powers of x, g1's own-cell
+and noise sum, the pilot-noise amplitude). Only the realized sums are
+replaced: in c1, g1's station-to-station sum by its mean Q2 and g3's
+foreign-uplink sum, phase indicator included, by its mean Q3; Delta's
+ratio in g2 and g3 by its mean Q1; g2's beamforming and pilot sums by
+the field E1 (coefficients B, C) and g1's cross sum by E2 (D). The Monte
+Carlo engine keeps the realized values, so the gap between the two
+engines measures exactly these replacements.
 
-The synchronous and asynchronous modes share every formula. They differ
-only in the frame weights of an interfering cell (see ``_Context``): the
-weight of its pilot and uplink symbols, its downlink share, and how many
-of its users contaminate the tagged pilot. In synchronous mode all of them
-are exactly 1, and Q2 = Q3 = 0.
+The synchronous and asynchronous modes share every formula; they differ
+only in the frame weights of an interfering cell (see ``_Context``).
 
 Numerical strategy: all integrands are smooth after mapping semi-infinite
 tails onto log-spaced Gauss-Legendre panels, so fixed tensorised panels
@@ -62,9 +62,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._kernels import bs_gain, user_terms
 from .errors import DomainError, NumericalError
 from .params import (SystemParams, c_m, default_gamma_shape, eta_shape,
-                     frame_weights, v_m)
+                     frame_weights)
 from .quadrature import gauss_legendre_panels, leggauss, log_panel_grid
 
 log = logging.getLogger(__name__)
@@ -294,9 +295,8 @@ def _gamma_shape(n_shape: int | None, params: SystemParams) -> int:
 
 def q2(params: SystemParams) -> float:
     """Mean aggregate path-gain of interfering stations under the exclusion
-    ball: 2 R_e^-alpha / (alpha - 2) asynchronous, zero synchronous."""
-    if params.alpha <= 2:
-        raise DomainError("q2 diverges for alpha <= 2")
+    ball: 2 R_e^-alpha / (alpha - 2) asynchronous, zero synchronous.
+    Finite: :class:`SystemParams` holds alpha > 2."""
     if params.sync:
         return 0.0
     return 2.0 * params.r_e ** (-params.alpha) / (params.alpha - 2.0)
@@ -440,24 +440,21 @@ def _e2_slot(pi_lam: float, r0: float, r_e: float, alpha: float,
 
 class _Context:
     """What the analytic engine derives from one parameter set: the cross
-    moment, computed once, and from it Q1, Q2 and Q3; C_M^2 and V_M; and
-    on the fixed x grid c1 and B, C, D per unit of eta n T (all three are
-    linear in it).
+    moment, computed once, and from it Q1, Q2 and Q3; C_M^2; and on the
+    fixed x grid the Monte Carlo kernels' per-user terms, and from them c1
+    and B, C, D per unit of eta n T (all three are linear in it).
 
     The modes differ only in how much of an interfering cell's frame
-    counts: the frame weights of :func:`~mimosg.params.frame_weights`,
-    f_w, rho2, users (the multiplicity of E2) and the C factor, applied
-    one factor after the other (:meth:`c_frame`). Synchronous, all of them
-    are exactly 1 and the station-to-station weight is 0; so are Q2 and
-    Q3, and the foreign-uplink and station-to-station terms are exactly
-    zero.
+    counts, the frame weights of :func:`~mimosg.params.frame_weights`: f_w,
+    rho2, users (the multiplicity of E2) and the C factor (:meth:`c_frame`).
+    Synchronous, all of them are 1 and the station-to-station weight is 0;
+    so are Q2 and Q3, and with them the terms of c1 beyond g1's own.
     """
 
     def __init__(self, params: SystemParams):
         p = self.params = params
         c = c_m(p.m)
         self.c2 = c * c
-        self.vm = v_m(p.m)
         cm = _cross_moment(p)
         self.f_w, self.rho2, self.users, self._c_frame, bs = frame_weights(p)
         # Q3, the mean foreign-uplink moment sum_j sum_k' r_jjk'^(alpha eps)
@@ -475,16 +472,23 @@ class _Context:
         # ``tests/test_acceptance.py::q3_reference``.
         self.q3 = p.n_p * cm if bs else 0.0
         self.q2 = q2(p)
-        self.q1 = (self.f_w * self.users * cm
-                   + p.p_d * p.n_p * p.n_d * self.q2
-                   / (p.p_u * p.omega ** (-p.eps) * p.n_tot ** 2)
+        # g1's station-to-station term with its sum replaced by Q2
+        self.bs_q2 = bs_gain(p) * self.q2
+        self.q1 = (self.f_w * self.users * cm + self.bs_q2
                    + p.sigma2 * p.omega ** (p.eps - 1.0) / (p.n_p * p.p_u))
-        # the x grid, in u = pi lam (x^2 - r0^2) coordinates
+        # the x grid, in u = pi lam (x^2 - r0^2), and the x-only terms on it
         self.x_nodes, self.x_weights = _x_grid()
         self.x_vals = np.sqrt(p.r0 ** 2 + self.x_nodes / p.pi_lam)
+        self.terms = user_terms(self.x_vals, p)
         self.c1_x = self.c1(self.x_vals)
         self.unit_b, self.unit_c, self.unit_d = self.coefficients(
             1.0, self.x_vals)
+
+    def _terms(self, x):
+        """The x-only terms at x; on the context's own grid, stored ones."""
+        if x is self.x_vals:
+            return self.terms
+        return user_terms(np.asarray(x, dtype=float), self.params)
 
     def c_frame(self, c):
         """``c`` times the frame factor of C, n_p n_d^2 (n_p + n_u) /
@@ -492,45 +496,35 @@ class _Context:
         n_p, n_d2, n_pu, n_tot4 = self._c_frame
         return c * n_p * n_d2 * n_pu / n_tot4
 
+    def _amp(self, t):
+        """g2's and g3's amplitude, with Delta's ratio replaced by Q1."""
+        return t.xa + t.x2e * self.q1
+
     def coefficients(self, ent, x):
         """Campbell coefficients (B, C, D) at distances x, with ``ent`` =
-        eta n T."""
+        eta n T: g2's beamforming and pilot terms and g1's cross term, the
+        phase indicators replaced by the frame weights."""
         p = self.params
         c2 = self.c2
-        xa = x ** p.alpha
-        x2e = x ** (p.alpha * (2.0 - p.eps))
-        x1e = x ** (p.alpha * (1.0 - p.eps))
-        b = -ent * (p.n_p / c2) * self.rho2 * (xa + x2e * self.q1)
-        c = self.c_frame(-ent * ((p.m - 1.0) / c2) * x ** (2.0 * p.alpha))
-        d = (-(ent / c2) * self.f_w * x1e
-             * (p.n_p + p.sigma2 * xa / (p.p_d * p.omega)))
+        t = self._terms(x)
+        b = -ent * (p.n_p / c2) * self.rho2 * self._amp(t)
+        c = self.c_frame(-ent * ((p.m - 1.0) / c2) * t.x2a)
+        d = -(ent / c2) * self.f_w * t.x1e * t.noise_amp
         return b, c, d
 
-    # --- c1 -------------------------------------------------------------
     def c1(self, x):
-        p = self.params
-        c2 = self.c2
-        x = np.asarray(x, dtype=float)
-        xa = x ** p.alpha
-        x1e = x ** (p.alpha * (1.0 - p.eps))
-        x2e = x ** (p.alpha * (2.0 - p.eps))
-        val = ((self.vm - 1.0) / c2 + p.n_p / c2
-               + p.sigma2 * xa / (p.p_d * p.omega * c2)
-               + p.sigma2 * x1e / (p.p_u * c2 * p.omega ** (1.0 - p.eps))
-               + p.sigma2 ** 2 * x2e
-               / (p.n_p * p.p_u * p.p_d * c2 * p.omega ** (2.0 - p.eps)))
-        val = val + self.foreign_uplink(x)
-        val = val + ((p.n_p + p.sigma2 * xa / (p.p_d * p.omega))
-                     * p.p_d * p.n_p * p.n_d * x1e * self.q2
-                     / (p.p_u * p.omega ** (-p.eps) * c2 * p.n_tot ** 2))
-        return val
+        """g1 with its station-to-station sum replaced by Q2 (its cross
+        sum is E2's), plus the mean foreign uplink."""
+        t = self._terms(x)
+        return (t.base + (t.x1e / self.c2) * t.noise_amp * self.bs_q2
+                + self.foreign_uplink(x))
 
     def foreign_uplink(self, x):
-        """The mean foreign-uplink term of c1(x), proportional to Q3."""
+        """g3 with its sum replaced by Q3 and its phase indicator by the
+        frame weight n_d (n_p + n_u) / n_tot^2."""
         p = self.params
-        return ((x ** p.alpha + x ** (p.alpha * (2.0 - p.eps)) * self.q1)
-                * p.p_u * p.n_d * (p.n_p + p.n_u) * self.q3
-                / (p.p_d * p.omega ** p.eps * self.c2 * p.n_tot ** 2))
+        return (self._amp(self._terms(x)) * p.p_u * p.n_d * (p.n_p + p.n_u)
+                * self.q3 / (p.p_d * p.omega ** p.eps * self.c2 * p.n_tot ** 2))
 
     # --- E1 exponent ------------------------------------------------------
     def e1_exponent(self, b, c, x):
@@ -720,7 +714,7 @@ def _c1_e1_e2_exponent(ctx: _Context, ent: np.ndarray, e2) -> np.ndarray:
 
 def _infinite_m_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
     # C with its (M-1)/C_M^2 prefactor -> 1; B and D vanish
-    c_inf = ctx.c_frame(-ctx.x_vals ** (2.0 * ctx.params.alpha))
+    c_inf = ctx.c_frame(-ctx.terms.x2a)
     return ctx.e1_exponent(0.0, ent * c_inf, ctx.x_vals)
 
 

@@ -35,6 +35,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_GATE = 4
 
+# pdf-check's KS gate: 0.02, or, if larger, the KS 0.1% point 1.95/sqrt(n)
+KS_GATE = 0.02
+KS_CRITICAL_001 = 1.95
+
 # Most points a threshold grid may have: a coverage curve is evaluated at
 # every one of them, so a larger grid is a typo, not a request.
 MAX_THRESHOLDS = 1_000_000
@@ -252,10 +256,16 @@ def _rate_record(res: RateResult, label, value, params, cfg, seed=None,
 # subcommands
 # ---------------------------------------------------------------------------
 
+SPECIAL_CASES = {"full-pc": coverage_fullpc_async,
+                 "infinite-m": coverage_infinite_m,
+                 "no-pc": coverage_no_pc}
+
+
 def cmd_coverage(cfg: dict, args: argparse.Namespace) -> int:
+    """The analytic coverage curve; ``special`` runs its ``--case``'s."""
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
-    curve = coverage(thr, params, _n_gamma(cfg))
+    curve = SPECIAL_CASES.get(args.case, coverage)(thr, params, _n_gamma(cfg))
     write_results(_curve_record(curve, cfg), cfg["output"], cfg["format"])
     return EXIT_OK
 
@@ -343,21 +353,10 @@ def cmd_validate(cfg: dict, args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_GATE
 
 
-SPECIAL_CASES = {"full-pc": coverage_fullpc_async,
-                 "infinite-m": coverage_infinite_m,
-                 "no-pc": coverage_no_pc}
-
-
-def cmd_special(cfg: dict, args: argparse.Namespace) -> int:
-    params = build_params(cfg)
-    thr = parse_threshold_grid(cfg["thresholds_db"])
-    curve = SPECIAL_CASES[args.case](thr, params, _n_gamma(cfg))
-    write_results(_curve_record(curve, cfg), cfg["output"], cfg["format"])
-    return EXIT_OK
-
-
 def cmd_pdf_check(cfg: dict, args: argparse.Namespace) -> int:
-    """Kolmogorov-Smirnov suite for the three conditional distance laws."""
+    """Kolmogorov-Smirnov suite for the three conditional distance laws, at
+    a station 1.6 r_e away and a user pair 0.4 r_e apart, the tagged user
+    2 r_e away: distances that exceed r0 < r_e in any geometry."""
     samples = args.samples
     if samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {samples!r}")
@@ -366,7 +365,7 @@ def cmd_pdf_check(cfg: dict, args: argparse.Namespace) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
-    lam, r0 = params.lam, params.r0
+    lam, r0, r_e = params.lam, params.r0, params.r_e
 
     def ks(sample, cdf) -> float:
         sample = np.sort(sample)
@@ -379,22 +378,23 @@ def cmd_pdf_check(cfg: dict, args: argparse.Namespace) -> int:
     rows = []
     s1 = serving_sample(lam, r0, rng, size=samples)
     rows.append(("serving", ks(s1, lambda r: serving_cdf(r, lam, r0))))
-    r2 = 0.8
+    r2 = 1.6 * r_e
     s2 = serving_given_bs_sample(r2, lam, r0, rng, size=samples)
     rows.append(("serving_given_station",
                  ks(s2, lambda r: serving_given_bs_cdf(r, r2, lam, r0))))
-    r_uu, x_tag = 0.2, 1.0
+    r_uu, x_tag = 0.4 * r_e, 2.0 * r_e
     s3 = serving_given_user_pair_sample(r_uu, x_tag, lam, r0, rng, size=samples)
     rows.append(("serving_given_user_pair",
                  ks(s3, lambda s: serving_given_user_pair_cdf(
                      s, r_uu, x_tag, lam, r0))))
+    gate = max(KS_GATE, KS_CRITICAL_001 / math.sqrt(samples))
     record = _record(params, cfg, ["law", "ks_distance"], rows,
                      kind="pdf-check", method="inverse-cdf-sampler",
-                     seed=cfg["seed"])
+                     seed=cfg["seed"], ks_gate=gate)
     write_results(record, cfg["output"], cfg["format"])
     worst = max(v for _, v in rows)
-    sys.stderr.write(f"worst KS distance: {worst:.5f} (gate 0.02)\n")
-    return EXIT_OK if worst < 0.02 else EXIT_GATE
+    sys.stderr.write(f"worst KS distance: {worst:.5f} (gate {gate:.4g})\n")
+    return EXIT_OK if worst < gate else EXIT_GATE
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +447,12 @@ def make_parser() -> argparse.ArgumentParser:
             ("rate-mc", "Monte Carlo ergodic rate", cmd_rate_mc),
             ("validate", "compare analytic vs Monte Carlo coverage",
              cmd_validate),
-            ("special", "special-case analytic curves", cmd_special),
+            ("special", "special-case analytic curves", cmd_coverage),
             ("sweep", "rate sweep over a parameter", cmd_sweep),
             ("pdf-check", "KS suite for the distance-law samplers",
              cmd_pdf_check)]:
         sub = subs.add_parser(name, help=hlp)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, case=None)
         _add_common(sub)
         if name == "validate":
             sub.add_argument("--gate", type=float, required=True,
@@ -472,18 +472,11 @@ def make_parser() -> argparse.ArgumentParser:
 def _merge_negative_values(argv):
     """Let '--thresholds-db -10:20:1' parse even though the value starts
     with a dash (argparse would read it as an option otherwise)."""
-    if argv is None:
-        argv = sys.argv[1:]
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (tok in ("--thresholds-db", "--values") and i + 1 < len(argv)
-                and argv[i + 1].startswith("-")):
-            out.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in sys.argv[1:] if argv is None else argv:
+        if out and out[-1] in ("--thresholds-db", "--values") \
+                and tok.startswith("-"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out

@@ -159,7 +159,7 @@ def build_network(params: SystemParams, window: float,
     if len(bs) == 0:
         raise RealizationError("no base stations fell in the window")
     n_bs = bs.shape[0]
-    k = params.k
+    k = params.n_p
 
     users = np.full((n_bs, k, 2), np.nan)
     serving = np.full((n_bs, k), np.nan)

@@ -175,7 +175,7 @@ def _check_trial_size(params: SystemParams, cfg: McConfig) -> None:
     """ConfigError when a trial's nearest-station block would exceed
     MAX_TRIAL_BLOCK elements at the expected station count."""
     n_bs = params.lam * cfg.window * cfg.window   # inf, not OverflowError
-    block = n_bs * 8.0 * n_bs * params.k
+    block = n_bs * 8.0 * n_bs * params.n_p
     if not block <= MAX_TRIAL_BLOCK:
         raise ConfigError(
             f"window of {cfg.window!r} km is too large: its {n_bs:.3g} "
@@ -285,24 +285,16 @@ class ValidationReport:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        return {
-            "thresholds": self.thresholds.tolist(),
-            "analytic": self.analytic.tolist(),
-            "monte_carlo": self.mc.tolist(),
-            "mc_ci95_half_width": self.mc_half_width.tolist(),
-            "abs_deviation": self.abs_dev.tolist(),
-            "worst_abs_deviation": self.worst_dev,
-            "gate": self.gate,
-            "passed": self.passed,
-            "mode": self.mode,
-            "n_shape": self.n_shape,
-            "trials": self.trials,
-            "trials_used": self.trials_used,
-            "trials_skipped": self.trials_skipped,
-            "analytic_clamped": self.analytic_clamped,
-            "note": ("gate, trial count and intervals are conventions of "
-                     "this validation suite"),
-        }
+        doc = {_JSON_NAMES.get(k, k): v.tolist() if isinstance(v, np.ndarray)
+               else v for k, v in vars(self).items()}
+        doc["note"] = ("gate, trial count and intervals are conventions of "
+                       "this validation suite")
+        return doc
+
+
+# JSON names of the ValidationReport fields that differ from them
+_JSON_NAMES = {"mc": "monte_carlo", "mc_half_width": "mc_ci95_half_width",
+               "abs_dev": "abs_deviation", "worst_dev": "worst_abs_deviation"}
 
 
 def validate(params: SystemParams, cfg: McConfig, gate: float,

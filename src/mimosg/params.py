@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import ConfigError, DomainError
@@ -231,8 +231,6 @@ class SystemParams:
             raise ConfigError(f"alpha must be > 2, got {self.alpha!r}")
         if self.m < 1 or self.m != int(self.m):
             raise ConfigError(f"m must be a positive integer, got {self.m!r}")
-        if self.n_p < 1 or self.n_p != int(self.n_p):
-            raise ConfigError(f"n_p must be a positive integer, got {self.n_p!r}")
         n_u, n_d = split_frame_real(self.n_tot, self.n_p, self.z)
         if n_u < 1 - 1e-9 or n_d < 1 - 1e-9:
             raise ConfigError(
@@ -259,11 +257,6 @@ class SystemParams:
         return split_frame_real(self.n_tot, self.n_p, self.z)[1]
 
     @property
-    def k(self) -> int:
-        """Users scheduled per cell (pilot reuse: one user per sequence)."""
-        return self.n_p
-
-    @property
     def pi_lam(self) -> float:
         return math.pi * self.lam
 
@@ -272,7 +265,6 @@ class SystemParams:
         return self.mode == MODE_SYNC
 
     def with_updates(self, **changes) -> "SystemParams":
-        from dataclasses import replace
         return replace(self, **changes)
 
 

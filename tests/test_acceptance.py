@@ -287,17 +287,17 @@ class TestCriterion8ClosedFormSpotValues:
         bound = isolated_cell_sinr(64, 10)
         worst = 0.0
         for _ in range(50):
-            r = p.r0 + 0.5 * rng.random((1, p.k))
-            ang = 2.0 * np.pi * rng.random((1, p.k))
+            r = p.r0 + 0.5 * rng.random((1, p.n_p))
+            ang = 2.0 * np.pi * rng.random((1, p.n_p))
             bs = np.array([[2.0, 2.0]])
             users = bs[:, None, :] + np.stack(
                 [r * np.cos(ang), r * np.sin(ang)], -1)
             net = NetworkRealization(bs=bs, users=users, serving=r,
                                      valid=np.array([True]), window=4.0)
-            for k in range(p.k):
+            for k in range(p.n_p):
                 b = extract_bundle(net, 0, k, margin=1.0)
                 dset = DeltaSet(tagged=compute_delta(b, p),
-                                other=np.zeros((0, p.k)))
+                                other=np.zeros((0, p.n_p)))
                 inv = inverse_sinr(b, np.zeros(0, np.int8), dset, p)
                 worst = max(worst, abs(inv.sinr - bound) / bound)
         ok = worst < 1e-6

@@ -6,12 +6,14 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import gammainc
 
-from mimosg import analytic
+from mimosg import _kernels, analytic
 from mimosg.analytic import (_TAYLOR_K, _TAYLOR_Z, CoverageCurve, _context,
                              _e1_splits, _tau_grid, coverage,
                              coverage_fullpc_async, coverage_infinite_m,
                              coverage_no_pc, ergodic_rate, q2)
 from mimosg.errors import DomainError
+from mimosg.geometry import NetworkRealization
+from mimosg.montecarlo import _flatten_users
 from mimosg.params import c_m, default_params, eta_shape, v_m
 from mimosg.quadrature import leggauss, log_panel_grid
 from reference_mixture import gamma_mixture_cdf
@@ -392,6 +394,46 @@ class TestCoefficients:
         _, _, da = _context(pa).coefficients(eta_shape(1) * 1.0, 0.3)
         _, _, ds = _context(ps).coefficients(eta_shape(1) * 1.0, 0.3)
         assert da / ds == pytest.approx(20.0 / 1600.0, rel=1e-12)
+
+
+class TestSharedTerms:
+    """The analytic c1 and the Monte Carlo g1 read one set of per-user
+    terms: in a lone cell, where every interference sum of g1 is empty,
+    g1 plus c1's mean-field terms is c1."""
+
+    @pytest.mark.parametrize("mode", ["async", "sync"])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    def test_lone_cell_g1_is_c1_without_mean_fields(self, mode, eps, rng):
+        p = default_params(mode, eps=eps)
+        bs = np.array([[2.0, 2.0]])
+        r = p.r0 + 0.6 * rng.random((1, p.n_p))
+        ang = 2.0 * np.pi * rng.random((1, p.n_p))
+        users = bs[:, None, :] + np.stack([r * np.cos(ang),
+                                           r * np.sin(ang)], -1)
+        net = NetworkRealization(bs=bs, users=users, serving=r,
+                                 valid=np.array([True]), window=4.0)
+        user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
+        d_bu = _kernels.pairwise_dist(net.bs, pos)
+        d_bb = _kernels.pairwise_dist(net.bs, net.bs)
+        deltas = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu,
+                                     d_bb, net.valid, p)
+        tag = np.arange(p.n_p)
+        g1, g2, g3 = _kernels.sinr_batch(
+            tag, pilot_slot, d_serv, user_cell, d_bu, d_bb,
+            _kernels.pairwise_dist(pos, pos[tag]), deltas, net.valid,
+            np.full(1, 2, dtype=np.int8), p)
+        assert not g2.any() and not g3.any()
+        x = d_serv[tag]
+        t = _kernels.user_terms(x, p)
+        np.testing.assert_array_equal(g1, t.base)
+
+        ctx = _context(p)
+        # the station-to-station sum replaced by Q2, and the foreign uplink
+        mean_field = ((t.x1e / ctx.c2) * t.noise_amp * ctx.bs_q2
+                      + ctx.foreign_uplink(x))
+        assert (mean_field == 0.0).all() == p.sync
+        np.testing.assert_allclose(g1 + mean_field, ctx.c1(x), rtol=1e-15,
+                                   atol=0.0)
 
 
 class TestLaplaceTerms:

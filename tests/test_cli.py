@@ -292,6 +292,32 @@ class TestSubcommands:
         assert rows[0].strip() == "law,ks_distance"
         assert len(rows) == 4
 
+    def test_pdf_check_distances_scale_with_geometry(self, capsys,
+                                                     tmp_path):
+        """The conditioning distances follow r_e, so a geometry with r0
+        above the reference setting's 0.8 km runs as coverage does."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"r0_km": 0.9, "r_e_km": 2.0}))
+        code, out, err = run_cli(capsys, "pdf-check", "--config", str(path),
+                                 "--samples", "20000", "--format", "json")
+        assert code == EXIT_OK, err
+        assert len(json.loads(out)["values"]) == 3
+
+    def test_pdf_check_gate_follows_sample_count(self, capsys):
+        """At 1000 samples the gate is the KS 0.1% point 1.95/sqrt(n),
+        which correct samplers pass; from about 9500 samples on it is
+        0.02."""
+        code, out, err = run_cli(capsys, "pdf-check", "--samples", "1000",
+                                 "--seed", "1", "--format", "json")
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        assert doc["ks_gate"] == 1.95 / math.sqrt(1000)
+        assert max(v for _, v in doc["values"]) > 0.02
+        assert f"(gate {doc['ks_gate']:.4g})" in err
+        code, out, _ = run_cli(capsys, "pdf-check", "--samples", "10000",
+                               "--format", "json")
+        assert json.loads(out)["ks_gate"] == 0.02
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_pdf_check_non_positive_samples_exits_config(self, capsys,
                                                          samples):

@@ -19,8 +19,8 @@ def make_isolated(params, seed=5, window=4.0):
     """Single-station network with all users in the central region."""
     rng = np.random.default_rng(seed)
     bs = np.array([[window / 2, window / 2]])
-    r = params.r0 + 0.3 * rng.random((1, params.k))
-    ang = 2.0 * np.pi * rng.random((1, params.k))
+    r = params.r0 + 0.3 * rng.random((1, params.n_p))
+    ang = 2.0 * np.pi * rng.random((1, params.n_p))
     users = bs[:, None, :] + np.stack([r * np.cos(ang), r * np.sin(ang)], -1)
     return NetworkRealization(bs=bs, users=users, serving=r,
                               valid=np.array([True]), window=window)
@@ -32,7 +32,7 @@ def deltas_for(net, params):
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
     flat = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb,
                                net.valid, params)
-    table = np.full((net.n_bs, params.k), np.nan)
+    table = np.full((net.n_bs, params.n_p), np.nan)
     table[user_cell, pilot_slot] = flat
     return table
 
@@ -129,7 +129,7 @@ class TestDelta:
         # naive term-by-term accumulation, scalar loops
         acc = uplink_power(b.x, p) * path_gain(b.x, p)
         for row in range(b.n_other):
-            for k in range(p.k):
+            for k in range(p.n_p):
                 if mode == "sync" and k != b.pilot_index:
                     continue
                 pw = uplink_power(b.cross_serving[row, k], p)
@@ -240,7 +240,7 @@ class TestInverseSinr:
             g1 += pref * cross
         else:
             for r in rows:
-                for k in range(p.k)[::-1]:
+                for k in range(p.n_p)[::-1]:
                     cross += (b.cross_serving[r, k] ** (p.alpha * p.eps)
                               * b.cross_to_desired_bs[r, k] ** -p.alpha)
             bsbs = sum(b.bs_to_bs[r] ** -p.alpha for r in rows)
@@ -263,12 +263,12 @@ class TestInverseSinr:
                 if ph[r] == PHASE_DOWNLINK:
                     g2 += (p.n_p / c2) * amp * rj ** -p.alpha
                     ratio = sum(dset.tagged / dset.other[r, k]
-                                for k in range(p.k))
+                                for k in range(p.n_p))
                     g2 += ((p.m - 1) / c2) * x ** (2 * p.alpha) \
                         * (p.n_p + p.n_u) / p.n_tot ** 2 * ratio \
                         * rj ** (-2 * p.alpha)
                 else:
-                    for k in range(p.k):
+                    for k in range(p.n_p):
                         g3 += (b.cross_serving[r, k] ** (p.alpha * p.eps)
                                * b.user_to_user[r, k] ** -p.alpha)
         g3 *= amp * p.p_u / (p.p_d * p.omega ** p.eps * c2)

@@ -195,7 +195,7 @@ class TestKernelParity:
         net = build_network(p, 4.0, rng)
         deltas, phases, tag, sinr = _kernel_run(p, net, rng)
         user_cell, pilot_slot, _, _ = _flatten_users(net)
-        table = np.full((net.n_bs, p.k), np.nan)
+        table = np.full((net.n_bs, p.n_p), np.nan)
         table[user_cell, pilot_slot] = deltas
         for t, u in enumerate(tag):
             b = extract_bundle(net, int(user_cell[u]), int(pilot_slot[u]))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,40 @@ def test_program_definitions_are_used_by_the_program():
     unused = defined - _references(modules)
     assert sorted(unused - set(UNREFERENCED_ALLOWED)) == []
     assert sorted(set(UNREFERENCED_ALLOWED) - unused) == []
+
+
+# Methods and properties of program classes that no program code accesses
+# by name, each with the reason it stays
+UNACCESSED_MEMBERS_ALLOWED = {
+    "params.SystemParams.with_updates": "the README's way to vary one input",
+}
+
+
+def test_program_members_are_used_by_the_program():
+    """Every method and property of a class in ``src/mimosg`` is accessed
+    by name (``obj.name``) by program code outside its own body; dunder
+    methods, which Python calls itself, are exempt. Accesses are matched
+    by name alone, whatever the object. The exceptions are
+    UNACCESSED_MEMBERS_ALLOWED, which must stay exact."""
+    modules = _program_modules()
+
+    def accesses(node) -> Counter:
+        return Counter(n.attr for n in ast.walk(node)
+                       if isinstance(n, ast.Attribute))
+
+    total = sum((accesses(tree) for tree in modules.values()), Counter())
+    unused = set()
+    for mod, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and not fn.name.startswith("__")
+                        and total[fn.name] == accesses(fn)[fn.name]):
+                    unused.add(f"{mod}.{cls.name}.{fn.name}")
+    assert sorted(unused - set(UNACCESSED_MEMBERS_ALLOWED)) == []
+    assert sorted(set(UNACCESSED_MEMBERS_ALLOWED) - unused) == []
 
 
 # Runs the CLI on coverage, rate, sweep and a 3-trial validate, then prints

@@ -228,9 +228,6 @@ class TestSystemParams:
                         mode="sync")
         assert p.lam == pytest.approx(density_from_exclusion(0.25))
 
-    def test_k_equals_pilot_length(self, params_async):
-        assert params_async.k == params_async.n_p == 10
-
     def test_default_gamma_shape(self):
         assert default_gamma_shape("async") == 1
         assert default_gamma_shape("sync") == 4

@@ -10,17 +10,20 @@ one-user reference in ``tests/reference_sinr.py``, batched over all users
 of a realization; the kernel-parity tests pin the two against each other.
 They take the realization's arrays and the
 :class:`~mimosg.params.SystemParams` whole, and derive the rest (tagged
-distances, 1/Delta tables, C_M^2, V_M) themselves. The users of all valid
-cells are flattened cell-major into one axis ("nu"), K per cell in slot
-order; the tagged users ("nt") are those of one cell. d_bu[j, i] is the
-distance from station j to user i, d_uu[i, t] from user i to tagged user
-t. ``phases`` holds one code per cell: 0 pilot, 1 uplink, 2 downlink. The
-first argument of each kernel is the per-user array its work scales with,
-so a wrapper (``perfbench/run.py --trace 1``) sizes a call by len(args[0]).
+distances, 1/Delta tables, C_M^2, V_M) themselves, and compute each
+realized sum once: ``sinr_batch`` reads g1 and delta1 from the tagged
+station's row of ``all_deltas``' foreign pilot power table. The users of
+all valid cells are flattened cell-major into one axis ("nu"), K per cell
+in slot order; the tagged users ("nt") are those of one cell. d_bu[j, i]
+is the distance from station j to user i, d_uu[i, t] from user i to
+tagged user t. ``phases`` holds one code per cell: 0 pilot, 1 uplink, 2
+downlink. The first argument of each kernel is the per-user array its
+work scales with, so a wrapper (``perfbench/run.py --trace 1``) sizes a
+call by len(args[0]).
 
 ``user_terms`` holds the terms of the inverse SINR that depend on a
 user's serving distance alone, and ``bs_gain`` the station-to-station
-gain; the analytic engine reads both and replaces only the realized sums.
+weight; the analytic engine reads both and replaces only the realized sums.
 
 Both modes run the same formulas; the mode reaches them only as data, the
 frame weights of :func:`~mimosg.params.frame_weights`. Users whose pilots
@@ -114,100 +117,87 @@ def user_terms(x, p) -> UserTerms:
 
 
 def bs_gain(p) -> float:
-    """The factor of g1's station-to-station sum, p_d n_p w_bs / (p_u
-    omega^-eps n_tot^2) with w_bs the ``bs`` frame weight; 0 synchronous."""
+    """The station-to-station weight of the foreign pilot power, p_d n_p
+    w_bs / (p_u omega^-eps n_tot^2), w_bs the ``bs`` frame weight."""
     return (p.p_d * p.n_p * frame_weights(p).bs
             / (p.p_u * p.omega ** (-p.eps) * p.n_tot ** 2))
 
 
-def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu,
-               deltas, valid, phases, p):
+def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
+               foreign, valid, phases, p):
     """Inverse-SINR decomposition (g1, g2, g3) for every tagged user of one
     realization.
 
     tag_user: (nt,) flat indices of the tagged users, all of one cell.
-    deltas: (nu,) output of :func:`all_deltas`. valid: (n_bs,) bool cell
-    validity. phases: (n_bs,) int8 phase of every cell as seen by the
-    tagged cell (its own entry is ignored).
+    deltas, foreign: the two outputs of :func:`all_deltas`. valid: (n_bs,)
+    bool cell validity. phases: (n_bs,) int8 phase of every cell as seen by
+    the tagged cell (its own entry is ignored).
     """
     alpha, eps, omega, n_p = p.alpha, p.eps, p.omega, p.n_p
     fw = frame_weights(p)
     c = c_m(p.m)
     c2 = c * c
-    x = d_serv[tag_user]
-    t = user_terms(x, p)
+    t = user_terms(d_serv[tag_user], p)
     tag_cell = user_cell[tag_user[0]]
-    n_bs = d_bb.shape[0]
-    n_groups = n_p // fw.users
-    group = pilot_slot % n_groups                                  # (nu,)
-    tag_group = group[tag_user]                                    # (nt,)
+    n_bs, n_groups = foreign.shape
+    tag_group = pilot_slot[tag_user] % n_groups                    # (nt,)
 
     # 1/Delta_{jk} summed over the users k of each pilot group of cell j
     inv_delta_pilot = np.zeros((n_bs, n_p))
     inv_delta_pilot[user_cell, pilot_slot] = 1.0 / deltas
     inv_delta_group = inv_delta_pilot.reshape(n_bs, fw.users, n_groups).sum(axis=1)
 
-    delta_t = deltas[tag_user]
-    delta1 = (omega ** (eps - 1.0) / p.p_u) * delta_t - x ** (-alpha * (1.0 - eps))
+    # the foreign pilot power at the tagged station, in each tagged user's
+    # group: g1's channel-estimation error and Delta's ratio delta1
+    foreign_t = foreign[tag_cell, tag_group]
+    g1 = t.base + (t.x1e / c2) * t.noise_amp * foreign_t
+    delta1 = foreign_t + p.sigma2 * omega ** (eps - 1.0) / (n_p * p.p_u)
     amp = t.xa + t.x2e * delta1
 
-    serv_ae = d_serv ** (alpha * eps)
-    cells = np.arange(n_bs)
-    other_u = user_cell != tag_cell                                # (nu,)
-    other_c = (cells != tag_cell) & valid                          # (n_bs,)
-    chi_dd = (phases == 2) & other_c                               # (n_bs,)
-
-    # one row per pilot group of the foreign users' pilot power at the
-    # tagged station, read by each tagged user's group
-    w_lu = d_bu[tag_cell] ** (-alpha)                              # (nu,)
-    in_group = group[None, :] == np.arange(n_groups)[:, None]
-    cross = (serv_ae * w_lu * (other_u & in_group)).sum(axis=1)[tag_group]
-    # the zero self-distance of the tagged cell must not poison the sum
-    d_lj = np.where(other_c, d_bb[tag_cell], 1.0)
-    bsbs = (d_lj ** (-alpha) * other_c).sum()
-    g1 = t.base + (t.x1e / c2) * t.noise_amp * (
-        fw.f_w * cross + bs_gain(p) * bsbs)
+    chi_dd = (phases == 2) & (np.arange(n_bs) != tag_cell) & valid  # (n_bs,)
 
     r_jl = d_bu[:, tag_user].T                                    # (nt, n_bs)
     beam = (r_jl ** (-alpha) * chi_dd).sum(axis=1)
     pil = (inv_delta_group.T[tag_group] * chi_dd
            * r_jl ** (-2.0 * alpha)).sum(axis=1)
     g2 = ((n_p / c2) * amp * beam
-          + ((p.m - 1.0) / c2) * t.x2a * fw.f_w * delta_t * pil)
+          + ((p.m - 1.0) / c2) * t.x2a * fw.f_w * deltas[tag_user] * pil)
 
-    um = other_u & (phases[user_cell] <= 1)                        # (nu,)
+    um = (user_cell != tag_cell) & (phases[user_cell] <= 1)        # (nu,)
     d_ut = np.where(um, d_uu.T, 1.0)
     # masking P_i before the product gives the same +0.0 terms
     g3 = (amp * p.p_u / (p.p_d * omega ** eps * c2)
-          * ((serv_ae * um)[None, :] * d_ut ** (-alpha)).sum(axis=1))
+          * ((d_serv ** (alpha * eps) * um)[None, :]
+             * d_ut ** (-alpha)).sum(axis=1))
     return g1, g2, g3
 
 
-def all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb, valid, p):
-    """Observation variance Delta for every user at its own base station."""
-    alpha, eps, sigma2, omega = p.alpha, p.eps, p.sigma2, p.omega
-    n_p, n_tot, p_d, p_u = p.n_p, p.n_tot, p.p_d, p.p_u
+def all_deltas(d_serv, user_cell, d_bu, d_bb, valid, p):
+    """Delta of every user at its own station, and the (n_bs, n_groups)
+    foreign pilot power table I, in units of p_u omega^(1-eps): at station
+    j in group g, f_w sum r_i^(alpha eps) d_ji^-alpha over the group's users
+    i of other cells plus ``bs_gain`` sum d_jj'^-alpha over the other
+    stations. Delta = p_u omega^(1-eps) (x^(-alpha(1-eps)) + I[cell,
+    group]) + sigma2/n_p."""
+    alpha, eps = p.alpha, p.eps
     fw = frame_weights(p)
-    nu = d_serv.shape[0]
     n_bs = d_bb.shape[0]
-    n_groups = n_p // fw.users
+    n_groups = p.n_p // fw.users
     cells = np.arange(n_bs)
 
-    pwr = p_u * omega ** (1.0 - eps)
-    pwr_beta = pwr * d_serv ** (alpha * eps)                   # P_i * omega
-    w = pwr_beta[None, :] * d_bu ** (-alpha)       # P_i' * beta_{j i'}, (n_bs, nu)
+    w = d_serv[None, :] ** (alpha * eps) * d_bu ** (-alpha)   # (n_bs, nu)
     # a user's own station takes no part in its sums: +0.0 there, the
     # value a mask multiply gives
-    w[user_cell, np.arange(nu)] = 0.0
-    own = pwr * d_serv ** (-alpha * (1.0 - eps))
-
-    # the user axis runs K per cell in slot order, so its last reshaped
-    # axis is the pilot group: sums over the users of each group
-    cross = w.reshape(n_bs, -1, n_groups).sum(axis=1)          # (n_bs, n_groups)
+    w[user_cell, np.arange(d_serv.shape[0])] = 0.0
     other_bs = (cells[None, :] != cells[:, None]) & valid[None, :]
     d_off = np.where(other_bs, d_bb, 1.0)  # keep the zero diagonal out
-    bsterm = (omega * d_off ** (-alpha) * other_bs).sum(axis=1)
-    per_group = fw.f_w * cross + (p_d * n_p * fw.bs / n_tot ** 2 * bsterm)[:, None]
+    bsbs = (d_off ** (-alpha) * other_bs).sum(axis=1)
+    # the user axis runs K per cell in slot order, so its last reshaped
+    # axis is the pilot group: sums over the users of each group
+    foreign = (fw.f_w * w.reshape(n_bs, -1, n_groups).sum(axis=1)
+               + (bs_gain(p) * bsbs)[:, None])
     # each run of n_groups users is one user of every group, all of one cell
-    return (own.reshape(-1, n_groups) + per_group[user_cell[::n_groups]]
-            + sigma2 / n_p).reshape(-1)
+    own = d_serv.reshape(-1, n_groups) ** (-alpha * (1.0 - eps))
+    pwr = p.p_u * p.omega ** (1.0 - eps)
+    deltas = pwr * (own + foreign[user_cell[::n_groups]]) + p.sigma2 / p.n_p
+    return deltas.reshape(-1), foreign

@@ -12,11 +12,11 @@ the alternating binomial sum over n = 1..N of
 The inverse SINR is the Monte Carlo kernels' g1 + g2 + g3, with the same
 per-user terms (``_kernels.user_terms``: the powers of x, g1's own-cell
 and noise sum, the pilot-noise amplitude). Only the realized sums are
-replaced: in c1, g1's station-to-station sum by its mean Q2 and g3's
-foreign-uplink sum, phase indicator included, by its mean Q3; Delta's
-ratio in g2 and g3 by its mean Q1; g2's beamforming and pilot sums by
-the field E1 (coefficients B, C) and g1's cross sum by E2 (D). The Monte
-Carlo engine keeps the realized values, so the gap between the two
+replaced: in g1's foreign pilot power I_t, the station-to-station part
+by its mean Q2 (in c1) and the cross part by E2 (D); Delta's ratio delta1
+(I_t plus pilot noise) by its mean Q1; g3's foreign-uplink sum, phase
+indicator included, by its mean Q3 (in c1); g2's sums by E1 (B, C). The
+Monte Carlo engine keeps the realized values, so the gap between the two
 engines measures exactly these replacements.
 
 The synchronous and asynchronous modes share every formula; they differ
@@ -472,7 +472,8 @@ class _Context:
         # ``tests/test_acceptance.py::q3_reference``.
         self.q3 = p.n_p * cm if bs else 0.0
         self.q2 = q2(p)
-        # g1's station-to-station term with its sum replaced by Q2
+        # I_t's station-to-station part with its sum replaced by Q2; Q1 is
+        # the mean of delta1 = I_t + sigma2 / (n_p p_u omega^(1-eps))
         self.bs_q2 = bs_gain(p) * self.q2
         self.q1 = (self.f_w * self.users * cm + self.bs_q2
                    + p.sigma2 * p.omega ** (p.eps - 1.0) / (p.n_p * p.p_u))
@@ -748,8 +749,8 @@ def _coverage_values(thresholds, params: SystemParams, n_shape: int,
     number of thresholds."""
     ctx = _context(params)
     thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(thresholds < 0):
-        raise DomainError("thresholds must be >= 0 (linear scale)")
+    if not np.all((thresholds >= 0.0) & (thresholds < np.inf)):
+        raise DomainError("thresholds must be finite and >= 0 (linear scale)")
     n = np.arange(1, n_shape + 1)
     signs = np.array([(-1.0) ** (k + 1) * math.comb(n_shape, k) for k in n])
     ent = eta_shape(n_shape) * np.multiply.outer(thresholds, n)[..., None]

@@ -163,7 +163,12 @@ def parse_threshold_grid(grid: str) -> np.ndarray:
                           f"{MAX_THRESHOLDS} points")
     n = int(math.floor(count)) + 1
     db = a + step * np.arange(n)
-    return 10.0 ** (db / 10.0)
+    with np.errstate(over="ignore"):      # far from 0 dB: 0 or inf
+        lin = 10.0 ** (db / 10.0)
+    if not (lin[0] > 0.0 and lin[-1] < math.inf):
+        raise ConfigError(f"threshold grid {grid!r} leaves the range of "
+                          f"finite, positive linear values")
+    return lin
 
 
 def _params_snapshot(params: SystemParams) -> dict:

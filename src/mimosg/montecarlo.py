@@ -83,8 +83,11 @@ class McConfig:
         if not 0 <= self.margin < self.window / 2:
             raise ConfigError(
                 f"margin must lie in [0, window/2), got {self.margin!r}")
-        object.__setattr__(self, "thresholds",
-                           tuple(float(t) for t in self.thresholds))
+        thresholds = tuple(float(t) for t in self.thresholds)
+        if not all(0.0 <= t < math.inf for t in thresholds):
+            raise ConfigError(f"thresholds must be finite and >= 0, got "
+                              f"{self.thresholds!r}")
+        object.__setattr__(self, "thresholds", thresholds)
 
 
 # phase codes of an interfering cell at the observed symbol
@@ -151,8 +154,8 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
 
     p = params
-    deltas = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb,
-                                 net.valid, p)
+    deltas, foreign = _kernels.all_deltas(d_serv, user_cell, d_bu, d_bb,
+                                          net.valid, p)
 
     # a valid cell holds exactly K users, so the zero-cell tags K of them
     tag_user = (user_cell == zero_cell).nonzero()[0]
@@ -162,8 +165,8 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
 
     d_uu = _kernels.pairwise_dist(pos, pos[tag_user])  # (nu, nt)
     g1, g2, g3 = _kernels.sinr_batch(
-        tag_user, pilot_slot, d_serv, user_cell, d_bu, d_bb, d_uu, deltas,
-        net.valid, phases, p)
+        tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
+        foreign, net.valid, phases, p)
 
     sinr = 1.0 / (g1 + g2 + g3)
     counts = (sinr[:, None] > thr[None, :]).sum(axis=0).astype(float)

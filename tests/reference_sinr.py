@@ -14,17 +14,52 @@ kernels' realization-wide arrays, so the two share no indexing.
 The decomposition is already an expectation over small-scale fading and
 precoding randomness, so no per-symbol fading is drawn. Phases are the
 int8 codes of ``mimosg.montecarlo.draw_phases``, one per interfering cell.
+
+``run_kernels`` runs the batched kernels on a whole realization the way
+``mimosg.montecarlo.run_trial`` calls them, so that the tests which
+compare against them call them in one place.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from mimosg import _kernels
 from mimosg.errors import DomainError, NumericalError
 from mimosg.geometry import NetworkRealization
-from mimosg.montecarlo import PHASE_DOWNLINK, PHASE_UPLINK
+from mimosg.montecarlo import PHASE_DOWNLINK, PHASE_UPLINK, _flatten_users
 from mimosg.params import SystemParams, c_m, v_m
+
+
+class KernelRun(NamedTuple):
+    """The flattened users of a realization and the kernels' outputs."""
+    user_cell: np.ndarray    # (nu,) cell of every user
+    pilot_slot: np.ndarray   # (nu,) pilot slot of every user
+    d_serv: np.ndarray       # (nu,) serving distances
+    deltas: np.ndarray       # (nu,) Delta of every user
+    foreign: np.ndarray      # (n_bs, n_groups) foreign pilot power table
+    tag: np.ndarray          # (nt,) flat indices of the tagged users
+    sinr: tuple              # (g1, g2, g3) of the tagged users
+
+
+def run_kernels(net: NetworkRealization, params: SystemParams,
+                tag_cell: int, phases: np.ndarray) -> KernelRun:
+    """``all_deltas`` on every user of ``net`` and ``sinr_batch`` on the
+    users of ``tag_cell``, with ``phases`` one code per cell."""
+    user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
+    d_bu = _kernels.pairwise_dist(net.bs, pos)
+    d_bb = _kernels.pairwise_dist(net.bs, net.bs)
+    deltas, foreign = _kernels.all_deltas(d_serv, user_cell, d_bu, d_bb,
+                                          net.valid, params)
+    tag = np.flatnonzero(user_cell == tag_cell)
+    sinr = _kernels.sinr_batch(
+        tag, pilot_slot, d_serv, user_cell, d_bu,
+        _kernels.pairwise_dist(pos, pos[tag]), deltas, foreign, net.valid,
+        phases, params)
+    return KernelRun(user_cell, pilot_slot, d_serv, deltas, foreign, tag,
+                     sinr)
 
 
 def central_cells(net: NetworkRealization, margin: float) -> np.ndarray:

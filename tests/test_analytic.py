@@ -13,10 +13,10 @@ from mimosg.analytic import (_TAYLOR_K, _TAYLOR_Z, CoverageCurve, _context,
                              coverage_no_pc, ergodic_rate, q2)
 from mimosg.errors import DomainError
 from mimosg.geometry import NetworkRealization
-from mimosg.montecarlo import _flatten_users
 from mimosg.params import c_m, default_params, eta_shape, v_m
 from mimosg.quadrature import leggauss, log_panel_grid
 from reference_mixture import gamma_mixture_cdf
+from reference_sinr import run_kernels
 
 # frozen high-precision oracle values for the reference geometry
 CROSS_MOMENT = {0.0: 16.0, 0.5: 2.8856400139492937, 1.0: 0.9783991390254186}
@@ -396,6 +396,17 @@ class TestCoefficients:
         assert da / ds == pytest.approx(20.0 / 1600.0, rel=1e-12)
 
 
+def _lone_cell_run(p, rng):
+    """The kernels on one station with its K users, tagged, in downlink."""
+    bs = np.array([[2.0, 2.0]])
+    r = p.r0 + 0.6 * rng.random((1, p.n_p))
+    ang = 2.0 * np.pi * rng.random((1, p.n_p))
+    users = bs[:, None, :] + np.stack([r * np.cos(ang), r * np.sin(ang)], -1)
+    net = NetworkRealization(bs=bs, users=users, serving=r,
+                             valid=np.array([True]), window=4.0)
+    return run_kernels(net, p, 0, np.full(1, 2, dtype=np.int8))
+
+
 class TestSharedTerms:
     """The analytic c1 and the Monte Carlo g1 read one set of per-user
     terms: in a lone cell, where every interference sum of g1 is empty,
@@ -405,25 +416,10 @@ class TestSharedTerms:
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_lone_cell_g1_is_c1_without_mean_fields(self, mode, eps, rng):
         p = default_params(mode, eps=eps)
-        bs = np.array([[2.0, 2.0]])
-        r = p.r0 + 0.6 * rng.random((1, p.n_p))
-        ang = 2.0 * np.pi * rng.random((1, p.n_p))
-        users = bs[:, None, :] + np.stack([r * np.cos(ang),
-                                           r * np.sin(ang)], -1)
-        net = NetworkRealization(bs=bs, users=users, serving=r,
-                                 valid=np.array([True]), window=4.0)
-        user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
-        d_bu = _kernels.pairwise_dist(net.bs, pos)
-        d_bb = _kernels.pairwise_dist(net.bs, net.bs)
-        deltas = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu,
-                                     d_bb, net.valid, p)
-        tag = np.arange(p.n_p)
-        g1, g2, g3 = _kernels.sinr_batch(
-            tag, pilot_slot, d_serv, user_cell, d_bu, d_bb,
-            _kernels.pairwise_dist(pos, pos[tag]), deltas, net.valid,
-            np.full(1, 2, dtype=np.int8), p)
+        run = _lone_cell_run(p, rng)
+        g1, g2, g3 = run.sinr
         assert not g2.any() and not g3.any()
-        x = d_serv[tag]
+        x = run.d_serv[run.tag]
         t = _kernels.user_terms(x, p)
         np.testing.assert_array_equal(g1, t.base)
 
@@ -434,6 +430,20 @@ class TestSharedTerms:
         assert (mean_field == 0.0).all() == p.sync
         np.testing.assert_allclose(g1 + mean_field, ctx.c1(x), rtol=1e-15,
                                    atol=0.0)
+
+    @pytest.mark.parametrize("mode", ["async", "sync"])
+    def test_lone_cell_has_no_foreign_pilot_power(self, mode, rng):
+        """With no other cell, the foreign pilot power table is all zero
+        and Delta is the own pilot plus the pilot noise."""
+        p = default_params(mode, eps=0.5)
+        run = _lone_cell_run(p, rng)
+        assert run.foreign.shape == (1, p.n_p if p.sync else 1)
+        assert not run.foreign.any()
+        pwr = p.p_u * p.omega ** (1.0 - p.eps)
+        np.testing.assert_allclose(
+            run.deltas,
+            pwr * run.d_serv ** (-p.alpha * (1.0 - p.eps)) + p.sigma2 / p.n_p,
+            rtol=1e-15, atol=0.0)
 
 
 class TestLaplaceTerms:
@@ -677,6 +687,12 @@ class TestCoverage:
         cov = coverage(th, params_sync, 4).coverage
         assert np.all((cov >= 0.0) & (cov <= 1.0))
         assert np.all(np.diff(cov) <= 1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, params_async, bad):
+        """A DomainError, not a NumericalError from the quadrature."""
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            coverage(np.array([1.0, bad]), params_async, 1)
 
     def test_negative_threshold_rejected(self, params_async):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ class TestConfigHandling:
     def test_non_finite_grid(self, grid):
         with pytest.raises(ConfigError, match="finite"):
             parse_threshold_grid(grid)
+
+    @pytest.mark.parametrize("grid", ["-4000:-3999:1", "4000:4001:1",
+                                      "0:3090:10"])
+    def test_grid_outside_linear_range(self, grid):
+        """A finite dB grid whose linear values underflow to 0 or overflow
+        to inf is refused, without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite, positive linear"):
+                parse_threshold_grid(grid)
+        assert parse_threshold_grid("-3000:3000:1000")[[0, -1]].tolist() \
+            == [1e-300, 1e300]
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -463,6 +476,16 @@ class TestSubcommands:
         code, out, err = run_cli(capsys, "coverage", "--thresholds-db", grid)
         assert code == EXIT_CONFIG
         assert "must be finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["coverage", "coverage-mc"])
+    @pytest.mark.parametrize("grid", ["-4000:-3999:1", "4000:4001:1"])
+    def test_grid_outside_linear_range_exits_config(self, capsys, command,
+                                                    grid):
+        code, out, err = run_cli(capsys, command, "--trials", "2",
+                                 f"--thresholds-db={grid}")
+        assert code == EXIT_CONFIG
+        assert "finite, positive linear values" in err
         assert out == ""
 
     def test_oversized_grid_exits_config(self, capsys):

@@ -4,15 +4,15 @@ and closed forms."""
 import numpy as np
 import pytest
 
-from mimosg import _kernels
 from mimosg.errors import DomainError
 from mimosg.geometry import NetworkRealization, build_network
 from mimosg.montecarlo import (PHASE_DOWNLINK, PHASE_PILOT, PHASE_UPLINK,
-                               _flatten_users, draw_phases)
+                               draw_phases)
 from mimosg.params import c_m, default_params, phase_probabilities, v_m
 from reference_sinr import (DeltaSet, central_cells, chi_dd,
                             chi_pilot_or_uplink, compute_delta, delta1,
-                            extract_bundle, inverse_sinr, isolated_cell_sinr)
+                            extract_bundle, inverse_sinr, isolated_cell_sinr,
+                            run_kernels)
 
 
 def make_isolated(params, seed=5, window=4.0):
@@ -27,13 +27,10 @@ def make_isolated(params, seed=5, window=4.0):
 
 
 def deltas_for(net, params):
-    user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
-    d_bu = _kernels.pairwise_dist(net.bs, pos)
-    d_bb = _kernels.pairwise_dist(net.bs, net.bs)
-    flat = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb,
-                               net.valid, params)
+    run = run_kernels(net, params, int(net.valid.argmax()),
+                      np.full(net.n_bs, PHASE_DOWNLINK, np.int8))
     table = np.full((net.n_bs, params.n_p), np.nan)
-    table[user_cell, pilot_slot] = flat
+    table[run.user_cell, run.pilot_slot] = run.deltas
     return table
 
 

@@ -8,12 +8,12 @@ from mimosg import _kernels, montecarlo
 from mimosg.errors import ConfigError, EstimationError
 from mimosg.geometry import build_network
 from mimosg.montecarlo import (PHASE_DOWNLINK, McConfig, ValidationReport,
-                               _flatten_users, run_coverage_mc, run_rate_mc,
-                               run_trial, trial_rng, validate,
-                               wilson_interval)
+                               run_coverage_mc, run_rate_mc, run_trial,
+                               trial_rng, validate, wilson_interval)
 from mimosg.params import default_params, make_params
 from reference_sinr import (DeltaSet, central_cells, compute_delta,
-                            extract_bundle, inverse_sinr, isolated_cell_sinr)
+                            extract_bundle, inverse_sinr, isolated_cell_sinr,
+                            run_kernels)
 
 THR_DB = np.arange(-10.0, 21.0, 5.0)
 THR = tuple((10.0 ** (THR_DB / 10.0)).tolist())
@@ -44,6 +44,16 @@ class TestConfig:
     def test_workers_bound(self, workers):
         with pytest.raises(ConfigError, match="workers"):
             McConfig(trials=10, workers=workers)
+
+    @pytest.mark.parametrize("thresholds", [(-1.0, math.nan), (1.0, -1e-300),
+                                            (math.nan,), (1.0, math.inf)],
+                             ids=["negative", "tiny-negative", "nan", "inf"])
+    def test_thresholds_bound(self, thresholds):
+        """Refused before any trial runs; 0 is a valid threshold."""
+        with pytest.raises(ConfigError, match="thresholds must be finite"):
+            McConfig(trials=10, thresholds=thresholds)
+        assert McConfig(trials=10, thresholds=(0.0, 1.0)).thresholds \
+            == (0.0, 1.0)
 
 
 class TestDeterminism:
@@ -193,8 +203,10 @@ class TestKernelParity:
         (reference_sinr.compute_delta / inverse_sinr), user by user."""
         p = default_params(mode, eps=eps, n_p=n_p)
         net = build_network(p, 4.0, rng)
-        deltas, phases, tag, sinr = _kernel_run(p, net, rng)
-        user_cell, pilot_slot, _, _ = _flatten_users(net)
+        phases = _random_phases(p, net, rng)
+        run = run_kernels(net, p, central_cells(net, 1.0)[0], phases)
+        user_cell, pilot_slot, deltas, tag, sinr = (
+            run.user_cell, run.pilot_slot, run.deltas, run.tag, run.sinr)
         table = np.full((net.n_bs, p.n_p), np.nan)
         table[user_cell, pilot_slot] = deltas
         for t, u in enumerate(tag):
@@ -208,6 +220,42 @@ class TestKernelParity:
             got = [g[t] for g in sinr]
             want = [inv.gamma1, inv.gamma2, inv.gamma3]
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-18)
+
+    @pytest.mark.parametrize("mode", ["async", "sync"])
+    def test_delta_from_foreign_pilot_table(self, mode, rng):
+        """Every Delta is p_u omega^(1-eps) (x^(-alpha(1-eps)) + I[cell,
+        group]) + sigma2/n_p, with I the foreign pilot power table of
+        all_deltas: one column per pilot group, K synchronous, 1
+        asynchronous."""
+        p = default_params(mode, eps=0.5)
+        net = build_network(p, 4.0, rng)
+        run = run_kernels(net, p, central_cells(net, 1.0)[0],
+                          _random_phases(p, net, rng))
+        n_groups = p.n_p if p.sync else 1
+        assert run.foreign.shape == (net.n_bs, n_groups)
+        pwr = p.p_u * p.omega ** (1.0 - p.eps)
+        want = (pwr * (run.d_serv ** (-p.alpha * (1.0 - p.eps))
+                       + run.foreign[run.user_cell, run.pilot_slot % n_groups])
+                + p.sigma2 / p.n_p)
+        np.testing.assert_allclose(run.deltas, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("mode,eps", [("async", 0.0), ("async", 0.5),
+                                          ("sync", 0.5), ("sync", 1.0)])
+    def test_tagged_foreign_pilot_power(self, mode, eps, rng):
+        """The tagged station's row of the table is the oracle's Delta
+        with the own pilot and the pilot noise taken out, in units of
+        p_u omega^(1-eps)."""
+        p = default_params(mode, eps=eps)
+        net = build_network(p, 4.0, rng)
+        cell = int(central_cells(net, 1.0)[0])
+        run = run_kernels(net, p, cell, _random_phases(p, net, rng))
+        pwr = p.p_u * p.omega ** (1.0 - p.eps)
+        for k in range(p.n_p):
+            b = extract_bundle(net, cell, k)
+            want = ((compute_delta(b, p) - p.sigma2 / p.n_p) / pwr
+                    - b.x ** (-p.alpha * (1.0 - p.eps)))
+            got = run.foreign[cell, k % run.foreign.shape[1]]
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_nearest_station_paths(self, rng):
         """nearest_bs against a brute-force norm and argmin at 20 and 80
@@ -274,23 +322,11 @@ class TestNearestStation:
         assert idx.max() > 255
 
 
-def _kernel_run(p, net, rng):
-    """Deltas of every user and (g1, g2, g3) of every user of the first
-    central cell, with one random phase per cell."""
-    user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
-    d_bu = _kernels.pairwise_dist(net.bs, pos)
-    d_bb = _kernels.pairwise_dist(net.bs, net.bs)
-    deltas = _kernels.all_deltas(d_serv, user_cell, pilot_slot, d_bu, d_bb,
-                                 net.valid, p)
-    tag = np.flatnonzero(user_cell == central_cells(net, 1.0)[0])
+def _random_phases(p, net, rng):
+    """One random phase per cell asynchronous; all downlink synchronous."""
     if p.sync:
-        phases = np.full(net.n_bs, PHASE_DOWNLINK, dtype=np.int8)
-    else:
-        phases = rng.integers(0, 3, size=net.n_bs).astype(np.int8)
-    sinr = _kernels.sinr_batch(
-        tag, pilot_slot, d_serv, user_cell, d_bu, d_bb,
-        _kernels.pairwise_dist(pos, pos[tag]), deltas, net.valid, phases, p)
-    return deltas, phases, tag, sinr
+        return np.full(net.n_bs, PHASE_DOWNLINK, dtype=np.int8)
+    return rng.integers(0, 3, size=net.n_bs).astype(np.int8)
 
 
 class TestGoldenTrials:
@@ -326,7 +362,7 @@ class TestGoldenTrials:
         ("async", 0): (7, [1, 0, 0, 0, 0, 0, 0], 0.370569923348431),
         ("async", 5): (7, [7, 6, 5, 4, 1, 0, 0], 14.681612192368464),
         ("async", 10): (7, [1, 0, 0, 0, 0, 0, 0], 0.5558637878219255),
-        ("sync", 0): (7, [7, 7, 3, 0, 0, 0, 0], 5.4972381791201),
+        ("sync", 0): (7, [7, 7, 3, 0, 0, 0, 0], 5.4972381791200995),
         ("sync", 5): (7, [7, 7, 6, 5, 1, 0, 0], 18.417779427677267),
         ("sync", 10): (7, [7, 7, 4, 0, 0, 0, 0], 8.099727576986185),
     }

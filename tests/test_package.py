@@ -162,6 +162,46 @@ def test_program_members_are_used_by_the_program():
     assert sorted(set(UNACCESSED_MEMBERS_ALLOWED) - unused) == []
 
 
+# Parameters of program functions and methods that their bodies never read,
+# each with the reason it stays
+UNREAD_PARAMETERS_ALLOWED = {
+    **{f"cli.{cmd}(args)": "the signature every cmd_* handler is dispatched "
+       "with" for cmd in ("cmd_coverage_mc", "cmd_rate", "cmd_rate_mc")},
+    **{f"analytic._e2_slot({name})": "part of the lru_cache key of the E2 "
+       "table" for name in ("pi_lam", "r0", "r_e", "alpha", "eps")},
+}
+
+
+def _functions(node, prefix):
+    """(qualified name, node) of every function and method below ``node``,
+    nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if isinstance(child, ast.FunctionDef):
+                yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_program_parameters_are_read():
+    """Every parameter of a function or method in ``src/mimosg`` is read
+    by its body, nested functions included; the exceptions are
+    UNREAD_PARAMETERS_ALLOWED, which must stay exact."""
+    unread = set()
+    for mod, tree in _program_modules().items():
+        for name, fn in _functions(tree, mod):
+            a = fn.args
+            params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if x is not None]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread.update(f"{name}({p})" for p in params if p not in read)
+    assert sorted(unread - set(UNREAD_PARAMETERS_ALLOWED)) == []
+    assert sorted(set(UNREAD_PARAMETERS_ALLOWED) - unread) == []
+
+
 # Runs the CLI on coverage, rate, sweep and a 3-trial validate, then prints
 # the scipy modules the process has loaded.
 _GUARD_SCRIPT = """

@@ -65,16 +65,20 @@ import numpy as np
 from ._kernels import bs_gain, user_terms
 from .errors import DomainError, NumericalError
 from .params import (SystemParams, c_m, default_gamma_shape, eta_shape,
-                     frame_weights)
+                     frame_weights, v_m)
 from .quadrature import gauss_legendre_panels, leggauss, log_panel_grid
 
 log = logging.getLogger(__name__)
 
 # Truncation levels (documented design choices, not tunables):
-# the x-integral stops where its exponential weight drops below 1e-10,
-# and the rate integral stops once coverage falls below 1e-6.
+# the x-integral stops where its exponential weight drops below 1e-10;
+# the rate's Laplace integral runs from the first of 1e-8, .., 1e-30
+# where L is within 1e-13 of L(0) to where L is below 1e-18, on panels
+# of 8 nodes, 3 per decade.
 X_WEIGHT_CUTOFF = 1e-10
-RATE_COVERAGE_CUTOFF = 1e-6
+_Z_LO_CANDIDATES = 10.0 ** -np.arange(8.0, 31.0)
+_Z_LO_TOL, _Z_HI_TAIL = 1e-13, 1e-18
+_Z_PANELS_PER_DECADE, _Z_PANEL_NODES = 3.0, 8
 
 # Gauss-Legendre points per outer panel (x grid, cross-moment t grid) and
 # per inner s-panel of the E2 double integral.
@@ -271,10 +275,8 @@ class RateResult:
     method: str
     ci_half_width: float | None = None
     trials_used: int | None = None    # Monte Carlo: trials with tagged users
-    t_hi: float | None = None    # analytic: upper end of the rate integral
-    # analytic: coverage at the largest t_hi (1e9) was still above
-    # RATE_COVERAGE_CUTOFF, so the integral was cut short
-    tail_truncated: bool = False
+    z_lo: float | None = None    # analytic: ends of the Laplace integral
+    z_hi: float | None = None
 
 
 def _gamma_shape(n_shape: int | None, params: SystemParams) -> int:
@@ -740,6 +742,13 @@ def _alternating_sum(ctx: _Context, exponent, ent: np.ndarray,
                      signs)
 
 
+def _mixture_signs(n_shape: int) -> np.ndarray:
+    """s_n = (-1)^(n+1) C(N, n), n = 1..N: the Gamma mixture
+    1 - (1 - e^(-eta A))^N is sum_n s_n e^(-eta n A)."""
+    return np.array([(-1.0) ** (k + 1) * math.comb(n_shape, k)
+                     for k in range(1, n_shape + 1)])
+
+
 def _coverage_values(thresholds, params: SystemParams, n_shape: int,
                      exponent=_general_exponent):
     """(coverage, clamped count) at linear ``thresholds``: the alternating
@@ -752,7 +761,7 @@ def _coverage_values(thresholds, params: SystemParams, n_shape: int,
     if not np.all((thresholds >= 0.0) & (thresholds < np.inf)):
         raise DomainError("thresholds must be finite and >= 0 (linear scale)")
     n = np.arange(1, n_shape + 1)
-    signs = np.array([(-1.0) ** (k + 1) * math.comb(n_shape, k) for k in n])
+    signs = _mixture_signs(n_shape)
     ent = eta_shape(n_shape) * np.multiply.outer(thresholds, n)[..., None]
     per_block = max(1, _ROW_BLOCK // (n_shape * ctx.x_vals.size))
     blocks = np.array_split(ent, max(1, -(-thresholds.size // per_block)))
@@ -835,40 +844,28 @@ def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult
     """Cell-aggregate downlink ergodic rate in bits/s/Hz:
     (n_p n_d / n_tot) * integral_0^inf P(SINR > t) / ((t+1) ln 2) dt.
 
-    The integral ends at t_hi, the first of 1, 10, .., 1e8 where coverage
-    is below RATE_COVERAGE_CUTOFF, else at 1e9; ``tail_truncated`` says
-    that coverage at 1e9 was still above the cutoff. The search takes two
-    calls at most: 1 .. 1e3, and 1e4 .. 1e9 only when none of the first
-    four is below the cutoff. A coverage value does not depend on the
-    thresholds it is computed with, so t_hi is the one a search over all
-    ten decades at once finds."""
+    Coverage is the mixture sum_n s_n L(eta n t) of the Laplace function L,
+    the N = 1 coverage, so the rate is pref / ln 2 times one integral,
+    int_0^inf L(z) k(z) dz with k(z) = sum_n s_n / (z + eta n). On
+    [0, z_lo], where L is L(0) to 1e-13, it is L(0) sum_n s_n ln(1 + z_lo /
+    (eta n)). Past z_hi = ln(1e18) / f, f = (v_m - 1 + n_p) / C_M^2, L is
+    below 1e-18: c1 >= f and the E1, E2 exponents are <= 0, so L(z) <=
+    L(0) e^(-z f)."""
     n_shape = _gamma_shape(n_shape, params)
-
-    # locate the threshold where coverage dies off
-    decades = 10.0 ** np.arange(10)
-    cov = np.empty(0)
-    for stage in (decades[:4], decades[4:]):
-        stage_cov, _ = _coverage_values(stage, params, n_shape)
-        cov = np.concatenate([cov, stage_cov])
-        below = np.flatnonzero(cov[:decades.size - 1] < RATE_COVERAGE_CUTOFF)
-        if below.size:
-            break
-    t_hi = float(decades[below[0]] if below.size else decades[-1])
-    truncated = bool(not below.size and cov[-1] >= RATE_COVERAGE_CUTOFF)
-    if truncated:
-        log.warning("coverage %.3e at T=1e9 is above %.0e: the rate integral "
-                    "is cut short there", cov[-1], RATE_COVERAGE_CUTOFF)
-
-    head_t, head_w = gauss_legendre_panels(np.array([0.0, 0.25, 1.0]), 16)
-    if t_hi > 1.0:
-        tail_t, tail_w = log_panel_grid(1.0, t_hi, panels_per_decade=3,
-                                        n_per_panel=10)
-        t_all = np.concatenate([head_t, tail_t])
-        w_all = np.concatenate([head_w, tail_w])
-    else:
-        t_all, w_all = head_t, head_w
-    cov, _ = _coverage_values(t_all, params, n_shape)
-    pref = params.n_p * params.n_d / params.n_tot
-    rate = pref / math.log(2.0) * float(np.dot(w_all, cov / (1.0 + t_all)))
-    return RateResult(rate=rate, method="analytic", t_hi=t_hi,
-                      tail_truncated=truncated)
+    probe, _ = _coverage_values(np.append(0.0, _Z_LO_CANDIDATES), params, 1)
+    # against L(0), not 1: the x grid's mass caps L at 1 - 1e-10
+    flat = np.flatnonzero(probe[0] - probe[1:] < _Z_LO_TOL)
+    if not flat.size:
+        raise NumericalError("L(z) is not flat near z = 0 down to 1e-30")
+    z_lo = float(_Z_LO_CANDIDATES[flat[0]])
+    f = (v_m(params.m) - 1.0 + params.n_p) / c_m(params.m) ** 2
+    z_hi = math.log(1.0 / _Z_HI_TAIL) / f
+    z, w = log_panel_grid(z_lo, z_hi, _Z_PANELS_PER_DECADE, _Z_PANEL_NODES)
+    l_z, _ = _coverage_values(z, params, 1)
+    eta_n = eta_shape(n_shape) * np.arange(1, n_shape + 1)
+    signs = _mixture_signs(n_shape)
+    body = np.dot(w, l_z * ((1.0 / np.add.outer(z, eta_n)) @ signs))
+    head = probe[0] * np.dot(signs, np.log1p(z_lo / eta_n))
+    rate = (params.n_p * params.n_d / params.n_tot / math.log(2.0)
+            * float(body + head))
+    return RateResult(rate=rate, method="analytic", z_lo=z_lo, z_hi=z_hi)

@@ -239,9 +239,9 @@ def _curve_record(curve: CoverageCurve, cfg: dict, seed=None,
 
 
 def _rate_diagnostics(res: RateResult, label, value) -> dict:
-    """Where the analytic rate integral ended, kept beside the values."""
-    return {label: float(value), "t_hi": res.t_hi,
-            "tail_truncated": res.tail_truncated}
+    """The ends of the analytic rate's Laplace integral, kept beside the
+    values."""
+    return {label: float(value), "z_lo": res.z_lo, "z_hi": res.z_hi}
 
 
 def _rate_record(res: RateResult, label, value, params, cfg, seed=None,
@@ -252,7 +252,7 @@ def _rate_record(res: RateResult, label, value, params, cfg, seed=None,
         ["ci95_half_width"] if res.ci_half_width is not None else [])
     record = _record(params, cfg, header, rows, kind="rate",
                      method=res.method, seed=seed, **meta)
-    if res.t_hi is not None:
+    if res.z_lo is not None:
         record["diagnostics"] = [_rate_diagnostics(res, label, value)]
     return record
 

@@ -11,10 +11,10 @@ from mimosg.analytic import (_TAYLOR_K, _TAYLOR_Z, CoverageCurve, _context,
                              _e1_splits, _tau_grid, coverage,
                              coverage_fullpc_async, coverage_infinite_m,
                              coverage_no_pc, ergodic_rate, q2)
-from mimosg.errors import DomainError
+from mimosg.errors import DomainError, NumericalError
 from mimosg.geometry import NetworkRealization
 from mimosg.params import c_m, default_params, eta_shape, v_m
-from mimosg.quadrature import leggauss, log_panel_grid
+from mimosg.quadrature import gauss_legendre_panels, leggauss, log_panel_grid
 from reference_mixture import gamma_mixture_cdf
 from reference_sinr import run_kernels
 
@@ -39,9 +39,9 @@ GOLDEN_SYNC_COVERAGE = [
     4.182304172435723e-07, 1.1451410775988626e-08, 1.2859297305137864e-10,
     4.709388870016422e-13]
 GOLDEN_SWEEP_RATES = {
-    2: 3.757892999729242, 5: 6.416150260741081, 10: 8.250295766581141,
-    15: 8.445045283296238, 20: 7.697616841995412, 25: 6.33042809039451,
-    30: 4.523470081247356}
+    2: 3.7578929997506374, 5: 6.416150260728132, 10: 8.250295766597265,
+    15: 8.445045283196412, 20: 7.697616841933244, 25: 6.330428090239962,
+    30: 4.52347008078725}
 # the same for async, m=64, N=1 coverage at -10..20 dB (eps 0 and 0.5), the
 # special cases at eps 0.5 (infinite M; N=1 async, N=4 sync), eps 0 (no power
 # control, async, N=1) and eps 1 (full power control, async, N=1, at
@@ -111,8 +111,8 @@ GOLDEN_FULLPC_ASYNC_LOW = [
     0.18036653553703458, 0.1032575374685955, 0.055822658875865516,
     0.027832074121992772, 0.011917657139821528, 0.0036107066652566093,
     0.0004433344003042277, 3.935413580686666e-06, 3.758554597230521e-12]
-GOLDEN_ASYNC_RATES = {5: 0.8150381196102723, 10: 0.8735451455272458,
-                      20: 0.7502087792729966}
+GOLDEN_ASYNC_RATES = {5: 0.8150665382216828, 10: 0.8736947569527425,
+                      20: 0.7505944355934537}
 
 
 def e1_exponent_full_grid(p, b, c, x):
@@ -785,47 +785,70 @@ class TestErgodicRate:
         r = ergodic_rate(p, 1)
         assert 0.0 < r.rate < p.n_p * p.n_d / p.n_tot * 20.0
 
-    def test_rate_matches_manual_integration(self):
-        """Independent route: integrate the coverage curve numerically."""
-        p = default_params("async", m=64, eps=0.0)
-        r = ergodic_rate(p, 1).rate
-        t = np.geomspace(1e-4, 1e4, 4000)
-        cov = coverage(t, p, 1).coverage
+    @pytest.mark.parametrize("mode, eps, n_p, n_shape", [
+        pytest.param("async", eps, n_p, 1, id=f"async-{eps}-{n_p}")
+        for eps in (0.0, 0.25, 0.5, 0.75) for n_p in (10, 20)]
+        + [pytest.param("sync", 0.5, 10, 4, id="sync-0.5-10")])
+    def test_rate_matches_manual_integration(self, mode, eps, n_p, n_shape):
+        """Independent route: integrate the coverage curve over T on a rule
+        graded in log T, 6 panels per decade of 16 nodes from 1e-10 to 1e4,
+        plus one 16-node panel on [0, 1e-10]. It resolves the steep drop
+        of async coverage at small T when eps > 0."""
+        p = default_params(mode, m=64, eps=eps, n_p=n_p, strict_frame=False)
+        t, w = log_panel_grid(1e-10, 1e4, panels_per_decade=6,
+                              n_per_panel=16)
+        t0, w0 = gauss_legendre_panels(np.array([0.0, 1e-10]), 16)
+        t, w = np.concatenate([t0, t]), np.concatenate([w0, w])
+        cov = coverage(t, p, n_shape).coverage
         manual = (p.n_p * p.n_d / p.n_tot / math.log(2.0)
-                  * np.trapezoid(cov / (1.0 + t), t))
-        # the trapezoid route misses the [0, 1e-4] head, bounded by its width
-        head = p.n_p * p.n_d / p.n_tot / math.log(2.0) * 1e-4
-        assert r == pytest.approx(manual, rel=5e-3, abs=2 * head)
+                  * float(np.dot(w, cov / (1.0 + t))))
+        assert ergodic_rate(p, n_shape).rate == pytest.approx(manual,
+                                                              rel=1e-9)
 
+    @pytest.mark.parametrize("eps", [0.9, 1.0])
+    def test_low_end_converged(self, eps, monkeypatch):
+        """Where coverage drops at T far below 1e-10, starting the integral
+        further down, at z_lo = 1e-24, does not move the rate."""
+        p = default_params("async", m=64, eps=eps)
+        rate = ergodic_rate(p, 1).rate
+        monkeypatch.setattr(analytic, "_Z_LO_CANDIDATES", np.array([1e-24]))
+        deep = ergodic_rate(p, 1)
+        assert deep.z_lo == 1e-24
+        assert rate == pytest.approx(deep.rate, rel=1e-9)
 
-    @pytest.mark.parametrize("mode, eps, n_p, m", [
-        pytest.param("sync", 0.5, 2, 64, id="sync-0.5-2"),
-        pytest.param("sync", 0.0, 30, 64, id="sync-0.0-30"),
-        pytest.param("async", 0.0, 10, 64, id="async-0.0-10"),
-        pytest.param("async", 0.5, 20, 64, id="async-0.5-20"),
-        # the search ends past 1e3, in its second stage
-        pytest.param("sync", 0.0, 10, 4096, id="sync-0.0-10-m4096"),
-        pytest.param("async", 0.0, 10, 4096, id="async-0.0-10-m4096")])
-    def test_tail_search_matches_decade_loop(self, mode, eps, n_p, m):
-        """The two-stage decade search ends the integral where stepping
-        t_hi = 1, 10, .. up to 1e9 one coverage value at a time does."""
-        p = default_params(mode, m=m, eps=eps, n_p=n_p, strict_frame=False)
-        t_hi = 1.0
-        while t_hi < 1e9:
-            if coverage(np.array([t_hi]), p).coverage[0] < 1e-6:
-                break
-            t_hi *= 10.0
-        if m == 4096:
-            assert t_hi > 1e3
-        res = ergodic_rate(p)
-        assert (res.t_hi, res.tail_truncated) == (t_hi, False)
+    @pytest.mark.parametrize("mode, eps, n_p, n_shape", [
+        ("async", 0.5, 10, 1), ("async", 1.0, 10, 1), ("sync", 0.5, 2, 4),
+        ("sync", 0.5, 30, 4)])
+    def test_halving_z_panels(self, mode, eps, n_p, n_shape, monkeypatch):
+        """z panels of half the width, 6 per decade, do not move the rate."""
+        p = default_params(mode, m=64, eps=eps, n_p=n_p, strict_frame=False)
+        rate = ergodic_rate(p, n_shape).rate
+        monkeypatch.setattr(analytic, "_Z_PANELS_PER_DECADE",
+                            2.0 * analytic._Z_PANELS_PER_DECADE)
+        assert ergodic_rate(p, n_shape).rate == pytest.approx(rate,
+                                                              rel=1e-10)
 
-    def test_tail_truncation_is_flagged(self, params_sync, monkeypatch):
-        # with a zero cutoff coverage never drops below it: the search
-        # stops at 1e9 and says that the integral was cut short there
-        monkeypatch.setattr(analytic, "RATE_COVERAGE_CUTOFF", 0.0)
-        res = ergodic_rate(params_sync, 4)
-        assert (res.t_hi, res.tail_truncated) == (1e9, True)
+    @pytest.mark.parametrize("mode, eps, m", [
+        ("async", 0.0, 64), ("async", 0.5, 64), ("async", 1.0, 64),
+        ("sync", 0.5, 64), ("sync", 0.0, 4096)])
+    def test_isolated_cell_ceiling_bounds_laplace_function(self, mode, eps,
+                                                          m):
+        """L(z) <= L(0) e^(-z f), f = (v_m - 1 + n_p) / C_M^2: the bound
+        that sets z_hi, where it is 1e-18."""
+        p = default_params(mode, m=m, eps=eps)
+        f = (v_m(m) - 1.0 + p.n_p) / c_m(m) ** 2
+        z_hi = ergodic_rate(p, 1).z_hi
+        assert z_hi == pytest.approx(math.log(1e18) / f, rel=1e-15)
+        z = np.concatenate([[0.0], np.geomspace(1e-3, z_hi, 40)])
+        laplace, _ = analytic._coverage_values(z, p, 1)
+        assert np.all(laplace <= laplace[0] * np.exp(-z * f))
+        assert laplace[-1] < 1e-18
+
+    def test_unconverged_low_end_raises(self, params_async, monkeypatch):
+        # L(z) <= L(0) in floating point, so no z meets a zero tolerance
+        monkeypatch.setattr(analytic, "_Z_LO_TOL", 0.0)
+        with pytest.raises(NumericalError):
+            ergodic_rate(params_async, 1)
 
 
 class TestGoldenValues:

@@ -405,7 +405,7 @@ class TestSubcommands:
         assert len(lines) == 4
 
     def test_analytic_diagnostics_in_json(self, capsys):
-        """Clamp counts and where each rate integral ended are data in the
+        """Clamp counts and the ends of each rate integral are data in the
         JSON outputs; the sweep keeps its [value, rate] pairs in `values`
         and its diagnostics apart, and a rerun writes the same bytes."""
         argv = ("sweep", "--param", "np", "--values", "5,30", "--mode",
@@ -417,16 +417,15 @@ class TestSubcommands:
         assert [v for v, _ in doc["values"]] == [5.0, 30.0]
         diag = doc["diagnostics"]
         assert [d["np"] for d in diag] == [5.0, 30.0]
-        assert all(set(d) == {"np", "t_hi", "tail_truncated"} for d in diag)
-        assert all(d["t_hi"] in 10.0 ** np.arange(10)
-                   and d["tail_truncated"] is False for d in diag)
+        assert all(set(d) == {"np", "z_lo", "z_hi"} for d in diag)
+        assert all(0.0 < d["z_lo"] < d["z_hi"] for d in diag)
 
         _, out, _ = run_cli(capsys, "rate", "--mode", "async", "--eps", "0",
                             "--format", "json")
         diag = json.loads(out)["diagnostics"]
-        assert diag == [{"eps": 0.0, "t_hi": diag[0]["t_hi"],
-                         "tail_truncated": False}]
-        assert diag[0]["t_hi"] in 10.0 ** np.arange(10)
+        assert diag == [{"eps": 0.0, "z_lo": diag[0]["z_lo"],
+                         "z_hi": diag[0]["z_hi"]}]
+        assert diag[0]["z_lo"] in 10.0 ** -np.arange(8.0, 31.0)
 
         _, out, _ = run_cli(capsys, "coverage", "--mode", "sync", "--eps",
                             "0.5", "--thresholds-db", "0:10:5", "--format",

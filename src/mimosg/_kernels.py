@@ -12,14 +12,15 @@ They take the realization's arrays and the
 :class:`~mimosg.params.SystemParams` whole, and derive the rest (tagged
 distances, 1/Delta tables, C_M^2, V_M) themselves, and compute each
 realized sum once: ``sinr_batch`` reads g1 and delta1 from the tagged
-station's row of ``all_deltas``' foreign pilot power table. The users of
-all valid cells are flattened cell-major into one axis ("nu"), K per cell
-in slot order; the tagged users ("nt") are those of one cell. d_bu[j, i]
-is the distance from station j to user i, d_uu[i, t] from user i to
-tagged user t. ``phases`` holds one code per cell: 0 pilot, 1 uplink, 2
-downlink. The first argument of each kernel is the per-user array its
-work scales with, so a wrapper (``perfbench/run.py --trace 1``) sizes a
-call by len(args[0]).
+station's row of ``all_deltas``' foreign pilot power table, and g3 from
+the users' r^(alpha eps) that ``all_deltas`` forms for that table. The
+users of all valid cells are flattened cell-major into one axis ("nu"),
+K per cell in slot order; the tagged users ("nt") are those of one cell.
+d_bu[j, i] is the distance from station j to user i, d_uu[i, t] from user
+i to tagged user t. ``phases`` holds one code per cell: 0 pilot, 1
+uplink, 2 downlink. The first argument of each kernel is the per-user
+array its work scales with, so a wrapper (``perfbench/run.py --trace
+1``) sizes a call by len(args[0]).
 
 ``user_terms`` holds the terms of the inverse SINR that depend on a
 user's serving distance alone, and ``bs_gain`` the station-to-station
@@ -124,14 +125,14 @@ def bs_gain(p) -> float:
 
 
 def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
-               foreign, valid, phases, p):
+               foreign, serv_pow, valid, phases, p):
     """Inverse-SINR decomposition (g1, g2, g3) for every tagged user of one
     realization.
 
     tag_user: (nt,) flat indices of the tagged users, all of one cell.
-    deltas, foreign: the two outputs of :func:`all_deltas`. valid: (n_bs,)
-    bool cell validity. phases: (n_bs,) int8 phase of every cell as seen by
-    the tagged cell (its own entry is ignored).
+    deltas, foreign, serv_pow: the three outputs of :func:`all_deltas`.
+    valid: (n_bs,) bool cell validity. phases: (n_bs,) int8 phase of
+    every cell as seen by the tagged cell (its own entry is ignored).
     """
     alpha, eps, omega, n_p = p.alpha, p.eps, p.omega, p.n_p
     fw = frame_weights(p)
@@ -167,25 +168,27 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
     d_ut = np.where(um, d_uu.T, 1.0)
     # masking P_i before the product gives the same +0.0 terms
     g3 = (amp * p.p_u / (p.p_d * omega ** eps * c2)
-          * ((d_serv ** (alpha * eps) * um)[None, :]
+          * ((serv_pow * um)[None, :]
              * d_ut ** (-alpha)).sum(axis=1))
     return g1, g2, g3
 
 
 def all_deltas(d_serv, user_cell, d_bu, d_bb, valid, p):
-    """Delta of every user at its own station, and the (n_bs, n_groups)
+    """Delta of every user at its own station; the (n_bs, n_groups)
     foreign pilot power table I, in units of p_u omega^(1-eps): at station
     j in group g, f_w sum r_i^(alpha eps) d_ji^-alpha over the group's users
     i of other cells plus ``bs_gain`` sum d_jj'^-alpha over the other
-    stations. Delta = p_u omega^(1-eps) (x^(-alpha(1-eps)) + I[cell,
-    group]) + sigma2/n_p."""
+    stations; and r_i^(alpha eps) of every user i, which g3 reads too.
+    Delta = p_u omega^(1-eps) (x^(-alpha(1-eps)) + I[cell, group]) +
+    sigma2/n_p."""
     alpha, eps = p.alpha, p.eps
     fw = frame_weights(p)
     n_bs = d_bb.shape[0]
     n_groups = p.n_p // fw.users
     cells = np.arange(n_bs)
 
-    w = d_serv[None, :] ** (alpha * eps) * d_bu ** (-alpha)   # (n_bs, nu)
+    serv_pow = d_serv ** (alpha * eps)
+    w = serv_pow[None, :] * d_bu ** (-alpha)                  # (n_bs, nu)
     # a user's own station takes no part in its sums: +0.0 there, the
     # value a mask multiply gives
     w[user_cell, np.arange(d_serv.shape[0])] = 0.0
@@ -200,4 +203,4 @@ def all_deltas(d_serv, user_cell, d_bu, d_bb, valid, p):
     own = d_serv.reshape(-1, n_groups) ** (-alpha * (1.0 - eps))
     pwr = p.p_u * p.omega ** (1.0 - eps)
     deltas = pwr * (own + foreign[user_cell[::n_groups]]) + p.sigma2 / p.n_p
-    return deltas.reshape(-1), foreign
+    return deltas.reshape(-1), foreign, serv_pow

@@ -36,7 +36,12 @@ Taylor polynomial of expm1, whose remainder (below Z^K/(K+1)! = 2.5e-19
 of the tail) is under the unit roundoff. The tail reads precomputed suffix
 moments of the grid normalized at the split node, so the polynomial runs
 in beta th_s and gam th_s^2, which are at most 1e-2 in size, and never
-forms a power of beta or gam (their 7th powers may overflow). The
+forms a power of beta or gam (their 7th powers may overflow). It is
+evaluated by nested Horner in both arguments, elementwise over rows; the
+rows split at node 0 share one column of moments. The ergodic rate is one
+Laplace-domain integral of the N = 1 coverage on log panels, whose low
+panels, where L is flat, are replaced by a closed form while a bound
+keeps that within 1e-16 of the integral (``ergodic_rate``). The
 doubly-integrated E2 exponent depends on its arguments only through one
 nonpositive scalar coupling, so it is tabulated once per geometry
 (pi lam, r0, r_e, alpha, eps) on a log-log grid of 217 knots and
@@ -66,18 +71,22 @@ from ._kernels import bs_gain, user_terms
 from .errors import DomainError, NumericalError
 from .params import (SystemParams, c_m, default_gamma_shape, eta_shape,
                      frame_weights, v_m)
-from .quadrature import gauss_legendre_panels, leggauss, log_panel_grid
+from .quadrature import (gauss_legendre_panels, leggauss, log_breaks,
+                         log_panel_grid)
 
 log = logging.getLogger(__name__)
 
 # Truncation levels (documented design choices, not tunables):
 # the x-integral stops where its exponential weight drops below 1e-10;
-# the rate's Laplace integral runs from the first of 1e-8, .., 1e-30
-# where L is within 1e-13 of L(0) to where L is below 1e-18, on panels
-# of 8 nodes, 3 per decade.
+# the rate's Laplace integral is laid out on panels of 8 nodes, 3 per
+# decade, from the first of 1e-8, .., 1e-30 where L is within 1e-13 of
+# L(0) to where L is below 1e-18; its panels below the largest break
+# where L = L(0) is within 1e-16 of the integral are summed in closed
+# form, that bound read from L at 1e-1, .., 1e-7 and the candidates.
 X_WEIGHT_CUTOFF = 1e-10
 _Z_LO_CANDIDATES = 10.0 ** -np.arange(8.0, 31.0)
-_Z_LO_TOL, _Z_HI_TAIL = 1e-13, 1e-18
+_Z_HEAD_PROBES = 10.0 ** -np.arange(1.0, 8.0)
+_Z_LO_TOL, _Z_HI_TAIL, _Z_HEAD_TOL = 1e-13, 1e-18, 1e-16
 _Z_PANELS_PER_DECADE, _Z_PANEL_NODES = 3.0, 8
 
 # Gauss-Legendre points per outer panel (x grid, cross-moment t grid) and
@@ -92,11 +101,6 @@ _GUARD_LIMIT = 2.0  # |alternating sum| beyond this signals lost precision
 # Not tunable.
 _TAYLOR_Z = 1e-2
 _TAYLOR_K = 7
-# With z = beta th + gam th^2, z^k/k! is the sum over i+j = k of
-# (beta th)^i/i! (gam th^2)^j/j!, so the polynomial is the sum over the
-# 35 pairs 1 <= i+j <= K of beta^i gam^j/(i! j!) times th^(i+2j).
-_INV_FACTORIAL = np.array([1.0 / math.factorial(k)
-                           for k in range(_TAYLOR_K + 1)])
 # The one E1 tau grid: [1, 1e24] in quarter decades of 10 nodes. The head
 # of a call is evaluated in chunks of at most _HEAD_CHUNK (row, node)
 # elements, so the working set does not grow with the row count.
@@ -114,16 +118,6 @@ _E2_PANEL_NODES = 8
 # The coupling magnitudes the E2 table's knots span, 8 per decade; below
 # _E2_LO the exponent is linear, above _E2_HI a power law
 _E2_LO, _E2_HI = 1e-12, 1e15
-
-
-def _taylor_powers(v: np.ndarray, out: np.ndarray) -> None:
-    """v^k / k! for k = 0..K into the rows of ``out``, by repeated products
-    (pow() of a negative base is many times slower)."""
-    out[0] = 1.0
-    out[1] = v
-    for k in range(2, _TAYLOR_K + 1):
-        np.multiply(out[k - 1], v, out=out[k])
-    out *= _INV_FACTORIAL[:, None]
 
 
 @dataclass(frozen=True)
@@ -184,34 +178,50 @@ def _e1_splits(grid: _TauGrid, beta, gam) -> np.ndarray:
 
 def _e1_tail(grid: _TauGrid, beta: np.ndarray, gam: np.ndarray,
              split: np.ndarray) -> np.ndarray:
-    """The Taylor tail of every row from its split, over chunks of rows
-    with buffers reused from chunk to chunk: by powers of gam, (gam
-    th_s^2)^j/j! times the sum over i of (beta th_s)^i/i! N_(i+2j). The
-    arguments beta th_s and gam th_s^2 are at most Z in size, where raw
-    powers of beta and gam may overflow. numpy adds the at most K terms
-    of a sum over axis 0 one after the other, whatever the row count."""
-    out = np.zeros(beta.shape)
+    """The Taylor tail of every row from its split. The rows split at node
+    0 share one column of moments, which is broadcast; the others read
+    theirs with one ``take`` per chunk of rows, so the working set stays
+    bounded. Every operation is elementwise, so a row's value does not
+    depend on the rows it is batched with."""
+    out = np.empty(beta.shape)
     step = _HEAD_CHUNK // 16
-    k1 = _TAYLOR_K + 1
-    pb, pg, prod = (np.empty((k1, step)) for _ in range(3))
-    for lo in range(0, beta.size, step):
-        s = split[lo:lo + step]
-        n = s.size
-        ts = grid.th_split.take(s)
-        _taylor_powers(beta[lo:lo + n] * ts, pb[:, :n])
-        ts *= ts
-        _taylor_powers(gam[lo:lo + n] * ts, pg[:, :n])
-        acc = out[lo:lo + n]
-        for j in range(k1):
-            i0 = 1 if j == 0 else 0
-            t = prod[:k1 - j - i0, :n]
-            np.take(grid.moments[2 * j + i0:_TAYLOR_K + j + 1], s, axis=1,
-                    out=t)
-            t *= pb[i0:k1 - j, :n]
-            inner = t.sum(axis=0)
-            inner *= pg[j, :n]
-            acc += inner
+    first = split == 0
+    for rows in (np.flatnonzero(first), np.flatnonzero(~first)):
+        for lo in range(0, rows.size, step):
+            r = rows[lo:lo + step]
+            if first[r[0]]:
+                ts, nm = grid.th_split[0], grid.moments[:, 0]
+            else:
+                s = split[r]
+                ts, nm = grid.th_split.take(s), grid.moments.take(s, axis=1)
+            b = beta[r] * ts
+            ts *= ts
+            out[r] = _taylor_horner(b, gam[r] * ts, nm)
     return out
+
+
+def _taylor_horner(b: np.ndarray, g: np.ndarray, nm) -> np.ndarray:
+    """sum over 1 <= i + j <= K of b^i/i! g^j/j! nm[i + 2j], nested: S_j =
+    nm[2j] + b (nm[2j+1] + (b/2) (nm[2j+2] + ...)) up to i = K - j, then
+    S_0 + g (S_1 + (g/2) (S_2 + ...)), with S_0's i = 0 term left out.
+    ``nm`` holds the moments N_0..N_2K, each a scalar or a row array."""
+    k = _TAYLOR_K
+    bk = [b] + [b * (1.0 / i) for i in range(2, k + 1)]     # b / i
+    gk = [g] + [g * (1.0 / j) for j in range(2, k + 1)]     # g / j
+    acc = gk[k - 1] * nm[2 * k]
+    for j in range(k - 1, -1, -1):
+        d = k - j
+        s = bk[d - 1] * nm[2 * j + d]
+        for i in range(d - 1, 0, -1):
+            s += nm[2 * j + i]
+            s *= bk[i - 1]
+        if j:
+            s += nm[2 * j]
+            acc += s
+            acc *= gk[j - 1]
+        else:
+            acc += s
+    return acc
 
 
 def _e1_integral(grid: _TauGrid, beta: np.ndarray,
@@ -277,6 +287,7 @@ class RateResult:
     trials_used: int | None = None    # Monte Carlo: trials with tagged users
     z_lo: float | None = None    # analytic: ends of the Laplace integral
     z_hi: float | None = None
+    head_bound: float | None = None   # analytic: relative error of its head
 
 
 def _gamma_shape(n_shape: int | None, params: SystemParams) -> int:
@@ -544,9 +555,10 @@ class _Context:
         degree-K Taylor polynomial of expm1 (K = 7, Z = 1e-2). With the
         suffix moments normalized at the split node s, N_m = sum_{j >= s}
         w_j (th_j/th_s)^m, m <= 2K, the tail is exactly the polynomial's
-        sum over i + j <= K of (beta th_s)^i/i! (gam th_s^2)^j/j! N_(i+2j):
-        its arguments are at most Z in size, so no power overflows however
-        large beta and gam are. The dropped remainder is below
+        sum over i + j <= K of (beta th_s)^i/i! (gam th_s^2)^j/j! N_(i+2j),
+        summed by nested Horner (``_taylor_horner``): its arguments are at
+        most Z in size, so no power overflows however large beta and gam
+        are. The dropped remainder is below
         Z^K/(K+1)! ~ 2.5e-19 of the tail. A row's value does not depend on
         the other rows of the call."""
         p = self.params
@@ -846,26 +858,60 @@ def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult
 
     Coverage is the mixture sum_n s_n L(eta n t) of the Laplace function L,
     the N = 1 coverage, so the rate is pref / ln 2 times one integral,
-    int_0^inf L(z) k(z) dz with k(z) = sum_n s_n / (z + eta n). On
-    [0, z_lo], where L is L(0) to 1e-13, it is L(0) sum_n s_n ln(1 + z_lo /
-    (eta n)). Past z_hi = ln(1e18) / f, f = (v_m - 1 + n_p) / C_M^2, L is
-    below 1e-18: c1 >= f and the E1, E2 exponents are <= 0, so L(z) <=
-    L(0) e^(-z f)."""
+    int_0^inf L(z) k(z) dz with k(z) = sum_n s_n / (z + eta n). Its panels
+    run from the first candidate where L is L(0) to 1e-13 up to z_hi =
+    ln(1e18) / f, f = (v_m - 1 + n_p) / C_M^2, past which L is below
+    1e-18: c1 >= f and the E1, E2 exponents are <= 0, so L(z) <= L(0)
+    e^(-z f). The head [0, z_lo] is L(0) sum_n s_n ln(1 + z_lo / (eta n)),
+    with z_lo the largest panel break where that is within _Z_HEAD_TOL of
+    the integral (see :func:`_head_end`); the panels below it are
+    dropped."""
     n_shape = _gamma_shape(n_shape, params)
-    probe, _ = _coverage_values(np.append(0.0, _Z_LO_CANDIDATES), params, 1)
+    z_probe = np.concatenate([_Z_LO_CANDIDATES, _Z_HEAD_PROBES])
+    probe, _ = _coverage_values(np.append(0.0, z_probe), params, 1)
+    l0, l_probe = probe[0], probe[1:]
     # against L(0), not 1: the x grid's mass caps L at 1 - 1e-10
-    flat = np.flatnonzero(probe[0] - probe[1:] < _Z_LO_TOL)
+    flat = np.flatnonzero(l0 - l_probe[:_Z_LO_CANDIDATES.size] < _Z_LO_TOL)
     if not flat.size:
         raise NumericalError("L(z) is not flat near z = 0 down to 1e-30")
-    z_lo = float(_Z_LO_CANDIDATES[flat[0]])
     f = (v_m(params.m) - 1.0 + params.n_p) / c_m(params.m) ** 2
     z_hi = math.log(1.0 / _Z_HI_TAIL) / f
-    z, w = log_panel_grid(z_lo, z_hi, _Z_PANELS_PER_DECADE, _Z_PANEL_NODES)
-    l_z, _ = _coverage_values(z, params, 1)
+    breaks = log_breaks(float(_Z_LO_CANDIDATES[flat[0]]), z_hi,
+                        _Z_PANELS_PER_DECADE)
     eta_n = eta_shape(n_shape) * np.arange(1, n_shape + 1)
     signs = _mixture_signs(n_shape)
+    first, head_bound = _head_end(z_probe, l0, l_probe, breaks, eta_n,
+                                  signs)
+    z_lo = float(breaks[first])
+    z, w = gauss_legendre_panels(breaks[first:], _Z_PANEL_NODES)
+    l_z, _ = _coverage_values(z, params, 1)
     body = np.dot(w, l_z * ((1.0 / np.add.outer(z, eta_n)) @ signs))
-    head = probe[0] * np.dot(signs, np.log1p(z_lo / eta_n))
+    head = l0 * np.dot(signs, np.log1p(z_lo / eta_n))
     rate = (params.n_p * params.n_d / params.n_tot / math.log(2.0)
             * float(body + head))
-    return RateResult(rate=rate, method="analytic", z_lo=z_lo, z_hi=z_hi)
+    return RateResult(rate=rate, method="analytic", z_lo=z_lo, z_hi=z_hi,
+                      head_bound=head_bound)
+
+
+def _head_end(z_probe, l0, l_probe, breaks, eta_n, signs):
+    """(index, bound): the largest of ``breaks`` b where L = L(0) on [0, b]
+    errs by at most _Z_HEAD_TOL of the rate's integral I, and that bound
+    relative to I; the first break if none does.
+
+    L is nonincreasing and k > 0 (k(z) = int_0^inf e^(-zt) (1 - (1 -
+    e^(-eta t))^N) dt), so I >= L(z) int_0^z k for every probe point z,
+    and on [0, b] the error is at most (L(0) - L(z_p)) sum_n |s_n| ln(1 +
+    b / (eta n)), z_p the smallest probe point at or above b. ``l0`` and
+    ``l_probe`` are L at 0 and at the probe points ``z_probe``."""
+    i_lb = np.max(l_probe * (np.log1p(np.divide.outer(z_probe, eta_n))
+                             @ signs))
+    order = np.argsort(z_probe)
+    at = np.searchsorted(z_probe[order], breaks)
+    inside = at < z_probe.size
+    bound = np.full(breaks.size, np.inf)
+    bound[inside] = ((l0 - l_probe[order][at[inside]])
+                     * (np.log1p(np.divide.outer(breaks[inside], eta_n))
+                        @ np.abs(signs)) / i_lb)
+    met = np.flatnonzero(bound <= _Z_HEAD_TOL)
+    first = int(met[-1]) if met.size else 0
+    return first, float(bound[first])

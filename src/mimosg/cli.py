@@ -239,9 +239,10 @@ def _curve_record(curve: CoverageCurve, cfg: dict, seed=None,
 
 
 def _rate_diagnostics(res: RateResult, label, value) -> dict:
-    """The ends of the analytic rate's Laplace integral, kept beside the
-    values."""
-    return {label: float(value), "z_lo": res.z_lo, "z_hi": res.z_hi}
+    """The ends of the analytic rate's Laplace integral and the relative
+    error bound of its closed-form head, kept beside the values."""
+    return {label: float(value), "z_lo": res.z_lo, "z_hi": res.z_hi,
+            "head_bound": res.head_bound}
 
 
 def _rate_record(res: RateResult, label, value, params, cfg, seed=None,

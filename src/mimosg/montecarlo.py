@@ -154,8 +154,8 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
 
     p = params
-    deltas, foreign = _kernels.all_deltas(d_serv, user_cell, d_bu, d_bb,
-                                          net.valid, p)
+    deltas, foreign, serv_pow = _kernels.all_deltas(
+        d_serv, user_cell, d_bu, d_bb, net.valid, p)
 
     # a valid cell holds exactly K users, so the zero-cell tags K of them
     tag_user = (user_cell == zero_cell).nonzero()[0]
@@ -166,7 +166,7 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
     d_uu = _kernels.pairwise_dist(pos, pos[tag_user])  # (nu, nt)
     g1, g2, g3 = _kernels.sinr_batch(
         tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
-        foreign, net.valid, phases, p)
+        foreign, serv_pow, net.valid, phases, p)
 
     sinr = 1.0 / (g1 + g2 + g3)
     counts = (sinr[:, None] > thr[None, :]).sum(axis=0).astype(float)

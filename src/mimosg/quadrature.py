@@ -35,12 +35,18 @@ def gauss_legendre_panels(breaks: np.ndarray, n_per_panel: int):
     return nodes, weights
 
 
-def log_panel_grid(a: float, b: float, panels_per_decade: float = 3.0,
-                   n_per_panel: int = 10):
-    """Gauss-Legendre panels log-spaced between 0 < a < b."""
+def log_breaks(a: float, b: float, panels_per_decade: float = 3.0):
+    """Panel ends log-spaced between 0 < a < b, at least
+    ``panels_per_decade`` panels per decade."""
     if not 0 < a < b:
         raise ValueError(f"need 0 < a < b, got ({a!r}, {b!r})")
     decades = math.log10(b / a)
     n_panels = max(1, int(math.ceil(decades * panels_per_decade)))
-    breaks = a * (b / a) ** (np.arange(n_panels + 1) / n_panels)
-    return gauss_legendre_panels(breaks, n_per_panel)
+    return a * (b / a) ** (np.arange(n_panels + 1) / n_panels)
+
+
+def log_panel_grid(a: float, b: float, panels_per_decade: float = 3.0,
+                   n_per_panel: int = 10):
+    """Gauss-Legendre panels log-spaced between 0 < a < b."""
+    return gauss_legendre_panels(log_breaks(a, b, panels_per_decade),
+                                 n_per_panel)

@@ -51,13 +51,13 @@ def run_kernels(net: NetworkRealization, params: SystemParams,
     user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
     d_bu = _kernels.pairwise_dist(net.bs, pos)
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
-    deltas, foreign = _kernels.all_deltas(d_serv, user_cell, d_bu, d_bb,
-                                          net.valid, params)
+    deltas, foreign, serv_pow = _kernels.all_deltas(
+        d_serv, user_cell, d_bu, d_bb, net.valid, params)
     tag = np.flatnonzero(user_cell == tag_cell)
     sinr = _kernels.sinr_batch(
         tag, pilot_slot, d_serv, user_cell, d_bu,
-        _kernels.pairwise_dist(pos, pos[tag]), deltas, foreign, net.valid,
-        phases, params)
+        _kernels.pairwise_dist(pos, pos[tag]), deltas, foreign, serv_pow,
+        net.valid, phases, params)
     return KernelRun(user_cell, pilot_slot, d_serv, deltas, foreign, tag,
                      sinr)
 

@@ -8,9 +8,10 @@ from scipy.special import gammainc
 
 from mimosg import _kernels, analytic
 from mimosg.analytic import (_TAYLOR_K, _TAYLOR_Z, CoverageCurve, _context,
-                             _e1_splits, _tau_grid, coverage,
-                             coverage_fullpc_async, coverage_infinite_m,
-                             coverage_no_pc, ergodic_rate, q2)
+                             _e1_integral, _e1_splits, _mixture_signs,
+                             _tau_grid, coverage, coverage_fullpc_async,
+                             coverage_infinite_m, coverage_no_pc,
+                             ergodic_rate, q2)
 from mimosg.errors import DomainError, NumericalError
 from mimosg.geometry import NetworkRealization
 from mimosg.params import c_m, default_params, eta_shape, v_m
@@ -573,6 +574,28 @@ class TestLaplaceTerms:
                                        e1_exponent_full_grid(p, b, c, x),
                                        rtol=rtol, atol=0.0)
 
+    def test_e1_row_alone_equals_row_in_block(self):
+        """A row's E1 is bit-identical alone and inside a block that mixes
+        rows split at node 0 with rows split further on, with more of each
+        than one chunk of the tail holds."""
+        p = default_params("sync", eps=0.5)
+        ctx = _context(p)
+        grid = _tau_grid(p.alpha)
+        a = p.pi_lam * ctx.x_vals ** 2
+        ent = np.geomspace(1e-9, 300.0, 96)[:, None]
+        beta = (ent * ctx.unit_b * (a / p.pi_lam) ** (-p.alpha / 2.0)).ravel()
+        gam = (ent * ctx.unit_c * (a / p.pi_lam) ** -p.alpha).ravel()
+        split = _e1_splits(grid, beta, gam)
+        at0, later = np.flatnonzero(split == 0), np.flatnonzero(split > 0)
+        step = analytic._HEAD_CHUNK // 16     # rows per chunk of the tail
+        assert min(at0.size, later.size) > step
+        block = _e1_integral(grid, beta, gam)
+        picks = np.concatenate([at0[[0, step - 1, step, -1]],
+                                later[[0, step - 1, step, -1]]])
+        for i in picks:
+            alone = _e1_integral(grid, beta[i:i + 1], gam[i:i + 1])
+            assert alone[0] == block[i]
+
     def test_e2_table_shared_across_pilot_lengths(self):
         pa = default_params("sync", eps=0.5, n_p=5, strict_frame=False)
         pb = default_params("sync", eps=0.5, n_p=25, strict_frame=False)
@@ -807,18 +830,20 @@ class TestErgodicRate:
 
     @pytest.mark.parametrize("eps", [0.9, 1.0])
     def test_low_end_converged(self, eps, monkeypatch):
-        """Where coverage drops at T far below 1e-10, starting the integral
-        further down, at z_lo = 1e-24, does not move the rate."""
+        """Where coverage drops at T far below 1e-10, starting the
+        quadrature further down, at z_lo = 1e-24 with the closed-form head
+        kept below it, does not move the rate."""
         p = default_params("async", m=64, eps=eps)
         rate = ergodic_rate(p, 1).rate
         monkeypatch.setattr(analytic, "_Z_LO_CANDIDATES", np.array([1e-24]))
+        monkeypatch.setattr(analytic, "_Z_HEAD_TOL", 0.0)
         deep = ergodic_rate(p, 1)
         assert deep.z_lo == 1e-24
         assert rate == pytest.approx(deep.rate, rel=1e-9)
 
     @pytest.mark.parametrize("mode, eps, n_p, n_shape", [
         ("async", 0.5, 10, 1), ("async", 1.0, 10, 1), ("sync", 0.5, 2, 4),
-        ("sync", 0.5, 30, 4)])
+        ("sync", 0.5, 30, 4), ("sync", 0.0, 10, 4)])
     def test_halving_z_panels(self, mode, eps, n_p, n_shape, monkeypatch):
         """z panels of half the width, 6 per decade, do not move the rate."""
         p = default_params(mode, m=64, eps=eps, n_p=n_p, strict_frame=False)
@@ -843,6 +868,35 @@ class TestErgodicRate:
         laplace, _ = analytic._coverage_values(z, p, 1)
         assert np.all(laplace <= laplace[0] * np.exp(-z * f))
         assert laplace[-1] < 1e-18
+
+    @pytest.mark.parametrize("mode, eps, n_p, n_shape", [
+        pytest.param("sync", eps, n_p, 4, id=f"sync-{eps}-{n_p}")
+        for eps in (0.0, 0.5, 1.0) for n_p in (2, 10, 30)]
+        + [pytest.param("async", eps, n_p, 1, id=f"async-{eps}-{n_p}")
+           for eps in (0.0, 0.5, 0.75, 1.0) for n_p in (10, 20)])
+    def test_closed_form_head(self, mode, eps, n_p, n_shape, monkeypatch):
+        """The head L(0) sum_n s_n ln(1 + z_lo/(eta n)) replaces panels
+        without moving the rate: forcing its bound to 0 starts the
+        quadrature at the first point where L is flat to 1e-13, and the
+        two rates agree to 1e-15. The lower bound the head's test divides
+        by, max over the probe points of L(z) sum_n s_n ln(1 + z/(eta n)),
+        is at most that integral."""
+        p = default_params(mode, m=64, eps=eps, n_p=n_p, strict_frame=False)
+        rate = ergodic_rate(p, n_shape)
+        monkeypatch.setattr(analytic, "_Z_HEAD_TOL", 0.0)
+        full = ergodic_rate(p, n_shape)
+        assert full.z_lo in analytic._Z_LO_CANDIDATES
+        assert rate.z_lo > full.z_lo
+        assert 0.0 <= rate.head_bound <= 1e-16
+        assert rate.rate == pytest.approx(full.rate, rel=1e-15)
+
+        z = np.concatenate([analytic._Z_LO_CANDIDATES,
+                            analytic._Z_HEAD_PROBES])
+        laplace, _ = analytic._coverage_values(z, p, 1)
+        eta_n = eta_shape(n_shape) * np.arange(1, n_shape + 1)
+        kernel = np.log1p(np.divide.outer(z, eta_n)) @ _mixture_signs(n_shape)
+        integral = full.rate * math.log(2.0) * p.n_tot / (p.n_p * p.n_d)
+        assert np.max(laplace * kernel) <= integral
 
     def test_unconverged_low_end_raises(self, params_async, monkeypatch):
         # L(z) <= L(0) in floating point, so no z meets a zero tolerance

@@ -2,7 +2,6 @@ import json
 import math
 import warnings
 
-import numpy as np
 import pytest
 
 from mimosg import montecarlo
@@ -405,9 +404,10 @@ class TestSubcommands:
         assert len(lines) == 4
 
     def test_analytic_diagnostics_in_json(self, capsys):
-        """Clamp counts and the ends of each rate integral are data in the
-        JSON outputs; the sweep keeps its [value, rate] pairs in `values`
-        and its diagnostics apart, and a rerun writes the same bytes."""
+        """Clamp counts, the ends of each rate integral and the error bound
+        of its closed-form head are data in the JSON outputs; the sweep
+        keeps its [value, rate] pairs in `values` and its diagnostics
+        apart, and a rerun writes the same bytes."""
         argv = ("sweep", "--param", "np", "--values", "5,30", "--mode",
                 "sync", "--eps", "0.5", "--n-gamma", "4", "--format", "json")
         _, first, _ = run_cli(capsys, *argv)
@@ -417,15 +417,20 @@ class TestSubcommands:
         assert [v for v, _ in doc["values"]] == [5.0, 30.0]
         diag = doc["diagnostics"]
         assert [d["np"] for d in diag] == [5.0, 30.0]
-        assert all(set(d) == {"np", "z_lo", "z_hi"} for d in diag)
+        assert all(set(d) == {"np", "z_lo", "z_hi", "head_bound"}
+                   for d in diag)
         assert all(0.0 < d["z_lo"] < d["z_hi"] for d in diag)
+        assert all(0.0 <= d["head_bound"] <= 1e-16 for d in diag)
 
         _, out, _ = run_cli(capsys, "rate", "--mode", "async", "--eps", "0",
                             "--format", "json")
         diag = json.loads(out)["diagnostics"]
         assert diag == [{"eps": 0.0, "z_lo": diag[0]["z_lo"],
-                         "z_hi": diag[0]["z_hi"]}]
-        assert diag[0]["z_lo"] in 10.0 ** -np.arange(8.0, 31.0)
+                         "z_hi": diag[0]["z_hi"],
+                         "head_bound": diag[0]["head_bound"]}]
+        # the head reaches past the first point where L is flat to 1e-13
+        assert 1e-15 < diag[0]["z_lo"] < 1e-8
+        assert 0.0 <= diag[0]["head_bound"] <= 1e-16
 
         _, out, _ = run_cli(capsys, "coverage", "--mode", "sync", "--eps",
                             "0.5", "--thresholds-db", "0:10:5", "--format",

@@ -96,6 +96,14 @@ GRID_INNER = 32
 
 _GUARD_LIMIT = 2.0  # |alternating sum| beyond this signals lost precision
 
+# Largest Gamma shape N. The alternating sum weighs L(eta n T) by C(N, n),
+# so an error of L reaches coverage amplified up to sum_n C(N, n) = 2^N - 1
+# times, and the rate's kernel sum_n s_n / (z + eta n) rounds like
+# 2^N times the unit roundoff. Against x, E2 and inner grids twice as fine,
+# sync eps 1 coverage errs by 1.3e-6 at N = 8, 5.2e-4 at N = 16 (6.7e-4 at
+# r0 = 0.3 km) and 3.4e-3 at N = 20, about doubling with each step of N.
+_MAX_GAMMA_SHAPE = 16
+
 # E1 Taylor tail (see _Context.e1_exponent); fixed so that the remainder,
 # below Z^K/(K+1)! ~ 2.5e-19 of the tail, stays under the unit roundoff.
 # Not tunable.
@@ -179,14 +187,15 @@ def _e1_splits(grid: _TauGrid, beta, gam) -> np.ndarray:
 def _e1_tail(grid: _TauGrid, beta: np.ndarray, gam: np.ndarray,
              split: np.ndarray) -> np.ndarray:
     """The Taylor tail of every row from its split. The rows split at node
-    0 share one column of moments, which is broadcast; the others read
-    theirs with one ``take`` per chunk of rows, so the working set stays
-    bounded. Every operation is elementwise, so a row's value does not
-    depend on the rows it is batched with."""
+    0 share one column of moments, which is broadcast, and run in chunks
+    of _HEAD_CHUNK // 4 rows; the others read theirs with one ``take`` per
+    chunk of _HEAD_CHUNK // 16 rows, which keeps that (2K + 1, rows)
+    gather small. Every operation is elementwise, so a row's value does
+    not depend on the rows it is batched with."""
     out = np.empty(beta.shape)
-    step = _HEAD_CHUNK // 16
     first = split == 0
-    for rows in (np.flatnonzero(first), np.flatnonzero(~first)):
+    for rows, step in ((np.flatnonzero(first), _HEAD_CHUNK // 4),
+                       (np.flatnonzero(~first), _HEAD_CHUNK // 16)):
         for lo in range(0, rows.size, step):
             r = rows[lo:lo + step]
             if first[r[0]]:
@@ -204,23 +213,29 @@ def _taylor_horner(b: np.ndarray, g: np.ndarray, nm) -> np.ndarray:
     """sum over 1 <= i + j <= K of b^i/i! g^j/j! nm[i + 2j], nested: S_j =
     nm[2j] + b (nm[2j+1] + (b/2) (nm[2j+2] + ...)) up to i = K - j, then
     S_0 + g (S_1 + (g/2) (S_2 + ...)), with S_0's i = 0 term left out.
-    ``nm`` holds the moments N_0..N_2K, each a scalar or a row array."""
+    ``nm`` holds the moments N_0..N_2K, each a scalar or a row array.
+
+    The S_j run side by side, i from K down to 1, so that each b/i is
+    formed once, as the product with 1/i, into one scratch row; so is
+    each g/j. Every S_j takes its steps in the nested order above, so the
+    sum rounds as if each S_j were run alone. The call holds K + 2 rows
+    the size of b, in one block."""
     k = _TAYLOR_K
-    bk = [b] + [b * (1.0 / i) for i in range(2, k + 1)]     # b / i
-    gk = [g] + [g * (1.0 / j) for j in range(2, k + 1)]     # g / j
-    acc = gk[k - 1] * nm[2 * k]
-    for j in range(k - 1, -1, -1):
-        d = k - j
-        s = bk[d - 1] * nm[2 * j + d]
-        for i in range(d - 1, 0, -1):
-            s += nm[2 * j + i]
-            s *= bk[i - 1]
-        if j:
-            s += nm[2 * j]
-            acc += s
-            acc *= gk[j - 1]
-        else:
-            acc += s
+    block = np.empty((k + 2,) + b.shape)
+    tmp, acc, s = block[0], block[1], block[2:]
+    for i in range(k, 0, -1):
+        bi = b if i == 1 else np.multiply(b, 1.0 / i, out=tmp)
+        for j in range(k - i):
+            s[j] += nm[2 * j + i]
+            s[j] *= bi
+        np.multiply(bi, nm[2 * k - i], out=s[k - i])    # S_(K-i) starts
+    np.multiply(g, 1.0 / k, out=acc)
+    acc *= nm[2 * k]
+    for j in range(k - 1, 0, -1):
+        s[j] += nm[2 * j]
+        acc += s[j]
+        acc *= g if j == 1 else np.multiply(g, 1.0 / j, out=tmp)
+    acc += s[0]
     return acc
 
 
@@ -292,11 +307,16 @@ class RateResult:
 
 def _gamma_shape(n_shape: int | None, params: SystemParams) -> int:
     """The Gamma shape N of the coverage expansion: the mode's default when
-    ``n_shape`` is None, else ``n_shape``, which must be an integer >= 1."""
+    ``n_shape`` is None, else ``n_shape``, which must be an integer from 1
+    to _MAX_GAMMA_SHAPE."""
     if n_shape is None:
         return default_gamma_shape(params.mode)
     if n_shape < 1:
         raise DomainError(f"n_shape must be >= 1, got {n_shape!r}")
+    if n_shape > _MAX_GAMMA_SHAPE:
+        raise DomainError(f"n_shape must be <= {_MAX_GAMMA_SHAPE}, got "
+                          f"{n_shape!r}: the alternating expansion "
+                          "amplifies errors about 2^n_shape times")
     if n_shape != int(n_shape):
         raise DomainError(f"n_shape must be an integer, got {n_shape!r}")
     return int(n_shape)

@@ -413,27 +413,33 @@ def _add_verbose(parser: argparse.ArgumentParser, default) -> None:
                         help="progress and diagnostics on standard error")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand takes, as one parent parser, built
+    once and shared by all subcommands."""
+    common = argparse.ArgumentParser(add_help=False)
     # no default of its own, so that it does not overwrite a -v given
     # before the subcommand
-    _add_verbose(sub, argparse.SUPPRESS)
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--mode", choices=["sync", "async", "synchronous",
-                                        "asynchronous"])
-    sub.add_argument("--m", type=int, help="antennas per station")
-    sub.add_argument("--eps", type=float, help="power-control parameter")
-    sub.add_argument("--np", dest="n_p", type=int, help="pilot length / users per cell")
-    sub.add_argument("--n-gamma", dest="n_gamma", type=int,
-                     help="Gamma shape of the coverage expansion")
-    sub.add_argument("--thresholds-db", dest="thresholds_db",
-                     help="a:b:step grid in dB")
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--window-km", dest="window_km", type=float)
-    sub.add_argument("--margin-km", dest="margin_km", type=float)
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--output", "-o", help="output path (default stdout)")
-    sub.add_argument("--format", choices=["csv", "json"])
+    _add_verbose(common, argparse.SUPPRESS)
+    common.add_argument("--config",
+                        help="JSON config file; flags override it")
+    common.add_argument("--mode", choices=["sync", "async", "synchronous",
+                                           "asynchronous"])
+    common.add_argument("--m", type=int, help="antennas per station")
+    common.add_argument("--eps", type=float, help="power-control parameter")
+    common.add_argument("--np", dest="n_p", type=int,
+                        help="pilot length / users per cell")
+    common.add_argument("--n-gamma", dest="n_gamma", type=int,
+                        help="Gamma shape of the coverage expansion")
+    common.add_argument("--thresholds-db", dest="thresholds_db",
+                        help="a:b:step grid in dB")
+    common.add_argument("--trials", type=int)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--window-km", dest="window_km", type=float)
+    common.add_argument("--margin-km", dest="margin_km", type=float)
+    common.add_argument("--workers", type=int)
+    common.add_argument("--output", "-o", help="output path (default stdout)")
+    common.add_argument("--format", choices=["csv", "json"])
+    return common
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -445,6 +451,7 @@ def make_parser() -> argparse.ArgumentParser:
                         version=f"mimosg {__version__}")
     _add_verbose(parser, False)
     subs = parser.add_subparsers(dest="command", required=True)
+    common = _common_options()
 
     for name, hlp, handler in [
             ("coverage", "analytic coverage curve", cmd_coverage),
@@ -457,9 +464,8 @@ def make_parser() -> argparse.ArgumentParser:
             ("sweep", "rate sweep over a parameter", cmd_sweep),
             ("pdf-check", "KS suite for the distance-law samplers",
              cmd_pdf_check)]:
-        sub = subs.add_parser(name, help=hlp)
+        sub = subs.add_parser(name, help=hlp, parents=[common])
         sub.set_defaults(handler=handler, case=None)
-        _add_common(sub)
         if name == "validate":
             sub.add_argument("--gate", type=float, required=True,
                              help="max |analytic - MC| allowed")

@@ -577,7 +577,8 @@ class TestLaplaceTerms:
     def test_e1_row_alone_equals_row_in_block(self):
         """A row's E1 is bit-identical alone and inside a block that mixes
         rows split at node 0 with rows split further on, with more of each
-        than one chunk of the tail holds."""
+        than one chunk of the tail holds: the rows on both sides of every
+        chunk boundary of either kind, and the first and last of each."""
         p = default_params("sync", eps=0.5)
         ctx = _context(p)
         grid = _tau_grid(p.alpha)
@@ -586,15 +587,50 @@ class TestLaplaceTerms:
         beta = (ent * ctx.unit_b * (a / p.pi_lam) ** (-p.alpha / 2.0)).ravel()
         gam = (ent * ctx.unit_c * (a / p.pi_lam) ** -p.alpha).ravel()
         split = _e1_splits(grid, beta, gam)
-        at0, later = np.flatnonzero(split == 0), np.flatnonzero(split > 0)
-        step = analytic._HEAD_CHUNK // 16     # rows per chunk of the tail
-        assert min(at0.size, later.size) > step
         block = _e1_integral(grid, beta, gam)
-        picks = np.concatenate([at0[[0, step - 1, step, -1]],
-                                later[[0, step - 1, step, -1]]])
-        for i in picks:
+        picks = []
+        # rows per chunk of the tail: split at node 0, split further on
+        for rows, step in ((np.flatnonzero(split == 0),
+                            analytic._HEAD_CHUNK // 4),
+                           (np.flatnonzero(split > 0),
+                            analytic._HEAD_CHUNK // 16)):
+            assert rows.size > step
+            edges = np.arange(step, rows.size, step)
+            picks.append(rows[np.concatenate([[0, rows.size - 1],
+                                              edges - 1, edges])])
+        for i in np.concatenate(picks):
             alone = _e1_integral(grid, beta[i:i + 1], gam[i:i + 1])
             assert alone[0] == block[i]
+
+    @pytest.mark.parametrize("mode, eps, n_p", [
+        ("sync", 0.0, 2), ("sync", 0.5, 2), ("sync", 1.0, 2),
+        ("sync", 0.5, 30), ("async", 0.5, 10), ("async", 1.0, 10)])
+    def test_e1_tau_rule_against_finer_rule(self, mode, eps, n_p):
+        """The shipped tau rule (quarter decades of 10 nodes, 960 nodes)
+        against eighth decades of 16 nodes (3072), on the rows of the N = 1
+        coverage that the rate integrates, z from 1e-8 to z_hi. Over 4000
+        rows drawn from the E1 calls of 12 rates (sync eps 0, 0.5, 1 at
+        n_p 2, 10, 30 and N = 4; async eps 0, 0.5, 1 at N = 1) the largest
+        relative difference was 1.9e-11 (at beta -0.53, gam -16.4) and the
+        median 7e-15; here it is at most 1.6e-11. The bound is 5 times
+        2e-11."""
+        p = default_params(mode, eps=eps, n_p=n_p, strict_frame=False)
+        ctx = _context(p)
+        z_hi = ergodic_rate(p, 1).z_hi
+        tau, w = log_panel_grid(1.0, 1e24, panels_per_decade=8,
+                                n_per_panel=16)
+        th = tau ** (-p.alpha / 2.0)
+        x = ctx.x_vals
+        worst = 0.0
+        for ent in np.geomspace(1e-8, z_hi, 16):
+            shipped = ctx.e1_exponent(ent * ctx.unit_b, ent * ctx.unit_c, x)
+            z = np.multiply.outer(ent * ctx.unit_c * x ** (-2.0 * p.alpha),
+                                  th)
+            z += (ent * ctx.unit_b * x ** -p.alpha)[:, None]
+            z *= th
+            fine = p.pi_lam * x ** 2 * (np.expm1(z) @ w)
+            worst = max(worst, np.max(np.abs(shipped / fine - 1.0)))
+        assert worst < 1e-10
 
     def test_e2_table_shared_across_pilot_lengths(self):
         pa = default_params("sync", eps=0.5, n_p=5, strict_frame=False)
@@ -720,6 +756,30 @@ class TestCoverage:
     def test_negative_threshold_rejected(self, params_async):
         with pytest.raises(DomainError):
             coverage(np.array([-0.5]), params_async, 1)
+
+    @pytest.mark.parametrize("n_shape", [17, 50, 2000, math.inf])
+    def test_gamma_shape_above_cap_refused(self, params_sync, n_shape):
+        """Coverage and rate refuse a shape whose expansion amplifies the
+        quadrature's errors past use, with a DomainError, before any
+        binomial coefficient is formed."""
+        assert analytic._MAX_GAMMA_SHAPE < n_shape
+        th = np.array([0.1, 1.0])
+        cap = f"n_shape must be <= {analytic._MAX_GAMMA_SHAPE}"
+        with pytest.raises(DomainError, match=cap):
+            coverage(th, params_sync, n_shape)
+        with pytest.raises(DomainError, match=cap):
+            ergodic_rate(params_sync, n_shape)
+
+    @pytest.mark.parametrize("n_shape", [8, analytic._MAX_GAMMA_SHAPE])
+    def test_largest_shapes_run(self, n_shape):
+        """N = 8, the largest shape criterion 2 uses, and the cap itself
+        run at the sync eps 0.5 defaults."""
+        p = default_params("sync", eps=0.5)
+        th = 10.0 ** (np.arange(-10.0, 21.0, 5.0) / 10.0)
+        cov = coverage(th, p, n_shape).coverage
+        assert np.all((cov >= 0.0) & (cov <= 1.0))
+        assert np.all(np.diff(cov) <= 0.0)
+        assert 0.0 < ergodic_rate(p, n_shape).rate < 20.0
 
     def test_alternating_sum_stable_to_n8(self, params_sync):
         th = 10.0 ** (np.arange(-10.0, 21.0, 3.0) / 10.0)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -523,6 +524,49 @@ class TestSubcommands:
         (["--verbose", "rate", "--verbose"], True), (["rate"], False)])
     def test_verbose_flag_before_or_after_command(self, argv, verbose):
         assert make_parser().parse_args(argv).verbose is verbose
+
+    # each subcommand with the options it requires
+    SUBCOMMANDS = {"coverage": [], "coverage-mc": [], "rate": [],
+                   "rate-mc": [], "validate": ["--gate", "0.1"],
+                   "special": ["--case", "no-pc"],
+                   "sweep": ["--param", "np", "--values", "5"],
+                   "pdf-check": []}
+
+    def test_subcommands_listed(self):
+        subs = next(a for a in make_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        assert set(subs.choices) == set(self.SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_common_options_on_every_subcommand(self, command):
+        args = make_parser().parse_args(
+            [command, *self.SUBCOMMANDS[command], "--config", "cfg.json",
+             "--seed", "7", "--format", "json", "-o", "out.json"])
+        assert args.command == command
+        assert (args.config, args.seed, args.format, args.output) == (
+            "cfg.json", 7, "json", "out.json")
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_subcommand_help_lists_common_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for option in ("--config CONFIG", "--seed SEED",
+                       "--format {csv,json}", "--output OUTPUT, -o OUTPUT",
+                       "--verbose, -v", "--n-gamma N_GAMMA"):
+            assert f"\n  {option}" in out
+
+    @pytest.mark.parametrize("n_gamma", ["17", "2000"])
+    @pytest.mark.parametrize("command", ["coverage", "rate"])
+    def test_gamma_shape_above_cap_exits_config(self, capsys, command,
+                                               n_gamma):
+        code, out, err = run_cli(capsys, command, "--mode", "sync",
+                                 "--eps", "0.5", "--n-gamma", n_gamma)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: n_shape must be <= 16")
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_bad_flag_exits_config(self, capsys):
         code, _, err = run_cli(capsys, "coverage", "--thresholds-db", "junk")

@@ -15,7 +15,7 @@ from .montecarlo import (McConfig, ValidationReport, draw_phases,
                          run_coverage_mc, run_rate_mc, validate)
 from .params import (SystemParams, c_m, default_gamma_shape, default_params,
                      density_from_exclusion, derive_frame, eta_shape,
-                     make_params, phase_probabilities, v_m)
+                     make_params, v_m)
 
 __all__ = [
     "CoverageCurve", "RateResult", "coverage", "coverage_fullpc_async",
@@ -29,6 +29,6 @@ __all__ = [
     "run_rate_mc", "validate",
     "SystemParams", "c_m", "default_gamma_shape", "default_params",
     "density_from_exclusion", "derive_frame", "eta_shape", "make_params",
-    "phase_probabilities", "v_m",
+    "v_m",
     "__version__",
 ]

@@ -22,9 +22,10 @@ uplink, 2 downlink. The first argument of each kernel is the per-user
 array its work scales with, so a wrapper (``perfbench/run.py --trace
 1``) sizes a call by len(args[0]).
 
-``user_terms`` holds the terms of the inverse SINR that depend on a
-user's serving distance alone, and ``bs_gain`` the station-to-station
-weight; the analytic engine reads both and replaces only the realized sums.
+Each term of the inverse SINR has its one implementation here:
+``user_terms`` (the terms of a user's serving distance alone), ``amp``,
+``beam_scale``, ``uplink_scale``, ``pilot_noise`` and ``bs_gain``. The
+analytic engine reads them all and replaces only the realized sums.
 
 Both modes run the same formulas; the mode reaches them only as data, the
 frame weights of :func:`~mimosg.params.frame_weights`. Users whose pilots
@@ -93,11 +94,13 @@ class UserTerms(NamedTuple):
     """The terms of the inverse SINR that depend on the serving distance x
     alone, elementwise over x (:func:`user_terms`)."""
     xa: np.ndarray          # x^alpha
-    x1e: np.ndarray         # x^(alpha (1 - eps))
     x2e: np.ndarray         # x^(alpha (2 - eps))
     x2a: np.ndarray         # x^(2 alpha)
     base: np.ndarray        # the own-cell and noise sum of g1
-    noise_amp: np.ndarray   # pilot-noise amplitude, n_p + sigma2 x^a/(p_d omega)
+    # g1's weight of the foreign pilot power I_t: x^(alpha (1 - eps)) / C_M^2
+    # times the pilot-noise amplitude n_p + sigma2 x^alpha / (p_d omega)
+    i_coef: np.ndarray
+    pilot: np.ndarray       # g2's pilot-contamination weight, (M - 1) x^2a/C_M^2
 
 
 def user_terms(x, p) -> UserTerms:
@@ -109,12 +112,36 @@ def user_terms(x, p) -> UserTerms:
     xa = x ** alpha
     x1e = x ** (alpha * (1.0 - eps))
     x2e = x ** (alpha * (2.0 - eps))
+    x2a = x ** (2.0 * alpha)
     base = ((v_m(p.m) - 1.0) / c2 + n_p / c2
             + sigma2 * xa / (p_d * omega * c2)
             + sigma2 * x1e / (p_u * c2 * omega ** (1.0 - eps))
             + sigma2 ** 2 * x2e / (n_p * p_u * p_d * c2 * omega ** (2.0 - eps)))
-    return UserTerms(xa, x1e, x2e, x ** (2.0 * alpha), base,
-                     n_p + sigma2 * xa / (p_d * omega))
+    noise_amp = n_p + sigma2 * xa / (p_d * omega)
+    return UserTerms(xa, x2e, x2a, base, (x1e / c2) * noise_amp,
+                     ((p.m - 1.0) / c2) * x2a)
+
+
+def amp(t: UserTerms, ratio):
+    """g2's and g3's amplitude at Delta's ratio delta1 (or its mean Q1)."""
+    return t.xa + t.x2e * ratio
+
+
+def beam_scale(a, p):
+    """g2's scale of its beamforming sum, n_p a / C_M^2."""
+    c = c_m(p.m)
+    return (p.n_p / (c * c)) * a
+
+
+def uplink_scale(a, p):
+    """g3's scale of its foreign-uplink sum, a p_u / (p_d omega^eps C_M^2)."""
+    c = c_m(p.m)
+    return a * p.p_u / (p.p_d * p.omega ** p.eps * (c * c))
+
+
+def pilot_noise(p) -> float:
+    """delta1's pilot-noise term, sigma2 omega^(eps-1) / (n_p p_u)."""
+    return p.sigma2 * p.omega ** (p.eps - 1.0) / (p.n_p * p.p_u)
 
 
 def bs_gain(p) -> float:
@@ -134,10 +161,8 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
     valid: (n_bs,) bool cell validity. phases: (n_bs,) int8 phase of
     every cell as seen by the tagged cell (its own entry is ignored).
     """
-    alpha, eps, omega, n_p = p.alpha, p.eps, p.omega, p.n_p
+    alpha, n_p = p.alpha, p.n_p
     fw = frame_weights(p)
-    c = c_m(p.m)
-    c2 = c * c
     t = user_terms(d_serv[tag_user], p)
     tag_cell = user_cell[tag_user[0]]
     n_bs, n_groups = foreign.shape
@@ -151,9 +176,8 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
     # the foreign pilot power at the tagged station, in each tagged user's
     # group: g1's channel-estimation error and Delta's ratio delta1
     foreign_t = foreign[tag_cell, tag_group]
-    g1 = t.base + (t.x1e / c2) * t.noise_amp * foreign_t
-    delta1 = foreign_t + p.sigma2 * omega ** (eps - 1.0) / (n_p * p.p_u)
-    amp = t.xa + t.x2e * delta1
+    g1 = t.base + t.i_coef * foreign_t
+    a = amp(t, foreign_t + pilot_noise(p))
 
     chi_dd = (phases == 2) & (np.arange(n_bs) != tag_cell) & valid  # (n_bs,)
 
@@ -161,15 +185,13 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
     beam = (r_jl ** (-alpha) * chi_dd).sum(axis=1)
     pil = (inv_delta_group.T[tag_group] * chi_dd
            * r_jl ** (-2.0 * alpha)).sum(axis=1)
-    g2 = ((n_p / c2) * amp * beam
-          + ((p.m - 1.0) / c2) * t.x2a * fw.f_w * deltas[tag_user] * pil)
+    g2 = beam_scale(a, p) * beam + t.pilot * fw.f_w * deltas[tag_user] * pil
 
     um = (user_cell != tag_cell) & (phases[user_cell] <= 1)        # (nu,)
     d_ut = np.where(um, d_uu.T, 1.0)
     # masking P_i before the product gives the same +0.0 terms
-    g3 = (amp * p.p_u / (p.p_d * omega ** eps * c2)
-          * ((serv_pow * um)[None, :]
-             * d_ut ** (-alpha)).sum(axis=1))
+    g3 = uplink_scale(a, p) * ((serv_pow * um)[None, :]
+                               * d_ut ** (-alpha)).sum(axis=1)
     return g1, g2, g3
 
 

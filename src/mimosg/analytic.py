@@ -9,9 +9,9 @@ the alternating binomial sum over n = 1..N of
     integral_{r0}^inf 2 pi lam x e^{-pi lam (x^2 - r0^2)}
         * exp(-eta n T c1(x)) * E1(T,n,x) * E2(T,n,x) dx.
 
-The inverse SINR is the Monte Carlo kernels' g1 + g2 + g3, with the same
-per-user terms (``_kernels.user_terms``: the powers of x, g1's own-cell
-and noise sum, the pilot-noise amplitude). Only the realized sums are
+The inverse SINR is the Monte Carlo kernels' g1 + g2 + g3, every term of
+it read from ``_kernels`` (per-user terms, amplitude, g2's and g3's scales,
+pilot noise, station-to-station weight). Only the realized sums are
 replaced: in g1's foreign pilot power I_t, the station-to-station part
 by its mean Q2 (in c1) and the cross part by E2 (D); Delta's ratio delta1
 (I_t plus pilot noise) by its mean Q1; g3's foreign-uplink sum, phase
@@ -67,7 +67,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import bs_gain, user_terms
+from ._kernels import (amp, beam_scale, bs_gain, pilot_noise, uplink_scale,
+                       user_terms)
 from .errors import DomainError, NumericalError
 from .params import (SystemParams, c_m, default_gamma_shape, eta_shape,
                      frame_weights, v_m)
@@ -285,7 +286,6 @@ def _e1_integral(grid: _TauGrid, beta: np.ndarray,
 class CoverageCurve:
     thresholds: np.ndarray       # linear SINR thresholds
     coverage: np.ndarray
-    mode: str
     method: str                  # analytic | analytic-special | monte-carlo
     params: SystemParams
     n_shape: int | None = None
@@ -473,23 +473,26 @@ def _e2_slot(pi_lam: float, r0: float, r_e: float, alpha: float,
 
 class _Context:
     """What the analytic engine derives from one parameter set: the cross
-    moment, computed once, and from it Q1, Q2 and Q3; C_M^2; and on the
-    fixed x grid the Monte Carlo kernels' per-user terms, and from them c1
-    and B, C, D per unit of eta n T (all three are linear in it).
+    moment, computed once, and from it Q1, Q2 and Q3; and on the fixed x
+    grid the Monte Carlo kernels' per-user terms, and from them c1 and B,
+    C, D per unit of eta n T (all three are linear in it).
 
     The modes differ only in how much of an interfering cell's frame
     counts, the frame weights of :func:`~mimosg.params.frame_weights`: f_w,
-    rho2, users (the multiplicity of E2) and the C factor (:meth:`c_frame`).
-    Synchronous, all of them are 1 and the station-to-station weight is 0;
-    so are Q2 and Q3, and with them the terms of c1 beyond g1's own.
+    rho2, users (the multiplicity of E2) and products of them, the frame
+    factors of C and g3. Synchronous, the weights are 1 and the
+    station-to-station weight is 0; so are g3's factor, Q2 and Q3, and with
+    them the terms of c1 beyond g1's own.
     """
 
     def __init__(self, params: SystemParams):
         p = self.params = params
-        c = c_m(p.m)
-        self.c2 = c * c
         cm = _cross_moment(p)
-        self.f_w, self.rho2, self.users, self._c_frame, bs = frame_weights(p)
+        fw = frame_weights(p)
+        self.f_w, self.rho2, self.users = fw.f_w, fw.rho2, fw.users
+        # the frame factors of C and of g3
+        self.c_weight = fw.f_w * fw.users * fw.rho2
+        self.uplink_weight = fw.bs * fw.f_w
         # Q3, the mean foreign-uplink moment sum_j sum_k' r_jjk'^(alpha eps)
         # r_lkjk'^-alpha, zero synchronous. This simplified form replaces
         # the user-to-user distance by the station-to-user distance, which
@@ -503,13 +506,12 @@ class _Context:
         # integral over the exclusion-ball field with the law-of-cosines
         # coupling that converges only for x < r_e, is the test oracle
         # ``tests/test_acceptance.py::q3_reference``.
-        self.q3 = p.n_p * cm if bs else 0.0
+        self.q3 = p.n_p * cm if fw.bs else 0.0
         self.q2 = q2(p)
         # I_t's station-to-station part with its sum replaced by Q2; Q1 is
-        # the mean of delta1 = I_t + sigma2 / (n_p p_u omega^(1-eps))
+        # the mean of delta1 = I_t + pilot noise
         self.bs_q2 = bs_gain(p) * self.q2
-        self.q1 = (self.f_w * self.users * cm + self.bs_q2
-                   + p.sigma2 * p.omega ** (p.eps - 1.0) / (p.n_p * p.p_u))
+        self.q1 = self.f_w * self.users * cm + self.bs_q2 + pilot_noise(p)
         # the x grid, in u = pi lam (x^2 - r0^2), and the x-only terms on it
         self.x_nodes, self.x_weights = _x_grid()
         self.x_vals = np.sqrt(p.r0 ** 2 + self.x_nodes / p.pi_lam)
@@ -524,41 +526,27 @@ class _Context:
             return self.terms
         return user_terms(np.asarray(x, dtype=float), self.params)
 
-    def c_frame(self, c):
-        """``c`` times the frame factor of C, n_p n_d^2 (n_p + n_u) /
-        n_tot^4, one factor after the other (ones synchronous)."""
-        n_p, n_d2, n_pu, n_tot4 = self._c_frame
-        return c * n_p * n_d2 * n_pu / n_tot4
-
-    def _amp(self, t):
-        """g2's and g3's amplitude, with Delta's ratio replaced by Q1."""
-        return t.xa + t.x2e * self.q1
-
     def coefficients(self, ent, x):
         """Campbell coefficients (B, C, D) at distances x, with ``ent`` =
         eta n T: g2's beamforming and pilot terms and g1's cross term, the
         phase indicators replaced by the frame weights."""
-        p = self.params
-        c2 = self.c2
         t = self._terms(x)
-        b = -ent * (p.n_p / c2) * self.rho2 * self._amp(t)
-        c = self.c_frame(-ent * ((p.m - 1.0) / c2) * t.x2a)
-        d = -(ent / c2) * self.f_w * t.x1e * t.noise_amp
+        b = -ent * self.rho2 * beam_scale(amp(t, self.q1), self.params)
+        c = -ent * t.pilot * self.c_weight
+        d = -ent * self.f_w * t.i_coef
         return b, c, d
 
     def c1(self, x):
         """g1 with its station-to-station sum replaced by Q2 (its cross
         sum is E2's), plus the mean foreign uplink."""
         t = self._terms(x)
-        return (t.base + (t.x1e / self.c2) * t.noise_amp * self.bs_q2
-                + self.foreign_uplink(x))
+        return t.base + t.i_coef * self.bs_q2 + self.foreign_uplink(x)
 
     def foreign_uplink(self, x):
-        """g3 with its sum replaced by Q3 and its phase indicator by the
-        frame weight n_d (n_p + n_u) / n_tot^2."""
-        p = self.params
-        return (self._amp(self._terms(x)) * p.p_u * p.n_d * (p.n_p + p.n_u)
-                * self.q3 / (p.p_d * p.omega ** p.eps * self.c2 * p.n_tot ** 2))
+        """g3 with its sum replaced by Q3, its phase indicator by the frame
+        weight, and Delta's ratio by Q1."""
+        return (uplink_scale(amp(self._terms(x), self.q1), self.params)
+                * self.uplink_weight * self.q3)
 
     # --- E1 exponent ------------------------------------------------------
     def e1_exponent(self, b, c, x):
@@ -749,7 +737,7 @@ def _c1_e1_e2_exponent(ctx: _Context, ent: np.ndarray, e2) -> np.ndarray:
 
 def _infinite_m_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
     # C with its (M-1)/C_M^2 prefactor -> 1; B and D vanish
-    c_inf = ctx.c_frame(-ctx.terms.x2a)
+    c_inf = -ctx.terms.x2a * ctx.c_weight
     return ctx.e1_exponent(0.0, ent * c_inf, ctx.x_vals)
 
 
@@ -762,12 +750,9 @@ def _alternating_sum(ctx: _Context, exponent, ent: np.ndarray,
                      signs: np.ndarray) -> np.ndarray:
     """sum_n signs_n int exp(exponent) e^-u du for a block of thresholds;
     ``ent`` is eta n T with shape (thresholds, n, 1)."""
-    try:
-        expo = exponent(ctx, ent)
-        expo -= ctx.x_nodes       # serving density is e^-u du in u-space
-        np.exp(expo, out=expo)
-    except FloatingPointError as exc:  # pragma: no cover
-        raise NumericalError("coverage quadrature failed") from exc
+    expo = exponent(ctx, ent)
+    expo -= ctx.x_nodes       # serving density is e^-u du in u-space
+    np.exp(expo, out=expo)
     # per-row sums (einsum, not BLAS), so that a value does not depend on
     # the thresholds it is computed with
     return np.einsum("tn,n->t", np.einsum("tnx,x->tn", expo, ctx.x_weights),
@@ -828,9 +813,8 @@ def _analytic_curve(thresholds, params: SystemParams, n_shape: int | None,
     n_shape = _gamma_shape(n_shape, params)
     thresholds = np.asarray(thresholds, dtype=float)
     vals, clamped = _coverage_values(thresholds, params, n_shape, exponent)
-    return CoverageCurve(thresholds=thresholds, coverage=vals,
-                         mode=params.mode, method=method, params=params,
-                         n_shape=n_shape, clamped=clamped)
+    return CoverageCurve(thresholds=thresholds, coverage=vals, method=method,
+                         params=params, n_shape=n_shape, clamped=clamped)
 
 
 def coverage(thresholds, params: SystemParams,

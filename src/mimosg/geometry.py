@@ -30,6 +30,8 @@ from .params import SystemParams
 
 log = logging.getLogger(__name__)
 
+ATTEMPTS_PER_CELL = 10_000  # candidate points per station (build_network)
+
 
 # ---------------------------------------------------------------------------
 # truncated Rayleigh core
@@ -143,8 +145,7 @@ class NetworkRealization:
 
 
 def build_network(params: SystemParams, window: float,
-                  rng: np.random.Generator,
-                  attempts_per_cell: int = 10_000) -> NetworkRealization:
+                  rng: np.random.Generator) -> NetworkRealization:
     """Sample base stations and populate each cell with K eligible users.
 
     Users are drawn uniformly over the window and kept for their nearest
@@ -152,8 +153,9 @@ def build_network(params: SystemParams, window: float,
     per-cell uniform sampling over the Voronoi polygon minus the exclusion
     disk. Fill rule: each cell takes the first K eligible points in draw
     order (batch after batch, and by position within a batch); seeded
-    replays depend on this order. Cells still short of users after the
-    attempt budget are flagged invalid and excluded from measurement.
+    replays depend on this order. Cells still short of users after
+    ATTEMPTS_PER_CELL points per station are flagged invalid and excluded
+    from measurement.
     """
     bs = sample_hppp(params.lam, window, rng)
     if len(bs) == 0:
@@ -172,7 +174,7 @@ def build_network(params: SystemParams, window: float,
     # One batch of points for the whole window: a single station-major
     # nearest-station search gives every point its cell.
     batch = max(1024, 8 * n_bs * k)
-    budget = attempts_per_cell * n_bs
+    budget = ATTEMPTS_PER_CELL * n_bs
     drawn = 0
     while drawn < budget and (fill < k).any():
         pts = rng.random((batch, 2))

@@ -49,7 +49,7 @@ from . import _kernels
 from .analytic import CoverageCurve, RateResult, _gamma_shape, coverage
 from .errors import ConfigError, EstimationError, RealizationError
 from .geometry import build_network
-from .params import SystemParams, phase_probabilities
+from .params import SystemParams, frame_weights
 
 log = logging.getLogger(__name__)
 
@@ -100,13 +100,13 @@ def draw_phases(params: SystemParams, n_cells: int,
     array of PHASE_PILOT, PHASE_UPLINK and PHASE_DOWNLINK codes.
 
     The observer is in its downlink phase, so each independent interfering
-    cell is in pilot/uplink/downlink with the probabilities of
-    :func:`~mimosg.params.phase_probabilities`: (n_p, n_u, n_d) / n_tot
+    cell is in pilot/uplink/downlink with the probabilities ``phases`` of
+    :func:`~mimosg.params.frame_weights`: (n_p, n_u, n_d) / n_tot
     asynchronous, and (0, 0, 1) synchronous, where every draw is downlink.
     """
     # the steps of rng.choice(3, size=n_cells, p=probs), without its
     # per-call checks of p: the same uniforms give the same draws
-    cdf = np.array(phase_probabilities(params)).cumsum()
+    cdf = np.array(frame_weights(params).phases).cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(n_cells), side="right").astype(np.int8)
 
@@ -241,8 +241,8 @@ def run_coverage_mc(params: SystemParams, cfg: McConfig) -> CoverageCurve:
     _, half = wilson_interval(p_hat, fracs.shape[0])
     return CoverageCurve(
         thresholds=np.asarray(cfg.thresholds, dtype=float), coverage=p_hat,
-        mode=params.mode, method="monte-carlo", params=params,
-        ci_half_width=half, trials_used=int(fracs.shape[0]))
+        method="monte-carlo", params=params, ci_half_width=half,
+        trials_used=int(fracs.shape[0]))
 
 
 def run_rate_mc(params: SystemParams, cfg: McConfig) -> RateResult:

@@ -158,36 +158,28 @@ class PhaseTriple(NamedTuple):
     downlink: float
 
 
-def phase_probabilities(params: "SystemParams") -> PhaseTriple:
-    """Probabilities that an interfering cell is in its pilot, uplink or
-    downlink phase at a symbol of the observer's downlink phase: (n_p, n_u,
-    n_d) / n_tot asynchronous, by independence of the frame offsets, and
-    (0, 0, 1) synchronous, where every cell shares the observer's phase."""
-    if params.sync:
-        return PhaseTriple(0.0, 0.0, 1.0)
-    return PhaseTriple(params.n_p / params.n_tot, params.n_u / params.n_tot,
-                       params.n_d / params.n_tot)
-
-
 class FrameWeights(NamedTuple):
     """How much of an interfering cell's frame counts: the weights that make
-    the two modes one set of formulas in both engines. The fields hold
-    their asynchronous values; synchronous, all of them are 1, one user per
-    pilot group, and the station-to-station weight ``bs`` is 0."""
+    the two modes one set of formulas in both engines, and the law of its
+    phase at a symbol of the observer's downlink phase. The fields hold
+    their asynchronous values, the phases by independence of the frame
+    offsets; synchronous, the weights are 1, one user per pilot group, the
+    station-to-station weight ``bs`` is 0 and every cell is in downlink."""
     f_w: float      # its pilot and uplink symbols, (n_p + n_u) / n_tot^2
     rho2: float     # its downlink share squared, n_d^2 / n_tot^2
     users: int      # users per pilot group: n_p, every pilot collides
-    c_frame: tuple  # factors of the C weight: n_p, n_d^2, n_p + n_u, n_tot^4
     bs: float       # its downlink symbols heard in the tagged pilot, n_d
+    phases: PhaseTriple  # P(pilot, uplink, downlink): (n_p, n_u, n_d) / n_tot
 
 
-# cached: both Monte Carlo kernels read it on every trial
+# cached: the Monte Carlo kernels and phase draw read it on every trial
 @functools.lru_cache(maxsize=64)
 def frame_weights(p: "SystemParams") -> FrameWeights:
     if p.sync:
-        return FrameWeights(1.0, 1.0, 1, (1, 1, 1, 1), 0.0)
+        return FrameWeights(1.0, 1.0, 1, 0.0, PhaseTriple(0.0, 0.0, 1.0))
     return FrameWeights((p.n_p + p.n_u) / p.n_tot ** 2, p.n_d ** 2 / p.n_tot ** 2,
-                        p.n_p, (p.n_p, p.n_d ** 2, p.n_p + p.n_u, p.n_tot ** 4), p.n_d)
+                        p.n_p, p.n_d, PhaseTriple(p.n_p / p.n_tot, p.n_u / p.n_tot,
+                                                  p.n_d / p.n_tot))
 
 
 @dataclass(frozen=True)

@@ -426,8 +426,7 @@ class TestSharedTerms:
 
         ctx = _context(p)
         # the station-to-station sum replaced by Q2, and the foreign uplink
-        mean_field = ((t.x1e / ctx.c2) * t.noise_amp * ctx.bs_q2
-                      + ctx.foreign_uplink(x))
+        mean_field = t.i_coef * ctx.bs_q2 + ctx.foreign_uplink(x)
         assert (mean_field == 0.0).all() == p.sync
         np.testing.assert_allclose(g1 + mean_field, ctx.c1(x), rtol=1e-15,
                                    atol=0.0)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mimosg import _kernels
+from mimosg import _kernels, geometry
 from mimosg.errors import DomainError, RealizationError
 from mimosg.geometry import (NetworkRealization, build_network, sample_hppp,
                              serving_cdf, serving_given_bs_cdf,
@@ -264,7 +264,7 @@ class TestGoldenRealizations:
     to the nearest-station arithmetic or to which points fill a cell
     (the first K eligible ones in draw order) moves these digests."""
 
-    # mode, window, seed, attempts_per_cell, r0 override, n_bs,
+    # mode, window, seed, ATTEMPTS_PER_CELL, r0 override, n_bs,
     # invalid cells, nearest-station batches, digests of bs/users/serving,
     # serving[0, 0]
     CASES = {
@@ -290,9 +290,9 @@ class TestGoldenRealizations:
         real = _kernels.nearest_bs
         monkeypatch.setattr(_kernels, "nearest_bs",
                             lambda pts, bs: calls.append(1) or real(pts, bs))
+        monkeypatch.setattr(geometry, "ATTEMPTS_PER_CELL", attempts)
         p = default_params(mode, m=64, eps=0.5, **over)
-        net = build_network(p, window, np.random.default_rng(seed),
-                            attempts_per_cell=attempts)
+        net = build_network(p, window, np.random.default_rng(seed))
         assert len(calls) == batches
         assert net.n_bs == n_bs
         assert np.flatnonzero(~net.valid).tolist() == invalid

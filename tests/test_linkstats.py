@@ -8,7 +8,7 @@ from mimosg.errors import DomainError
 from mimosg.geometry import NetworkRealization, build_network
 from mimosg.montecarlo import (PHASE_DOWNLINK, PHASE_PILOT, PHASE_UPLINK,
                                draw_phases)
-from mimosg.params import c_m, default_params, phase_probabilities, v_m
+from mimosg.params import c_m, default_params, frame_weights, v_m
 from reference_sinr import (DeltaSet, central_cells, chi_dd,
                             chi_pilot_or_uplink, compute_delta, delta1,
                             extract_bundle, inverse_sinr, isolated_cell_sinr,
@@ -72,7 +72,7 @@ class TestDrawPhases:
     def test_async_draw_matches_weighted_choice(self, params_async):
         """The phase draw is rng.choice(3, p=...) value for value, and it
         leaves the generator at the same next draw."""
-        probs = list(phase_probabilities(params_async))
+        probs = list(frame_weights(params_async).phases)
         for seed in range(50):
             for n in range(65):
                 mine = np.random.default_rng((seed, n))
@@ -88,7 +88,7 @@ class TestDrawPhases:
         (0, 0, 1): every cell downlink, value for value what
         rng.choice(3, p=...) gives, with the generator left at the same
         next draw."""
-        probs = list(phase_probabilities(params_sync))
+        probs = list(frame_weights(params_sync).phases)
         assert probs == [0.0, 0.0, 1.0]
         for seed in range(20):
             for n in (0, 1, 12, 64):

@@ -21,9 +21,8 @@ PUBLIC_API = [
     "coverage_fullpc_async", "coverage_infinite_m", "coverage_no_pc",
     "default_gamma_shape", "default_params", "density_from_exclusion",
     "derive_frame", "draw_phases", "ergodic_rate", "eta_shape",
-    "make_params", "phase_probabilities", "q2", "run_coverage_mc",
-    "run_rate_mc", "sample_hppp", "serving_cdf", "serving_sample", "v_m",
-    "validate",
+    "make_params", "q2", "run_coverage_mc", "run_rate_mc", "sample_hppp",
+    "serving_cdf", "serving_sample", "v_m", "validate",
 ]
 
 
@@ -200,6 +199,23 @@ def test_program_parameters_are_read():
             unread.update(f"{name}({p})" for p in params if p not in read)
     assert sorted(unread - set(UNREAD_PARAMETERS_ALLOWED)) == []
     assert sorted(set(UNREAD_PARAMETERS_ALLOWED) - unread) == []
+
+
+# The power, noise and path-gain parameters: only the terms of the inverse
+# SINR read them, and those terms live in ``_kernels``
+KERNEL_ONLY_PARAMETERS = {"p_d", "p_u", "sigma2", "omega"}
+
+
+def test_analytic_reads_sinr_terms_from_the_kernels():
+    """The analytic engine takes every coefficient of the inverse SINR
+    from ``_kernels`` and only multiplies it by its means, so it reads none
+    of the parameters that those coefficients alone need: a second copy of
+    a term would have to read them."""
+    tree = _program_modules()["analytic"]
+    reads = sorted(f"{n.attr} (line {n.lineno})" for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute)
+                   and n.attr in KERNEL_ONLY_PARAMETERS)
+    assert reads == []
 
 
 # Runs the CLI on coverage, rate, sweep and a 3-trial validate, then prints

@@ -12,8 +12,7 @@ from mimosg.errors import ConfigError, DomainError
 from mimosg.params import (SystemParams, c_m, dbm_to_watt, default_gamma_shape,
                            default_params, density_from_exclusion,
                            derive_frame, eta_shape, frame_weights,
-                           make_params, phase_probabilities, split_frame_real,
-                           v_m)
+                           make_params, split_frame_real, v_m)
 
 PI_50 = "3.14159265358979323846264338327950288419716939937510"
 # Reference values computed with a 40-digit log-gamma oracle.
@@ -144,7 +143,7 @@ class TestDensity:
 
 class TestPhaseProbabilities:
     def test_conditioned_reference(self, params_async):
-        tri = phase_probabilities(params_async)
+        tri = frame_weights(params_async).phases
         assert tri == pytest.approx((0.25, 0.25, 0.5))
         assert sum(tri) == pytest.approx(1.0)
 
@@ -161,13 +160,13 @@ class TestPhaseProbabilities:
         obs_dl = obs_sym >= p.n_p + p.n_u          # frame order: p, u, d
         other_dl = other_sym >= p.n_p + p.n_u
         sig = 3.0 / math.sqrt(n)
-        tri = phase_probabilities(p)
+        tri = frame_weights(p).phases
         assert abs(np.mean(other_dl[obs_dl]) - tri.downlink) < 2.0 * sig
 
     def test_sync_is_all_downlink(self, params_sync):
         """Synchronous, every interfering cell shares the observer's
         downlink phase."""
-        tri = phase_probabilities(params_sync)
+        tri = frame_weights(params_sync).phases
         assert tri == (0.0, 0.0, 1.0)
         assert (tri.pilot, tri.uplink, tri.downlink) == (0.0, 0.0, 1.0)
 
@@ -175,7 +174,7 @@ class TestPhaseProbabilities:
         p = make_params(p_d=1.0, p_u=1.0, sigma2=0.0, omega=1e-13, alpha=4.0,
                         m=8, n_tot=42, n_p=40, z=1.0, r_e=0.5, eps=0.0,
                         mode="async")
-        tri = phase_probabilities(p)
+        tri = frame_weights(p).phases
         assert tri.pilot == pytest.approx(40.0 / 42.0)
 
 
@@ -244,11 +243,10 @@ class TestSystemParams:
         and no station-to-station weight; asynchronous, the frame
         fractions of the reference frame n_p = n_u = 10, n_d = 20 of 40."""
         sync = frame_weights(default_params("sync"))
-        assert sync == (1, 1, 1, (1, 1, 1, 1), 0)
+        assert sync == (1, 1, 1, 0, (0, 0, 1))
         assert sync.bs == 0.0 and sync.users == 1
         fw = frame_weights(default_params("async"))
         assert fw.f_w == (10 + 10) / 40 ** 2 == 0.0125
         assert fw.rho2 == 20 ** 2 / 40 ** 2 == 0.25
         assert fw.users == 10
-        assert fw.c_frame == (10, 20 ** 2, 10 + 10, 40 ** 4)
         assert fw.bs == 20

@@ -30,8 +30,9 @@ in one array pass: the Campbell coefficients are linear in eta n T, so each
 row is one scalar times a per-context vector over the x grid. E1 is
 integrated on one fixed log tau-grid shared by every row (tau in
 [1, 1e24], 960 nodes, built once per alpha). Each row splits that grid at
-the first node where its |z| bound drops below 1e-2: the head is summed
-with expm1, in chunks of bounded size, and the far tail from the degree-7
+the first node where its |z| bound drops below 1e-2 (searched for only
+where the bound at the first node reaches it): the head is summed with
+expm1, in chunks of bounded size, and the far tail from the degree-7
 Taylor polynomial of expm1, whose remainder (below Z^K/(K+1)! = 2.5e-19
 of the tail) is under the unit roundoff. The tail reads precomputed suffix
 moments of the grid normalized at the split node, so the polynomial runs
@@ -45,12 +46,13 @@ keeps that within 1e-16 of the integral (``ergodic_rate``). The
 doubly-integrated E2 exponent depends on its arguments only through one
 nonpositive scalar coupling, so it is tabulated once per geometry
 (pi lam, r0, r_e, alpha, eps) on a log-log grid of 217 knots and
-spline-interpolated. The table is built in one pass for all knots: a
-shared t-grid below the inner cut, and beyond it, where every t has the
-same inner row, one cumulative sum of panels between consecutive knots of
-a universal function of the coupling. Tests pin these shortcuts against
-direct quadrature and against ``scipy.integrate.quad`` as the adaptive
-reference.
+spline-interpolated; the cross moment behind Q1 and Q3, which depends on
+the same five values, is kept per geometry too. The table is built in
+one pass for all knots: a shared t-grid below the inner cut, and beyond
+it, where every t has the same inner row, one cumulative sum of panels
+between consecutive knots of a universal function of the coupling. Tests
+pin these shortcuts against direct quadrature and against
+``scipy.integrate.quad`` as the adaptive reference.
 
 The module needs numpy alone. Its one special function is its own: the
 not-a-knot cubic spline of the E2 table (``_Spline``), which tests check
@@ -171,10 +173,21 @@ def _tau_grid(alpha: float) -> _TauGrid:
 def _e1_splits(grid: _TauGrid, beta, gam) -> np.ndarray:
     """Per row, the number of head nodes: those where the bound
     |beta| th + |gam| th^2 on |z| reaches _TAYLOR_Z. The bound grows with
-    th, so they are the nodes with th at or above its positive root."""
+    th, so they are the nodes with th at or above its positive root.
+
+    Only rows whose bound at the first node, th_0, reaches _TAYLOR_Z (1 -
+    1e-9) are searched; the bound of every other row stays below
+    _TAYLOR_Z at th_0, by a margin far above the rounding of the bound and
+    of the root, so its root lies above th_0 and its split is 0."""
     bm = np.abs(beta)
+    gm = np.abs(gam)
+    th0 = grid.th[0]
+    bound = gm * th0
+    bound += bm
+    bound *= th0
+    rows = np.flatnonzero(bound >= _TAYLOR_Z * (1.0 - 1e-9))
+    bm, root = bm[rows], gm[rows]
     # -th_split = -2 Z / (|beta| + sqrt(beta^2 + 4 Z |gam|)), in place
-    root = np.abs(gam)
     root *= 4.0 * _TAYLOR_Z
     root += bm * bm
     np.sqrt(root, out=root)
@@ -182,7 +195,9 @@ def _e1_splits(grid: _TauGrid, beta, gam) -> np.ndarray:
     with np.errstate(divide="ignore"):
         np.divide(-2.0 * _TAYLOR_Z, root, out=root)
     # at most 960: 16 bits, which also lets argsort use a radix sort
-    return np.searchsorted(-grid.th, root, side="right").astype(np.int16)
+    split = np.zeros(bound.size, dtype=np.int16)
+    split[rows] = np.searchsorted(-grid.th, root, side="right")
+    return split
 
 
 def _e1_tail(grid: _TauGrid, beta: np.ndarray, gam: np.ndarray,
@@ -255,9 +270,10 @@ def _e1_integral(grid: _TauGrid, beta: np.ndarray,
     split = _e1_splits(grid, beta, gam)
     out = _e1_tail(grid, beta, gam, split)
 
-    order = np.argsort(split, kind="stable")
+    heads = np.flatnonzero(split)
+    order = heads[np.argsort(split[heads], kind="stable")]
     buf = np.empty(_HEAD_CHUNK + grid.th.size)
-    lo, n_rows = beta.size - np.count_nonzero(split), beta.size
+    lo, n_rows = 0, order.size
     while lo < n_rows:
         # rows [lo, hi): width * rows stays within the chunk budget
         probe = split[order[min(lo + _HEAD_CHUNK // int(split[order[lo]]),
@@ -271,7 +287,10 @@ def _e1_integral(grid: _TauGrid, beta: np.ndarray,
         # than the rows of a wider chunk
         b, g = np.append(beta[rows], 0.0), np.append(gam[rows], 0.0)
         z = buf[:width * b.size].reshape(width, b.size)
-        np.multiply(th, g, out=z)
+        # (g th + b) th: row copies and in-place column scales, which are
+        # cheaper than one broadcast product th g
+        z[...] = g
+        z *= th
         z += b
         z *= th
         np.expm1(z, out=z)
@@ -335,10 +354,20 @@ def q2(params: SystemParams) -> float:
     return 2.0 * params.r_e ** (-params.alpha) / (params.alpha - 2.0)
 
 
-def _cross_moment(params: SystemParams) -> float:
+def _geometry(params: SystemParams) -> tuple:
+    """(pi lam, r0, r_e, alpha, eps): all that the cross moment and the E2
+    table depend on, and the key under which each is kept."""
+    return params.pi_lam, params.r0, params.r_e, params.alpha, params.eps
+
+
+@lru_cache(maxsize=32)
+def _cross_moment(pi_lam: float, r0: float, r_e: float, alpha: float,
+                  eps: float) -> float:
     """E{ sum_j r_jj^(alpha eps) r_lj^-alpha }: the conditional cross moment
     of a foreign user's serving distance and its distance to the tagged
-    station, integrated over the exclusion-ball field.
+    station, integrated over the exclusion-ball field. It depends on the
+    geometry alone (see ``_geometry``), so a sweep over n_p, m or the mode
+    computes it once.
 
     Evaluated as q^(alpha(1-eps)/2) * int_te^inf t^(-alpha/2) I(t) /
     (e^-a0 - e^-t) dt with q = pi lam and I(t) = int_a0^t s^p e^-s ds,
@@ -347,17 +376,16 @@ def _cross_moment(params: SystemParams) -> float:
     ln s, where the integrand s^(p+1) e^-s is entire: eight log-spaced
     panels from a0 to te, then one panel between consecutive t nodes.
     """
-    p = params
-    q = p.pi_lam
-    a0 = q * p.r0 ** 2
-    te = q * p.r_e ** 2
-    pexp = p.alpha * p.eps / 2.0
+    q = pi_lam
+    a0 = q * r0 ** 2
+    te = q * r_e ** 2
+    pexp = alpha * eps / 2.0
 
     # the tail integral beyond t_max is ~ Gamma(pexp+1) t_max^(1-alpha/2)
     # / (alpha/2 - 1); size t_max so that remainder is negligible
     gtot = math.exp(math.lgamma(pexp + 1.0))
-    t_max = max(10.0 * te,
-                (gtot / (1e-13 * (p.alpha / 2.0 - 1.0))) ** (2.0 / (p.alpha - 2.0)))
+    t_max = max(10.0 * te, (gtot / (1e-13 * (alpha / 2.0 - 1.0)))
+                ** (2.0 / (alpha - 2.0)))
     t, wt = log_panel_grid(te, t_max, panels_per_decade=4,
                            n_per_panel=GRID_OUTER)
     u, wu = gauss_legendre_panels(
@@ -365,8 +393,8 @@ def _cross_moment(params: SystemParams) -> float:
     # s^(p+1) e^-s as one exponential, which cannot overflow at large s
     wu *= np.exp((pexp + 1.0) * u - np.exp(u))
     inner = np.cumsum(wu.reshape(-1, 8).sum(axis=1))[8:]
-    vals = t ** (-p.alpha / 2.0) * inner / (math.exp(-a0) - np.exp(-t))
-    return q ** (p.alpha * (1.0 - p.eps) / 2.0) * float(np.dot(wt, vals))
+    vals = t ** (-alpha / 2.0) * inner / (math.exp(-a0) - np.exp(-t))
+    return q ** (alpha * (1.0 - eps) / 2.0) * float(np.dot(wt, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +500,8 @@ def _e2_slot(pi_lam: float, r0: float, r_e: float, alpha: float,
 
 
 class _Context:
-    """What the analytic engine derives from one parameter set: the cross
-    moment, computed once, and from it Q1, Q2 and Q3; and on the fixed x
+    """What the analytic engine derives from one parameter set: from the
+    cross moment of its geometry, Q1, Q2 and Q3; and on the fixed x
     grid the Monte Carlo kernels' per-user terms, and from them c1 and B,
     C, D per unit of eta n T (all three are linear in it).
 
@@ -487,7 +515,7 @@ class _Context:
 
     def __init__(self, params: SystemParams):
         p = self.params = params
-        cm = _cross_moment(p)
+        cm = _cross_moment(*_geometry(p))
         fw = frame_weights(p)
         self.f_w, self.rho2, self.users = fw.f_w, fw.rho2, fw.users
         # the frame factors of C and of g3
@@ -663,7 +691,7 @@ class _Context:
         """The E2 table of this geometry, built on first use and shared
         with every parameter set of the same geometry."""
         p = self.params
-        slot = _e2_slot(p.pi_lam, p.r0, p.r_e, p.alpha, p.eps)
+        slot = _e2_slot(*_geometry(p))
         if not slot:
             slot.append(self._build_e2_table())
         return slot[0]

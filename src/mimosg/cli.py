@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -81,6 +82,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
         unknown = set(loaded) - set(DEFAULT_CONFIG)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        # open() takes an int (or a bool) as a file descriptor, and would
+        # write to it and close it
+        if not isinstance(loaded.get("output"), (str, type(None))):
+            raise ConfigError("config key 'output' must be a path or null, "
+                              f"got {json.dumps(loaded['output']):.60}")
         cfg.update(loaded)
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg
@@ -442,7 +448,12 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
+@functools.lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
+    """The program's argument parser, built once per process: parsing
+    does not change it, and every ``main`` call parses into a fresh
+    namespace, so a process that calls ``main`` more than once (a test
+    suite, an in-process benchmark) builds it only for the first call."""
     parser = argparse.ArgumentParser(
         prog="mimosg",
         description="Coverage and ergodic rate of (a)synchronous massive "

@@ -350,8 +350,8 @@ class TestExclusionBallConstants:
 
         ref = (q ** (alpha * (1.0 - eps) / 2.0)
                * quad(f, te, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0])
-        assert analytic._cross_moment(p) == pytest.approx(ref, rel=1e-12,
-                                                          abs=0.0)
+        assert analytic._cross_moment(*analytic._geometry(p)) \
+            == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_q1_monte_carlo_estimator(self, params_async, rng):
         """Sample the exclusion-ball field and the conditional serving law;
@@ -600,6 +600,84 @@ class TestLaplaceTerms:
         for i in np.concatenate(picks):
             alone = _e1_integral(grid, beta[i:i + 1], gam[i:i + 1])
             assert alone[0] == block[i]
+
+    # Relative offsets from _TAYLOR_Z of the bound |beta| th_0 + |gam|
+    # th_0^2 at the first node: far below it, on both sides of the margin
+    # of the pre-check (1e-9), and within 1e-12 of it
+    SPLIT_EDGE_OFFSETS = (-0.5, -1e-6, -2e-9, -1e-9 * (1.0 + 1e-6),
+                          -1e-9 * (1.0 - 1e-6), -1e-12, -3e-13, 0.0, 3e-13,
+                          1e-12)
+    # _e1_integral of the edge rows (pure beta, half and half, pure gam,
+    # each at every offset) and of SPLIT_FIXED_ROWS, as computed by
+    # searching the split of every row; alpha = 4
+    SPLIT_EDGE_VALUES = [
+        -0.005097721504959274, -0.010186782355959195, -0.01018679250512938,
+        -0.010186792515298878, -0.010186792515298897, -0.010186792525458227,
+        -0.010186792525465345, -0.0101867925254684, -0.01018679252547145,
+        -0.010186792525478569,
+        -0.0034158330672762033, -0.006825883734417769, -0.006825890535140365,
+        -0.006825890541954709, -0.006825890541954722, -0.006825890548762253,
+        -0.0068258905487670225, -0.006825890548769067, -0.006825890548771112,
+        -0.006825890548775882,
+        -0.001733464177412038, -0.0034630656337561704, -0.003463069082204529,
+        -0.0034630690856598846, -0.0034630690856598915, -0.003463069089111792,
+        -0.003463069089114211, -0.0034630690891152473, -0.0034630690891162825,
+        -0.0034630690891187025]
+    SPLIT_FIXED_ROWS = [(-1e-3, -1e-5), (-0.3, -20.0), (-50.0, -1e3),
+                        (-1e4, -1e6), (0.0, -3e-2), (-2.5e-2, 0.0),
+                        (0.0, 0.0)]
+    SPLIT_FIXED_VALUES = [
+        -0.0010031646935708596, -1.7185902150674937, -12.3949345237097,
+        -176.6805916625229, -0.00993612113723755, -0.024896351850529363, 0.0]
+
+    @staticmethod
+    def _searched_splits(grid, beta, gam):
+        """The split of every row by the root and a binary search, with
+        no pre-check: th_split = 2 Z / (|beta| + sqrt(beta^2 + 4 Z |gam|))
+        and the count of nodes with th at or above it."""
+        bm = np.abs(beta)
+        with np.errstate(divide="ignore"):
+            root = -2.0 * _TAYLOR_Z / (
+                np.sqrt(np.abs(gam) * (4.0 * _TAYLOR_Z) + bm * bm) + bm)
+        return np.searchsorted(-grid.th, root, side="right")
+
+    def test_split_pre_check_is_exact(self):
+        """Rows whose bound at the first node stays below _TAYLOR_Z (1 -
+        1e-9) get split 0 without a search. At and near that edge, and on
+        random rows over the couplings the engine meets, every split is
+        the searched one, and _e1_integral returns, bit for bit, what it
+        returned when it searched every row."""
+        grid = _tau_grid(4.0)
+        th0 = grid.th[0]
+        beta, gam = [], []
+        for f in (0.0, 0.5, 1.0):
+            for rel in self.SPLIT_EDGE_OFFSETS:
+                bound = _TAYLOR_Z * (1.0 + rel)
+                beta.append(-(1.0 - f) * bound / th0)
+                gam.append(-f * bound / th0 ** 2)
+        beta, gam = np.array(beta), np.array(gam)
+        split = _e1_splits(grid, beta, gam)
+        np.testing.assert_array_equal(
+            split, self._searched_splits(grid, beta, gam))
+        # both sides of the edge occur: split 0 at and just below it
+        assert split.min() == 0 and split.max() == 1
+        assert _e1_integral(grid, beta, gam).tolist() \
+            == self.SPLIT_EDGE_VALUES
+
+        fixed_b, fixed_g = (np.array(col) for col in
+                            zip(*self.SPLIT_FIXED_ROWS))
+        assert _e1_integral(grid, fixed_b, fixed_g).tolist() \
+            == self.SPLIT_FIXED_VALUES
+
+        rng = np.random.default_rng(25)
+        rb = -10.0 ** rng.uniform(-9.0, 4.0, 4000)
+        rg = -10.0 ** rng.uniform(-12.0, 6.0, 4000)
+        rg[::7] = 0.0
+        rb[3::7] = 0.0
+        split = _e1_splits(grid, rb, rg)
+        np.testing.assert_array_equal(split,
+                                      self._searched_splits(grid, rb, rg))
+        assert 0.1 < np.mean(split == 0) < 0.9
 
     @pytest.mark.parametrize("mode, eps, n_p", [
         ("sync", 0.0, 2), ("sync", 0.5, 2), ("sync", 1.0, 2),
@@ -911,6 +989,19 @@ class TestErgodicRate:
                             2.0 * analytic._Z_PANELS_PER_DECADE)
         assert ergodic_rate(p, n_shape).rate == pytest.approx(rate,
                                                               rel=1e-10)
+
+    @pytest.mark.parametrize("n_p", [10, 15, 20, 25])
+    def test_halving_z_panels_sync_full_power_control(self, n_p,
+                                                      monkeypatch):
+        """At sync eps 1, N = 4, the setting where halving the z panels
+        moves the rate most (1.06e-10, 4.9e-10, 7.3e-10 and 6.0e-10 at
+        n_p 10, 15, 20 and 25), the 3-per-decade z rule holds the rate to
+        1e-9, not to test_halving_z_panels' 1e-10."""
+        p = default_params("sync", m=64, eps=1.0, n_p=n_p, strict_frame=False)
+        rate = ergodic_rate(p, 4).rate
+        monkeypatch.setattr(analytic, "_Z_PANELS_PER_DECADE",
+                            2.0 * analytic._Z_PANELS_PER_DECADE)
+        assert ergodic_rate(p, 4).rate == pytest.approx(rate, rel=1e-9)
 
     @pytest.mark.parametrize("mode, eps, m", [
         ("async", 0.0, 64), ("async", 0.5, 64), ("async", 1.0, 64),

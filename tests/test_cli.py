@@ -1,6 +1,8 @@
 import argparse
 import json
+import logging
 import math
+import os
 import warnings
 
 import pytest
@@ -212,6 +214,23 @@ class TestSubcommands:
         assert code == EXIT_CONFIG
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize("output", [1, True, 7])
+    def test_config_output_not_a_path(self, capsys, tmp_path, output):
+        """A non-string output would be opened as a file descriptor (1 is
+        standard output, which would then be closed): exit 2 with the key
+        named, before anything is written or closed."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"output": output}))
+        code, out, err = run_cli(capsys, "coverage", "--config", str(path),
+                                 "--thresholds-db", "0:6:3")
+        assert code == EXIT_CONFIG
+        assert f"config key 'output' must be a path or null, got " \
+               f"{json.dumps(output)}" in err
+        assert out == ""
+        os.fstat(1)     # still open
+        code, out, _ = run_cli(capsys, "coverage", "--thresholds-db", "0:6:3")
+        assert code == EXIT_OK and out.startswith("threshold_db,coverage")
 
     @pytest.mark.parametrize("command, argv, loaded, message", [
         ("coverage-mc", ["--window-km", "inf"], {}, "window must be finite"),
@@ -576,3 +595,70 @@ class TestSubcommands:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "coverage", "--config", "/nonexistent")
         assert code == EXIT_CONFIG
+
+
+class TestParserReuse:
+    """The parser is built once per process; each ``main`` call parses its
+    own arguments into a fresh namespace."""
+
+    def test_successive_mains_parse_independently(self, capsys,
+                                                  monkeypatch):
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig",
+                            lambda **kw: levels.append(kw["level"]))
+        make_parser.cache_clear()
+        calls = [(["-v", "rate", "--mode", "sync", "--eps", "0.5"],
+                  logging.INFO, "sync", 0.5),
+                 (["coverage", "--thresholds-db", "0:6:3"],
+                  logging.WARNING, "async", 0.0),
+                 (["sweep", "--param", "np", "--values", "5", "-v",
+                   "--m", "32"], logging.INFO, "async", 0.0),
+                 (["rate", "--np", "4"], logging.WARNING, "async", 0.0)]
+        docs = []
+        for argv, _, _, _ in calls:
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            assert code == EXIT_OK
+            docs.append(json.loads(out))
+        assert levels == [level for _, level, _, _ in calls]
+        assert [d["kind"] for d in docs] == ["rate", "coverage", "sweep",
+                                             "rate"]
+        assert [(d["effective_config"]["mode"], d["effective_config"]["eps"])
+                for d in docs] == [(mode, eps) for *_, mode, eps in calls]
+        assert [d["effective_config"]["m"] for d in docs] == [64, 64, 32, 64]
+        assert [d["effective_config"]["n_p"] for d in docs] == [10, 10, 10, 4]
+        # the second call's grid does not carry over to the fourth
+        assert [d["effective_config"]["thresholds_db"] for d in docs[1::2]] \
+            == ["0:6:3", "-10:20:1"]
+
+    def test_make_parser_is_cached_until_cleared(self):
+        parser = make_parser()
+        assert make_parser() is parser
+        make_parser.cache_clear()
+        fresh = make_parser()
+        assert fresh is not parser
+        assert make_parser() is fresh
+
+    @pytest.mark.parametrize("command", [None, *TestSubcommands.SUBCOMMANDS])
+    def test_help_of_a_used_parser_equals_a_fresh_one(self, capsys,
+                                                      monkeypatch, command):
+        """``--help`` of the program and of every subcommand, printed by a
+        parser that earlier calls have parsed with, is byte for byte that
+        of a parser on its first use, which is built by the same code as
+        before the parser was kept."""
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ([] if command is None else [command]) + ["--help"]
+
+        def help_text():
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        make_parser.cache_clear()
+        first = help_text()
+        for args in (["-v", "rate", "--mode", "sync"],
+                     ["coverage", "--thresholds-db", "0:6:3", "-v"]):
+            assert main(args) == EXIT_OK
+        capsys.readouterr()
+        assert help_text() == first
+        assert first.startswith("usage: mimosg")

@@ -9,30 +9,34 @@ the search reduces over the short station axis.
 one-user reference in ``tests/reference_sinr.py``, batched over all users
 of a realization; the kernel-parity tests pin the two against each other.
 They take the realization's arrays and the
-:class:`~mimosg.params.SystemParams` whole, and derive the rest (tagged
-distances, 1/Delta tables, C_M^2, V_M) themselves, and compute each
-realized sum once: ``sinr_batch`` reads g1 and delta1 from the tagged
-station's row of ``all_deltas``' foreign pilot power table, and g3 from
-the users' r^(alpha eps) that ``all_deltas`` forms for that table. The
-users of all valid cells are flattened cell-major into one axis ("nu"),
-K per cell in slot order; the tagged users ("nt") are those of one cell.
-d_bu[j, i] is the distance from station j to user i, d_uu[i, t] from user
-i to tagged user t. ``phases`` holds one code per cell: 0 pilot, 1
-uplink, 2 downlink. The first argument of each kernel is the per-user
-array its work scales with, so a wrapper (``perfbench/run.py --trace
-1``) sizes a call by len(args[0]).
+:class:`~mimosg.params.SystemParams` whole, and derive the rest (the user
+layout, tagged distances, 1/Delta group sums, C_M^2, V_M) themselves, and
+compute each realized sum once: ``sinr_batch`` reads g1 and delta1 from
+the tagged station's row of ``all_deltas``' foreign pilot power table, and
+g3 from the users' r^(alpha eps) that ``all_deltas`` forms for that table.
+
+The user layout follows from the (n_bs,) cell mask ``valid`` alone: the
+users of the valid cells in cell order form one axis ("nu"), K = n_p per
+cell in slot order, so user i is in cell flatnonzero(valid)[i // K] and
+slot i % K. The tagged users ("nt") are those of one cell. d_bu[j, i] is
+the distance from station j to user i, d_uu[i, t] from user i to tagged
+user t. ``phases`` holds one ``params.PHASE_*`` code per station. The
+first argument of each kernel is the per-user array its work scales
+with, so a wrapper (``perfbench/run.py --trace 1``) sizes a call by
+len(args[0]).
 
 Each term of the inverse SINR has its one implementation here:
-``user_terms`` (the terms of a user's serving distance alone), ``amp``,
-``beam_scale``, ``uplink_scale``, ``pilot_noise`` and ``bs_gain``. The
-analytic engine reads them all and replaces only the realized sums.
+``user_terms`` (the terms of a user's serving distance alone),
+``own_cell``, ``amp``, ``beam_scale``, ``uplink_scale``, ``pilot_noise``
+and ``bs_gain``. The analytic engine reads them all and replaces only the
+realized sums.
 
 Both modes run the same formulas; the mode reaches them only as data, the
 frame weights of :func:`~mimosg.params.frame_weights`. Users whose pilots
 collide form a pilot group: the K slots of a cell fall into K // users
-groups, slot s into group s % (K // users). Asynchronous, every pilot
-collides and each cell is one group; synchronous, only equal slots do and
-each slot is a group. The weights are the frame fractions asynchronous
+groups, slot s into group s % (K // users), and so user i into group
+i % (K // users). Asynchronous, every pilot collides and each cell is one
+group; synchronous, only equal slots do and each slot is a group. The weights are the frame fractions asynchronous
 and 1 synchronous, where the station-to-station weight is 0, and the
 synchronous phases are all downlink, so g3 is +0.0.
 
@@ -45,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import c_m, frame_weights, v_m
+from .params import PHASE_DOWNLINK, c_m, frame_weights, v_m
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +107,14 @@ class UserTerms(NamedTuple):
     pilot: np.ndarray       # g2's pilot-contamination weight, (M - 1) x^2a/C_M^2
 
 
+def own_cell(p) -> float:
+    """g1's noise-free own-cell sum, (V_M - 1)/C_M^2 + n_p/C_M^2, the floor
+    of g1 at every serving distance."""
+    c = c_m(p.m)
+    c2 = c * c
+    return (v_m(p.m) - 1.0) / c2 + p.n_p / c2
+
+
 def user_terms(x, p) -> UserTerms:
     """The x-only terms of the inverse SINR at serving distances x."""
     alpha, eps, sigma2, omega = p.alpha, p.eps, p.sigma2, p.omega
@@ -113,7 +125,7 @@ def user_terms(x, p) -> UserTerms:
     x1e = x ** (alpha * (1.0 - eps))
     x2e = x ** (alpha * (2.0 - eps))
     x2a = x ** (2.0 * alpha)
-    base = ((v_m(p.m) - 1.0) / c2 + n_p / c2
+    base = (own_cell(p)
             + sigma2 * xa / (p_d * omega * c2)
             + sigma2 * x1e / (p_u * c2 * omega ** (1.0 - eps))
             + sigma2 ** 2 * x2e / (n_p * p_u * p_d * c2 * omega ** (2.0 - eps)))
@@ -151,8 +163,13 @@ def bs_gain(p) -> float:
             / (p.p_u * p.omega ** (-p.eps) * p.n_tot ** 2))
 
 
-def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
-               foreign, serv_pow, valid, phases, p):
+def _user_cells(valid, p):
+    """The cell of every user: each valid cell in order, K = n_p times."""
+    return np.flatnonzero(valid).repeat(p.n_p)
+
+
+def sinr_batch(tag_user, d_serv, d_bu, d_uu, deltas, foreign, serv_pow,
+               valid, phases, p):
     """Inverse-SINR decomposition (g1, g2, g3) for every tagged user of one
     realization.
 
@@ -161,17 +178,19 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
     valid: (n_bs,) bool cell validity. phases: (n_bs,) int8 phase of
     every cell as seen by the tagged cell (its own entry is ignored).
     """
-    alpha, n_p = p.alpha, p.n_p
+    alpha = p.alpha
     fw = frame_weights(p)
     t = user_terms(d_serv[tag_user], p)
+    user_cell = _user_cells(valid, p)
     tag_cell = user_cell[tag_user[0]]
     n_bs, n_groups = foreign.shape
-    tag_group = pilot_slot[tag_user] % n_groups                    # (nt,)
+    tag_group = tag_user % n_groups                                # (nt,)
 
-    # 1/Delta_{jk} summed over the users k of each pilot group of cell j
-    inv_delta_pilot = np.zeros((n_bs, n_p))
-    inv_delta_pilot[user_cell, pilot_slot] = 1.0 / deltas
-    inv_delta_group = inv_delta_pilot.reshape(n_bs, fw.users, n_groups).sum(axis=1)
+    # 1/Delta_{jk} summed over the users k of each pilot group of cell j:
+    # the valid cells' users, K per cell, run group-last
+    inv_delta_group = np.zeros((n_bs, n_groups))
+    inv_delta_group[valid] = (1.0 / deltas).reshape(
+        -1, fw.users, n_groups).sum(axis=1)
 
     # the foreign pilot power at the tagged station, in each tagged user's
     # group: g1's channel-estimation error and Delta's ratio delta1
@@ -179,7 +198,8 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
     g1 = t.base + t.i_coef * foreign_t
     a = amp(t, foreign_t + pilot_noise(p))
 
-    chi_dd = (phases == 2) & (np.arange(n_bs) != tag_cell) & valid  # (n_bs,)
+    chi_dd = ((phases == PHASE_DOWNLINK) & (np.arange(n_bs) != tag_cell)
+              & valid)                                             # (n_bs,)
 
     r_jl = d_bu[:, tag_user].T                                    # (nt, n_bs)
     beam = (r_jl ** (-alpha) * chi_dd).sum(axis=1)
@@ -187,7 +207,7 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
            * r_jl ** (-2.0 * alpha)).sum(axis=1)
     g2 = beam_scale(a, p) * beam + t.pilot * fw.f_w * deltas[tag_user] * pil
 
-    um = (user_cell != tag_cell) & (phases[user_cell] <= 1)        # (nu,)
+    um = (user_cell != tag_cell) & (phases[user_cell] != PHASE_DOWNLINK)
     d_ut = np.where(um, d_uu.T, 1.0)
     # masking P_i before the product gives the same +0.0 terms
     g3 = uplink_scale(a, p) * ((serv_pow * um)[None, :]
@@ -195,7 +215,7 @@ def sinr_batch(tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
     return g1, g2, g3
 
 
-def all_deltas(d_serv, user_cell, d_bu, d_bb, valid, p):
+def all_deltas(d_serv, d_bu, d_bb, valid, p):
     """Delta of every user at its own station; the (n_bs, n_groups)
     foreign pilot power table I, in units of p_u omega^(1-eps): at station
     j in group g, f_w sum r_i^(alpha eps) d_ji^-alpha over the group's users
@@ -208,6 +228,7 @@ def all_deltas(d_serv, user_cell, d_bu, d_bb, valid, p):
     n_bs = d_bb.shape[0]
     n_groups = p.n_p // fw.users
     cells = np.arange(n_bs)
+    user_cell = _user_cells(valid, p)
 
     serv_pow = d_serv ** (alpha * eps)
     w = serv_pow[None, :] * d_bu ** (-alpha)                  # (n_bs, nu)

@@ -69,11 +69,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import (amp, beam_scale, bs_gain, pilot_noise, uplink_scale,
-                       user_terms)
+from ._kernels import (amp, beam_scale, bs_gain, own_cell, pilot_noise,
+                       uplink_scale, user_terms)
 from .errors import DomainError, NumericalError
-from .params import (SystemParams, c_m, default_gamma_shape, eta_shape,
-                     frame_weights, v_m)
+from .params import (SystemParams, default_gamma_shape, eta_shape,
+                     frame_weights)
 from .quadrature import (gauss_legendre_panels, leggauss, log_breaks,
                          log_panel_grid)
 
@@ -892,12 +892,12 @@ def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult
     the N = 1 coverage, so the rate is pref / ln 2 times one integral,
     int_0^inf L(z) k(z) dz with k(z) = sum_n s_n / (z + eta n). Its panels
     run from the first candidate where L is L(0) to 1e-13 up to z_hi =
-    ln(1e18) / f, f = (v_m - 1 + n_p) / C_M^2, past which L is below
-    1e-18: c1 >= f and the E1, E2 exponents are <= 0, so L(z) <= L(0)
-    e^(-z f). The head [0, z_lo] is L(0) sum_n s_n ln(1 + z_lo / (eta n)),
-    with z_lo the largest panel break where that is within _Z_HEAD_TOL of
-    the integral (see :func:`_head_end`); the panels below it are
-    dropped."""
+    ln(1e18) / f, f = (v_m - 1 + n_p) / C_M^2 (``own_cell``), past which L
+    is below 1e-18: c1 >= f, since c1 adds non-negative terms to the same
+    f, and the E1, E2 exponents are <= 0, so L(z) <= L(0) e^(-z f). The
+    head [0, z_lo] is L(0) sum_n s_n ln(1 + z_lo / (eta n)), with z_lo the
+    largest panel break where that is within _Z_HEAD_TOL of the integral
+    (see :func:`_head_end`); the panels below it are dropped."""
     n_shape = _gamma_shape(n_shape, params)
     z_probe = np.concatenate([_Z_LO_CANDIDATES, _Z_HEAD_PROBES])
     probe, _ = _coverage_values(np.append(0.0, z_probe), params, 1)
@@ -906,7 +906,7 @@ def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult
     flat = np.flatnonzero(l0 - l_probe[:_Z_LO_CANDIDATES.size] < _Z_LO_TOL)
     if not flat.size:
         raise NumericalError("L(z) is not flat near z = 0 down to 1e-30")
-    f = (v_m(params.m) - 1.0 + params.n_p) / c_m(params.m) ** 2
+    f = own_cell(params)
     z_hi = math.log(1.0 / _Z_HI_TAIL) / f
     breaks = log_breaks(float(_Z_LO_CANDIDATES[flat[0]]), z_hi,
                         _Z_PANELS_PER_DECADE)

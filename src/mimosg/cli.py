@@ -44,6 +44,9 @@ KS_CRITICAL_001 = 1.95
 # every one of them, so a larger grid is a typo, not a request.
 MAX_THRESHOLDS = 1_000_000
 
+# Output formats of write_results.
+FORMATS = ("csv", "json")
+
 # Human-unit defaults of the validation suite's reference setting.
 DEFAULT_CONFIG = {
     "p_d_dbm": 45.0,
@@ -87,6 +90,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
         if not isinstance(loaded.get("output"), (str, type(None))):
             raise ConfigError("config key 'output' must be a path or null, "
                               f"got {json.dumps(loaded['output']):.60}")
+        # checked here, not when the result is written after the whole run
+        if loaded.get("format", "csv") not in FORMATS:
+            raise ConfigError(f"config key 'format' must be one of "
+                              f"{list(FORMATS)}, got "
+                              f"{json.dumps(loaded['format']):.60}")
         cfg.update(loaded)
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg
@@ -444,7 +452,7 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--margin-km", dest="margin_km", type=float)
     common.add_argument("--workers", type=int)
     common.add_argument("--output", "-o", help="output path (default stdout)")
-    common.add_argument("--format", choices=["csv", "json"])
+    common.add_argument("--format", choices=FORMATS)
     return common
 
 

@@ -49,7 +49,9 @@ from . import _kernels
 from .analytic import CoverageCurve, RateResult, _gamma_shape, coverage
 from .errors import ConfigError, EstimationError, RealizationError
 from .geometry import build_network
-from .params import SystemParams, frame_weights
+# the phase codes that draw_phases returns, for its callers to read here
+from .params import (PHASE_DOWNLINK, PHASE_PILOT, PHASE_UPLINK,
+                     SystemParams, frame_weights)
 
 log = logging.getLogger(__name__)
 
@@ -90,10 +92,6 @@ class McConfig:
         object.__setattr__(self, "thresholds", thresholds)
 
 
-# phase codes of an interfering cell at the observed symbol
-PHASE_PILOT, PHASE_UPLINK, PHASE_DOWNLINK = 0, 1, 2
-
-
 def draw_phases(params: SystemParams, n_cells: int,
                 rng: np.random.Generator) -> np.ndarray:
     """One categorical phase draw per interfering cell: an (n_cells,) int8
@@ -105,7 +103,8 @@ def draw_phases(params: SystemParams, n_cells: int,
     asynchronous, and (0, 0, 1) synchronous, where every draw is downlink.
     """
     # the steps of rng.choice(3, size=n_cells, p=probs), without its
-    # per-call checks of p: the same uniforms give the same draws
+    # per-call checks of p: the same uniforms give the same draws. A draw
+    # is the index of its PhaseTriple field, which is its phase code.
     cdf = np.array(frame_weights(params).phases).cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(n_cells), side="right").astype(np.int8)
@@ -114,17 +113,6 @@ def draw_phases(params: SystemParams, n_cells: int,
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """Deterministic per-trial stream: SeedSequence((seed, index))."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
-
-
-def _flatten_users(net):
-    """Flat arrays over users of valid cells."""
-    valid_cells = net.valid.nonzero()[0]
-    k = net.k
-    user_cell = valid_cells.repeat(k)
-    pilot_slot = np.arange(valid_cells.size * k) % k
-    pos = net.users[valid_cells].reshape(-1, 2)
-    d_serv = net.serving[valid_cells].reshape(-1)
-    return user_cell, pilot_slot, pos, d_serv
 
 
 def run_trial(params: SystemParams, cfg: McConfig, index: int):
@@ -149,24 +137,28 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
     if not (net.valid[zero_cell] and lo <= bx <= hi and lo <= by <= hi):
         return 0, np.zeros(thr.size), 0.0
 
-    user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
+    # the users of the valid cells, flattened in the kernels' layout
+    pos = net.users[net.valid].reshape(-1, 2)
+    d_serv = net.serving[net.valid].reshape(-1)
     d_bu = _kernels.pairwise_dist(net.bs, pos)
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
 
     p = params
     deltas, foreign, serv_pow = _kernels.all_deltas(
-        d_serv, user_cell, d_bu, d_bb, net.valid, p)
+        d_serv, d_bu, d_bb, net.valid, p)
 
-    # a valid cell holds exactly K users, so the zero-cell tags K of them
-    tag_user = (user_cell == zero_cell).nonzero()[0]
+    # a valid cell holds exactly K users, so the zero-cell tags the K
+    # after those of the valid cells before it
+    k = net.k
+    tag_user = k * int(net.valid[:zero_cell].sum()) + np.arange(k)
 
     # one phase draw per interfering cell, shared by the zero-cell's users
     phases = draw_phases(p, net.n_bs, rng)
 
     d_uu = _kernels.pairwise_dist(pos, pos[tag_user])  # (nu, nt)
     g1, g2, g3 = _kernels.sinr_batch(
-        tag_user, pilot_slot, d_serv, user_cell, d_bu, d_uu, deltas,
-        foreign, serv_pow, net.valid, phases, p)
+        tag_user, d_serv, d_bu, d_uu, deltas, foreign, serv_pow, net.valid,
+        phases, p)
 
     sinr = 1.0 / (g1 + g2 + g3)
     counts = (sinr[:, None] > thr[None, :]).sum(axis=0).astype(float)

@@ -158,6 +158,11 @@ class PhaseTriple(NamedTuple):
     downlink: float
 
 
+# phase codes of an interfering cell at the observed symbol: the index of
+# its phase among PhaseTriple's fields, as the phase draw maps uniforms
+PHASE_PILOT, PHASE_UPLINK, PHASE_DOWNLINK = 0, 1, 2
+
+
 class FrameWeights(NamedTuple):
     """How much of an interfering cell's frame counts: the weights that make
     the two modes one set of formulas in both engines, and the law of its

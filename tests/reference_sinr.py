@@ -29,7 +29,7 @@ import numpy as np
 from mimosg import _kernels
 from mimosg.errors import DomainError, NumericalError
 from mimosg.geometry import NetworkRealization
-from mimosg.montecarlo import PHASE_DOWNLINK, PHASE_UPLINK, _flatten_users
+from mimosg.montecarlo import PHASE_DOWNLINK, PHASE_UPLINK
 from mimosg.params import SystemParams, c_m, v_m
 
 
@@ -47,17 +47,22 @@ class KernelRun(NamedTuple):
 def run_kernels(net: NetworkRealization, params: SystemParams,
                 tag_cell: int, phases: np.ndarray) -> KernelRun:
     """``all_deltas`` on every user of ``net`` and ``sinr_batch`` on the
-    users of ``tag_cell``, with ``phases`` one code per cell."""
-    user_cell, pilot_slot, pos, d_serv = _flatten_users(net)
+    users of ``tag_cell``, with ``phases`` one code per cell. The users of
+    the valid cells are flattened cell by cell, each cell's in slot order;
+    ``user_cell`` and ``pilot_slot`` name the cell and slot of each."""
+    cells = np.flatnonzero(net.valid)
+    user_cell = cells.repeat(net.k)
+    pilot_slot = np.tile(np.arange(net.k), cells.size)
+    pos = net.users[cells].reshape(-1, 2)
+    d_serv = net.serving[cells].reshape(-1)
     d_bu = _kernels.pairwise_dist(net.bs, pos)
     d_bb = _kernels.pairwise_dist(net.bs, net.bs)
     deltas, foreign, serv_pow = _kernels.all_deltas(
-        d_serv, user_cell, d_bu, d_bb, net.valid, params)
+        d_serv, d_bu, d_bb, net.valid, params)
     tag = np.flatnonzero(user_cell == tag_cell)
     sinr = _kernels.sinr_batch(
-        tag, pilot_slot, d_serv, user_cell, d_bu,
-        _kernels.pairwise_dist(pos, pos[tag]), deltas, foreign, serv_pow,
-        net.valid, phases, params)
+        tag, d_serv, d_bu, _kernels.pairwise_dist(pos, pos[tag]), deltas,
+        foreign, serv_pow, net.valid, phases, params)
     return KernelRun(user_cell, pilot_slot, d_serv, deltas, foreign, tag,
                      sinr)
 

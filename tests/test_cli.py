@@ -12,6 +12,7 @@ from mimosg.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_OK, build_params,
                         format_csv, load_config, main, make_parser,
                         parse_threshold_grid, write_results)
 from mimosg.errors import ConfigError
+from mimosg.params import default_params
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +72,11 @@ class TestConfigHandling:
         path.write_text(json.dumps({"m": 128, "eps": 0.5}))
         cfg = load_config(str(path), {"m": 64})
         assert cfg["m"] == 64 and cfg["eps"] == 0.5
+
+    def test_default_config_is_the_reference_setting(self):
+        """The CLI's defaults and default_params() are one setting: the
+        13 model keys of DEFAULT_CONFIG build the same SystemParams."""
+        assert build_params(load_config(None, {})) == default_params()
 
     def test_unit_conversion_roundtrip(self):
         cfg = load_config(None, {})
@@ -356,6 +362,23 @@ class TestSubcommands:
         code, out, err = run_cli(capsys, "pdf-check", "--samples", samples)
         assert code == EXIT_CONFIG
         assert f"--samples must be >= 1, got {samples}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["xml", 1, None])
+    def test_config_format_checked_before_any_trial(self, capsys, monkeypatch,
+                                                    tmp_path, fmt):
+        """A config file's unknown format exits 2 when the config is read,
+        not after the whole run when the result is written."""
+        def no_trials(*args):
+            raise AssertionError("trials ran")
+        monkeypatch.setattr(montecarlo, "_run_trials", no_trials)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"format": fmt}))
+        code, out, err = run_cli(capsys, "validate", "--gate", "0.9",
+                                 "--trials", "100", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert ("config key 'format' must be one of ['csv', 'json'], got "
+                f"{json.dumps(fmt)}") in err
         assert out == ""
 
     @pytest.mark.parametrize("gate", ["-1", "nan", "inf"])

@@ -204,22 +204,29 @@ class TestKernelParity:
         p = default_params(mode, eps=eps, n_p=n_p)
         net = build_network(p, 4.0, rng)
         phases = _random_phases(p, net, rng)
-        run = run_kernels(net, p, central_cells(net, 1.0)[0], phases)
-        user_cell, pilot_slot, deltas, tag, sinr = (
-            run.user_cell, run.pilot_slot, run.deltas, run.tag, run.sinr)
-        table = np.full((net.n_bs, p.n_p), np.nan)
-        table[user_cell, pilot_slot] = deltas
-        for t, u in enumerate(tag):
-            b = extract_bundle(net, int(user_cell[u]), int(pilot_slot[u]))
-            assert b is not None
-            assert compute_delta(b, p) == pytest.approx(deltas[u], rel=1e-12)
-            inv = inverse_sinr(
-                b, phases[b.other_cells],
-                DeltaSet(tagged=table[b.cell_index, b.pilot_index],
-                         other=table[b.other_cells]), p)
-            got = [g[t] for g in sinr]
-            want = [inv.gamma1, inv.gamma2, inv.gamma3]
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-18)
+        _check_against_oracle(net, p, central_cells(net, 1.0)[0], phases)
+
+    @pytest.mark.parametrize("mode", ["async", "sync"])
+    def test_realization_with_an_empty_cell(self, mode, params_async,
+                                            params_sync):
+        """The realization of seed 42 trial 592: cell 21 of its 26 holds no
+        user beyond r0, so the user layout skips it, and the zero-cell 20
+        still tags K users. Both kernels against the oracle there, with
+        the trial's own phase draw."""
+        p = params_async if mode == "async" else params_sync
+        rng = trial_rng(42, 592)
+        net = build_network(p, 4.0, rng)
+        assert net.n_bs == 26
+        assert np.flatnonzero(~net.valid).tolist() == [21]
+        phases = montecarlo.draw_phases(p, net.n_bs, rng)
+        run = _check_against_oracle(net, p, 20, phases)
+        assert run.tag.tolist() == list(range(20 * p.n_p, 21 * p.n_p))
+        # every user's Delta, the cells after the empty one included
+        assert run.deltas.size == 25 * p.n_p
+        for u, (cell, slot) in enumerate(zip(run.user_cell, run.pilot_slot)):
+            b = extract_bundle(net, int(cell), int(slot), margin=0.0)
+            assert compute_delta(b, p) == pytest.approx(run.deltas[u],
+                                                         rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["async", "sync"])
     def test_delta_from_foreign_pilot_table(self, mode, rng):
@@ -322,6 +329,29 @@ class TestNearestStation:
         assert idx.max() > 255
 
 
+def _check_against_oracle(net, p, cell, phases):
+    """all_deltas and sinr_batch on ``net`` tagging ``cell``, against the
+    scalar oracle user by user; the kernels' run."""
+    run = run_kernels(net, p, cell, phases)
+    user_cell, pilot_slot, deltas, tag, sinr = (
+        run.user_cell, run.pilot_slot, run.deltas, run.tag, run.sinr)
+    table = np.full((net.n_bs, p.n_p), np.nan)
+    table[user_cell, pilot_slot] = deltas
+    assert tag.size == p.n_p
+    for t, u in enumerate(tag):
+        b = extract_bundle(net, int(user_cell[u]), int(pilot_slot[u]))
+        assert b is not None
+        assert compute_delta(b, p) == pytest.approx(deltas[u], rel=1e-12)
+        inv = inverse_sinr(
+            b, phases[b.other_cells],
+            DeltaSet(tagged=table[b.cell_index, b.pilot_index],
+                     other=table[b.other_cells]), p)
+        got = [g[t] for g in sinr]
+        want = [inv.gamma1, inv.gamma2, inv.gamma3]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-18)
+    return run
+
+
 def _random_phases(p, net, rng):
     """One random phase per cell asynchronous; all downlink synchronous."""
     if p.sync:
@@ -332,18 +362,21 @@ def _random_phases(p, net, rng):
 class TestGoldenTrials:
     """run_trial outputs pinned bit for bit (seed 42, 4 km window, the
     seven thresholds of THR). Trial 171 is skipped: its zero-cell lies
-    outside the margin. The rate sums were recorded with c_m(64) from its
-    exact closed form."""
+    outside the margin. Trial 592 has a cell that holds no user beyond r0
+    (cell 21 of 26, after the zero-cell 20). The rate sums were recorded
+    with c_m(64) from its exact closed form."""
 
     CASES = {
         ("async", 0): (10, [1, 1, 0, 0, 0, 0, 0], 1.0936720626592944),
         ("async", 5): (10, [10, 7, 6, 4, 0, 0, 0], 15.220517214018969),
         ("async", 10): (10, [1, 0, 0, 0, 0, 0, 0], 0.31637391877057713),
         ("async", 171): (0, [0] * 7, 0.0),
+        ("async", 592): (10, [4, 3, 2, 2, 0, 0, 0], 6.066588337326799),
         ("sync", 0): (10, [10, 7, 1, 1, 0, 0, 0], 8.724844879603152),
         ("sync", 5): (10, [10, 10, 9, 6, 0, 0, 0], 21.61884196445868),
         ("sync", 10): (10, [10, 10, 4, 0, 0, 0, 0], 10.386198374987632),
         ("sync", 171): (0, [0] * 7, 0.0),
+        ("sync", 592): (10, [10, 7, 5, 3, 0, 0, 0], 13.2584402259569),
     }
 
     @pytest.mark.parametrize("mode,index", sorted(CASES))

@@ -218,6 +218,23 @@ def test_analytic_reads_sinr_terms_from_the_kernels():
     assert reads == []
 
 
+@pytest.mark.parametrize("module", ["_kernels", "montecarlo"])
+def test_phase_codes_are_compared_by_name(module):
+    """The MC engine compares phase draws with the PHASE_* names of
+    ``params``, never with a bare integer: the codes are defined once, by
+    the order of PhaseTriple's fields."""
+    literals = []
+    for node in ast.walk(_program_modules()[module]):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(n, ast.Name) and n.id == "phases"
+                   for o in operands for n in ast.walk(o)):
+                literals += [f"line {o.lineno}" for o in operands
+                             if isinstance(o, ast.Constant)
+                             and type(o.value) is int]
+    assert literals == []
+
+
 # Runs the CLI on coverage, rate, sweep and a 3-trial validate, then prints
 # the scipy modules the process has loaded.
 _GUARD_SCRIPT = """

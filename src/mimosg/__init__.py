@@ -9,8 +9,7 @@ from .analytic import (CoverageCurve, RateResult, coverage,
                        coverage_no_pc, ergodic_rate, q2)
 from .errors import (ConfigError, DomainError, EstimationError, MimosgError,
                      NumericalError, RealizationError)
-from .geometry import (NetworkRealization, build_network, sample_hppp,
-                       serving_cdf, serving_sample)
+from .geometry import NetworkRealization, build_network, sample_hppp
 from .montecarlo import (McConfig, ValidationReport, draw_phases,
                          run_coverage_mc, run_rate_mc, validate)
 from .params import (SystemParams, c_m, default_gamma_shape, default_params,
@@ -23,8 +22,7 @@ __all__ = [
     "q2",
     "ConfigError", "DomainError", "EstimationError", "MimosgError",
     "NumericalError", "RealizationError",
-    "NetworkRealization", "build_network", "sample_hppp", "serving_cdf",
-    "serving_sample",
+    "NetworkRealization", "build_network", "sample_hppp",
     "McConfig", "ValidationReport", "draw_phases", "run_coverage_mc",
     "run_rate_mc", "validate",
     "SystemParams", "c_m", "default_gamma_shape", "default_params",

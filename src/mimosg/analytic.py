@@ -919,8 +919,7 @@ def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult
     l_z, _ = _coverage_values(z, params, 1)
     body = np.dot(w, l_z * ((1.0 / np.add.outer(z, eta_n)) @ signs))
     head = l0 * np.dot(signs, np.log1p(z_lo / eta_n))
-    rate = (params.n_p * params.n_d / params.n_tot / math.log(2.0)
-            * float(body + head))
+    rate = params.rate_prefactor / math.log(2.0) * float(body + head)
     return RateResult(rate=rate, method="analytic", z_lo=z_lo, z_hi=z_hi,
                       head_bound=head_bound)
 

@@ -24,9 +24,7 @@ from .analytic import (CoverageCurve, RateResult, coverage,
                        coverage_fullpc_async, coverage_infinite_m,
                        coverage_no_pc, ergodic_rate)
 from .errors import ConfigError, DomainError, MimosgError, NumericalError
-from .geometry import (serving_cdf, serving_given_bs_cdf,
-                       serving_given_bs_sample, serving_given_user_pair_cdf,
-                       serving_given_user_pair_sample, serving_sample)
+from .geometry import trunc_rayleigh_cdf, trunc_rayleigh_sample
 from .montecarlo import McConfig, run_coverage_mc, run_rate_mc, validate
 from .params import (SystemParams, attenuation_db_to_linear, dbm_to_watt,
                      make_params)
@@ -43,6 +41,11 @@ KS_CRITICAL_001 = 1.95
 # Most points a threshold grid may have: a coverage curve is evaluated at
 # every one of them, so a larger grid is a typo, not a request.
 MAX_THRESHOLDS = 1_000_000
+
+# Most samples pdf-check may draw per law: it holds about six float64
+# arrays of that length at once (the draw, its sorted copy, the CDF on it
+# and the KS differences), some 0.5 GB at 10**7, so more is a typo.
+MAX_SAMPLES = 10 ** 7
 
 # Output formats of write_results.
 FORMATS = ("csv", "json")
@@ -374,39 +377,34 @@ def cmd_validate(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_pdf_check(cfg: dict, args: argparse.Namespace) -> int:
-    """Kolmogorov-Smirnov suite for the three conditional distance laws, at
-    a station 1.6 r_e away and a user pair 0.4 r_e apart, the tagged user
-    2 r_e away: distances that exceed r0 < r_e in any geometry."""
+    """Kolmogorov-Smirnov suite for the three conditional distance laws,
+    the truncated Rayleigh law on three supports: a user's serving
+    distance, the same given a station 1.6 r_e away, and a foreign user's
+    given a user pair 0.4 r_e apart, the tagged user 2 r_e away. The
+    supports are nonempty in any geometry, as r0 < r_e."""
     samples = args.samples
     if samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {samples!r}")
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"--samples must be at most {MAX_SAMPLES}, "
+                          f"got {samples!r}")
     params = build_params(cfg)
     seed = _number(cfg, "seed", int)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     lam, r0, r_e = params.lam, params.r0, params.r_e
-
-    def ks(sample, cdf) -> float:
-        sample = np.sort(sample)
-        grid = cdf(sample)
-        n = sample.size
-        up = np.max(np.arange(1, n + 1) / n - grid)
-        dn = np.max(grid - np.arange(0, n) / n)
-        return float(max(up, dn))
-
+    x, r = 2.0 * r_e, 0.4 * r_e
+    supports = [("serving", r0, math.inf),
+                ("serving_given_station", r0, 1.6 * r_e),
+                ("serving_given_user_pair", max(r0, x - r), x + r)]
     rows = []
-    s1 = serving_sample(lam, r0, rng, size=samples)
-    rows.append(("serving", ks(s1, lambda r: serving_cdf(r, lam, r0))))
-    r2 = 1.6 * r_e
-    s2 = serving_given_bs_sample(r2, lam, r0, rng, size=samples)
-    rows.append(("serving_given_station",
-                 ks(s2, lambda r: serving_given_bs_cdf(r, r2, lam, r0))))
-    r_uu, x_tag = 0.4 * r_e, 2.0 * r_e
-    s3 = serving_given_user_pair_sample(r_uu, x_tag, lam, r0, rng, size=samples)
-    rows.append(("serving_given_user_pair",
-                 ks(s3, lambda s: serving_given_user_pair_cdf(
-                     s, r_uu, x_tag, lam, r0))))
+    for law, lo, hi in supports:
+        sample = np.sort(trunc_rayleigh_sample(lam, lo, hi, rng, samples))
+        grid = trunc_rayleigh_cdf(sample, lam, lo, hi)
+        up = np.max(np.arange(1, samples + 1) / samples - grid)
+        dn = np.max(grid - np.arange(0, samples) / samples)
+        rows.append((law, float(max(up, dn))))
     gate = max(KS_GATE, KS_CRITICAL_001 / math.sqrt(samples))
     record = _record(params, cfg, ["law", "ks_distance"], rows,
                      kind="pdf-check", method="inverse-cdf-sampler",

@@ -1,20 +1,22 @@
-"""Poisson network sampling, user association and conditional distance laws.
+"""Poisson network sampling, user association and the distance law.
 
-The three conditional distance laws serve `pdf-check` and acceptance
-criterion 1, which check each sampler against its CDF. All three are
-truncated Rayleigh-type laws of the form 2*pi*lam*r*exp(-pi*lam*r^2)
-restricted to an interval (lo, hi):
+The paper's three conditional serving-distance laws are one law, the
+truncated Rayleigh density 2*pi*lam*r*exp(-pi*lam*r^2) restricted to an
+interval (lo, hi), on three supports:
 
-* serving distance of a user with an exclusion disk of radius r0: support
+* a user's serving distance, with an exclusion disk of radius r0:
   (r0, inf);
-* serving distance conditioned on the distance r2 to another base station:
-  support (r0, r2), because the serving station is the nearest one;
-* serving distance of a foreign user conditioned on the distance r between
-  the two users and the tagged user's own serving distance x: support
-  (max(r0, x - r), x + r) by the triangle inequalities.
+* the same given the distance r2 to another base station: (r0, r2),
+  because the serving station is the nearest one;
+* a foreign user's serving distance given the distance r between the two
+  users and the tagged user's own serving distance x: (max(r0, x - r),
+  x + r) by the triangle inequalities.
 
-Samplers invert the closed-form CDFs; no rejection sampling in the hot
-path. Everything is stable in the far tail (expm1/log1p forms).
+``trunc_rayleigh_cdf`` and ``trunc_rayleigh_sample`` take the support as
+(lo, hi); `pdf-check` and acceptance criterion 1 check the sampler
+against the CDF on each of the three. The sampler inverts the closed-form
+CDF, with no rejection step, and both are stable in the far tail
+(expm1/log1p forms).
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ ATTEMPTS_PER_CELL = 10_000  # candidate points per station (build_network)
 
 
 # ---------------------------------------------------------------------------
-# truncated Rayleigh core
+# the truncated Rayleigh law
 # ---------------------------------------------------------------------------
 
 def trunc_rayleigh_cdf(r, lam: float, lo, hi):
@@ -55,52 +57,6 @@ def trunc_rayleigh_sample(lam: float, lo, hi, rng: np.random.Generator,
     hi = np.asarray(hi, dtype=float)
     span = u * (-np.expm1(-q * (hi ** 2 - lo ** 2)))
     return np.sqrt(lo ** 2 - np.log1p(-span) / q)
-
-
-# ---------------------------------------------------------------------------
-# the three laws
-# ---------------------------------------------------------------------------
-
-def serving_cdf(r, lam: float, r0: float):
-    return trunc_rayleigh_cdf(r, lam, r0, np.inf)
-
-
-def serving_sample(lam: float, r0: float, rng: np.random.Generator, size=None):
-    return trunc_rayleigh_sample(lam, r0, np.inf, rng, size)
-
-
-def serving_given_bs_cdf(r1, r2, lam: float, r0: float):
-    if np.any(np.asarray(r2) <= r0):
-        raise DomainError(f"conditioning distance must exceed r0={r0!r}")
-    return trunc_rayleigh_cdf(r1, lam, r0, r2)
-
-
-def serving_given_bs_sample(r2, lam: float, r0: float,
-                            rng: np.random.Generator, size=None):
-    if np.any(np.asarray(r2) <= r0):
-        raise DomainError(f"conditioning distance must exceed r0={r0!r}")
-    return trunc_rayleigh_sample(lam, r0, r2, rng, size)
-
-
-def _pair_support(r, x, r0: float):
-    r = np.asarray(r, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= r0):
-        raise DomainError(f"tagged serving distance must exceed r0={r0!r}")
-    if np.any(r <= 0):
-        raise DomainError("user-to-user distance must be positive")
-    return np.maximum(r0, x - r), x + r
-
-
-def serving_given_user_pair_cdf(s, r, x, lam: float, r0: float):
-    lo, hi = _pair_support(r, x, r0)
-    return trunc_rayleigh_cdf(s, lam, lo, hi)
-
-
-def serving_given_user_pair_sample(r, x, lam: float, r0: float,
-                                   rng: np.random.Generator, size=None):
-    lo, hi = _pair_support(r, x, r0)
-    return trunc_rayleigh_sample(lam, lo, hi, rng, size)
 
 
 # ---------------------------------------------------------------------------

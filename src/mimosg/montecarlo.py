@@ -63,6 +63,11 @@ _Z95 = 1.959963984540054
 # A window that asks for more is a typo, not a request.
 MAX_TRIAL_BLOCK = 2 ** 26
 
+# Most trials a run may ask for: ``_run_trials`` keeps every trial's result
+# until the reduction, about 460 bytes at the default 31 thresholds, so
+# 10**6 trials hold some 0.5 GB. A larger count is a typo, not a request.
+MAX_TRIALS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -76,6 +81,9 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
+        if self.trials > MAX_TRIALS:
+            raise ConfigError(f"trials must be at most {MAX_TRIALS}, "
+                              f"got {self.trials!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.workers < 1:
@@ -243,7 +251,7 @@ def run_rate_mc(params: SystemParams, cfg: McConfig) -> RateResult:
     means = np.array([r / n for n, _, r in results if n > 0])
     if means.size == 0:
         raise EstimationError("all trials degenerate: no eligible tagged users")
-    pref = params.n_p * params.n_d / params.n_tot
+    pref = params.rate_prefactor
     rate = pref * float(means.mean())
     half = _Z95 * pref * float(means.std(ddof=1)) / math.sqrt(means.size) \
         if means.size > 1 else float("inf")

@@ -254,6 +254,12 @@ class SystemParams:
         return split_frame_real(self.n_tot, self.n_p, self.z)[1]
 
     @property
+    def rate_prefactor(self) -> float:
+        """n_p n_d / n_tot: the cell-aggregate rate is this times
+        E{log2(1 + SINR)}."""
+        return self.n_p * self.n_d / self.n_tot
+
+    @property
     def pi_lam(self) -> float:
         return math.pi * self.lam
 

@@ -45,10 +45,8 @@ from scipy.special import gammainc
 from mimosg import _kernels
 from mimosg.analytic import (_context, coverage, coverage_infinite_m,
                              coverage_no_pc, ergodic_rate, q2)
-from mimosg.geometry import (NetworkRealization, serving_cdf,
-                             serving_given_bs_cdf, serving_given_bs_sample,
-                             serving_given_user_pair_cdf,
-                             serving_given_user_pair_sample, serving_sample)
+from mimosg.geometry import (NetworkRealization, trunc_rayleigh_cdf,
+                             trunc_rayleigh_sample)
 from mimosg.montecarlo import McConfig, run_rate_mc, validate
 from mimosg.params import c_m, default_params
 from reference_mixture import gamma_mixture_cdf
@@ -82,15 +80,14 @@ class TestCriterion1DistanceLaws:
         lam, r0 = 1.2732395447351628, 0.05
         rng = np.random.default_rng(MC_SEED)
         t0 = time.monotonic()
-        ks1 = ks_distance(serving_sample(lam, r0, rng, 100_000),
-                          lambda r: serving_cdf(r, lam, r0))
-        r2 = 0.8
-        ks2 = ks_distance(serving_given_bs_sample(r2, lam, r0, rng, 100_000),
-                          lambda r: serving_given_bs_cdf(r, r2, lam, r0))
-        r_uu, x = 0.2, 1.0
-        ks3 = ks_distance(
-            serving_given_user_pair_sample(r_uu, x, lam, r0, rng, 100_000),
-            lambda s: serving_given_user_pair_cdf(s, r_uu, x, lam, r0))
+        r2, r_uu, x = 0.8, 0.2, 1.0
+        # the three laws' supports: a user's serving distance, the same
+        # given a station r2 away, a foreign user's given the user pair
+        supports = [(r0, np.inf), (r0, r2), (max(r0, x - r_uu), x + r_uu)]
+        ks1, ks2, ks3 = (
+            ks_distance(trunc_rayleigh_sample(lam, lo, hi, rng, 100_000),
+                        lambda r: trunc_rayleigh_cdf(r, lam, lo, hi))
+            for lo, hi in supports)
         elapsed = time.monotonic() - t0
         ok = max(ks1, ks2, ks3) < 0.02 and elapsed < 30.0
         report(1, ok, f"KS = ({ks1:.5f}, {ks2:.5f}, {ks3:.5f}) < 0.02, "

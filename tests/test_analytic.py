@@ -361,12 +361,12 @@ class TestExclusionBallConstants:
         area = math.pi * (r_far ** 2 - p.r_e ** 2)
         total = 0.0
         reps = 4000
-        from mimosg.geometry import serving_given_bs_sample
+        from mimosg.geometry import trunc_rayleigh_sample
         for _ in range(reps):
             n = rng.poisson(p.lam * area)
             u = rng.random(n)
             rl = np.sqrt(p.r_e ** 2 + u * (r_far ** 2 - p.r_e ** 2))
-            rs = serving_given_bs_sample(rl, p.lam, p.r0, rng)
+            rs = trunc_rayleigh_sample(p.lam, p.r0, rl, rng)
             total += np.sum(rs ** (p.alpha * p.eps) * rl ** (-p.alpha))
         est = total / reps
         assert est == pytest.approx(CROSS_MOMENT[p.eps], rel=0.05)

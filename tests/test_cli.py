@@ -7,10 +7,10 @@ import warnings
 
 import pytest
 
-from mimosg import montecarlo
-from mimosg.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_OK, build_params,
-                        format_csv, load_config, main, make_parser,
-                        parse_threshold_grid, write_results)
+from mimosg import cli, montecarlo
+from mimosg.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_OK, MAX_SAMPLES,
+                        build_params, format_csv, load_config, main,
+                        make_parser, parse_threshold_grid, write_results)
 from mimosg.errors import ConfigError
 from mimosg.params import default_params
 
@@ -289,6 +289,26 @@ class TestSubcommands:
         assert str(montecarlo.MAX_TRIAL_BLOCK) in err
         assert out == ""
 
+    @pytest.mark.parametrize("command, trials, extra", [
+        ("coverage-mc", "1000000000000", []),
+        ("rate-mc", "100000000000000000000", []),
+        ("validate", "1000000000000", ["--gate", "0.9"])],
+        ids=["coverage-mc", "rate-mc", "validate"])
+    def test_huge_trial_count_exits_config_before_any_trial(
+            self, capsys, monkeypatch, command, trials, extra):
+        """A trial count beyond MAX_TRIALS is refused before a network is
+        sampled, not left to fail allocating the per-trial results with a
+        MemoryError (1e12) or an OverflowError (1e20)."""
+        def no_network(*args, **kwargs):
+            raise AssertionError("a trial sampled a network")
+        monkeypatch.setattr(montecarlo, "build_network", no_network)
+        code, out, err = run_cli(capsys, command, *extra, "--trials", trials,
+                                 "--thresholds-db", "0:6:3")
+        assert code == EXIT_CONFIG
+        assert err == (f"error: trials must be at most "
+                       f"{montecarlo.MAX_TRIALS}, got {trials}\n")
+        assert out == ""
+
     @pytest.mark.parametrize("window", ["4", "8"])
     def test_reference_windows_accepted(self, capsys, window):
         """The 4 km window of the validation suite and the 8 km window of
@@ -363,6 +383,42 @@ class TestSubcommands:
         assert code == EXIT_CONFIG
         assert f"--samples must be >= 1, got {samples}" in err
         assert out == ""
+
+    @pytest.mark.parametrize("samples", ["100000000000",
+                                         "100000000000000000000"])
+    def test_pdf_check_oversized_samples_exits_config(self, capsys,
+                                                      monkeypatch, samples):
+        """A sample count beyond MAX_SAMPLES is refused before any draw,
+        not left to numpy (745 GiB per law at 1e11; past its largest
+        dimension at 1e20)."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("pdf-check drew a sample")
+        monkeypatch.setattr(cli, "trunc_rayleigh_sample", no_draw)
+        code, out, err = run_cli(capsys, "pdf-check", "--samples", samples)
+        assert code == EXIT_CONFIG
+        assert err == (f"error: --samples must be at most {MAX_SAMPLES}, "
+                       f"got {samples}\n")
+        assert out == ""
+
+    def test_pdf_check_default_samples_accepted(self, capsys):
+        """The default of 100 000 samples per law is within MAX_SAMPLES."""
+        code, out, _ = run_cli(capsys, "pdf-check", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["ks_gate"] == 0.02
+
+    def test_pdf_check_output_is_pinned(self, capsys):
+        """The KS distances and gate at 2000 samples and seed 7, exact:
+        the three laws' supports, their draw order and the KS statistic
+        replay bit for bit."""
+        code, out, _ = run_cli(capsys, "pdf-check", "--samples", "2000",
+                               "--seed", "7", "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["values"] == [
+            ["serving", 0.01246530523719147],
+            ["serving_given_station", 0.011014588393937569],
+            ["serving_given_user_pair", 0.032736485994285525]]
+        assert doc["ks_gate"] == 0.043603325561245895
 
     @pytest.mark.parametrize("fmt", ["xml", 1, None])
     def test_config_format_checked_before_any_trial(self, capsys, monkeypatch,

@@ -10,10 +10,7 @@ from scipy.integrate import quad
 from mimosg import _kernels, geometry
 from mimosg.errors import DomainError, RealizationError
 from mimosg.geometry import (NetworkRealization, build_network, sample_hppp,
-                             serving_cdf, serving_given_bs_cdf,
-                             serving_given_bs_sample,
-                             serving_given_user_pair_cdf,
-                             serving_given_user_pair_sample, serving_sample)
+                             trunc_rayleigh_cdf, trunc_rayleigh_sample)
 from mimosg.params import default_params
 from reference_sinr import central_cells, extract_bundle
 
@@ -24,7 +21,7 @@ R0 = 0.05
 def trunc_rayleigh_pdf(r, lam: float, lo: float, hi: float):
     """Density 2 pi lam r e^(-pi lam r^2) / P(lo < R < hi) on (lo, hi), 0
     outside: the reference the pair-law sampler's mean is checked
-    against. The program has the laws' CDFs and samplers only."""
+    against. The program has the law's CDF and sampler only."""
     r = np.asarray(r, dtype=float)
     q = math.pi * lam
     mass = math.exp(-q * lo ** 2) * -math.expm1(-q * (hi ** 2 - lo ** 2))
@@ -46,7 +43,6 @@ class TestTruncatedRayleighCore:
     def test_cdf_support_edges(self, lam, lo, width):
         # the interior value may round to exactly 1.0 when the remaining
         # tail mass is below float resolution, so only monotone bounds hold
-        from mimosg.geometry import trunc_rayleigh_cdf
         hi = lo + width
         mid = 0.5 * (lo + hi)
         assert trunc_rayleigh_cdf(lo, lam, lo, hi) == 0.0
@@ -58,7 +54,6 @@ class TestTruncatedRayleighCore:
     @given(lam=st.floats(0.05, 20.0), lo=st.floats(0.01, 2.0),
            width=st.floats(0.05, 5.0), seed=st.integers(0, 2 ** 31))
     def test_sampler_lands_in_support(self, lam, lo, width, seed):
-        from mimosg.geometry import trunc_rayleigh_sample
         hi = lo + width
         r = trunc_rayleigh_sample(lam, lo, hi,
                                   np.random.default_rng(seed), size=8)
@@ -92,87 +87,88 @@ class TestHppp:
 
 
 class TestServingLaw:
+    """A user's serving distance: support (r0, inf)."""
+
     def test_support(self):
-        assert serving_cdf(R0 / 2.0, LAM, R0) == 0.0
-        assert serving_cdf(R0, LAM, R0) == 0.0
+        assert trunc_rayleigh_cdf(R0 / 2.0, LAM, R0, np.inf) == 0.0
+        assert trunc_rayleigh_cdf(R0, LAM, R0, np.inf) == 0.0
 
     def test_median(self, rng):
         median = math.sqrt(R0 ** 2 + math.log(2.0) / (math.pi * LAM))
         assert median == pytest.approx(0.41926935869436766, rel=1e-12)
-        sample = serving_sample(LAM, R0, rng, size=200_000)
+        sample = trunc_rayleigh_sample(LAM, R0, np.inf, rng, size=200_000)
         assert np.median(sample) == pytest.approx(median, rel=5e-3)
-        assert serving_cdf(median, LAM, R0) == pytest.approx(0.5, rel=1e-12)
+        assert trunc_rayleigh_cdf(median, LAM, R0, np.inf) \
+            == pytest.approx(0.5, rel=1e-12)
 
     def test_sampler_matches_cdf(self, rng):
-        sample = serving_sample(LAM, R0, rng, size=100_000)
-        assert ks_distance(sample, lambda r: serving_cdf(r, LAM, R0)) < 0.02
+        sample = trunc_rayleigh_sample(LAM, R0, np.inf, rng, size=100_000)
+        assert ks_distance(
+            sample, lambda r: trunc_rayleigh_cdf(r, LAM, R0, np.inf)) < 0.02
 
 
 class TestServingGivenStation:
-    def test_support(self):
-        assert serving_given_bs_cdf(0.95, 0.9, LAM, R0) == 1.0
-        assert serving_given_bs_cdf(0.04, 0.9, LAM, R0) == 0.0
+    """The serving distance given a station r2 away: support (r0, r2)."""
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            serving_given_bs_cdf(0.1, R0 / 2.0, LAM, R0)
+    def test_support(self):
+        assert trunc_rayleigh_cdf(0.95, LAM, R0, 0.9) == 1.0
+        assert trunc_rayleigh_cdf(0.04, LAM, R0, 0.9) == 0.0
 
     def test_unbounded_limit_recovers_serving_law(self):
         r = np.linspace(0.06, 2.0, 50)
-        far = serving_given_bs_cdf(r, 50.0, LAM, R0)
-        base = serving_cdf(r, LAM, R0)
+        far = trunc_rayleigh_cdf(r, LAM, R0, 50.0)
+        base = trunc_rayleigh_cdf(r, LAM, R0, np.inf)
         np.testing.assert_allclose(far, base, atol=1e-6)
 
     def test_against_rejection_oracle(self, rng):
         # rejection route: draw the unconditional law, keep draws below r2
         r2 = 0.8
-        raw = serving_sample(LAM, R0, rng, size=400_000)
+        raw = trunc_rayleigh_sample(LAM, R0, np.inf, rng, size=400_000)
         oracle = raw[raw < r2][:100_000]
-        direct = serving_given_bs_sample(r2, LAM, R0, rng, size=oracle.size)
-        cdf = lambda r: serving_given_bs_cdf(r, r2, LAM, R0)
+        direct = trunc_rayleigh_sample(LAM, R0, r2, rng, size=oracle.size)
+        cdf = lambda r: trunc_rayleigh_cdf(r, LAM, R0, r2)
         assert ks_distance(direct, cdf) < 0.01
         assert ks_distance(oracle, cdf) < 0.01
 
 
 class TestServingGivenUserPair:
-    X, R = 1.0, 0.2
+    """A foreign user's serving distance given the user pair r apart and
+    the tagged user x from its station: support (max(r0, x - r), x + r)."""
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            serving_given_user_pair_cdf(0.5, 0.2, R0 / 2.0, LAM, R0)
+    X, R = 1.0, 0.2
 
     def test_sampler_mean_matches_quadrature(self, rng):
         lo = max(R0, self.X - self.R)
         hi = self.X + self.R
         mean = quad(lambda s: s * trunc_rayleigh_pdf(s, LAM, lo, hi), lo, hi,
                     epsabs=0.0, epsrel=1e-12)[0]
-        sample = serving_given_user_pair_sample(self.R, self.X, LAM, R0, rng,
-                                                size=100_000)
+        sample = trunc_rayleigh_sample(LAM, lo, hi, rng, size=100_000)
         assert sample.mean() == pytest.approx(mean, rel=5e-3)
 
     def test_samples_respect_triangle_support(self, rng):
         # every draw obeys max(r0, x-r) < s < x+r
         for (r, x) in [(0.2, 1.0), (0.8, 0.3), (0.04, 0.06)]:
-            s = serving_given_user_pair_sample(r, x, LAM, R0, rng, size=5000)
-            assert np.all(s > max(R0, x - r))
-            assert np.all(s < x + r)
+            lo, hi = max(R0, x - r), x + r
+            s = trunc_rayleigh_sample(LAM, lo, hi, rng, size=5000)
+            assert np.all(s > lo)
+            assert np.all(s < hi)
 
     def test_narrow_support_stability(self, rng):
         # far tail: both exponentials underflow naive forms
-        s = serving_given_user_pair_sample(0.01, 3.0, LAM, R0, rng, size=1000)
+        s = trunc_rayleigh_sample(LAM, 3.0 - 0.01, 3.0 + 0.01, rng, size=1000)
         assert np.all((s > 2.99) & (s < 3.01))
         assert np.all(np.isfinite(s))
 
     def test_conditional_samplers_deterministic(self):
-        a2 = serving_given_bs_sample(0.8, LAM, R0,
-                                     np.random.default_rng(4), size=16)
-        b2 = serving_given_bs_sample(0.8, LAM, R0,
-                                     np.random.default_rng(4), size=16)
+        a2 = trunc_rayleigh_sample(LAM, R0, 0.8,
+                                   np.random.default_rng(4), size=16)
+        b2 = trunc_rayleigh_sample(LAM, R0, 0.8,
+                                   np.random.default_rng(4), size=16)
         np.testing.assert_array_equal(a2, b2)
-        a3 = serving_given_user_pair_sample(0.2, 1.0, LAM, R0,
-                                            np.random.default_rng(4), size=16)
-        b3 = serving_given_user_pair_sample(0.2, 1.0, LAM, R0,
-                                            np.random.default_rng(4), size=16)
+        a3 = trunc_rayleigh_sample(LAM, 1.0 - 0.2, 1.0 + 0.2,
+                                   np.random.default_rng(4), size=16)
+        b3 = trunc_rayleigh_sample(LAM, 1.0 - 0.2, 1.0 + 0.2,
+                                   np.random.default_rng(4), size=16)
         np.testing.assert_array_equal(a3, b3)
 
 
@@ -230,8 +226,8 @@ class TestNetwork:
                 dists.append(net.serving[j])
                 total += net.serving[j].size
         sample = np.concatenate(dists)[:100_000]
-        ks = ks_distance(sample, lambda r: serving_cdf(
-            r, params_async.lam, params_async.r0))
+        ks = ks_distance(sample, lambda r: trunc_rayleigh_cdf(
+            r, params_async.lam, params_async.r0, np.inf))
         assert ks < 0.02
 
     def test_equal_count_population_is_biased(self, params_async):
@@ -246,8 +242,8 @@ class TestNetwork:
             if cells.size:
                 dists.append(net.serving[cells].ravel())
         sample = np.concatenate(dists)[:40_000]
-        ks = ks_distance(sample, lambda r: serving_cdf(
-            r, params_async.lam, params_async.r0))
+        ks = ks_distance(sample, lambda r: trunc_rayleigh_cdf(
+            r, params_async.lam, params_async.r0, np.inf))
         assert 0.04 < ks < 0.12
         median_law = math.sqrt(params_async.r0 ** 2
                                + math.log(2.0) / params_async.pi_lam)

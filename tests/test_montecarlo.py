@@ -7,9 +7,9 @@ import pytest
 from mimosg import _kernels, montecarlo
 from mimosg.errors import ConfigError, EstimationError
 from mimosg.geometry import build_network
-from mimosg.montecarlo import (PHASE_DOWNLINK, McConfig, ValidationReport,
-                               run_coverage_mc, run_rate_mc, run_trial,
-                               trial_rng, validate, wilson_interval)
+from mimosg.montecarlo import (MAX_TRIALS, PHASE_DOWNLINK, McConfig,
+                               ValidationReport, run_coverage_mc, run_rate_mc,
+                               run_trial, trial_rng, validate, wilson_interval)
 from mimosg.params import default_params, make_params
 from reference_sinr import (DeltaSet, central_cells, compute_delta,
                             extract_bundle, inverse_sinr, isolated_cell_sinr,
@@ -31,8 +31,14 @@ class TestConfig:
             McConfig(trials=10, margin=2.5, window=4.0)
 
     def test_trials_bound(self):
+        """At least 1 trial and at most MAX_TRIALS, which keeps the
+        acceptance run's 10 000 and the benchmark reference's 20 000."""
         with pytest.raises(ConfigError):
             McConfig(trials=0)
+        with pytest.raises(ConfigError, match="trials must be at most"):
+            McConfig(trials=MAX_TRIALS + 1)
+        for trials in (10_000, 20_000, MAX_TRIALS):
+            assert McConfig(trials=trials).trials == trials
 
     def test_seed_bound(self):
         """A negative seed is a ConfigError, not a ValueError from the

@@ -22,7 +22,7 @@ PUBLIC_API = [
     "default_gamma_shape", "default_params", "density_from_exclusion",
     "derive_frame", "draw_phases", "ergodic_rate", "eta_shape",
     "make_params", "q2", "run_coverage_mc", "run_rate_mc", "sample_hppp",
-    "serving_cdf", "serving_sample", "v_m", "validate",
+    "v_m", "validate",
 ]
 
 

@@ -50,7 +50,7 @@ def trunc_rayleigh_cdf(r, lam: float, lo, hi):
 
 
 def trunc_rayleigh_sample(lam: float, lo, hi, rng: np.random.Generator,
-                          size=None):
+                          size):
     q = math.pi * lam
     u = rng.random(size)
     lo = np.asarray(lo, dtype=float)

@@ -4,14 +4,17 @@ validation report.
 Each trial samples a fresh network in a finite square window, computes the
 conditional SINR of every tagged user exactly (realized distances, realized
 observation variances, realized phase draws; interference truncated at the
-window edge like the reference simulation setup), and reduces per-trial
-means in a fixed deterministic order. The conditional SINR is already an
-expectation over small-scale fading and precoding, so no fading is drawn;
-the phase of each interfering cell is drawn once per realization
-(``draw_phases``), given that the observer is in its downlink phase.
-Per-trial generators are derived as SeedSequence((master_seed,
-trial_index)), a documented stable scheme, so replays are bit-exact for
-any worker count.
+window edge like the reference simulation setup), and is folded into the
+estimators as it arrives, in trial order for any worker count: its success
+fractions into one running sum per threshold (bit for bit numpy's mean
+over a trials x thresholds table at two or more thresholds, a few ulps
+from numpy's pairwise sum at one), its mean rate into a list. The
+conditional SINR is already an expectation over small-scale fading and
+precoding, so no fading is drawn; the phase of each interfering cell is
+drawn once per realization (``draw_phases``), given that the observer is
+in its downlink phase. Per-trial generators are derived as
+SeedSequence((master_seed, trial_index)), a documented stable scheme, so
+replays are bit-exact for any worker count.
 
 Measurement population: the users of the cell covering the window centre
 (the zero-cell). A uniform point in the cell that covers a fixed location
@@ -38,10 +41,12 @@ by this package's validation suite.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -63,10 +68,15 @@ _Z95 = 1.959963984540054
 # A window that asks for more is a typo, not a request.
 MAX_TRIAL_BLOCK = 2 ** 26
 
-# Most trials a run may ask for: ``_run_trials`` keeps every trial's result
-# until the reduction, about 460 bytes at the default 31 thresholds, so
-# 10**6 trials hold some 0.5 GB. A larger count is a typo, not a request.
+# Most trials a run may ask for: a larger count is a typo, not a request.
+# Memory does not bind it, as a run keeps one row of thresholds and one
+# float per used trial.
 MAX_TRIALS = 10 ** 6
+
+# Most success counts one pooled chunk of trials may carry: finished chunks
+# wait in the parent until the fold reaches them, so chunk x thresholds is
+# bounded, not only the chunk.
+MAX_CHUNK_FLOATS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -187,31 +197,38 @@ def _check_trial_size(params: SystemParams, cfg: McConfig) -> None:
 
 
 def _run_trials(params: SystemParams, cfg: McConfig):
+    """Run the trials in trial order, serial or pooled, and fold each into
+    the estimators as it arrives: (trials used, per-threshold sum of
+    counts / n over them, each used trial's rate_sum / n). A trial is used
+    when it tags users; EstimationError when none does."""
     _check_trial_size(params, cfg)
-    results = [None] * cfg.trials
+    args = (repeat(params), repeat(cfg), range(cfg.trials))
     # a pool starts all its workers up front, so it gets no more than there
     # are trials or CPUs; the results do not depend on the count
     workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: a serial run does not pay for loading it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, cfg.trials // (workers * 8))
-            for i, res in enumerate(pool.map(
-                    _trial_star, ((params, cfg, i) for i in range(cfg.trials)),
-                    chunksize=chunk)):
-                results[i] = res
-    else:
-        step = max(1, cfg.trials // 10)
-        for i in range(cfg.trials):
-            results[i] = run_trial(params, cfg, i)
-            if (i + 1) % step == 0:
-                log.info("trials %d/%d", i + 1, cfg.trials)
-    return results
-
-
-def _trial_star(args):
-    return run_trial(*args)
+    used, frac_sum, means = 0, np.zeros(len(cfg.thresholds)), []
+    step = max(1, cfg.trials // 10)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # imported here: a serial run does not pay for loading it
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers))
+            chunk = min(cfg.trials // (workers * 8),
+                        MAX_CHUNK_FLOATS // max(1, len(cfg.thresholds)))
+            results = pool.map(run_trial, *args, chunksize=max(1, chunk))
+        else:
+            results = map(run_trial, *args)
+        for i, (n, counts, rate_sum) in enumerate(results, 1):
+            if n > 0:
+                used += 1
+                frac_sum += counts / n
+                means.append(rate_sum / n)
+            if i % step == 0:
+                log.info("trials %d/%d", i, cfg.trials)
+    if not used:
+        raise EstimationError("all trials degenerate: no eligible tagged users")
+    return used, frac_sum, means
 
 
 def wilson_interval(p_hat: np.ndarray, n: int):
@@ -233,24 +250,18 @@ def run_coverage_mc(params: SystemParams, cfg: McConfig) -> CoverageCurve:
     """
     if not cfg.thresholds:
         raise ConfigError("McConfig.thresholds must be non-empty")
-    results = _run_trials(params, cfg)
-    fracs = np.array([c / n for n, c, _ in results if n > 0])
-    if fracs.size == 0:
-        raise EstimationError("all trials degenerate: no eligible tagged users")
-    p_hat = fracs.mean(axis=0)
-    _, half = wilson_interval(p_hat, fracs.shape[0])
+    used, frac_sum, _ = _run_trials(params, cfg)
+    p_hat = frac_sum / used
+    _, half = wilson_interval(p_hat, used)
     return CoverageCurve(
         thresholds=np.asarray(cfg.thresholds, dtype=float), coverage=p_hat,
         method="monte-carlo", params=params, ci_half_width=half,
-        trials_used=int(fracs.shape[0]))
+        trials_used=used)
 
 
 def run_rate_mc(params: SystemParams, cfg: McConfig) -> RateResult:
     """Empirical cell-aggregate rate (n_p n_d / n_tot) E{log2(1 + SINR)}."""
-    results = _run_trials(params, cfg)
-    means = np.array([r / n for n, _, r in results if n > 0])
-    if means.size == 0:
-        raise EstimationError("all trials degenerate: no eligible tagged users")
+    means = np.array(_run_trials(params, cfg)[2])
     pref = params.rate_prefactor
     rate = pref * float(means.mean())
     half = _Z95 * pref * float(means.std(ddof=1)) / math.sqrt(means.size) \

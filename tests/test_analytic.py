@@ -353,10 +353,13 @@ class TestExclusionBallConstants:
         assert analytic._cross_moment(*analytic._geometry(p)) \
             == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_q1_monte_carlo_estimator(self, params_async, rng):
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_q1_monte_carlo_estimator(self, eps, rng):
         """Sample the exclusion-ball field and the conditional serving law;
-        the empirical cross moment must sit within 5% of the quadrature."""
-        p = params_async
+        the empirical cross moment must sit within 5% of the quadrature. At
+        eps 0 the serving draws do not matter (r^0 = 1), at eps 0.5 they
+        do; one draw per station (2.882 against 2.886 here)."""
+        p = default_params("async", m=64, eps=eps)
         r_far = 40.0
         area = math.pi * (r_far ** 2 - p.r_e ** 2)
         total = 0.0
@@ -366,7 +369,7 @@ class TestExclusionBallConstants:
             n = rng.poisson(p.lam * area)
             u = rng.random(n)
             rl = np.sqrt(p.r_e ** 2 + u * (r_far ** 2 - p.r_e ** 2))
-            rs = trunc_rayleigh_sample(p.lam, p.r0, rl, rng)
+            rs = trunc_rayleigh_sample(p.lam, p.r0, rl, rng, size=n)
             total += np.sum(rs ** (p.alpha * p.eps) * rl ** (-p.alpha))
         est = total / reps
         assert est == pytest.approx(CROSS_MOMENT[p.eps], rel=0.05)

@@ -296,9 +296,9 @@ class TestSubcommands:
         ids=["coverage-mc", "rate-mc", "validate"])
     def test_huge_trial_count_exits_config_before_any_trial(
             self, capsys, monkeypatch, command, trials, extra):
-        """A trial count beyond MAX_TRIALS is refused before a network is
-        sampled, not left to fail allocating the per-trial results with a
-        MemoryError (1e12) or an OverflowError (1e20)."""
+        """A trial count beyond MAX_TRIALS (1e12, 1e20) is a typo, not a
+        request: it is refused before a network is sampled, not left to
+        run trials for days."""
         def no_network(*args, **kwargs):
             raise AssertionError("a trial sampled a network")
         monkeypatch.setattr(montecarlo, "build_network", no_network)

@@ -60,6 +60,16 @@ class TestTruncatedRayleighCore:
         assert np.all((r >= lo) & (r < hi))
         assert np.all(np.isfinite(r))
 
+    def test_array_support_draws_independently(self, rng):
+        """Supports (r0, hi_i) with one hi per element: each element is its
+        own draw, so the values through each element's CDF are uniform
+        (KS distance below 1.95 / sqrt(n))."""
+        n = 20_000
+        hi = R0 + np.geomspace(0.01, 50.0, n)
+        r = trunc_rayleigh_sample(LAM, R0, hi, rng, n)
+        pit = trunc_rayleigh_cdf(r, LAM, R0, hi)
+        assert ks_distance(pit, lambda u: u) < 1.95 / math.sqrt(n)
+
 
 class TestHppp:
     def test_zero_density(self, rng):

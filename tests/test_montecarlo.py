@@ -1,5 +1,8 @@
 import concurrent.futures
+import logging
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,6 +65,109 @@ class TestConfig:
             == (0.0, 1.0)
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the process pool with a fake that maps in this process and
+    records each pool's size and chunk size."""
+    record = SimpleNamespace(sizes=[], chunks=[])
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            record.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            record.chunks.append(chunksize)
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
+    return record
+
+
+def fake_trial(params, cfg, index):
+    """A run_trial stand-in: 10 tagged users and a fresh row of success
+    counts."""
+    return 10, np.full(len(cfg.thresholds), float(index % 10)), 1.0
+
+
+class TestFold:
+    """Each trial is folded into the estimators as it arrives, in trial
+    order, serial or pooled."""
+
+    def test_memory_does_not_grow_with_trials(self, params_async,
+                                              monkeypatch):
+        """200 trials that each return a fresh row of 20 000 counts: the
+        run's traced peak stays under 10 rows, where keeping every trial's
+        row would take 200."""
+        n_thr = 20_000
+        monkeypatch.setattr(montecarlo, "run_trial", fake_trial)
+        cfg = small_cfg(trials=200, thresholds=np.linspace(0.0, 1.0, n_thr))
+        tracemalloc.start()
+        try:
+            curve = run_coverage_mc(params_async, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curve.trials_used == 200
+        assert peak < 10 * n_thr * 8
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("thresholds", [THR[1:2], THR], ids=["1", "7"])
+    def test_coverage_is_trial_order_sum(self, params_async, workers,
+                                         thresholds):
+        """The curve is the trial-order sum of each used trial's counts / n
+        divided by the trials used, bit for bit, with one threshold too
+        (where numpy's mean of one column would sum pairwise)."""
+        cfg = small_cfg(trials=60, thresholds=thresholds, workers=workers)
+        total, used = np.zeros(len(thresholds)), 0
+        for index in range(cfg.trials):
+            n, counts, _ = run_trial(params_async, cfg, index)
+            if n > 0:
+                total = total + counts / n
+                used += 1
+        curve = run_coverage_mc(params_async, cfg)
+        assert curve.trials_used == used
+        assert curve.coverage.tolist() == (total / used).tolist()
+
+    @pytest.mark.parametrize("n_thr, chunk", [(31, 625), (100_001, 1)])
+    def test_pool_chunk_bounds_held_counts(self, params_async, monkeypatch,
+                                           serial_pool, n_thr, chunk):
+        """10 000 trials on 2 workers: a chunk is trials / (8 workers) = 625
+        trials, but holds no more than MAX_CHUNK_FLOATS success counts."""
+        # one shared row: a run that kept every trial's row must not need
+        # 8 GB here
+        row = np.zeros(n_thr)
+        monkeypatch.setattr(montecarlo, "run_trial",
+                            lambda params, cfg, index: (10 * (index == 0),
+                                                        row, 0.0))
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        run_coverage_mc(params_async, small_cfg(
+            trials=10_000, workers=2, thresholds=np.linspace(0.0, 1.0, n_thr)))
+        assert serial_pool.chunks == [chunk]
+
+    def test_pooled_run_logs_progress(self, params_async, monkeypatch,
+                                      serial_pool, caplog):
+        """A pooled run logs the same ten progress lines as a serial one."""
+        monkeypatch.setattr(montecarlo, "run_trial", fake_trial)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        lines = {}
+        for workers in (1, 2):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="mimosg.montecarlo"):
+                run_coverage_mc(params_async,
+                                small_cfg(trials=50, workers=workers))
+            lines[workers] = [r.getMessage() for r in caplog.records]
+        assert serial_pool.sizes == [2]
+        assert lines[2] == lines[1] == [f"trials {i}/50"
+                                        for i in range(5, 51, 5)]
+
+
 class TestDeterminism:
     def test_seed_replay(self, params_async):
         cfg = small_cfg(trials=60)
@@ -78,28 +184,12 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers, trials, cpus, pool", [
         (5000, 10, 4, 4), (5000, 3, 64, 3), (2, 10, 4, 2), (5000, 10, None, 0)])
-    def test_pool_size_is_capped(self, params_async, monkeypatch, workers,
-                                 trials, cpus, pool):
+    def test_pool_size_is_capped(self, params_async, monkeypatch, serial_pool,
+                                 workers, trials, cpus, pool):
         """The pool starts min(workers, trials, CPUs) processes, none
         when that is 1, and the curve is the serial one. The executor is a
         fake that records its size and maps in this process."""
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args, chunksize=1):
-                return map(fn, args)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            SerialPool)
+        sizes = serial_pool.sizes
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         serial = run_coverage_mc(params_async, small_cfg(trials=trials))
         got = run_coverage_mc(params_async,

@@ -15,6 +15,12 @@ compute each realized sum once: ``sinr_batch`` reads g1 and delta1 from
 the tagged station's row of ``all_deltas``' foreign pilot power table, and
 g3 from the users' r^(alpha eps) that ``all_deltas`` forms for that table.
 
+``cell_sinr(net, cell, phases, p)`` is the one entry the Monte Carlo
+engine calls: it flattens a realization into the layout below, builds the
+distance tables, runs ``all_deltas`` and returns ``sinr_batch``'s
+(g1, g2, g3) for the users of one tagged cell. The parity tests run the
+same entry.
+
 The user layout follows from the (n_bs,) cell mask ``valid`` alone: the
 users of the valid cells in cell order form one axis ("nu"), K = n_p per
 cell in slot order, so user i is in cell flatnonzero(valid)[i // K] and
@@ -247,3 +253,23 @@ def all_deltas(d_serv, d_bu, d_bb, valid, p):
     pwr = p.p_u * p.omega ** (1.0 - eps)
     deltas = pwr * (own + foreign[user_cell[::n_groups]]) + p.sigma2 / p.n_p
     return deltas.reshape(-1), foreign, serv_pow
+
+
+def cell_sinr(net, cell, phases, p):
+    """(g1, g2, g3) of the K users of valid cell ``cell`` of the
+    realization ``net`` (a :class:`~mimosg.geometry.NetworkRealization`),
+    in slot order: the distance tables and ``all_deltas`` over every user
+    of the valid cells, then ``sinr_batch`` on the cell's users."""
+    valid = net.valid
+    # the users of the valid cells, flattened in the kernels' layout
+    pos = net.users[valid].reshape(-1, 2)
+    d_serv = net.serving[valid].reshape(-1)
+    d_bu = pairwise_dist(net.bs, pos)
+    d_bb = pairwise_dist(net.bs, net.bs)
+    deltas, foreign, serv_pow = all_deltas(d_serv, d_bu, d_bb, valid, p)
+    # a valid cell holds exactly K users, so the cell tags the K after
+    # those of the valid cells before it
+    tag_user = p.n_p * int(valid[:cell].sum()) + np.arange(p.n_p)
+    d_uu = pairwise_dist(pos, pos[tag_user])                      # (nu, nt)
+    return sinr_batch(tag_user, d_serv, d_bu, d_uu, deltas, foreign,
+                      serv_pow, valid, phases, p)

@@ -515,7 +515,10 @@ class _Context:
 
     def __init__(self, params: SystemParams):
         p = self.params = params
-        cm = _cross_moment(*_geometry(p))
+        try:
+            cm = _cross_moment(*_geometry(p))
+        except OverflowError:
+            raise _overflow(p) from None
         fw = frame_weights(p)
         self.f_w, self.rho2, self.users = fw.f_w, fw.rho2, fw.users
         # the frame factors of C and of g3
@@ -543,10 +546,14 @@ class _Context:
         # the x grid, in u = pi lam (x^2 - r0^2), and the x-only terms on it
         self.x_nodes, self.x_weights = _x_grid()
         self.x_vals = np.sqrt(p.r0 ** 2 + self.x_nodes / p.pi_lam)
-        self.terms = user_terms(self.x_vals, p)
-        self.c1_x = self.c1(self.x_vals)
-        self.unit_b, self.unit_c, self.unit_d = self.coefficients(
-            1.0, self.x_vals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.terms = user_terms(self.x_vals, p)
+            self.c1_x = self.c1(self.x_vals)
+            self.unit_b, self.unit_c, self.unit_d = self.coefficients(
+                1.0, self.x_vals)
+        if not np.isfinite([self.c1_x, self.unit_b, self.unit_c,
+                            self.unit_d]).all():
+            raise _overflow(p)
 
     def _terms(self, x):
         """The x-only terms at x; on the context's own grid, stored ones."""
@@ -602,9 +609,16 @@ class _Context:
         x = np.asarray(x, dtype=float)
         a = q * x ** 2
         # the powers act on x only; the rows are products with b and c
-        beta = np.asarray(b, dtype=float) * (q ** (p.alpha / 2.0)
-                                             * a ** (-p.alpha / 2.0))
-        gam = np.asarray(c, dtype=float) * (q ** p.alpha * a ** (-p.alpha))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale_b = q ** (p.alpha / 2.0) * a ** (-p.alpha / 2.0)
+                scale_c = q ** p.alpha * a ** (-p.alpha)
+        except OverflowError:
+            raise _overflow(p) from None
+        if not (np.isfinite(scale_b).all() and np.isfinite(scale_c).all()):
+            raise _overflow(p)
+        beta = np.asarray(b, dtype=float) * scale_b
+        gam = np.asarray(c, dtype=float) * scale_c
         shape = np.broadcast_shapes(beta.shape, gam.shape, a.shape)
         rows = _e1_integral(_tau_grid(p.alpha),
                             np.broadcast_to(beta, shape).ravel(),
@@ -735,6 +749,13 @@ def _x_grid():
 
 
 _context = lru_cache(maxsize=32)(_Context)
+
+
+def _overflow(p: SystemParams) -> NumericalError:
+    """The error of a path-loss exponent so large that a power of a
+    distance or of pi lam overflows a float."""
+    return NumericalError(f"path-loss exponent {p.alpha!r} overflows the "
+                          "analytic engine's powers of distance")
 
 
 # ---------------------------------------------------------------------------

@@ -107,11 +107,13 @@ def _number(cfg: dict, key: str, kind: type):
     """cfg[key] converted by ``kind`` (int or float). A value that does not
     convert, a boolean, NaN or, for int, a fractional value is a
     ConfigError naming the key, so that it is neither truncated nor left
-    to fail later with a traceback."""
+    to fail later with a traceback. An int is exact however large, and is
+    kept as it is."""
     value = cfg[key]
     try:
         out = kind(value)
-        ok = not isinstance(value, bool) and out == float(value)
+        ok = not isinstance(value, bool) and (
+            type(value) is int or out == float(value))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:

@@ -95,10 +95,6 @@ class NetworkRealization:
     def n_bs(self) -> int:
         return self.bs.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.users.shape[1]
-
 
 def build_network(params: SystemParams, window: float,
                   rng: np.random.Generator) -> NetworkRealization:

@@ -52,7 +52,8 @@ import numpy as np
 
 from . import _kernels
 from .analytic import CoverageCurve, RateResult, _gamma_shape, coverage
-from .errors import ConfigError, EstimationError, RealizationError
+from .errors import (ConfigError, EstimationError, NumericalError,
+                     RealizationError)
 from .geometry import build_network
 # the phase codes that draw_phases returns, for its callers to read here
 from .params import (PHASE_DOWNLINK, PHASE_PILOT, PHASE_UPLINK,
@@ -135,7 +136,8 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 def run_trial(params: SystemParams, cfg: McConfig, index: int):
     """One realization: returns (n_tagged, per-threshold success counts,
-    sum of log2(1 + SINR) over tagged users)."""
+    sum of log2(1 + SINR) over tagged users). NumericalError when the
+    tagged users' inverse SINR is not finite."""
     rng = trial_rng(cfg.seed, index)
     thr = np.asarray(cfg.thresholds, dtype=float)
     for _ in range(1000):
@@ -155,33 +157,22 @@ def run_trial(params: SystemParams, cfg: McConfig, index: int):
     if not (net.valid[zero_cell] and lo <= bx <= hi and lo <= by <= hi):
         return 0, np.zeros(thr.size), 0.0
 
-    # the users of the valid cells, flattened in the kernels' layout
-    pos = net.users[net.valid].reshape(-1, 2)
-    d_serv = net.serving[net.valid].reshape(-1)
-    d_bu = _kernels.pairwise_dist(net.bs, pos)
-    d_bb = _kernels.pairwise_dist(net.bs, net.bs)
-
-    p = params
-    deltas, foreign, serv_pow = _kernels.all_deltas(
-        d_serv, d_bu, d_bb, net.valid, p)
-
-    # a valid cell holds exactly K users, so the zero-cell tags the K
-    # after those of the valid cells before it
-    k = net.k
-    tag_user = k * int(net.valid[:zero_cell].sum()) + np.arange(k)
-
     # one phase draw per interfering cell, shared by the zero-cell's users
-    phases = draw_phases(p, net.n_bs, rng)
+    phases = draw_phases(params, net.n_bs, rng)
+    # a far too large path-loss exponent overflows the kernels' powers:
+    # caught below as a non-finite inverse SINR, not printed as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        g1, g2, g3 = _kernels.cell_sinr(net, zero_cell, phases, params)
+        inv = g1 + g2 + g3
+    if not np.isfinite(inv).all():
+        raise NumericalError(
+            f"trial {index}: the inverse SINR of the tagged users is not "
+            f"finite at path-loss exponent {params.alpha!r}")
 
-    d_uu = _kernels.pairwise_dist(pos, pos[tag_user])  # (nu, nt)
-    g1, g2, g3 = _kernels.sinr_batch(
-        tag_user, d_serv, d_bu, d_uu, deltas, foreign, serv_pow, net.valid,
-        phases, p)
-
-    sinr = 1.0 / (g1 + g2 + g3)
+    sinr = 1.0 / inv
     counts = (sinr[:, None] > thr[None, :]).sum(axis=0).astype(float)
     rate_sum = float(np.log2(1.0 + sinr).sum())
-    return int(tag_user.size), counts, rate_sum
+    return int(sinr.size), counts, rate_sum
 
 
 def _check_trial_size(params: SystemParams, cfg: McConfig) -> None:

@@ -15,9 +15,10 @@ The decomposition is already an expectation over small-scale fading and
 precoding randomness, so no per-symbol fading is drawn. Phases are the
 int8 codes of ``mimosg.montecarlo.draw_phases``, one per interfering cell.
 
-``run_kernels`` runs the batched kernels on a whole realization the way
-``mimosg.montecarlo.run_trial`` calls them, so that the tests which
-compare against them call them in one place.
+``run_kernels`` takes a realization's tagged SINR from
+``mimosg._kernels.cell_sinr``, the entry the Monte Carlo engine calls, and
+lays its users out on its own, so that the tests which compare against the
+kernels call them in one place.
 """
 from __future__ import annotations
 
@@ -46,23 +47,21 @@ class KernelRun(NamedTuple):
 
 def run_kernels(net: NetworkRealization, params: SystemParams,
                 tag_cell: int, phases: np.ndarray) -> KernelRun:
-    """``all_deltas`` on every user of ``net`` and ``sinr_batch`` on the
+    """``all_deltas`` on every user of ``net`` and ``cell_sinr`` on the
     users of ``tag_cell``, with ``phases`` one code per cell. The users of
     the valid cells are flattened cell by cell, each cell's in slot order;
     ``user_cell`` and ``pilot_slot`` name the cell and slot of each."""
+    k = params.n_p
     cells = np.flatnonzero(net.valid)
-    user_cell = cells.repeat(net.k)
-    pilot_slot = np.tile(np.arange(net.k), cells.size)
+    user_cell = cells.repeat(k)
+    pilot_slot = np.tile(np.arange(k), cells.size)
     pos = net.users[cells].reshape(-1, 2)
     d_serv = net.serving[cells].reshape(-1)
-    d_bu = _kernels.pairwise_dist(net.bs, pos)
-    d_bb = _kernels.pairwise_dist(net.bs, net.bs)
-    deltas, foreign, serv_pow = _kernels.all_deltas(
-        d_serv, d_bu, d_bb, net.valid, params)
+    deltas, foreign, _ = _kernels.all_deltas(
+        d_serv, _kernels.pairwise_dist(net.bs, pos),
+        _kernels.pairwise_dist(net.bs, net.bs), net.valid, params)
     tag = np.flatnonzero(user_cell == tag_cell)
-    sinr = _kernels.sinr_batch(
-        tag, d_serv, d_bu, _kernels.pairwise_dist(pos, pos[tag]), deltas,
-        foreign, serv_pow, net.valid, phases, params)
+    sinr = _kernels.cell_sinr(net, tag_cell, phases, params)
     return KernelRun(user_cell, pilot_slot, d_serv, deltas, foreign, tag,
                      sinr)
 
@@ -121,8 +120,8 @@ def extract_bundle(net: NetworkRealization, cell: int, k: int,
     d_bs_bs = np.hypot(*(net.bs[others] - bs_l).T)
     cross_serving = net.serving[others]
     flat = net.users[others].reshape(-1, 2)
-    cross_to_bs = np.hypot(*(flat - bs_l).T).reshape(len(others), net.k)
-    user_user = np.hypot(*(flat - pos).T).reshape(len(others), net.k)
+    cross_to_bs = np.hypot(*(flat - bs_l).T).reshape(cross_serving.shape)
+    user_user = np.hypot(*(flat - pos).T).reshape(cross_serving.shape)
 
     return DistanceBundle(
         cell_index=int(cell), pilot_index=int(k),

@@ -8,9 +8,10 @@ import warnings
 import pytest
 
 from mimosg import cli, montecarlo
-from mimosg.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_OK, MAX_SAMPLES,
-                        build_params, format_csv, load_config, main,
-                        make_parser, parse_threshold_grid, write_results)
+from mimosg.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_NUMERICAL, EXIT_OK,
+                        MAX_SAMPLES, build_params, format_csv, load_config,
+                        main, make_parser, parse_threshold_grid,
+                        write_results)
 from mimosg.errors import ConfigError
 from mimosg.params import default_params
 
@@ -270,6 +271,35 @@ class TestSubcommands:
         assert code == EXIT_CONFIG
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("coverage", []), ("rate", []), ("coverage-mc", ["--trials", "2"])])
+    def test_huge_path_loss_exponent_exits_numerical(self, capsys, tmp_path,
+                                                     command, extra):
+        """alpha = 600 overflows the powers of distance of both engines:
+        exit 3 with one line on standard error, not a traceback, numpy
+        warnings or a Monte Carlo coverage of 0."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alpha": 600}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, *extra, "--config",
+                                     str(path), "--thresholds-db", "0:6:3")
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical error: ")
+        assert "path-loss exponent 600.0" in err
+        assert err.count("\n") == 1
+        assert out == ""
+
+    def test_huge_integer_seed_accepted(self, capsys):
+        """An int is exact however large: a 30-digit seed is a seed, not
+        a value that is "not an integer" because it has no exact float."""
+        code, out, err = run_cli(capsys, "coverage-mc", "--trials", "2",
+                                 "--seed", "1" + "0" * 29,
+                                 "--thresholds-db", "0:6:3")
+        assert code == EXIT_OK
+        assert out.count("\n") == 4
+        assert err == ""
 
     @pytest.mark.parametrize("command, extra", [
         ("coverage-mc", []), ("rate-mc", []), ("validate", ["--gate", "0.9"])],

@@ -321,7 +321,7 @@ class TestBundle:
                 np.linalg.norm(net.bs[j] - pos), rel=1e-12)
             assert b.bs_to_bs[row] == pytest.approx(
                 np.linalg.norm(net.bs[j] - net.bs[cell]), rel=1e-12)
-            for k in range(net.k):
+            for k in range(params_async.n_p):
                 assert b.user_to_user[row, k] == pytest.approx(
                     np.linalg.norm(net.users[j, k] - pos), rel=1e-12)
                 assert b.cross_to_desired_bs[row, k] == pytest.approx(

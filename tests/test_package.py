@@ -218,6 +218,24 @@ def test_analytic_reads_sinr_terms_from_the_kernels():
     assert reads == []
 
 
+# The kernels that lay a realization's users out and read that layout: the
+# Monte Carlo engine reaches them only through ``_kernels.cell_sinr``
+LAYOUT_KERNELS = {"pairwise_dist", "all_deltas", "sinr_batch", "_user_cells"}
+
+
+def test_montecarlo_leaves_the_user_layout_to_the_kernels():
+    """``montecarlo`` calls none of the layout kernels itself: the tagged
+    cell's SINR is one ``cell_sinr`` call, the entry the oracle parity
+    tests run too."""
+    calls = sorted(f"{name} (line {node.lineno})"
+                   for node in ast.walk(_program_modules()["montecarlo"])
+                   if isinstance(node, ast.Call)
+                   for name in [getattr(node.func, "attr",
+                                        getattr(node.func, "id", None))]
+                   if name in LAYOUT_KERNELS)
+    assert calls == []
+
+
 @pytest.mark.parametrize("module", ["_kernels", "montecarlo"])
 def test_phase_codes_are_compared_by_name(module):
     """The MC engine compares phase draws with the PHASE_* names of

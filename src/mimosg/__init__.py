@@ -13,8 +13,7 @@ from .geometry import NetworkRealization, build_network, sample_hppp
 from .montecarlo import (McConfig, ValidationReport, draw_phases,
                          run_coverage_mc, run_rate_mc, validate)
 from .params import (SystemParams, c_m, default_gamma_shape, default_params,
-                     density_from_exclusion, derive_frame, eta_shape,
-                     make_params, v_m)
+                     density_from_exclusion, eta_shape, v_m)
 
 __all__ = [
     "CoverageCurve", "RateResult", "coverage", "coverage_fullpc_async",
@@ -26,7 +25,6 @@ __all__ = [
     "McConfig", "ValidationReport", "draw_phases", "run_coverage_mc",
     "run_rate_mc", "validate",
     "SystemParams", "c_m", "default_gamma_shape", "default_params",
-    "density_from_exclusion", "derive_frame", "eta_shape", "make_params",
-    "v_m",
+    "density_from_exclusion", "eta_shape", "v_m",
     "__version__",
 ]

@@ -149,24 +149,27 @@ class _TauGrid:
 def _tau_grid(alpha: float) -> _TauGrid:
     tau, w = log_panel_grid(1.0, _TAU_MAX, panels_per_decade=4,
                             n_per_panel=10)
-    th = tau ** (-alpha / 2.0)
     # The moments in blocks of one decade (40 nodes): within a block, the
     # powers of th relative to the block's first node, which neither
     # underflow nor overflow for m <= 2K, and their suffix sums from the
     # far end; each block's sum at its first node is then carried into the
-    # block before it, the last block first.
-    lth = np.log(th).reshape(-1, 40)
-    m = np.arange(2 * _TAYLOR_K + 1.0)[:, None, None]
-    rel = m * (lth - lth[:, :1])
-    local = np.cumsum((np.exp(rel) * w.reshape(lth.shape))[..., ::-1],
-                      axis=-1)[..., ::-1]
-    step = np.exp(m[:, :, 0] * (lth[1:, 0] - lth[:-1, 0]))
-    carry = np.zeros(local.shape[:2])
-    for b in range(lth.shape[0] - 2, -1, -1):
-        carry[:, b] = step[:, b] * (local[:, b + 1, 0] + carry[:, b + 1])
-    moments = np.zeros((m.size, th.size + 1))
-    moments[:, :-1] = ((local + carry[..., None]) * np.exp(-rel)).reshape(
-        m.size, -1)
+    # block before it, the last block first. From alpha ~ 27 the far nodes'
+    # th underflow to 0 and some moments are not finite; e1_exponent
+    # reports a row that reads one as an overflow of the path-loss exponent.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        th = tau ** (-alpha / 2.0)
+        lth = np.log(th).reshape(-1, 40)
+        m = np.arange(2 * _TAYLOR_K + 1.0)[:, None, None]
+        rel = m * (lth - lth[:, :1])
+        local = np.cumsum((np.exp(rel) * w.reshape(lth.shape))[..., ::-1],
+                          axis=-1)[..., ::-1]
+        step = np.exp(m[:, :, 0] * (lth[1:, 0] - lth[:-1, 0]))
+        carry = np.zeros(local.shape[:2])
+        for b in range(lth.shape[0] - 2, -1, -1):
+            carry[:, b] = step[:, b] * (local[:, b + 1, 0] + carry[:, b + 1])
+        moments = np.zeros((m.size, th.size + 1))
+        moments[:, :-1] = ((local + carry[..., None])
+                           * np.exp(-rel)).reshape(m.size, -1)
     return _TauGrid(th=th, w=w, th_split=np.append(th, 0.0), moments=moments)
 
 
@@ -620,9 +623,16 @@ class _Context:
         beta = np.asarray(b, dtype=float) * scale_b
         gam = np.asarray(c, dtype=float) * scale_c
         shape = np.broadcast_shapes(beta.shape, gam.shape, a.shape)
-        rows = _e1_integral(_tau_grid(p.alpha),
-                            np.broadcast_to(beta, shape).ravel(),
-                            np.broadcast_to(gam, shape).ravel())
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rows = _e1_integral(_tau_grid(p.alpha),
+                                np.broadcast_to(beta, shape).ravel(),
+                                np.broadcast_to(gam, shape).ravel())
+        # a row that is not finite from finite beta and gam read a moment
+        # that is not (``_tau_grid``); from non-finite ones, it is the
+        # caller's, which reports it with its threshold
+        if not np.isfinite(rows).all() and np.isfinite(beta).all() \
+                and np.isfinite(gam).all():
+            raise _overflow(p)
         return a * rows.reshape(shape)
 
     # --- E2 exponent ------------------------------------------------------
@@ -837,7 +847,8 @@ def _coverage_values(thresholds, params: SystemParams, n_shape: int,
     if np.any(bad):
         i = int(np.argmax(bad))
         raise NumericalError("alternating expansion lost precision at "
-                             f"T={thresholds[i]!r}: {acc[i]!r}")
+                             f"T={float(thresholds[i])!r}: "
+                             f"{float(acc[i])!r}")
     outside = np.flatnonzero((acc < 0.0) | (acc > 1.0))
     for i in outside:
         log.debug("clamping coverage %.3e at T=%.4g", acc[i], thresholds[i])

@@ -26,8 +26,7 @@ from .analytic import (CoverageCurve, RateResult, coverage,
 from .errors import ConfigError, DomainError, MimosgError, NumericalError
 from .geometry import trunc_rayleigh_cdf, trunc_rayleigh_sample
 from .montecarlo import McConfig, run_coverage_mc, run_rate_mc, validate
-from .params import (SystemParams, attenuation_db_to_linear, dbm_to_watt,
-                     make_params)
+from .params import SystemParams, attenuation_db_to_linear, dbm_to_watt
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,8 +139,8 @@ def _linear(cfg: dict, key: str, convert) -> float:
                           "overflows on the linear scale") from None
 
 
-def build_params(cfg: dict, strict_frame: bool = True) -> SystemParams:
-    return make_params(
+def build_params(cfg: dict) -> SystemParams:
+    return SystemParams(
         p_d=_linear(cfg, "p_d_dbm", dbm_to_watt),
         p_u=_linear(cfg, "p_u_dbm", dbm_to_watt),
         sigma2=_linear(cfg, "sigma2_dbm", dbm_to_watt),
@@ -150,7 +149,7 @@ def build_params(cfg: dict, strict_frame: bool = True) -> SystemParams:
         n_tot=_number(cfg, "n_tot", int), n_p=_number(cfg, "n_p", int),
         z=_number(cfg, "z", float), eps=_number(cfg, "eps", float),
         r_e=_number(cfg, "r_e_km", float), r0=_number(cfg, "r0_km", float),
-        mode=str(cfg["mode"]), strict_frame=strict_frame)
+        mode=str(cfg["mode"]))
 
 
 def build_mc_config(cfg: dict, thresholds) -> McConfig:
@@ -209,6 +208,21 @@ def format_csv(header: list[str], rows) -> str:
     return "\r\n".join(out) + "\r\n"
 
 
+def _json_value(value):
+    """``value`` with each non-finite float, which standard JSON cannot
+    hold, as the string "Infinity", "-Infinity" or "NaN": ``float()``
+    and the config loader read those back."""
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def write_results(record: dict, path: str | None, fmt: str) -> None:
     """Persist one result record as CSV or JSON (stdout when path is None)."""
     if fmt == "csv":
@@ -216,8 +230,9 @@ def write_results(record: dict, path: str | None, fmt: str) -> None:
     elif fmt == "json":
         doc = {k: v for k, v in record.items() if k not in ("header", "rows")}
         doc["columns"] = record["header"]
-        doc["values"] = [list(r) for r in record["rows"]]
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc["values"] = record["rows"]
+        text = json.dumps(_json_value(doc), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     if path is None:
@@ -350,13 +365,13 @@ def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     base = dict(cfg)
     for v in values:
         base[key] = kind(v)
-        params = build_params(base, strict_frame=False)
+        params = build_params(base)
         res = ergodic_rate(params, _n_gamma(cfg))
         rows.append((float(v), res.rate))
         diagnostics.append(_rate_diagnostics(res, param, v))
-    record = _record(build_params(cfg, strict_frame=False), cfg,
-                     [param, "rate_bps_hz"], rows, kind="sweep",
-                     method="analytic", seed=None, diagnostics=diagnostics)
+    record = _record(build_params(cfg), cfg, [param, "rate_bps_hz"], rows,
+                     kind="sweep", method="analytic", seed=None,
+                     diagnostics=diagnostics)
     write_results(record, cfg["output"], cfg["format"])
     return EXIT_OK
 

@@ -55,9 +55,7 @@ from .analytic import CoverageCurve, RateResult, _gamma_shape, coverage
 from .errors import (ConfigError, EstimationError, NumericalError,
                      RealizationError)
 from .geometry import build_network
-# the phase codes that draw_phases returns, for its callers to read here
-from .params import (PHASE_DOWNLINK, PHASE_PILOT, PHASE_UPLINK,
-                     SystemParams, frame_weights)
+from .params import SystemParams, frame_weights
 
 log = logging.getLogger(__name__)
 

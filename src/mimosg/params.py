@@ -45,35 +45,14 @@ def attenuation_db_to_linear(db: float) -> float:
     return 10.0 ** (-db / 10.0)
 
 
-def derive_frame(n_tot: int, n_p: int, z: float) -> tuple[int, int]:
-    """Split the data part of an ``n_tot``-symbol coherence block.
-
-    The non-pilot symbols are divided into uplink and downlink parts with
-    ``n_d = z * n_u`` (see :func:`split_frame_real`). Both parts must come
-    out as positive integers.
-    """
-    if n_tot != int(n_tot) or n_p != int(n_p):
-        raise ConfigError(f"n_tot and n_p must be integers, got ({n_tot!r}, {n_p!r})")
-    n_tot, n_p = int(n_tot), int(n_p)
-    n_u, _ = split_frame_real(n_tot, n_p, z)
-    n_u_int = round(n_u)
-    n_d_int = n_tot - n_p - n_u_int
-    if (n_u_int < 1 or n_d_int < 1
-            or abs(n_u - n_u_int) > 1e-9 * max(1.0, abs(n_u))
-            or abs(n_d_int - z * n_u_int) > 1e-9 * max(1.0, n_d_int)):
-        raise ConfigError(
-            f"frame split is not integral: n_tot={n_tot}, n_p={n_p}, Z={z!r} "
-            f"gives n_u={n_u!r}")
-    return n_u_int, n_d_int
-
-
 def split_frame_real(n_tot: int, n_p: int, z: float) -> tuple[float, float]:
-    """Like :func:`derive_frame` but allowing fractional uplink/downlink parts.
+    """Split the data part of an ``n_tot``-symbol coherence block into
+    uplink and downlink parts with ``n_d = z * n_u``.
 
-    :class:`SystemParams` derives ``n_u``/``n_d`` with it. Under a sweep
-    over the pilot length the remaining symbols rarely divide evenly;
-    every formula downstream is well defined for real-valued phase
-    durations.
+    :class:`SystemParams` derives ``n_u``/``n_d`` with it. The parts may
+    be fractional: over the pilot length the remaining symbols rarely
+    divide evenly, and every formula downstream is well defined for
+    real-valued phase durations.
     """
     if n_p < 1 or n_p != int(n_p):
         raise ConfigError(f"n_p must be a positive integer, got {n_p!r}")
@@ -195,9 +174,10 @@ class SystemParams:
     given by the exclusion-ball radius ``r_e`` and the frame by ``n_tot``,
     ``n_p`` and the downlink/uplink ratio ``z``; the station density
     ``lam`` and the uplink/downlink symbol counts ``n_u``/``n_d`` follow
-    from them as properties. ``n_u``/``n_d`` may be fractional (pilot-length
-    sweeps); ``n_p`` is also the number K of users scheduled per cell and
-    must be an integer.
+    from them as properties (:func:`split_frame_real`). ``n_u``/``n_d``
+    may be fractional, as at most points of a pilot-length sweep, but
+    must each be at least one symbol; ``n_p`` is also the number K of
+    users scheduled per cell and must be an integer.
     """
 
     p_d: float          # downlink BS power, W
@@ -271,26 +251,8 @@ class SystemParams:
         return replace(self, **changes)
 
 
-def make_params(*, p_d: float, p_u: float, sigma2: float, omega: float,
-                alpha: float, m: int, n_tot: int, n_p: int, mode: str,
-                eps: float, z: float, r_e: float, r0: float = 0.05,
-                strict_frame: bool = True) -> SystemParams:
-    """Build :class:`SystemParams` from its inputs.
-
-    ``strict_frame=True`` also requires the frame split to come out in
-    whole symbols (:func:`derive_frame`); ``strict_frame=False`` allows a
-    fractional uplink/downlink split.
-    """
-    if strict_frame:
-        derive_frame(n_tot, n_p, z)
-    return SystemParams(p_d=p_d, p_u=p_u, sigma2=sigma2, omega=omega,
-                        alpha=alpha, m=m, n_tot=n_tot, n_p=n_p, z=z, eps=eps,
-                        r0=r0, r_e=r_e, mode=mode)
-
-
 def default_params(mode: str = MODE_ASYNC, *, m: int = 64, eps: float = 0.0,
-                   n_p: int = 10, strict_frame: bool = True,
-                   **overrides) -> SystemParams:
+                   n_p: int = 10, **overrides) -> SystemParams:
     """Reference parameter set used throughout the validation suite.
 
     45 dBm downlink, 23 dBm uplink open-loop power, -200 dBm noise, 130 dB
@@ -304,6 +266,6 @@ def default_params(mode: str = MODE_ASYNC, *, m: int = 64, eps: float = 0.0,
                 sigma2=dbm_to_watt(-200.0),
                 omega=attenuation_db_to_linear(130.0), alpha=4.0,
                 m=m, n_tot=40, n_p=n_p, z=2.0, r_e=0.5, r0=0.05,
-                eps=eps, mode=mode, strict_frame=strict_frame)
+                eps=eps, mode=mode)
     base.update(overrides)
-    return make_params(**base)
+    return SystemParams(**base)

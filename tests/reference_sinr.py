@@ -30,8 +30,7 @@ import numpy as np
 from mimosg import _kernels
 from mimosg.errors import DomainError, NumericalError
 from mimosg.geometry import NetworkRealization
-from mimosg.montecarlo import PHASE_DOWNLINK, PHASE_UPLINK
-from mimosg.params import SystemParams, c_m, v_m
+from mimosg.params import PHASE_DOWNLINK, PHASE_UPLINK, SystemParams, c_m, v_m
 
 
 class KernelRun(NamedTuple):

@@ -206,8 +206,7 @@ class TestCriterion5InteriorPilotOptimum:
         grid = [2, 5, 10, 15, 20, 25, 30]
         rates = []
         for n_p in grid:
-            p = default_params(mode, m=64, eps=0.5, n_p=n_p,
-                               strict_frame=False)
+            p = default_params(mode, m=64, eps=0.5, n_p=n_p)
             rates.append(ergodic_rate(p, n).rate)
         arg = int(np.argmax(rates))
         ok = 0 < arg < len(grid) - 1

@@ -694,7 +694,7 @@ class TestLaplaceTerms:
         relative difference was 1.9e-11 (at beta -0.53, gam -16.4) and the
         median 7e-15; here it is at most 1.6e-11. The bound is 5 times
         2e-11."""
-        p = default_params(mode, eps=eps, n_p=n_p, strict_frame=False)
+        p = default_params(mode, eps=eps, n_p=n_p)
         ctx = _context(p)
         z_hi = ergodic_rate(p, 1).z_hi
         tau, w = log_panel_grid(1.0, 1e24, panels_per_decade=8,
@@ -713,8 +713,8 @@ class TestLaplaceTerms:
         assert worst < 1e-10
 
     def test_e2_table_shared_across_pilot_lengths(self):
-        pa = default_params("sync", eps=0.5, n_p=5, strict_frame=False)
-        pb = default_params("sync", eps=0.5, n_p=25, strict_frame=False)
+        pa = default_params("sync", eps=0.5, n_p=5)
+        pb = default_params("sync", eps=0.5, n_p=25)
         ctx_a, ctx_b = _context(pa), _context(pb)
         assert ctx_a is not ctx_b
         shared = ctx_a.e2_table()
@@ -957,7 +957,7 @@ class TestErgodicRate:
         graded in log T, 6 panels per decade of 16 nodes from 1e-10 to 1e4,
         plus one 16-node panel on [0, 1e-10]. It resolves the steep drop
         of async coverage at small T when eps > 0."""
-        p = default_params(mode, m=64, eps=eps, n_p=n_p, strict_frame=False)
+        p = default_params(mode, m=64, eps=eps, n_p=n_p)
         t, w = log_panel_grid(1e-10, 1e4, panels_per_decade=6,
                               n_per_panel=16)
         t0, w0 = gauss_legendre_panels(np.array([0.0, 1e-10]), 16)
@@ -986,7 +986,7 @@ class TestErgodicRate:
         ("sync", 0.5, 30, 4), ("sync", 0.0, 10, 4)])
     def test_halving_z_panels(self, mode, eps, n_p, n_shape, monkeypatch):
         """z panels of half the width, 6 per decade, do not move the rate."""
-        p = default_params(mode, m=64, eps=eps, n_p=n_p, strict_frame=False)
+        p = default_params(mode, m=64, eps=eps, n_p=n_p)
         rate = ergodic_rate(p, n_shape).rate
         monkeypatch.setattr(analytic, "_Z_PANELS_PER_DECADE",
                             2.0 * analytic._Z_PANELS_PER_DECADE)
@@ -1000,7 +1000,7 @@ class TestErgodicRate:
         moves the rate most (1.06e-10, 4.9e-10, 7.3e-10 and 6.0e-10 at
         n_p 10, 15, 20 and 25), the 3-per-decade z rule holds the rate to
         1e-9, not to test_halving_z_panels' 1e-10."""
-        p = default_params("sync", m=64, eps=1.0, n_p=n_p, strict_frame=False)
+        p = default_params("sync", m=64, eps=1.0, n_p=n_p)
         rate = ergodic_rate(p, 4).rate
         monkeypatch.setattr(analytic, "_Z_PANELS_PER_DECADE",
                             2.0 * analytic._Z_PANELS_PER_DECADE)
@@ -1034,7 +1034,7 @@ class TestErgodicRate:
         two rates agree to 1e-15. The lower bound the head's test divides
         by, max over the probe points of L(z) sum_n s_n ln(1 + z/(eta n)),
         is at most that integral."""
-        p = default_params(mode, m=64, eps=eps, n_p=n_p, strict_frame=False)
+        p = default_params(mode, m=64, eps=eps, n_p=n_p)
         rate = ergodic_rate(p, n_shape)
         monkeypatch.setattr(analytic, "_Z_HEAD_TOL", 0.0)
         full = ergodic_rate(p, n_shape)
@@ -1067,7 +1067,7 @@ class TestGoldenValues:
 
     def test_pilot_length_sweep_rates(self):
         for n_p, golden in GOLDEN_SWEEP_RATES.items():
-            p = default_params("sync", eps=0.5, n_p=n_p, strict_frame=False)
+            p = default_params("sync", eps=0.5, n_p=n_p)
             assert ergodic_rate(p, 4).rate == pytest.approx(golden, rel=1e-12)
 
     @pytest.mark.parametrize("eps, golden", [
@@ -1096,5 +1096,5 @@ class TestGoldenValues:
 
     def test_async_rates(self):
         for n_p, golden in GOLDEN_ASYNC_RATES.items():
-            p = default_params("async", eps=0.5, n_p=n_p, strict_frame=False)
+            p = default_params("async", eps=0.5, n_p=n_p)
             assert ergodic_rate(p, 1).rate == pytest.approx(golden, rel=1e-12)

@@ -276,20 +276,22 @@ class TestSubcommands:
         ("coverage", []), ("rate", []), ("coverage-mc", ["--trials", "2"])])
     def test_huge_path_loss_exponent_exits_numerical(self, capsys, tmp_path,
                                                      command, extra):
-        """alpha = 600 overflows the powers of distance of both engines:
-        exit 3 with one line on standard error, not a traceback, numpy
-        warnings or a Monte Carlo coverage of 0."""
+        """alpha = 600 overflows the powers of distance of both engines,
+        and alpha = 30 or 100 the analytic engine's tau grid: exit 3 with
+        one line on standard error, not a traceback, numpy warnings or a
+        Monte Carlo coverage of 0."""
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"alpha": 600}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, command, *extra, "--config",
-                                     str(path), "--thresholds-db", "0:6:3")
-        assert code == EXIT_NUMERICAL
-        assert err.startswith("numerical error: ")
-        assert "path-loss exponent 600.0" in err
-        assert err.count("\n") == 1
-        assert out == ""
+        for alpha in (600,) if command == "coverage-mc" else (30, 100, 600):
+            path.write_text(json.dumps({"alpha": alpha}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, command, *extra, "--config",
+                                         str(path), "--thresholds-db", "0:6:3")
+            assert code == EXIT_NUMERICAL
+            assert err.startswith("numerical error: ")
+            assert f"path-loss exponent {float(alpha)!r}" in err
+            assert err.count("\n") == 1
+            assert out == ""
 
     def test_huge_integer_seed_accepted(self, capsys):
         """An int is exact however large: a 30-digit seed is a seed, not
@@ -583,6 +585,72 @@ class TestSubcommands:
         assert code == EXIT_CONFIG
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_rate_equals_sweep_at_fractional_frame(self, capsys, mode):
+        """n_p = 5 leaves 35 data symbols, n_u = 35/3: rate computes the
+        same frame as the sweep, bit for bit."""
+        argv = ("--np", "5", "--eps", "0.5", "--mode", mode, "--format",
+                "json")
+        code, out, _ = run_cli(capsys, "rate", *argv)
+        assert code == EXIT_OK
+        rate = json.loads(out)["values"][0][1]
+        code, out, _ = run_cli(capsys, "sweep", "--param", "np", "--values",
+                               "5", *argv[2:])
+        assert code == EXIT_OK
+        assert json.loads(out)["values"] == [[5.0, rate]]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("coverage", []), ("coverage-mc", ["--trials", "2"]),
+        ("rate-mc", ["--trials", "2"]),
+        ("validate", ["--gate", "0.9", "--trials", "2"])])
+    def test_fractional_frame_accepted(self, capsys, command, extra):
+        """Every command takes a frame whose data symbols do not split
+        into whole uplink and downlink parts."""
+        code, out, _ = run_cli(capsys, command, *extra, "--np", "5",
+                               "--thresholds-db", "0:6:3", "--format", "json")
+        assert code in ((EXIT_OK, EXIT_GATE) if command == "validate"
+                        else (EXIT_OK,))
+        params = json.loads(out)["params"]
+        assert (params["n_u"], params["n_d"]) == (35 / 3, 35 - 35 / 3)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("coverage", []), ("rate", []), ("coverage-mc", ["--trials", "2"]),
+        ("rate-mc", ["--trials", "2"]),
+        ("validate", ["--gate", "0.9", "--trials", "2"])])
+    def test_frame_part_below_one_symbol_exits_config(self, capsys, command,
+                                                      extra):
+        """n_p = 39 leaves n_u = 1/3: exit 2, before any computation."""
+        code, out, err = run_cli(capsys, command, *extra, "--np", "39",
+                                 "--thresholds-db", "0:6:3")
+        assert code == EXIT_CONFIG
+        assert "frame parts must be >= 1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv, config, where", [
+        (["rate-mc", "--trials", "1"], {}, ("values", 0, 2)),
+        (["coverage"], {"sigma2_dbm": -math.inf},
+         ("effective_config", "sigma2_dbm"))], ids=["rate-mc", "coverage"])
+    def test_json_output_is_standard(self, capsys, tmp_path, argv, config,
+                                     where):
+        """A non-finite float (a one-trial CI, zero noise in dBm) is
+        written as a string, not as a bare Infinity that standard JSON
+        refuses; the effective config reads back to the same input."""
+        def refuse(name):
+            raise ValueError(f"not standard JSON: {name}")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, *argv, "--config", str(path),
+                               "--thresholds-db", "0:6:3", "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out, parse_constant=refuse)
+        value = doc
+        for key in where:
+            value = value[key]
+        assert value in ("Infinity", "-Infinity")
+        path.write_text(json.dumps(doc["effective_config"]))
+        assert (build_params(load_config(str(path), {}))
+                == build_params(load_config(None, config)))
 
     def test_sweep_eps(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--param", "eps", "--values",

@@ -6,9 +6,9 @@ import pytest
 
 from mimosg.errors import DomainError
 from mimosg.geometry import NetworkRealization, build_network
-from mimosg.montecarlo import (PHASE_DOWNLINK, PHASE_PILOT, PHASE_UPLINK,
-                               draw_phases)
-from mimosg.params import c_m, default_params, frame_weights, v_m
+from mimosg.montecarlo import draw_phases
+from mimosg.params import (PHASE_DOWNLINK, PHASE_PILOT, PHASE_UPLINK, c_m,
+                           default_params, frame_weights, v_m)
 from reference_sinr import (DeltaSet, central_cells, chi_dd,
                             chi_pilot_or_uplink, compute_delta, delta1,
                             extract_bundle, inverse_sinr, isolated_cell_sinr,

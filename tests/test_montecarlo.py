@@ -10,10 +10,10 @@ import pytest
 from mimosg import _kernels, montecarlo
 from mimosg.errors import ConfigError, EstimationError
 from mimosg.geometry import build_network
-from mimosg.montecarlo import (MAX_TRIALS, PHASE_DOWNLINK, McConfig,
-                               ValidationReport, run_coverage_mc, run_rate_mc,
-                               run_trial, trial_rng, validate, wilson_interval)
-from mimosg.params import default_params, make_params
+from mimosg.montecarlo import (MAX_TRIALS, McConfig, ValidationReport,
+                               run_coverage_mc, run_rate_mc, run_trial,
+                               trial_rng, validate, wilson_interval)
+from mimosg.params import PHASE_DOWNLINK, SystemParams, default_params
 from reference_sinr import (DeltaSet, central_cells, compute_delta,
                             extract_bundle, inverse_sinr, isolated_cell_sinr,
                             run_kernels)
@@ -220,10 +220,10 @@ class TestEstimates:
     def test_isolated_cell_step(self):
         """Sparse network with sigma2=0: coverage steps at the single-cell
         SINR bound c_m^2 / (v_m - 1 + n_p) = 8.38 dB for 64 antennas."""
-        p = make_params(p_d=default_params().p_d, p_u=default_params().p_u,
-                        sigma2=0.0, omega=1e-13, alpha=4.0, m=64, n_tot=40,
-                        n_p=10, z=2.0, r_e=1.0 / math.sqrt(math.pi * 0.01),
-                        r0=0.05, eps=0.0, mode="async")
+        p = SystemParams(p_d=default_params().p_d, p_u=default_params().p_u,
+                         sigma2=0.0, omega=1e-13, alpha=4.0, m=64, n_tot=40,
+                         n_p=10, z=2.0, r_e=1.0 / math.sqrt(math.pi * 0.01),
+                         r0=0.05, eps=0.0, mode="async")
         bound = isolated_cell_sinr(64, 10)
         assert 10 * math.log10(bound) == pytest.approx(8.3837, abs=1e-3)
         cfg = McConfig(trials=1500, seed=3, window=4.0, margin=0.2,

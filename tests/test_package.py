@@ -20,9 +20,8 @@ PUBLIC_API = [
     "__version__", "build_network", "c_m", "coverage",
     "coverage_fullpc_async", "coverage_infinite_m", "coverage_no_pc",
     "default_gamma_shape", "default_params", "density_from_exclusion",
-    "derive_frame", "draw_phases", "ergodic_rate", "eta_shape",
-    "make_params", "q2", "run_coverage_mc", "run_rate_mc", "sample_hppp",
-    "v_m", "validate",
+    "draw_phases", "ergodic_rate", "eta_shape", "q2", "run_coverage_mc",
+    "run_rate_mc", "sample_hppp", "v_m", "validate",
 ]
 
 

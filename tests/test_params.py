@@ -4,15 +4,12 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from mimosg.errors import ConfigError, DomainError
 from mimosg.params import (SystemParams, c_m, dbm_to_watt, default_gamma_shape,
-                           default_params, density_from_exclusion,
-                           derive_frame, eta_shape, frame_weights,
-                           make_params, split_frame_real, v_m)
+                           default_params, density_from_exclusion, eta_shape,
+                           frame_weights, split_frame_real, v_m)
 
 PI_50 = "3.14159265358979323846264338327950288419716939937510"
 # Reference values computed with a 40-digit log-gamma oracle.
@@ -45,27 +42,17 @@ class TestUnits:
 
 
 class TestDeriveFrame:
-    def test_reference_split(self):
-        assert derive_frame(40, 10, 2) == (10, 20)
+    """The frame split of split_frame_real, which SystemParams derives
+    n_u and n_d with."""
 
     def test_no_data_symbols(self):
-        with pytest.raises(ConfigError):
-            derive_frame(40, 40, 2)
-
-    def test_non_integer_split(self):
-        with pytest.raises(ConfigError, match="30"):
-            derive_frame(30, 10, 2)
+        with pytest.raises(ConfigError, match="no data symbols"):
+            split_frame_real(40, 40, 2)
 
     def test_real_split_for_sweeps(self):
         n_u, n_d = split_frame_real(40, 5, 2.0)
         assert n_u + n_d == pytest.approx(35.0)
         assert n_d == pytest.approx(2.0 * n_u)
-
-    @given(n_u=st.integers(1, 50), z=st.integers(1, 5), n_p=st.integers(1, 30))
-    def test_roundtrip(self, n_u, z, n_p):
-        n_d = z * n_u
-        got = derive_frame(n_p + n_u + n_d, n_p, z)
-        assert got == (n_u, n_d)
 
 
 class TestNormConstants:
@@ -171,9 +158,9 @@ class TestPhaseProbabilities:
         assert (tri.pilot, tri.uplink, tri.downlink) == (0.0, 0.0, 1.0)
 
     def test_pilot_only_frame(self):
-        p = make_params(p_d=1.0, p_u=1.0, sigma2=0.0, omega=1e-13, alpha=4.0,
-                        m=8, n_tot=42, n_p=40, z=1.0, r_e=0.5, eps=0.0,
-                        mode="async")
+        p = SystemParams(p_d=1.0, p_u=1.0, sigma2=0.0, omega=1e-13, alpha=4.0,
+                         m=8, n_tot=42, n_p=40, z=1.0, r_e=0.5, eps=0.0,
+                         mode="async", r0=0.05)
         tri = frame_weights(p).phases
         assert tri.pilot == pytest.approx(40.0 / 42.0)
 
@@ -207,7 +194,7 @@ class TestSystemParams:
 
     def test_pilot_sweep_by_update(self):
         assert (default_params("sync").with_updates(n_p=15)
-                == default_params("sync", n_p=15, strict_frame=False))
+                == default_params("sync", n_p=15))
 
     def test_alpha_bound(self, params_async):
         with pytest.raises(ConfigError):
@@ -222,9 +209,9 @@ class TestSystemParams:
             params_async.with_updates(r0=0.7, r_e=0.5)
 
     def test_lambda_derived_from_r_e(self):
-        p = make_params(p_d=1.0, p_u=1.0, sigma2=0.0, omega=1e-13, alpha=4.0,
-                        m=8, n_tot=40, n_p=10, z=2.0, r_e=0.25, eps=0.0,
-                        mode="sync")
+        p = SystemParams(p_d=1.0, p_u=1.0, sigma2=0.0, omega=1e-13, alpha=4.0,
+                         m=8, n_tot=40, n_p=10, z=2.0, r_e=0.25, eps=0.0,
+                         mode="sync", r0=0.05)
         assert p.lam == pytest.approx(density_from_exclusion(0.25))
 
     def test_default_gamma_shape(self):

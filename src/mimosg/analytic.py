@@ -4,10 +4,11 @@ The conditional inverse SINR is approximated by c1(x) + e1(x) + e2(x): a
 deterministic part and two interference fields whose Laplace functionals
 reduce, through Campbell's theorem over the exclusion-ball point fields,
 to the exponential integrals evaluated here. Coverage at threshold T is
-the alternating binomial sum over n = 1..N of
+the Gamma mixture sum_n s_n L(eta n T), n = 1..N, of one Laplace function
+of the inverse SINR (``_laplace``), which the rate integrates too:
 
-    integral_{r0}^inf 2 pi lam x e^{-pi lam (x^2 - r0^2)}
-        * exp(-eta n T c1(x)) * E1(T,n,x) * E2(T,n,x) dx.
+    L(z) = integral_{r0}^inf 2 pi lam x e^{-pi lam (x^2 - r0^2)}
+        * exp(-z c1(x)) * E1(z,x) * E2(z,x) dx.
 
 The inverse SINR is the Monte Carlo kernels' g1 + g2 + g3, every term of
 it read from ``_kernels`` (per-user terms, amplitude, g2's and g3's scales,
@@ -24,35 +25,34 @@ only in the frame weights of an interfering cell (see ``_Context``).
 
 Numerical strategy: all integrands are smooth after mapping semi-infinite
 tails onto log-spaced Gauss-Legendre panels, so fixed tensorised panels
-(vectorised in numpy) replace adaptive quadrature in the hot path. A
-coverage call evaluates every (threshold, n, x) row of the alternating sum
-in one array pass: the Campbell coefficients are linear in eta n T, so each
-row is one scalar times a per-context vector over the x grid. E1 is
-integrated on one fixed log tau-grid shared by every row (tau in
-[1, 1e24], 960 nodes, built once per alpha). Each row splits that grid at
-the first node where its |z| bound drops below 1e-2 (searched for only
-where the bound at the first node reaches it): the head is summed with
-expm1, in chunks of bounded size, and the far tail from the degree-7
-Taylor polynomial of expm1, whose remainder (below Z^K/(K+1)! = 2.5e-19
-of the tail) is under the unit roundoff. The tail reads precomputed suffix
-moments of the grid normalized at the split node, so the polynomial runs
-in beta th_s and gam th_s^2, which are at most 1e-2 in size, and never
-forms a power of beta or gam (their 7th powers may overflow). It is
-evaluated by nested Horner in both arguments, elementwise over rows; the
-rows split at node 0 share one column of moments. The ergodic rate is one
-Laplace-domain integral of the N = 1 coverage on log panels, whose low
-panels, where L is flat, are replaced by a closed form while a bound
-keeps that within 1e-16 of the integral (``ergodic_rate``). The
+(vectorised in numpy) replace adaptive quadrature in the hot path. L runs
+on a flat array of z, every (z, x) row in one array pass: the Campbell
+coefficients are linear in z, so each row is one scalar times a
+per-context vector over the x grid. E1 is integrated on one fixed log
+tau-grid shared by every row (tau in [1, 1e24], 960 nodes, built once per
+alpha). Each row splits that grid at the first node where the bound of its
+expm1 argument drops below 1e-2 (searched for only where the bound at the
+first node reaches it): the head is summed with expm1, in chunks of
+bounded size, and the far tail from the degree-7 Taylor polynomial of
+expm1, whose remainder (below Z^K/(K+1)! = 2.5e-19 of the tail) is under
+the unit roundoff. The tail reads precomputed suffix moments of the grid
+normalized at the split node, so the polynomial runs in beta th_s and gam
+th_s^2, which are at most 1e-2 in size, and never forms a power of beta or
+gam (their 7th powers may overflow). It is evaluated by nested Horner in
+both arguments, elementwise over rows; the rows split at node 0 share one
+column of moments. The ergodic rate is one integral of L on log panels,
+whose low panels, where L is flat, are replaced by a closed form while a
+bound keeps that within 1e-16 of the integral (``ergodic_rate``). The
 doubly-integrated E2 exponent depends on its arguments only through one
-nonpositive scalar coupling, so it is tabulated once per geometry
-(pi lam, r0, r_e, alpha, eps) on a log-log grid of 217 knots and
+nonpositive scalar coupling, so it is tabulated once per geometry (pi lam,
+r0, r_e, alpha, eps) on a log-log grid of 217 knots and
 spline-interpolated; the cross moment behind Q1 and Q3, which depends on
-the same five values, is kept per geometry too. The table is built in
-one pass for all knots: a shared t-grid below the inner cut, and beyond
-it, where every t has the same inner row, one cumulative sum of panels
-between consecutive knots of a universal function of the coupling. Tests
-pin these shortcuts against direct quadrature and against
-``scipy.integrate.quad`` as the adaptive reference.
+the same five values, is kept per geometry too. The table is built in one
+pass for all knots: a shared t-grid below the inner cut, and beyond it,
+where every t has the same inner row, one cumulative sum of panels between
+consecutive knots of a universal function of the coupling. Tests pin these
+shortcuts against direct quadrature and against ``scipy.integrate.quad``
+as the adaptive reference.
 
 The module needs numpy alone. Its one special function is its own: the
 not-a-knot cubic spline of the E2 table (``_Spline``), which tests check
@@ -117,7 +117,7 @@ _TAYLOR_K = 7
 # elements, so the working set does not grow with the row count.
 _TAU_MAX = 1e24
 _HEAD_CHUNK = 32768
-# (T, n, x) rows per coverage block: whole thresholds, 32 of them at N = 4
+# (z, x) elements per block of _laplace: 128 values of z
 _ROW_BLOCK = 21504
 # E2 lookups per chunk (64 KiB per array): the arrays of a chunk are then
 # reused from the heap, where lookups of whole blocks map fresh pages and
@@ -209,12 +209,15 @@ def _e1_tail(grid: _TauGrid, beta: np.ndarray, gam: np.ndarray,
     0 share one column of moments, which is broadcast, and run in chunks
     of _HEAD_CHUNK // 4 rows; the others read theirs with one ``take`` per
     chunk of _HEAD_CHUNK // 16 rows, which keeps that (2K + 1, rows)
-    gather small. Every operation is elementwise, so a row's value does
-    not depend on the rows it is batched with."""
-    out = np.empty(beta.shape)
+    gather small. A row split at the last node has no tail: its tail is 0,
+    and is not formed, since beta th_s would be -inf * 0 where beta has
+    overflowed. Every operation is elementwise, so a row's value does not
+    depend on the rows it is batched with."""
+    out = np.zeros(beta.shape)
     first = split == 0
+    inner = ~first & (split < grid.th.size)
     for rows, step in ((np.flatnonzero(first), _HEAD_CHUNK // 4),
-                       (np.flatnonzero(~first), _HEAD_CHUNK // 16)):
+                       (np.flatnonzero(inner), _HEAD_CHUNK // 16)):
         for lo in range(0, rows.size, step):
             r = rows[lo:lo + step]
             if first[r[0]]:
@@ -769,53 +772,61 @@ def _overflow(p: SystemParams) -> NumericalError:
 
 
 # ---------------------------------------------------------------------------
-# coverage
+# the Laplace function and coverage
 # ---------------------------------------------------------------------------
 
-def _general_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
-    """Exponent of every (T, n, x) row; ``ent`` holds eta n T on axes
+def _general_exponent(ctx: _Context, z: np.ndarray) -> np.ndarray:
+    """Exponent of L's integrand at every (z, x) row; ``z`` is a column
     broadcasting against the x grid."""
     ctx.e2_table()   # built, if it must be, before the rows' arrays exist
-    return _c1_e1_e2_exponent(ctx, ent, ctx.e2_exponent)
+    return _c1_e1_e2_exponent(ctx, z, ctx.e2_exponent)
 
 
-def _no_pc_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
+def _no_pc_exponent(ctx: _Context, z: np.ndarray) -> np.ndarray:
     return _c1_e1_e2_exponent(
-        ctx, ent, lambda d: _e2_exponent_no_pc(ctx, d))
+        ctx, z, lambda d: _e2_exponent_no_pc(ctx, d))
 
 
-def _c1_e1_e2_exponent(ctx: _Context, ent: np.ndarray, e2) -> np.ndarray:
-    """-eta n T c1 + E1 + users E2, summed in this order into one array."""
-    e1 = ctx.e1_exponent(ent * ctx.unit_b, ent * ctx.unit_c, ctx.x_vals)
-    expo = -ent * ctx.c1_x
+def _c1_e1_e2_exponent(ctx: _Context, z: np.ndarray, e2) -> np.ndarray:
+    """-z c1 + E1 + users E2, summed in this order into one array."""
+    e1 = ctx.e1_exponent(z * ctx.unit_b, z * ctx.unit_c, ctx.x_vals)
+    expo = -z * ctx.c1_x
     expo += e1
     del e1
-    expo += ctx.users * e2(ent * ctx.unit_d)
+    expo += ctx.users * e2(z * ctx.unit_d)
     return expo
 
 
-def _infinite_m_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
+def _infinite_m_exponent(ctx: _Context, z: np.ndarray) -> np.ndarray:
     # C with its (M-1)/C_M^2 prefactor -> 1; B and D vanish
     c_inf = -ctx.terms.x2a * ctx.c_weight
-    return ctx.e1_exponent(0.0, ent * c_inf, ctx.x_vals)
+    return ctx.e1_exponent(0.0, z * c_inf, ctx.x_vals)
 
 
-def _fullpc_exponent(ctx: _Context, ent: np.ndarray) -> np.ndarray:
+def _fullpc_exponent(ctx: _Context, z: np.ndarray) -> np.ndarray:
     # dominant foreign-uplink term only (eps = 1)
-    return -ent * ctx.foreign_uplink(ctx.x_vals)
+    return -z * ctx.foreign_uplink(ctx.x_vals)
 
 
-def _alternating_sum(ctx: _Context, exponent, ent: np.ndarray,
-                     signs: np.ndarray) -> np.ndarray:
-    """sum_n signs_n int exp(exponent) e^-u du for a block of thresholds;
-    ``ent`` is eta n T with shape (thresholds, n, 1)."""
-    expo = exponent(ctx, ent)
-    expo -= ctx.x_nodes       # serving density is e^-u du in u-space
-    np.exp(expo, out=expo)
-    # per-row sums (einsum, not BLAS), so that a value does not depend on
-    # the thresholds it is computed with
-    return np.einsum("tn,n->t", np.einsum("tnx,x->tn", expo, ctx.x_weights),
-                     signs)
+def _laplace(params: SystemParams, z: np.ndarray,
+             exponent=_general_exponent) -> np.ndarray:
+    """L = int exp(exponent) e^-u du, unclamped, at each z >= 0 of the flat
+    array ``z``; in equal blocks of at most _ROW_BLOCK (z, x) elements, so
+    that the working set does not grow with z.size."""
+    ctx = _context(params)
+    per_block = _ROW_BLOCK // ctx.x_vals.size
+    out = []
+    for block in np.array_split(z, max(1, -(-z.size // per_block))):
+        # a product past the float range is -inf, a row whose L is 0
+        with np.errstate(over="ignore"):
+            expo = exponent(ctx, block[:, None])
+        expo -= ctx.x_nodes       # serving density is e^-u du in u-space
+        np.exp(expo, out=expo)
+        # per-row sums (einsum, not BLAS), so that a value does not depend
+        # on the rows it is computed with
+        out.append(np.einsum("zx,x->z", expo, ctx.x_weights))
+        del expo    # before the next block's arrays exist
+    return np.concatenate(out)
 
 
 def _mixture_signs(n_shape: int) -> np.ndarray:
@@ -827,22 +838,17 @@ def _mixture_signs(n_shape: int) -> np.ndarray:
 
 def _coverage_values(thresholds, params: SystemParams, n_shape: int,
                      exponent=_general_exponent):
-    """(coverage, clamped count) at linear ``thresholds``: the alternating
-    sum over n of the x-integral of exp(exponent). All (T, n, x) rows are
-    evaluated as arrays, in blocks of whole thresholds of at most
-    _ROW_BLOCK rows, so that the working set does not grow with the
-    number of thresholds."""
-    ctx = _context(params)
+    """(coverage, clamped count) at linear ``thresholds``: the Gamma
+    mixture sum_n s_n L(eta n T) of :func:`_laplace`, with L evaluated at
+    every (T, n) at once."""
     thresholds = np.asarray(thresholds, dtype=float)
     if not np.all((thresholds >= 0.0) & (thresholds < np.inf)):
         raise DomainError("thresholds must be finite and >= 0 (linear scale)")
-    n = np.arange(1, n_shape + 1)
-    signs = _mixture_signs(n_shape)
-    ent = eta_shape(n_shape) * np.multiply.outer(thresholds, n)[..., None]
-    per_block = max(1, _ROW_BLOCK // (n_shape * ctx.x_vals.size))
-    blocks = np.array_split(ent, max(1, -(-thresholds.size // per_block)))
-    acc = np.concatenate([_alternating_sum(ctx, exponent, block, signs)
-                          for block in blocks])
+    with np.errstate(over="ignore"):    # eta n T = inf: L is 0 there
+        ent = eta_shape(n_shape) * np.multiply.outer(
+            thresholds, np.arange(1, n_shape + 1))
+    laplace = _laplace(params, ent.ravel(), exponent).reshape(ent.shape)
+    acc = np.einsum("tn,n->t", laplace, _mixture_signs(n_shape))
     bad = ~np.isfinite(acc) | (np.abs(acc) > _GUARD_LIMIT)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -920,8 +926,8 @@ def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult
     """Cell-aggregate downlink ergodic rate in bits/s/Hz:
     (n_p n_d / n_tot) * integral_0^inf P(SINR > t) / ((t+1) ln 2) dt.
 
-    Coverage is the mixture sum_n s_n L(eta n t) of the Laplace function L,
-    the N = 1 coverage, so the rate is pref / ln 2 times one integral,
+    Coverage is the mixture sum_n s_n L(eta n t) of the Laplace function L
+    (:func:`_laplace`), so the rate is pref / ln 2 times one integral,
     int_0^inf L(z) k(z) dz with k(z) = sum_n s_n / (z + eta n). Its panels
     run from the first candidate where L is L(0) to 1e-13 up to z_hi =
     ln(1e18) / f, f = (v_m - 1 + n_p) / C_M^2 (``own_cell``), past which L
@@ -932,12 +938,13 @@ def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult
     (see :func:`_head_end`); the panels below it are dropped."""
     n_shape = _gamma_shape(n_shape, params)
     z_probe = np.concatenate([_Z_LO_CANDIDATES, _Z_HEAD_PROBES])
-    probe, _ = _coverage_values(np.append(0.0, z_probe), params, 1)
+    probe = _laplace(params, np.append(0.0, z_probe))
     l0, l_probe = probe[0], probe[1:]
     # against L(0), not 1: the x grid's mass caps L at 1 - 1e-10
     flat = np.flatnonzero(l0 - l_probe[:_Z_LO_CANDIDATES.size] < _Z_LO_TOL)
     if not flat.size:
-        raise NumericalError("L(z) is not flat near z = 0 down to 1e-30")
+        raise NumericalError("L(z) is not flat near z = 0 down to 1e-30 at "
+                             f"path-loss exponent {params.alpha!r}")
     f = own_cell(params)
     z_hi = math.log(1.0 / _Z_HI_TAIL) / f
     breaks = log_breaks(float(_Z_LO_CANDIDATES[flat[0]]), z_hi,
@@ -948,7 +955,7 @@ def ergodic_rate(params: SystemParams, n_shape: int | None = None) -> RateResult
                                   signs)
     z_lo = float(breaks[first])
     z, w = gauss_legendre_panels(breaks[first:], _Z_PANEL_NODES)
-    l_z, _ = _coverage_values(z, params, 1)
+    l_z = _laplace(params, z)
     body = np.dot(w, l_z * ((1.0 / np.add.outer(z, eta_n)) @ signs))
     head = l0 * np.dot(signs, np.log1p(z_lo / eta_n))
     rate = params.rate_prefactor / math.log(2.0) * float(body + head)

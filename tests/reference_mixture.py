@@ -2,8 +2,9 @@
 coverage formula: the oracle of acceptance criterion 7 and
 ``test_analytic.py::TestGammaApprox``, which check it against the exact
 Gamma CDF (``scipy.special.gammainc``) and check the engine's binomial
-expansion (``mimosg.analytic._coverage_values``, the program's only form
-of the mixture) against it.
+expansion against it: ``mimosg.analytic._coverage_values``, the program's
+only form of the mixture, which applies the signs s_n to the Laplace
+function ``_laplace`` at eta n T.
 """
 from __future__ import annotations
 

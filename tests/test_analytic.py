@@ -14,7 +14,7 @@ from mimosg.analytic import (_TAYLOR_K, _TAYLOR_Z, CoverageCurve, _context,
                              ergodic_rate, q2)
 from mimosg.errors import DomainError, NumericalError
 from mimosg.geometry import NetworkRealization
-from mimosg.params import c_m, default_params, eta_shape, v_m
+from mimosg.params import c_m, dbm_to_watt, default_params, eta_shape, v_m
 from mimosg.quadrature import gauss_legendre_panels, leggauss, log_panel_grid
 from reference_mixture import gamma_mixture_cdf
 from reference_sinr import run_kernels
@@ -942,6 +942,65 @@ class TestCoverage:
         assert float(_context(params_async).c1(0.3)) > floor
 
 
+# The coverage paths: the public curve and the exponent it hands _laplace
+COVERAGE_PATHS = {
+    "general": (coverage, analytic._general_exponent),
+    "no_pc": (coverage_no_pc, analytic._no_pc_exponent),
+    "infinite_m": (coverage_infinite_m, analytic._infinite_m_exponent),
+    "fullpc": (coverage_fullpc_async, analytic._fullpc_exponent)}
+
+
+class TestLaplaceEvaluator:
+    @pytest.mark.parametrize("path, mode, eps", [
+        *[(path, mode, eps) for path in ("general", "infinite_m")
+          for mode in ("sync", "async") for eps in (0.0, 0.5, 1.0)],
+        ("no_pc", "sync", 0.0), ("no_pc", "async", 0.0),
+        ("fullpc", "async", 1.0)])
+    @pytest.mark.parametrize("n_shape", [1, 2, 4, 8])
+    def test_coverage_is_signed_sum_of_laplace(self, path, mode, eps,
+                                               n_shape):
+        """Coverage is the mixture sum_n s_n L(eta n T) of ``_laplace``,
+        clamped, bit for bit; L is taken here one n at a time, so a value
+        of L does not depend on the values it is evaluated with either."""
+        curve_fn, exponent = COVERAGE_PATHS[path]
+        p = default_params(mode, eps=eps)
+        th = 10.0 ** (np.arange(-10.0, 21.0, 1.0) / 10.0)
+        eta = eta_shape(n_shape)
+        laplace = np.stack([analytic._laplace(p, eta * (th * n), exponent)
+                            for n in range(1, n_shape + 1)], axis=1)
+        signed = np.einsum("tn,n->t", laplace, _mixture_signs(n_shape))
+        got = curve_fn(th, p, n_shape).coverage
+        assert np.array_equal(got, np.clip(signed, 0.0, 1.0))
+
+    @pytest.mark.parametrize("path, mode, eps", [
+        ("general", "sync", 0.5), ("general", "async", 0.5),
+        ("infinite_m", "sync", 0.5), ("infinite_m", "async", 0.5),
+        ("no_pc", "sync", 0.0), ("no_pc", "async", 0.0),
+        ("fullpc", "async", 1.0)])
+    def test_threshold_past_float_range_covers_nothing(self, path, mode,
+                                                       eps):
+        """At T = 1e308 the products eta n T c1, B, C and D overflow to
+        -inf (eta n T itself at N = 4): coverage is 0, with no warning
+        (the test setting makes one an error), and the finite thresholds
+        beside it keep their values."""
+        curve_fn, _ = COVERAGE_PATHS[path]
+        p = default_params(mode, eps=eps)
+        th = np.array([1e-5, 1e300, 1e308])
+        got = curve_fn(th, p).coverage
+        assert got[1] == got[2] == 0.0
+        assert got[0] == curve_fn(th[:1], p).coverage[0] > 0.0
+
+    def test_e1_row_past_float_range_is_all_head(self):
+        """A row whose beta is -inf is split at the last node and has no
+        tail: its E1 integral is sum_j w_j expm1(-inf) = -sum_j w_j, and
+        not beta th_s = -inf * 0, a NaN."""
+        grid = _tau_grid(4.0)
+        beta, gam = np.array([-np.inf, -1.0]), np.array([0.0, -np.inf])
+        assert list(_e1_splits(grid, beta, gam)) == [grid.th.size] * 2
+        got = _e1_integral(grid, beta, gam)
+        np.testing.assert_allclose(got, -grid.w.sum(), rtol=1e-14)
+
+
 class TestErgodicRate:
     def test_rate_positive_and_sane(self):
         p = default_params("async", m=64, eps=0.0)
@@ -1018,7 +1077,7 @@ class TestErgodicRate:
         z_hi = ergodic_rate(p, 1).z_hi
         assert z_hi == pytest.approx(math.log(1e18) / f, rel=1e-15)
         z = np.concatenate([[0.0], np.geomspace(1e-3, z_hi, 40)])
-        laplace, _ = analytic._coverage_values(z, p, 1)
+        laplace = analytic._laplace(p, z)
         assert np.all(laplace <= laplace[0] * np.exp(-z * f))
         assert laplace[-1] < 1e-18
 
@@ -1045,7 +1104,7 @@ class TestErgodicRate:
 
         z = np.concatenate([analytic._Z_LO_CANDIDATES,
                             analytic._Z_HEAD_PROBES])
-        laplace, _ = analytic._coverage_values(z, p, 1)
+        laplace = analytic._laplace(p, z)
         eta_n = eta_shape(n_shape) * np.arange(1, n_shape + 1)
         kernel = np.log1p(np.divide.outer(z, eta_n)) @ _mixture_signs(n_shape)
         integral = full.rate * math.log(2.0) * p.n_tot / (p.n_p * p.n_d)
@@ -1056,6 +1115,45 @@ class TestErgodicRate:
         monkeypatch.setattr(analytic, "_Z_LO_TOL", 0.0)
         with pytest.raises(NumericalError):
             ergodic_rate(params_async, 1)
+
+
+def _scaled(p, length=1.0, power=1.0):
+    """``p`` with every length times ``length``, omega times
+    ``length``^alpha, and every power times ``power``: the same network,
+    whose SINR is unchanged."""
+    return p.with_updates(r_e=p.r_e * length, r0=p.r0 * length,
+                          omega=p.omega * length ** p.alpha,
+                          p_d=p.p_d * power, p_u=p.p_u * power,
+                          sigma2=p.sigma2 * power)
+
+
+class TestScalingInvariance:
+    """Exact invariances of the model that do not share the derivation of
+    its terms: a wrong power of a distance, of omega or of a power would
+    show here, where the parity tests would share it."""
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("noise_dbm", [-200.0, -90.0])
+    @pytest.mark.parametrize("length, power, exact", [
+        (2.0, 1.0, True), (1.0, 4.0, True),
+        (0.37, 1.0, False), (1.0, 0.3, False)])
+    def test_coverage_and_rate_invariant(self, mode, eps, noise_dbm, length,
+                                         power, exact):
+        """Scaling lengths by 2 (omega by 2^alpha) or powers by 4 changes
+        every intermediate by a power of two, so coverage and rate are
+        equal bit for bit; by 0.37 or 0.3 they agree to 1e-13."""
+        p = default_params(mode, eps=eps, sigma2=dbm_to_watt(noise_dbm))
+        q = _scaled(p, length, power)
+        th = 10.0 ** (np.arange(-10.0, 21.0, 1.0) / 10.0)
+        cov, cov_q = coverage(th, p).coverage, coverage(th, q).coverage
+        rate, rate_q = ergodic_rate(p).rate, ergodic_rate(q).rate
+        if exact:
+            assert np.array_equal(cov_q, cov)
+            assert rate_q == rate
+        else:
+            np.testing.assert_allclose(cov_q, cov, rtol=0.0, atol=1e-13)
+            assert rate_q == pytest.approx(rate, rel=1e-13)
 
 
 class TestGoldenValues:

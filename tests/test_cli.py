@@ -277,11 +277,14 @@ class TestSubcommands:
     def test_huge_path_loss_exponent_exits_numerical(self, capsys, tmp_path,
                                                      command, extra):
         """alpha = 600 overflows the powers of distance of both engines,
-        and alpha = 30 or 100 the analytic engine's tau grid: exit 3 with
-        one line on standard error, not a traceback, numpy warnings or a
-        Monte Carlo coverage of 0."""
+        alpha = 30 or 100 the analytic engine's tau grid, and at alpha = 24
+        the rate's L(z) is not flat near z = 0: exit 3 with one line on
+        standard error that names the exponent, not a traceback, numpy
+        warnings or a Monte Carlo coverage of 0."""
         path = tmp_path / "cfg.json"
-        for alpha in (600,) if command == "coverage-mc" else (30, 100, 600):
+        alphas = {"coverage": (30, 100, 600), "rate": (24, 30, 100, 600),
+                  "coverage-mc": (600,)}[command]
+        for alpha in alphas:
             path.write_text(json.dumps({"alpha": alpha}))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -292,6 +295,24 @@ class TestSubcommands:
             assert f"path-loss exponent {float(alpha)!r}" in err
             assert err.count("\n") == 1
             assert out == ""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("coverage", []), ("coverage", ["--mode", "sync"]),
+        ("special", ["--case", "infinite-m"]),
+        ("special", ["--case", "no-pc", "--eps", "0"])])
+    def test_threshold_at_float_range_end_covers_nothing(self, capsys,
+                                                         command, extra):
+        """At 3080 dB (T = 1e308) the exponent overflows to -inf: the
+        coverage is 0, printed with no warning, not a lost-precision
+        exit."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, *extra,
+                                     "--thresholds-db", "3000:3080:80")
+        assert code == EXIT_OK
+        assert out.splitlines() == ["threshold_db,coverage", "3000,0",
+                                    "3080,0"]
+        assert err == ""
 
     def test_huge_integer_seed_accepted(self, capsys):
         """An int is exact however large: a 30-digit seed is a seed, not

@@ -235,6 +235,30 @@ def test_montecarlo_leaves_the_user_layout_to_the_kernels():
     assert calls == []
 
 
+# The Gamma mixture of coverage: its shape, its eta and its signs
+MIXTURE_NAMES = {"n_shape", "eta_shape", "_mixture_signs"}
+
+
+def test_one_laplace_evaluator_free_of_the_mixture():
+    """The rate reads L from ``_laplace``, not as a coverage at N = 1 from
+    ``_coverage_values``; ``_laplace`` and every exponent it takes (the
+    module's functions named ``*exponent*``) read none of the mixture's
+    names, which only coverage and the rate's kernel apply to L."""
+    functions = {fn.name: fn for fn in _program_modules()["analytic"].body
+                 if isinstance(fn, ast.FunctionDef)}
+
+    def names(name):
+        return {getattr(n, "id", getattr(n, "arg", None))
+                for n in ast.walk(functions[name])}
+
+    assert "_laplace" in names("ergodic_rate")
+    assert "_coverage_values" not in names("ergodic_rate")
+    evaluator = ["_laplace"] + [f for f in functions if "exponent" in f]
+    assert len(evaluator) >= 6
+    assert {f: sorted(names(f) & MIXTURE_NAMES) for f in evaluator} \
+        == {f: [] for f in evaluator}
+
+
 @pytest.mark.parametrize("module", ["_kernels", "montecarlo"])
 def test_phase_codes_are_compared_by_name(module):
     """The MC engine compares phase draws with the PHASE_* names of

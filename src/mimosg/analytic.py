@@ -272,13 +272,18 @@ def _e1_integral(grid: _TauGrid, beta: np.ndarray,
     ``_e1_tail`` for the tail. For the head, rows are taken in the order
     of their split, so that the rows of a chunk share about one head
     width; the chunk is laid out node by row, the nodes past a row's own
-    split are zeroed, and einsum adds it node after node."""
+    split are zeroed, and einsum adds it node after node.
+
+    The nodes whose th underflowed to 0 (from alpha ~ 27) are left out of
+    the head: they add expm1(0) = 0 to a finite row, and would add
+    expm1(-inf * 0) = NaN to a row whose beta overflowed to -inf."""
     split = _e1_splits(grid, beta, gam)
     out = _e1_tail(grid, beta, gam, split)
 
     heads = np.flatnonzero(split)
     order = heads[np.argsort(split[heads], kind="stable")]
     buf = np.empty(_HEAD_CHUNK + grid.th.size)
+    live = np.count_nonzero(grid.th)
     lo, n_rows = 0, order.size
     while lo < n_rows:
         # rows [lo, hi): width * rows stays within the chunk budget
@@ -287,7 +292,7 @@ def _e1_integral(grid: _TauGrid, beta: np.ndarray,
         hi = min(n_rows, lo + _HEAD_CHUNK // int(probe))
         rows = order[lo:hi]
         s = split[rows]
-        width, first = int(s[-1]), int(s[0])
+        width, first = min(int(s[-1]), live), int(s[0])
         th = grid.th[:width, None]
         # a spare zero row: einsum would add a lone row in another order
         # than the rows of a wider chunk
@@ -496,15 +501,6 @@ class _E2Table:
     end_slope: float
 
 
-@lru_cache(maxsize=32)
-def _e2_slot(pi_lam: float, r0: float, r_e: float, alpha: float,
-             eps: float) -> list:
-    """Holder of the one E2 table of a geometry. The doubly-integrated
-    exponent depends only on these five values, not on n_p, m or the
-    mode, so a sweep over those builds the table once."""
-    return []
-
-
 class _Context:
     """What the analytic engine derives from one parameter set: from the
     cross moment of its geometry, Q1, Q2 and Q3; and on the fixed x
@@ -639,17 +635,18 @@ class _Context:
         return a * rows.reshape(shape)
 
     # --- E2 exponent ------------------------------------------------------
-    def _e2_inner_rows(self, s_hi: np.ndarray):
+    @staticmethod
+    def _e2_inner_rows(a0: float, pexp: float, s_hi: np.ndarray):
         """The inner s-rule on [a0, s_hi] for each upper end: the nodes
-        s^p and the weights w e^-s, one row of GRID_INNER per end."""
-        p = self.params
-        a0 = p.pi_lam * p.r0 ** 2
+        s^pexp and the weights w e^-s, one row of GRID_INNER per end."""
         gl_x, gl_w = leggauss(GRID_INNER)
         half = 0.5 * (s_hi - a0)
         s = a0 + half[:, None] * (gl_x[None, :] + 1.0)
-        return s ** (p.alpha * p.eps / 2.0), half[:, None] * gl_w * np.exp(-s)
+        return s ** pexp, half[:, None] * gl_w * np.exp(-s)
 
-    def _build_e2_table(self) -> _E2Table:
+    @staticmethod
+    def _build_e2_table(pi_lam: float, r0: float, r_e: float, alpha: float,
+                        eps: float) -> _E2Table:
         """The exponent -E(g) at the table's couplings g, all in one pass:
 
             E(g) = int_te^inf int_a0^min(t, s_cap) e^-s expm1(-g s^p
@@ -666,17 +663,17 @@ class _Context:
         the knots as one cumulative sum of Gauss-Legendre panels in log v,
         one panel between consecutive knots, from its power series below
         the first."""
-        p = self.params
-        q = p.pi_lam
-        a0 = q * p.r0 ** 2
-        te = q * p.r_e ** 2
+        a0 = pi_lam * r0 ** 2
+        te = pi_lam * r_e ** 2
+        pexp = alpha * eps / 2.0
         s_cap = a0 + 45.0
-        k = 2.0 / p.alpha
+        k = 2.0 / alpha
         grid = np.geomspace(_E2_LO, _E2_HI,
                             int(math.log10(_E2_HI / _E2_LO)) * 8 + 1)
 
-        sp, w = (row[0] for row in self._e2_inner_rows(np.array([s_cap])))
-        v = grid * s_cap ** (-p.alpha / 2.0)
+        sp, w = (row[0] for row in
+                 _Context._e2_inner_rows(a0, pexp, np.array([s_cap])))
+        v = grid * s_cap ** (-alpha / 2.0)
         # below the first knot v s^p <= 1e-12, and F(-v) is its series
         h = sum((-v[0]) ** n * np.dot(w, sp ** n) / math.factorial(n)
                 * v[0] ** -k / (n - k) for n in (1, 2, 3))
@@ -694,8 +691,8 @@ class _Context:
         vals = k * grid ** k * h / math.exp(-a0)
 
         t, wt = log_panel_grid(te, s_cap, panels_per_decade=4, n_per_panel=10)
-        c, w = self._e2_inner_rows(t)
-        c *= t[:, None] ** (-p.alpha / 2.0)    # s^p t^(-a/2)
+        c, w = _Context._e2_inner_rows(a0, pexp, t)
+        c *= t[:, None] ** (-alpha / 2.0)    # s^p t^(-a/2)
         wt = wt / (math.exp(-a0) - np.exp(-t))
         step = max(1, _HEAD_CHUNK // c.size)
         for i in range(0, grid.size, step):
@@ -717,11 +714,7 @@ class _Context:
     def e2_table(self) -> _E2Table:
         """The E2 table of this geometry, built on first use and shared
         with every parameter set of the same geometry."""
-        p = self.params
-        slot = _e2_slot(*_geometry(p))
-        if not slot:
-            slot.append(self._build_e2_table())
-        return slot[0]
+        return _e2_table(*_geometry(self.params))
 
     def e2_exponent(self, d):
         """Exponent of E2 (before the per-user multiplicity factor) at
@@ -762,6 +755,15 @@ def _x_grid():
 
 
 _context = lru_cache(maxsize=32)(_Context)
+
+
+@lru_cache(maxsize=32)
+def _e2_table(pi_lam: float, r0: float, r_e: float, alpha: float,
+              eps: float) -> _E2Table:
+    """The E2 table of a geometry (see ``_geometry``). The doubly-integrated
+    exponent depends only on these five values, not on n_p, m or the
+    mode, so a sweep over those builds the table once."""
+    return _Context._build_e2_table(pi_lam, r0, r_e, alpha, eps)
 
 
 def _overflow(p: SystemParams) -> NumericalError:

@@ -5,6 +5,13 @@ dB/dBm values are accepted only here and converted once to the internal
 linear-watt/km convention. Threshold grids are specified in dB for
 convenience and converted to linear SINR.
 
+There is one handler per kind of result, and the parser sets each
+command's engine: ``coverage``, ``special`` and ``coverage-mc`` run the
+curve handler, and ``rate``, ``rate-mc`` and ``sweep`` the rate table,
+of which ``rate`` and ``rate-mc`` are the one-point case at the
+configured eps. Every handler returns its record and exit code, and
+``main`` writes the record.
+
 Exit codes: 0 ok, 2 configuration error, 3 numerical error,
 4 validation-gate failure.
 """
@@ -20,8 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analytic import (CoverageCurve, RateResult, coverage,
-                       coverage_fullpc_async, coverage_infinite_m,
+from .analytic import (coverage, coverage_fullpc_async, coverage_infinite_m,
                        coverage_no_pc, ergodic_rate)
 from .errors import ConfigError, DomainError, MimosgError, NumericalError
 from .geometry import trunc_rayleigh_cdf, trunc_rayleigh_sample
@@ -252,92 +258,64 @@ def _record(params: SystemParams, cfg: dict, header, rows, **meta) -> dict:
             "effective_config": {k: cfg[k] for k in sorted(cfg)}}
 
 
-def _trial_counts(trials_used: int, mc: McConfig) -> dict:
-    """Of a Monte Carlo run's trials, how many gave tagged users and how
-    many were skipped (e.g. the zero-cell outside the margin)."""
-    return {"trials_used": trials_used,
-            "trials_skipped": mc.trials - trials_used}
-
-
-def _curve_record(curve: CoverageCurve, cfg: dict, seed=None,
-                  **meta) -> dict:
-    rows = [(10.0 * math.log10(t), float(c))
-            for t, c in zip(curve.thresholds, curve.coverage)]
-    header = ["threshold_db", "coverage"]
-    if curve.ci_half_width is not None:
-        header.append("ci95_half_width")
-        rows = [r + (float(h),) for r, h in zip(rows, curve.ci_half_width)]
-    return _record(curve.params, cfg, header, rows, kind="coverage",
-                   method=curve.method, n_shape=curve.n_shape, seed=seed,
-                   clamped=curve.clamped, **meta)
-
-
-def _rate_diagnostics(res: RateResult, label, value) -> dict:
-    """The ends of the analytic rate's Laplace integral and the relative
-    error bound of its closed-form head, kept beside the values."""
-    return {label: float(value), "z_lo": res.z_lo, "z_hi": res.z_hi,
-            "head_bound": res.head_bound}
-
-
-def _rate_record(res: RateResult, label, value, params, cfg, seed=None,
-                 **meta) -> dict:
-    rows = [(float(value), res.rate)
-            + ((res.ci_half_width,) if res.ci_half_width is not None else ())]
-    header = [label, "rate_bps_hz"] + (
-        ["ci95_half_width"] if res.ci_half_width is not None else [])
-    record = _record(params, cfg, header, rows, kind="rate",
-                     method=res.method, seed=seed, **meta)
-    if res.z_lo is not None:
-        record["diagnostics"] = [_rate_diagnostics(res, label, value)]
-    return record
+def _table(res, params, cfg, header, rows, half_widths, **meta) -> dict:
+    """The record of a curve or rate table whose engine gave ``res`` (its
+    last row's result): with a ci95_half_width column when the engine
+    gives half-widths, and for a Monte Carlo run its seed and how many of
+    its trials gave tagged users or were skipped (e.g. the zero-cell
+    outside the margin)."""
+    if res.ci_half_width is not None:
+        header = header + ["ci95_half_width"]
+        rows = [r + (float(h),) for r, h in zip(rows, half_widths)]
+    meta["seed"] = None
+    if res.trials_used is not None:
+        meta.update(seed=cfg["seed"], trials_used=res.trials_used,
+                    trials_skipped=_number(cfg, "trials", int)
+                    - res.trials_used)
+    return _record(params, cfg, header, rows, **meta)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-SPECIAL_CASES = {"full-pc": coverage_fullpc_async,
-                 "infinite-m": coverage_infinite_m,
-                 "no-pc": coverage_no_pc}
+def _analytic(curve):
+    """The analytic coverage function ``curve(thresholds, params, n_shape)``
+    as an engine of the curve handler."""
+    def engine(thr, params, cfg):
+        return curve(thr, params, _n_gamma(cfg))
+    return engine
 
 
-def cmd_coverage(cfg: dict, args: argparse.Namespace) -> int:
-    """The analytic coverage curve; ``special`` runs its ``--case``'s."""
+def _mc_curve(thr, params, cfg):
+    return run_coverage_mc(params, build_mc_config(cfg, thr))
+
+
+def _analytic_rate(params, cfg):
+    return ergodic_rate(params, _n_gamma(cfg))
+
+
+def _mc_rate(params, cfg):
+    return run_rate_mc(params, build_mc_config(cfg, ()))
+
+
+SPECIAL_CASES = {"full-pc": _analytic(coverage_fullpc_async),
+                 "infinite-m": _analytic(coverage_infinite_m),
+                 "no-pc": _analytic(coverage_no_pc)}
+
+
+def cmd_curve(cfg: dict, args: argparse.Namespace) -> tuple[dict, int]:
+    """The coverage curve of the command's engine; ``special`` runs its
+    ``--case``'s."""
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
-    curve = SPECIAL_CASES.get(args.case, coverage)(thr, params, _n_gamma(cfg))
-    write_results(_curve_record(curve, cfg), cfg["output"], cfg["format"])
-    return EXIT_OK
-
-
-def cmd_coverage_mc(cfg: dict, args: argparse.Namespace) -> int:
-    params = build_params(cfg)
-    thr = parse_threshold_grid(cfg["thresholds_db"])
-    mc = build_mc_config(cfg, thr)
-    curve = run_coverage_mc(params, mc)
-    write_results(_curve_record(curve, cfg, seed=cfg["seed"],
-                                **_trial_counts(curve.trials_used, mc)),
-                  cfg["output"], cfg["format"])
-    return EXIT_OK
-
-
-def cmd_rate(cfg: dict, args: argparse.Namespace) -> int:
-    params = build_params(cfg)
-    res = ergodic_rate(params, _n_gamma(cfg))
-    write_results(_rate_record(res, "eps", params.eps, params, cfg),
-                  cfg["output"], cfg["format"])
-    return EXIT_OK
-
-
-def cmd_rate_mc(cfg: dict, args: argparse.Namespace) -> int:
-    params = build_params(cfg)
-    mc = build_mc_config(cfg, ())
-    res = run_rate_mc(params, mc)
-    write_results(_rate_record(res, "eps", params.eps, params, cfg,
-                               seed=cfg["seed"],
-                               **_trial_counts(res.trials_used, mc)),
-                  cfg["output"], cfg["format"])
-    return EXIT_OK
+    curve = SPECIAL_CASES.get(args.case, args.engine)(thr, params, cfg)
+    rows = [(10.0 * math.log10(t), float(c))
+            for t, c in zip(curve.thresholds, curve.coverage)]
+    return _table(curve, curve.params, cfg, ["threshold_db", "coverage"],
+                  rows, curve.ci_half_width, kind="coverage",
+                  method=curve.method, n_shape=curve.n_shape,
+                  clamped=curve.clamped), EXIT_OK
 
 
 def _sweep_values(param: str, text: str) -> list[float]:
@@ -357,26 +335,34 @@ def _sweep_values(param: str, text: str) -> list[float]:
     return values
 
 
-def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
-    param = args.param
-    values = _sweep_values(param, args.values)
-    key, kind = {"np": ("n_p", int), "eps": ("eps", float)}[param]
-    rows, diagnostics = [], []
-    base = dict(cfg)
-    for v in values:
-        base[key] = kind(v)
-        params = build_params(base)
-        res = ergodic_rate(params, _n_gamma(cfg))
-        rows.append((float(v), res.rate))
-        diagnostics.append(_rate_diagnostics(res, param, v))
-    record = _record(build_params(cfg), cfg, [param, "rate_bps_hz"], rows,
-                     kind="sweep", method="analytic", seed=None,
-                     diagnostics=diagnostics)
-    write_results(record, cfg["output"], cfg["format"])
-    return EXIT_OK
+def cmd_rate(cfg: dict, args: argparse.Namespace) -> tuple[dict, int]:
+    """The rate table of the command's engine: ``sweep``'s rate at each of
+    its ``--values`` of ``--param``; ``rate`` and ``rate-mc`` are its
+    one-point case, the rate at the configured eps."""
+    key = {"np": "n_p", "eps": "eps"}[args.param]
+    points = [cfg] if args.values is None else [
+        {**cfg, key: v} for v in _sweep_values(args.param, args.values)]
+    rows, half_widths, diagnostics = [], [], []
+    for point in points:
+        params = build_params(point)
+        res = args.engine(params, cfg)
+        value = float(getattr(params, key))
+        rows.append((value, res.rate))
+        half_widths.append(res.ci_half_width)
+        # the ends of the analytic rate's Laplace integral and the
+        # relative error bound of its closed-form head
+        if res.z_lo is not None:
+            diagnostics.append({args.param: value, "z_lo": res.z_lo,
+                                "z_hi": res.z_hi,
+                                "head_bound": res.head_bound})
+    meta = {"diagnostics": diagnostics} if diagnostics else {}
+    return _table(res, build_params(cfg), cfg, [args.param, "rate_bps_hz"],
+                  rows, half_widths,
+                  kind="rate" if args.values is None else "sweep",
+                  method=res.method, **meta), EXIT_OK
 
 
-def cmd_validate(cfg: dict, args: argparse.Namespace) -> int:
+def cmd_validate(cfg: dict, args: argparse.Namespace) -> tuple[dict, int]:
     params = build_params(cfg)
     thr = parse_threshold_grid(cfg["thresholds_db"])
     report = validate(params, build_mc_config(cfg, thr), args.gate,
@@ -389,11 +375,10 @@ def cmd_validate(cfg: dict, args: argparse.Namespace) -> int:
     record = _record(params, cfg, ["threshold_db", "analytic", "monte_carlo",
                                    "mc_ci95_half_width", "abs_deviation"],
                      rows, **report.to_json_dict())
-    write_results(record, cfg["output"], cfg["format"])
-    return EXIT_OK if report.passed else EXIT_GATE
+    return record, EXIT_OK if report.passed else EXIT_GATE
 
 
-def cmd_pdf_check(cfg: dict, args: argparse.Namespace) -> int:
+def cmd_pdf_check(cfg: dict, args: argparse.Namespace) -> tuple[dict, int]:
     """Kolmogorov-Smirnov suite for the three conditional distance laws,
     the truncated Rayleigh law on three supports: a user's serving
     distance, the same given a station 1.6 r_e away, and a foreign user's
@@ -426,10 +411,9 @@ def cmd_pdf_check(cfg: dict, args: argparse.Namespace) -> int:
     record = _record(params, cfg, ["law", "ks_distance"], rows,
                      kind="pdf-check", method="inverse-cdf-sampler",
                      seed=cfg["seed"], ks_gate=gate)
-    write_results(record, cfg["output"], cfg["format"])
     worst = max(v for _, v in rows)
     sys.stderr.write(f"worst KS distance: {worst:.5f} (gate {gate:.4g})\n")
-    return EXIT_OK if worst < gate else EXIT_GATE
+    return record, EXIT_OK if worst < gate else EXIT_GATE
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +471,24 @@ def make_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     common = _common_options()
 
-    for name, hlp, handler in [
-            ("coverage", "analytic coverage curve", cmd_coverage),
-            ("coverage-mc", "Monte Carlo coverage curve", cmd_coverage_mc),
-            ("rate", "analytic ergodic rate", cmd_rate),
-            ("rate-mc", "Monte Carlo ergodic rate", cmd_rate_mc),
+    for name, hlp, handler, engine in [
+            ("coverage", "analytic coverage curve", cmd_curve,
+             _analytic(coverage)),
+            ("coverage-mc", "Monte Carlo coverage curve", cmd_curve,
+             _mc_curve),
+            ("rate", "analytic ergodic rate", cmd_rate, _analytic_rate),
+            ("rate-mc", "Monte Carlo ergodic rate", cmd_rate, _mc_rate),
             ("validate", "compare analytic vs Monte Carlo coverage",
-             cmd_validate),
-            ("special", "special-case analytic curves", cmd_coverage),
-            ("sweep", "rate sweep over a parameter", cmd_sweep),
+             cmd_validate, None),
+            ("special", "special-case analytic curves", cmd_curve, None),
+            ("sweep", "rate sweep over a parameter", cmd_rate,
+             _analytic_rate),
             ("pdf-check", "KS suite for the distance-law samplers",
-             cmd_pdf_check)]:
+             cmd_pdf_check, None)]:
         sub = subs.add_parser(name, help=hlp, parents=[common])
-        sub.set_defaults(handler=handler, case=None)
+        # rate and rate-mc: the one-point rate table at the configured eps
+        sub.set_defaults(handler=handler, engine=engine, case=None,
+                         param="eps", values=None)
         if name == "validate":
             sub.add_argument("--gate", type=float, required=True,
                              help="max |analytic - MC| allowed")
@@ -539,7 +528,9 @@ def main(argv=None) -> int:
         overrides = {k: v for k, v in vars(args).items()
                      if k in DEFAULT_CONFIG}
         cfg = load_config(args.config, overrides)
-        return args.handler(cfg, args)
+        record, code = args.handler(cfg, args)
+        write_results(record, cfg["output"], cfg["format"])
+        return code
     except (ConfigError, DomainError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -45,6 +45,15 @@ def attenuation_db_to_linear(db: float) -> float:
     return 10.0 ** (-db / 10.0)
 
 
+def _is_integer(value) -> bool:
+    """``value`` is a whole number: an int, or a float without a fraction
+    that is neither NaN nor infinite."""
+    try:
+        return value == int(value)
+    except (ValueError, OverflowError):
+        return False
+
+
 def split_frame_real(n_tot: int, n_p: int, z: float) -> tuple[float, float]:
     """Split the data part of an ``n_tot``-symbol coherence block into
     uplink and downlink parts with ``n_d = z * n_u``.
@@ -54,13 +63,15 @@ def split_frame_real(n_tot: int, n_p: int, z: float) -> tuple[float, float]:
     divide evenly, and every formula downstream is well defined for
     real-valued phase durations.
     """
-    if n_p < 1 or n_p != int(n_p):
+    if n_p < 1 or not _is_integer(n_p):
         raise ConfigError(f"n_p must be a positive integer, got {n_p!r}")
-    if z <= 0:
+    if not z > 0:
         raise ConfigError(f"Z must be > 0, got {z!r}")
     data = n_tot - n_p
     if data <= 0:
         raise ConfigError(f"no data symbols left: n_tot={n_tot}, n_p={n_p}")
+    if not _is_integer(n_tot):
+        raise ConfigError(f"n_tot must be an integer, got {n_tot!r}")
     n_u = data / (1.0 + z)
     return n_u, data - n_u
 
@@ -206,7 +217,7 @@ class SystemParams:
             raise ConfigError(f"sigma2 must be >= 0, got {self.sigma2!r}")
         if self.alpha <= 2:
             raise ConfigError(f"alpha must be > 2, got {self.alpha!r}")
-        if self.m < 1 or self.m != int(self.m):
+        if self.m < 1 or not _is_integer(self.m):
             raise ConfigError(f"m must be a positive integer, got {self.m!r}")
         n_u, n_d = split_frame_real(self.n_tot, self.n_p, self.z)
         if n_u < 1 - 1e-9 or n_d < 1 - 1e-9:

@@ -49,6 +49,7 @@ from mimosg.geometry import (NetworkRealization, trunc_rayleigh_cdf,
                              trunc_rayleigh_sample)
 from mimosg.montecarlo import McConfig, run_rate_mc, validate
 from mimosg.params import c_m, default_params
+from reference_ks import ks_distance
 from reference_mixture import gamma_mixture_cdf
 from reference_sinr import (DeltaSet, compute_delta, extract_bundle,
                             inverse_sinr, isolated_cell_sinr)
@@ -65,14 +66,6 @@ SETTING_TIME_LIMIT_S = 600.0
 
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"\n[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-def ks_distance(sample, cdf) -> float:
-    sample = np.sort(np.asarray(sample))
-    grid = cdf(sample)
-    n = sample.size
-    return float(max(np.max(np.arange(1, n + 1) / n - grid),
-                     np.max(grid - np.arange(0, n) / n)))
 
 
 class TestCriterion1DistanceLaws:

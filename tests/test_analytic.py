@@ -719,7 +719,7 @@ class TestLaplaceTerms:
         assert ctx_a is not ctx_b
         shared = ctx_a.e2_table()
         assert ctx_b.e2_table() is shared
-        fresh = ctx_b._build_e2_table()
+        fresh = analytic._Context._build_e2_table(*analytic._geometry(pb))
         assert fresh is not shared
         assert (fresh.end_value, fresh.end_slope) == (shared.end_value,
                                                       shared.end_slope)

@@ -301,18 +301,25 @@ class TestSubcommands:
         ("special", ["--case", "infinite-m"]),
         ("special", ["--case", "no-pc", "--eps", "0"])])
     def test_threshold_at_float_range_end_covers_nothing(self, capsys,
-                                                         command, extra):
+                                                         tmp_path, command,
+                                                         extra):
         """At 3080 dB (T = 1e308) the exponent overflows to -inf: the
         coverage is 0, printed with no warning, not a lost-precision
-        exit."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, command, *extra,
-                                     "--thresholds-db", "3000:3080:80")
-        assert code == EXIT_OK
-        assert out.splitlines() == ["threshold_db,coverage", "3000,0",
-                                    "3080,0"]
-        assert err == ""
+        exit. So it is from alpha 27, where the far nodes of the E1 grid
+        underflow to th = 0 and a row whose beta overflowed would read
+        -inf * 0 there."""
+        path = tmp_path / "cfg.json"
+        for config in ({}, {"alpha": 27}, {"alpha": 28}):
+            path.write_text(json.dumps(config))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, command, *extra, "--config",
+                                         str(path), "--thresholds-db",
+                                         "3000:3080:80")
+            assert code == EXIT_OK
+            assert out.splitlines() == ["threshold_db,coverage", "3000,0",
+                                        "3080,0"]
+            assert err == ""
 
     def test_huge_integer_seed_accepted(self, capsys):
         """An int is exact however large: a 30-digit seed is a seed, not
@@ -610,16 +617,25 @@ class TestSubcommands:
     @pytest.mark.parametrize("mode", ["sync", "async"])
     def test_rate_equals_sweep_at_fractional_frame(self, capsys, mode):
         """n_p = 5 leaves 35 data symbols, n_u = 35/3: rate computes the
-        same frame as the sweep, bit for bit."""
+        same frame as the sweep, bit for bit. rate is the rate table's
+        one-point case: its record is the eps sweep's at the configured
+        eps but for its kind."""
         argv = ("--np", "5", "--eps", "0.5", "--mode", mode, "--format",
                 "json")
         code, out, _ = run_cli(capsys, "rate", *argv)
         assert code == EXIT_OK
-        rate = json.loads(out)["values"][0][1]
+        doc = json.loads(out)
+        rate = doc["values"][0][1]
         code, out, _ = run_cli(capsys, "sweep", "--param", "np", "--values",
                                "5", *argv[2:])
         assert code == EXIT_OK
         assert json.loads(out)["values"] == [[5.0, rate]]
+        code, out, _ = run_cli(capsys, "sweep", "--param", "eps", "--values",
+                               "0.5", *argv)
+        assert code == EXIT_OK
+        sweep = json.loads(out)
+        assert (doc.pop("kind"), sweep.pop("kind")) == ("rate", "sweep")
+        assert doc == sweep
 
     @pytest.mark.parametrize("command, extra", [
         ("coverage", []), ("coverage-mc", ["--trials", "2"]),
@@ -748,6 +764,22 @@ class TestSubcommands:
                    "special": ["--case", "no-pc"],
                    "sweep": ["--param", "np", "--values", "5"],
                    "pdf-check": []}
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_output_in_missing_directory_exits_config(self, capsys, tmp_path,
+                                                      command):
+        """main writes every command's record: into a directory that does
+        not exist, the write fails with exit 2 and an error line last on
+        standard error, and nothing goes to standard output."""
+        extra = ["--samples", "100"] if command == "pdf-check" else []
+        target = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, command, *self.SUBCOMMANDS[command],
+                                 *extra, "--trials", "2", "--thresholds-db",
+                                 "0:6:3", "-o", str(target))
+        assert code == EXIT_CONFIG
+        assert err.splitlines()[-1].startswith("error: ")
+        assert out == ""
+        assert not target.parent.exists()
 
     def test_subcommands_listed(self):
         subs = next(a for a in make_parser()._actions

@@ -12,6 +12,7 @@ from mimosg.errors import DomainError, RealizationError
 from mimosg.geometry import (NetworkRealization, build_network, sample_hppp,
                              trunc_rayleigh_cdf, trunc_rayleigh_sample)
 from mimosg.params import default_params
+from reference_ks import ks_distance
 from reference_sinr import central_cells, extract_bundle
 
 LAM = 1.2732395447351628   # exclusion ball radius 0.5 km
@@ -27,14 +28,6 @@ def trunc_rayleigh_pdf(r, lam: float, lo: float, hi: float):
     mass = math.exp(-q * lo ** 2) * -math.expm1(-q * (hi ** 2 - lo ** 2))
     dens = 2.0 * q * r * np.exp(-q * r ** 2) / mass
     return np.where((r > lo) & (r < hi), dens, 0.0)
-
-
-def ks_distance(sample, cdf) -> float:
-    sample = np.sort(np.asarray(sample))
-    grid = cdf(sample)
-    n = sample.size
-    return float(max(np.max(np.arange(1, n + 1) / n - grid),
-                     np.max(grid - np.arange(0, n) / n)))
 
 
 class TestTruncatedRayleighCore:

@@ -162,12 +162,7 @@ def test_program_members_are_used_by_the_program():
 
 # Parameters of program functions and methods that their bodies never read,
 # each with the reason it stays
-UNREAD_PARAMETERS_ALLOWED = {
-    **{f"cli.{cmd}(args)": "the signature every cmd_* handler is dispatched "
-       "with" for cmd in ("cmd_coverage_mc", "cmd_rate", "cmd_rate_mc")},
-    **{f"analytic._e2_slot({name})": "part of the lru_cache key of the E2 "
-       "table" for name in ("pi_lam", "r0", "r_e", "alpha", "eps")},
-}
+UNREAD_PARAMETERS_ALLOWED = {}
 
 
 def _functions(node, prefix):

@@ -179,9 +179,20 @@ class TestSystemParams:
         assert p.n_p + p.n_u + p.n_d == pytest.approx(p.n_tot, rel=1e-15)
         assert p.n_d == pytest.approx(p.z * p.n_u, rel=1e-15)
 
-    def test_frame_parts_at_least_one(self, params_async):
-        with pytest.raises(ConfigError, match="frame parts"):
-            params_async.with_updates(n_p=39)   # n_u = 1/3
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_p", 39, "frame parts must be >= 1"),    # n_u = 1/3
+        ("n_tot", math.nan, "n_tot must be an integer"),
+        ("n_tot", math.inf, "n_tot must be an integer"),
+        ("n_tot", 40.5, "n_tot must be an integer"),
+        ("z", math.nan, "Z must be > 0"),
+        ("m", math.nan, "m must be a positive integer"),
+        ("n_p", math.nan, "n_p must be a positive integer")])
+    def test_frame_and_counts_checked(self, field, value, message):
+        """Frame parts below one symbol, a NaN, infinite or fractional
+        count, or a NaN frame ratio, are a ConfigError naming the field,
+        not a NaN frame or a bare ValueError."""
+        with pytest.raises(ConfigError, match=message):
+            default_params("async", **{field: value})
 
     def test_derived_values_exact(self):
         """lam, n_u and n_d are properties of r_e, n_tot, n_p and z, not

@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .analytic import (CoverageCurve, RateResult, coverage,
                        coverage_fullpc_async, coverage_infinite_m,
                        coverage_no_pc, ergodic_rate, q2)
-from .errors import (ConfigError, DomainError, EstimationError, MimosgError,
+from .errors import (ConfigError, EstimationError, MimosgError,
                      NumericalError, RealizationError)
 from .geometry import NetworkRealization, build_network, sample_hppp
 from .montecarlo import (McConfig, ValidationReport, draw_phases,
@@ -19,7 +19,7 @@ __all__ = [
     "CoverageCurve", "RateResult", "coverage", "coverage_fullpc_async",
     "coverage_infinite_m", "coverage_no_pc", "ergodic_rate",
     "q2",
-    "ConfigError", "DomainError", "EstimationError", "MimosgError",
+    "ConfigError", "EstimationError", "MimosgError",
     "NumericalError", "RealizationError",
     "NetworkRealization", "build_network", "sample_hppp",
     "McConfig", "ValidationReport", "draw_phases", "run_coverage_mc",

@@ -71,9 +71,9 @@ import numpy as np
 
 from ._kernels import (amp, beam_scale, bs_gain, own_cell, pilot_noise,
                        uplink_scale, user_terms)
-from .errors import DomainError, NumericalError
-from .params import (SystemParams, default_gamma_shape, eta_shape,
-                     frame_weights)
+from .errors import ConfigError, NumericalError
+from .params import (SystemParams, _is_integer, default_gamma_shape,
+                     eta_shape, frame_weights)
 from .quadrature import (gauss_legendre_panels, leggauss, log_breaks,
                          log_panel_grid)
 
@@ -342,13 +342,13 @@ def _gamma_shape(n_shape: int | None, params: SystemParams) -> int:
     if n_shape is None:
         return default_gamma_shape(params.mode)
     if n_shape < 1:
-        raise DomainError(f"n_shape must be >= 1, got {n_shape!r}")
+        raise ConfigError(f"n_shape must be >= 1, got {n_shape!r}")
     if n_shape > _MAX_GAMMA_SHAPE:
-        raise DomainError(f"n_shape must be <= {_MAX_GAMMA_SHAPE}, got "
+        raise ConfigError(f"n_shape must be <= {_MAX_GAMMA_SHAPE}, got "
                           f"{n_shape!r}: the alternating expansion "
                           "amplifies errors about 2^n_shape times")
-    if n_shape != int(n_shape):
-        raise DomainError(f"n_shape must be an integer, got {n_shape!r}")
+    if not _is_integer(n_shape):
+        raise ConfigError(f"n_shape must be an integer, got {n_shape!r}")
     return int(n_shape)
 
 
@@ -558,9 +558,7 @@ class _Context:
             raise _overflow(p)
 
     def _terms(self, x):
-        """The x-only terms at x; on the context's own grid, stored ones."""
-        if x is self.x_vals:
-            return self.terms
+        """The x-only terms at x."""
         return user_terms(np.asarray(x, dtype=float), self.params)
 
     def coefficients(self, ent, x):
@@ -622,15 +620,16 @@ class _Context:
         beta = np.asarray(b, dtype=float) * scale_b
         gam = np.asarray(c, dtype=float) * scale_c
         shape = np.broadcast_shapes(beta.shape, gam.shape, a.shape)
+        beta = np.broadcast_to(beta, shape).ravel()
+        gam = np.broadcast_to(gam, shape).ravel()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            rows = _e1_integral(_tau_grid(p.alpha),
-                                np.broadcast_to(beta, shape).ravel(),
-                                np.broadcast_to(gam, shape).ravel())
-        # a row that is not finite from finite beta and gam read a moment
-        # that is not (``_tau_grid``); from non-finite ones, it is the
-        # caller's, which reports it with its threshold
-        if not np.isfinite(rows).all() and np.isfinite(beta).all() \
-                and np.isfinite(gam).all():
+            rows = _e1_integral(_tau_grid(p.alpha), beta, gam)
+        # a row that is not finite from its own finite beta and gam read a
+        # moment that is not (``_tau_grid``); from non-finite ones, it is
+        # the caller's, which reports it with its threshold
+        if not np.isfinite(rows).all() and (
+                ~np.isfinite(rows) & np.isfinite(beta)
+                & np.isfinite(gam)).any():
             raise _overflow(p)
         return a * rows.reshape(shape)
 
@@ -711,11 +710,6 @@ class _Context:
                         end_value=float(((c3 * h + c2) * h + c1) * h + c0),
                         end_slope=float((3.0 * c3 * h + 2.0 * c2) * h + c1))
 
-    def e2_table(self) -> _E2Table:
-        """The E2 table of this geometry, built on first use and shared
-        with every parameter set of the same geometry."""
-        return _e2_table(*_geometry(self.params))
-
     def e2_exponent(self, d):
         """Exponent of E2 (before the per-user multiplicity factor) at
         coefficient D; spline-interpolated in log-log space. Evaluated in
@@ -730,7 +724,7 @@ class _Context:
     def _e2_values(self, d: np.ndarray) -> np.ndarray:
         p = self.params
         dt_coef = d * p.pi_lam ** (p.alpha * (1.0 - p.eps) / 2.0)
-        table = self.e2_table()
+        table = _e2_table(*_geometry(p))
         mag = np.abs(dt_coef)
         out = np.zeros_like(mag)
         tiny = (mag > 0) & (mag < _E2_LO)
@@ -780,7 +774,8 @@ def _overflow(p: SystemParams) -> NumericalError:
 def _general_exponent(ctx: _Context, z: np.ndarray) -> np.ndarray:
     """Exponent of L's integrand at every (z, x) row; ``z`` is a column
     broadcasting against the x grid."""
-    ctx.e2_table()   # built, if it must be, before the rows' arrays exist
+    # built, if it must be, before the rows' arrays exist
+    _e2_table(*_geometry(ctx.params))
     return _c1_e1_e2_exponent(ctx, z, ctx.e2_exponent)
 
 
@@ -845,7 +840,7 @@ def _coverage_values(thresholds, params: SystemParams, n_shape: int,
     every (T, n) at once."""
     thresholds = np.asarray(thresholds, dtype=float)
     if not np.all((thresholds >= 0.0) & (thresholds < np.inf)):
-        raise DomainError("thresholds must be finite and >= 0 (linear scale)")
+        raise ConfigError("thresholds must be finite and >= 0 (linear scale)")
     with np.errstate(over="ignore"):    # eta n T = inf: L is 0 there
         ent = eta_shape(n_shape) * np.multiply.outer(
             thresholds, np.arange(1, n_shape + 1))
@@ -897,7 +892,7 @@ def coverage_fullpc_async(thresholds, params: SystemParams,
     """Full-power-control special case (asynchronous, eps = 1): only the
     foreign-uplink term survives."""
     if params.sync or params.eps != 1.0:
-        raise DomainError("full-power-control case requires async mode, eps=1")
+        raise ConfigError("full-power-control case requires async mode, eps=1")
     return _analytic_curve(thresholds, params, n_shape,
                            _fullpc_exponent, "analytic-special")
 
@@ -915,7 +910,7 @@ def coverage_no_pc(thresholds, params: SystemParams,
     """No-power-control special case (eps = 0): E2 reduces to a 1-D
     integral. Sanity route for the general pipeline."""
     if params.eps != 0.0:
-        raise DomainError("no-power-control case requires eps=0")
+        raise ConfigError("no-power-control case requires eps=0")
     return _analytic_curve(thresholds, params, n_shape,
                            _no_pc_exponent, "analytic-special")
 

@@ -29,10 +29,11 @@ import numpy as np
 from . import __version__
 from .analytic import (coverage, coverage_fullpc_async, coverage_infinite_m,
                        coverage_no_pc, ergodic_rate)
-from .errors import ConfigError, DomainError, MimosgError, NumericalError
+from .errors import ConfigError, MimosgError, NumericalError
 from .geometry import trunc_rayleigh_cdf, trunc_rayleigh_sample
 from .montecarlo import McConfig, run_coverage_mc, run_rate_mc, validate
-from .params import SystemParams, attenuation_db_to_linear, dbm_to_watt
+from .params import (SystemParams, _is_integer, attenuation_db_to_linear,
+                     dbm_to_watt)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,7 +56,8 @@ MAX_SAMPLES = 10 ** 7
 # Output formats of write_results.
 FORMATS = ("csv", "json")
 
-# Human-unit defaults of the validation suite's reference setting.
+# Human-unit defaults of the validation suite's reference setting; the
+# Monte Carlo ones are McConfig's.
 DEFAULT_CONFIG = {
     "p_d_dbm": 45.0,
     "p_u_dbm": 23.0,
@@ -72,11 +74,11 @@ DEFAULT_CONFIG = {
     "mode": "async",
     "n_gamma": None,          # Gamma shape; None = mode default
     "thresholds_db": "-10:20:1",
-    "trials": 10000,
-    "seed": 1,
-    "window_km": 4.0,
-    "margin_km": 1.0,
-    "workers": 1,
+    "trials": McConfig.trials,
+    "seed": McConfig.seed,
+    "window_km": McConfig.window,
+    "margin_km": McConfig.margin,
+    "workers": McConfig.workers,
     "output": None,
     "format": "csv",
 }
@@ -328,7 +330,7 @@ def _sweep_values(param: str, text: str) -> list[float]:
     if not values:
         raise ConfigError("sweep needs at least one value")
     if param == "np":
-        bad = [v for v in values if not v.is_integer()]
+        bad = [v for v in values if not _is_integer(v)]
         if bad:
             raise ConfigError(f"sweep values of np must be integers, "
                               f"got {bad[0]!r}")
@@ -531,7 +533,7 @@ def main(argv=None) -> int:
         record, code = args.handler(cfg, args)
         write_results(record, cfg["output"], cfg["format"])
         return code
-    except (ConfigError, DomainError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except NumericalError as exc:

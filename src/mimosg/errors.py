@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: configuration and domain problems
-exit 2, numerical, realization and estimation failures exit 3, a failed
+The CLI maps these onto exit codes: an input the package refuses exits 2,
+numerical, realization and estimation failures exit 3, a failed
 validation gate exits 4.
 """
 
@@ -11,11 +11,9 @@ class MimosgError(Exception):
 
 
 class ConfigError(MimosgError, ValueError):
-    """Invalid or inconsistent configuration (bad frame split, units, flags)."""
-
-
-class DomainError(MimosgError, ValueError):
-    """Argument outside the mathematical domain of an operation."""
+    """An input the package refuses: an invalid or inconsistent
+    configuration (bad frame split, units, flags), or an argument outside
+    the mathematical domain of an operation."""
 
 
 class NumericalError(MimosgError, RuntimeError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, RealizationError
+from .errors import ConfigError, RealizationError
 from .params import SystemParams
 
 log = logging.getLogger(__name__)
@@ -68,9 +68,9 @@ def sample_hppp(lam: float, window: float,
     """Homogeneous Poisson process of density lam on a window x window
     square: an (n, 2) array of points in km."""
     if lam < 0:
-        raise DomainError(f"lambda must be >= 0, got {lam!r}")
+        raise ConfigError(f"lambda must be >= 0, got {lam!r}")
     if window <= 0:
-        raise DomainError(f"window side must be > 0, got {window!r}")
+        raise ConfigError(f"window side must be > 0, got {window!r}")
     n = rng.poisson(lam * window * window)
     return rng.random((n, 2)) * window
 
@@ -94,6 +94,13 @@ class NetworkRealization:
     @property
     def n_bs(self) -> int:
         return self.bs.shape[0]
+
+
+def user_batch(n_bs, k):
+    """Points per user batch of ``build_network`` for n_bs stations of k
+    users: the nearest-station search of a batch measures n_bs times as
+    many distances."""
+    return max(1024, 8 * n_bs * k)
 
 
 def build_network(params: SystemParams, window: float,
@@ -125,7 +132,7 @@ def build_network(params: SystemParams, window: float,
 
     # One batch of points for the whole window: a single station-major
     # nearest-station search gives every point its cell.
-    batch = max(1024, 8 * n_bs * k)
+    batch = user_batch(n_bs, k)
     budget = ATTEMPTS_PER_CELL * n_bs
     drawn = 0
     while drawn < budget and (fill < k).any():

@@ -54,8 +54,8 @@ from . import _kernels
 from .analytic import CoverageCurve, RateResult, _gamma_shape, coverage
 from .errors import (ConfigError, EstimationError, NumericalError,
                      RealizationError)
-from .geometry import build_network
-from .params import SystemParams, frame_weights
+from .geometry import build_network, user_batch
+from .params import SystemParams, _is_integer, frame_weights
 
 log = logging.getLogger(__name__)
 
@@ -63,8 +63,8 @@ _Z95 = 1.959963984540054
 
 # Most elements the largest array of a trial may have at the expected
 # station count n = lam window^2: the nearest-station block of
-# ``build_network``, n x 8 n K distances (2**26 float64 values are 512 MiB).
-# A window that asks for more is a typo, not a request.
+# ``build_network``, n x ``user_batch(n, K)`` distances (2**26 float64
+# values are 512 MiB). A window that asks for more is a typo, not a request.
 MAX_TRIAL_BLOCK = 2 ** 26
 
 # Most trials a run may ask for: a larger count is a typo, not a request.
@@ -88,6 +88,12 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # a whole float is stored as the int that range() and the seed take
+        for name in ("trials", "seed", "workers"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
         if self.trials > MAX_TRIALS:
@@ -177,7 +183,7 @@ def _check_trial_size(params: SystemParams, cfg: McConfig) -> None:
     """ConfigError when a trial's nearest-station block would exceed
     MAX_TRIAL_BLOCK elements at the expected station count."""
     n_bs = params.lam * cfg.window * cfg.window   # inf, not OverflowError
-    block = n_bs * 8.0 * n_bs * params.n_p
+    block = n_bs * user_batch(n_bs, params.n_p)
     if not block <= MAX_TRIAL_BLOCK:
         raise ConfigError(
             f"window of {cfg.window!r} km is too large: its {n_bs:.3g} "

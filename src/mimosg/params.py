@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, DomainError
+import numpy as np
+
+from .errors import ConfigError
 
 MODE_ASYNC = "async"
 MODE_SYNC = "sync"
@@ -46,11 +48,14 @@ def attenuation_db_to_linear(db: float) -> float:
 
 
 def _is_integer(value) -> bool:
-    """``value`` is a whole number: an int, or a float without a fraction
-    that is neither NaN nor infinite."""
+    """``value`` is a whole number: an int, however large, or a float
+    without a fraction that is neither NaN nor infinite; never a bool,
+    Python's or numpy's. The one whole-number test of the package."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
     try:
-        return value == int(value)
-    except (ValueError, OverflowError):
+        return bool(value == int(value))
+    except (TypeError, ValueError, OverflowError):
         return False
 
 
@@ -80,7 +85,7 @@ def density_from_exclusion(r_e: float) -> float:
     """Base-station density (km^-2) whose exclusion ball of radius ``r_e``
     contains one point on average: lambda = 1 / (pi * r_e^2)."""
     if r_e <= 0:
-        raise DomainError(f"r_e must be > 0, got {r_e!r}")
+        raise ConfigError(f"r_e must be > 0, got {r_e!r}")
     return 1.0 / (math.pi * r_e * r_e)
 
 
@@ -94,7 +99,8 @@ _C_M_SERIES = (1.0, -1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144,
                869 / 4194304)
 
 
-@functools.lru_cache(maxsize=64)
+# typed: True equals 1 and would otherwise hit the cache entry of 1
+@functools.lru_cache(maxsize=64, typed=True)
 def c_m(m: int) -> float:
     """Mean of the norm of an M-variate standard complex Gaussian vector,
     Gamma(M + 1/2) / Gamma(M), to about one ulp.
@@ -104,8 +110,8 @@ def c_m(m: int) -> float:
     there on sqrt(M) times the asymptotic series in 1/M. Neither forms a
     Gamma value or a difference of log-Gammas, so nothing overflows and
     nothing cancels at any M."""
-    if m < 1 or m != int(m):
-        raise DomainError(f"antenna count must be a positive integer, got {m!r}")
+    if not _is_integer(m) or m < 1:
+        raise ConfigError(f"antenna count must be a positive integer, got {m!r}")
     m = int(m)
     if m < _C_M_SERIES_FROM:
         return _SQRT_PI * (m * math.comb(2 * m, m) / 4 ** m)
@@ -130,8 +136,8 @@ def eta_shape(n: int) -> float:
     "On some inequalities for the incomplete gamma function", Math. Comp.
     66, 1997); the matching upper bound uses eta = n.
     """
-    if n < 1 or n != int(n):
-        raise DomainError(f"shape parameter must be a positive integer, got {n!r}")
+    if not _is_integer(n) or n < 1:
+        raise ConfigError(f"shape parameter must be a positive integer, got {n!r}")
     n = int(n)
     return n * math.exp(-math.lgamma(n + 1) / n)
 
@@ -217,6 +223,16 @@ class SystemParams:
             raise ConfigError(f"sigma2 must be >= 0, got {self.sigma2!r}")
         if self.alpha <= 2:
             raise ConfigError(f"alpha must be > 2, got {self.alpha!r}")
+        # a count beyond the float range is an integer, but no formula
+        # can compute with it
+        for name in ("m", "n_tot", "n_p"):
+            value = getattr(self, name)
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{name} must convert to a finite float, "
+                                  f"got an integer of {len(str(abs(value)))} "
+                                  "digits") from None
         if self.m < 1 or not _is_integer(self.m):
             raise ConfigError(f"m must be a positive integer, got {self.m!r}")
         n_u, n_d = split_frame_real(self.n_tot, self.n_p, self.z)
@@ -257,9 +273,6 @@ class SystemParams:
     @property
     def sync(self) -> bool:
         return self.mode == MODE_SYNC
-
-    def with_updates(self, **changes) -> "SystemParams":
-        return replace(self, **changes)
 
 
 def default_params(mode: str = MODE_ASYNC, *, m: int = 64, eps: float = 0.0,

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from mimosg import _kernels
-from mimosg.errors import DomainError, NumericalError
+from mimosg.errors import ConfigError, NumericalError
 from mimosg.geometry import NetworkRealization
 from mimosg.params import PHASE_DOWNLINK, PHASE_UPLINK, SystemParams, c_m, v_m
 
@@ -102,7 +102,7 @@ def extract_bundle(net: NetworkRealization, cell: int, k: int,
     falls outside the central measurement region (border-effect guard).
     Interference always comes from the full window."""
     if not net.valid[cell]:
-        raise DomainError(f"cell {cell} holds no eligible users")
+        raise ConfigError(f"cell {cell} holds no eligible users")
     if cell not in central_cells(net, margin):
         return None
 
@@ -195,7 +195,7 @@ def delta1(delta: float, x: float, params: SystemParams) -> float:
     """Excess observation variance after removing the own-pilot part:
     p_u^-1 * omega^(eps-1) * Delta - x^(-alpha(1-eps))."""
     if x <= 0:
-        raise DomainError("serving distance must be positive")
+        raise ConfigError("serving distance must be positive")
     p = params
     return (p.omega ** (p.eps - 1.0) / p.p_u) * delta - x ** (-p.alpha * (1.0 - p.eps))
 
@@ -230,7 +230,7 @@ def inverse_sinr(bundle: DistanceBundle, phases: np.ndarray,
         return out
 
     if phases.shape[0] != bundle.n_other:
-        raise DomainError("phase draw does not match the bundle's cell count")
+        raise ConfigError("phase draw does not match the bundle's cell count")
 
     r_jl = bundle.bs_to_user
     if p.sync:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mimosg.analytic import (_TAYLOR_K, _TAYLOR_Z, CoverageCurve, _context,
                              _tau_grid, coverage, coverage_fullpc_async,
                              coverage_infinite_m, coverage_no_pc,
                              ergodic_rate, q2)
-from mimosg.errors import DomainError, NumericalError
+from mimosg.errors import ConfigError, NumericalError
 from mimosg.geometry import NetworkRealization
 from mimosg.params import c_m, dbm_to_watt, default_params, eta_shape, v_m
 from mimosg.quadrature import gauss_legendre_panels, leggauss, log_panel_grid
@@ -266,7 +267,8 @@ class TestInHouseSpecialFunctions:
         spline matches scipy's not-a-knot CubicSpline in value at the knots
         and between them; the table's power-law continuation past its end
         matches scipy's value and first derivative there."""
-        table = _context(default_params("async", eps=eps)).e2_table()
+        table = analytic._e2_table(
+            *analytic._geometry(default_params("async", eps=eps)))
         x = table.spline.x
         y = np.append(table.spline.c[3], table.spline(x[-1]))
         ours, ref = analytic._Spline(x, y), CubicSpline(x, y)
@@ -297,7 +299,7 @@ class TestExclusionBallConstants:
 
     def test_q2_divergence(self, params_async):
         with pytest.raises(Exception):
-            q2(params_async.with_updates(alpha=2.0))
+            q2(replace(params_async, alpha=2.0))
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_q1_async_reference(self, eps):
@@ -339,7 +341,7 @@ class TestExclusionBallConstants:
         """The panel sums of the cross moment against the adaptive oracle:
         ``quad`` over t with the inner integral int_a0^t s^p e^-s ds from
         ``gammainc``, at non-integer shapes p + 1 = alpha eps / 2 + 1."""
-        p = default_params("async", eps=eps).with_updates(alpha=alpha, r0=r0)
+        p = replace(default_params("async", eps=eps), alpha=alpha, r0=r0)
         q = p.pi_lam
         a0, te = q * p.r0 ** 2, q * p.r_e ** 2
         k = alpha * eps / 2.0 + 1.0
@@ -717,8 +719,8 @@ class TestLaplaceTerms:
         pb = default_params("sync", eps=0.5, n_p=25)
         ctx_a, ctx_b = _context(pa), _context(pb)
         assert ctx_a is not ctx_b
-        shared = ctx_a.e2_table()
-        assert ctx_b.e2_table() is shared
+        shared = analytic._e2_table(*analytic._geometry(pa))
+        assert analytic._e2_table(*analytic._geometry(pb)) is shared
         fresh = analytic._Context._build_e2_table(*analytic._geometry(pb))
         assert fresh is not shared
         assert (fresh.end_value, fresh.end_slope) == (shared.end_value,
@@ -736,7 +738,7 @@ class TestLaplaceTerms:
         saturates (width about (t^(a/2)/g)^(1/p)); its error changes with
         t, and the two builds sample it at different t nodes, so they part
         by up to 8.3e-7 there, where E2 < -15."""
-        p = default_params("async", eps=eps).with_updates(r0=r0)
+        p = replace(default_params("async", eps=eps), r0=r0)
         grid = np.geomspace(1e-12, 1e15, 217)
         ref = np.array([e2_oracle(p, -g) for g in grid])
         got = e2_at(p, grid)
@@ -829,25 +831,34 @@ class TestCoverage:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_threshold_rejected(self, params_async, bad):
-        """A DomainError, not a NumericalError from the quadrature."""
-        with pytest.raises(DomainError, match="finite and >= 0"):
+        """A ConfigError, not a NumericalError from the quadrature."""
+        with pytest.raises(ConfigError, match="finite and >= 0"):
             coverage(np.array([1.0, bad]), params_async, 1)
 
     def test_negative_threshold_rejected(self, params_async):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             coverage(np.array([-0.5]), params_async, 1)
 
     @pytest.mark.parametrize("n_shape", [17, 50, 2000, math.inf])
     def test_gamma_shape_above_cap_refused(self, params_sync, n_shape):
         """Coverage and rate refuse a shape whose expansion amplifies the
-        quadrature's errors past use, with a DomainError, before any
+        quadrature's errors past use, with a ConfigError, before any
         binomial coefficient is formed."""
         assert analytic._MAX_GAMMA_SHAPE < n_shape
         th = np.array([0.1, 1.0])
         cap = f"n_shape must be <= {analytic._MAX_GAMMA_SHAPE}"
-        with pytest.raises(DomainError, match=cap):
+        with pytest.raises(ConfigError, match=cap):
             coverage(th, params_sync, n_shape)
-        with pytest.raises(DomainError, match=cap):
+        with pytest.raises(ConfigError, match=cap):
+            ergodic_rate(params_sync, n_shape)
+
+    @pytest.mark.parametrize("n_shape", [2.5, math.nan, True, np.True_])
+    def test_gamma_shape_not_whole_refused(self, params_sync, n_shape):
+        """A fractional, NaN or boolean shape is a ConfigError, not a bare
+        ValueError or the shape 1."""
+        with pytest.raises(ConfigError, match="n_shape must be an integer"):
+            coverage(np.array([0.1, 1.0]), params_sync, n_shape)
+        with pytest.raises(ConfigError, match="n_shape must be an integer"):
             ergodic_rate(params_sync, n_shape)
 
     @pytest.mark.parametrize("n_shape", [8, analytic._MAX_GAMMA_SHAPE])
@@ -920,7 +931,7 @@ class TestCoverage:
         th = np.array([1e-5])
         vals = []
         for p_u in (0.05, 0.2, 0.8):
-            p = default_params("async", eps=1.0).with_updates(p_u=p_u)
+            p = replace(default_params("async", eps=1.0), p_u=p_u)
             vals.append(coverage_fullpc_async(th, p, 1).coverage[0])
         assert vals[0] >= vals[1] >= vals[2]
 
@@ -931,9 +942,9 @@ class TestCoverage:
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_mode_guards(self, params_async, params_sync):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             coverage_fullpc_async(np.array([1.0]), params_async, 1)  # eps != 1
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             coverage_no_pc(np.array([1.0]), params_sync, 4)  # eps != 0
 
     def test_c1_contains_isolated_floor(self, params_async):
@@ -1121,10 +1132,10 @@ def _scaled(p, length=1.0, power=1.0):
     """``p`` with every length times ``length``, omega times
     ``length``^alpha, and every power times ``power``: the same network,
     whose SINR is unchanged."""
-    return p.with_updates(r_e=p.r_e * length, r0=p.r0 * length,
-                          omega=p.omega * length ** p.alpha,
-                          p_d=p.p_d * power, p_u=p.p_u * power,
-                          sigma2=p.sigma2 * power)
+    return replace(p, r_e=p.r_e * length, r0=p.r0 * length,
+                   omega=p.omega * length ** p.alpha,
+                   p_d=p.p_d * power, p_u=p.p_u * power,
+                   sigma2=p.sigma2 * power)
 
 
 class TestScalingInvariance:

@@ -254,16 +254,22 @@ class TestSubcommands:
         ("coverage-mc", [], {"sigma2_dbm": 1e308},
          "config key 'sigma2_dbm' is out of range: 1e+308"),
         ("validate", ["--gate", "0.9"], {"omega_db": -1e308},
-         "config key 'omega_db' is out of range: -1e+308")],
+         "config key 'omega_db' is out of range: -1e+308"),
+        ("rate", [], {"n_tot": 10 ** 400},
+         "n_tot must convert to a finite float, got an integer of 401 digits"),
+        ("rate", [], {"m": 10 ** 400},
+         "m must convert to a finite float, got an integer of 401 digits")],
         ids=["window_km", "r_e_km", "alpha", "omega_db", "p_u_dbm",
              "p_d_dbm", "sigma2_dbm", "p_d_dbm-overflow", "p_u_dbm-overflow",
-             "sigma2_dbm-overflow", "omega_db-overflow"])
+             "sigma2_dbm-overflow", "omega_db-overflow", "n_tot-overflow",
+             "m-overflow"])
     def test_non_finite_model_input_exits_config(self, capsys, tmp_path,
                                                  command, argv, loaded,
                                                  message):
-        """An infinite model input, or a finite dB or dBm value whose
-        linear value overflows a float, exits 2 with its name, instead of
-        a traceback, a numerical-error exit or a meaningless value."""
+        """An infinite model input, a finite dB or dBm value whose linear
+        value overflows a float, or a count beyond the float range, exits
+        2 with its name, instead of a traceback, a numerical-error exit or
+        a meaningless value."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(loaded))
         code, out, err = run_cli(capsys, command, *argv, "--config", str(path),
@@ -277,19 +283,24 @@ class TestSubcommands:
     def test_huge_path_loss_exponent_exits_numerical(self, capsys, tmp_path,
                                                      command, extra):
         """alpha = 600 overflows the powers of distance of both engines,
-        alpha = 30 or 100 the analytic engine's tau grid, and at alpha = 24
-        the rate's L(z) is not flat near z = 0: exit 3 with one line on
-        standard error that names the exponent, not a traceback, numpy
-        warnings or a Monte Carlo coverage of 0."""
+        alpha = 29, 30 or 100 the analytic engine's tau grid, also when
+        another threshold of the curve overflows its exponent (3080 dB),
+        and at alpha = 24 the rate's L(z) is not flat near z = 0: exit 3
+        with one line on standard error that names the exponent, not a
+        traceback, numpy warnings, a lost-precision error or a Monte Carlo
+        coverage of 0."""
         path = tmp_path / "cfg.json"
-        alphas = {"coverage": (30, 100, 600), "rate": (24, 30, 100, 600),
-                  "coverage-mc": (600,)}[command]
-        for alpha in alphas:
+        runs = {"coverage": [(30, "0:6:3"), (100, "0:6:3"), (600, "0:6:3"),
+                             (29, "0:3080:1540"), (30, "0:3080:1540")],
+                "rate": [(24, "0:6:3"), (30, "0:6:3"), (100, "0:6:3"),
+                         (600, "0:6:3")],
+                "coverage-mc": [(600, "0:6:3")]}[command]
+        for alpha, grid in runs:
             path.write_text(json.dumps({"alpha": alpha}))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, out, err = run_cli(capsys, command, *extra, "--config",
-                                         str(path), "--thresholds-db", "0:6:3")
+                                         str(path), "--thresholds-db", grid)
             assert code == EXIT_NUMERICAL
             assert err.startswith("numerical error: ")
             assert f"path-loss exponent {float(alpha)!r}" in err

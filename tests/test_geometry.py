@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mimosg import _kernels, geometry
-from mimosg.errors import DomainError, RealizationError
+from mimosg.errors import ConfigError, RealizationError
 from mimosg.geometry import (NetworkRealization, build_network, sample_hppp,
                              trunc_rayleigh_cdf, trunc_rayleigh_sample)
 from mimosg.params import default_params
@@ -85,7 +86,7 @@ class TestHppp:
         assert np.all((pts >= 0.0) & (pts <= 2.0))
 
     def test_invalid_window(self, rng):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             sample_hppp(1.0, 0.0, rng)
 
 
@@ -190,7 +191,7 @@ class TestNetwork:
             np.testing.assert_array_equal(full.argmin(axis=1), j)
 
     def test_no_rejection_without_exclusion(self, rng):
-        p = default_params("async").with_updates(r0=1e-9)
+        p = replace(default_params("async"), r0=1e-9)
         net = build_network(p, 3.0, rng)
         assert net.valid.all()
 

@@ -1,10 +1,12 @@
 """Per-link statistics: the Monte Carlo phase draw, and the scalar
 one-user SINR reference of ``reference_sinr`` against naive re-derivations
 and closed forms."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mimosg.errors import DomainError
+from mimosg.errors import ConfigError
 from mimosg.geometry import NetworkRealization, build_network
 from mimosg.montecarlo import draw_phases
 from mimosg.params import (PHASE_DOWNLINK, PHASE_PILOT, PHASE_UPLINK, c_m,
@@ -300,7 +302,7 @@ class TestInverseSinr:
         net = build_network(params_async, 4.0, rng)
         b = extract_bundle(net, int(central_cells(net, 1.0)[0]), 0, margin=1.0)
         table = deltas_for(net, params_async)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             inverse_sinr(b, np.zeros(b.n_other + 2, np.int8),
                          delta_set_for(b, table), params_async)
 
@@ -313,8 +315,8 @@ class TestInverseSinr:
         b = extract_bundle(net, int(central_cells(net, 1.0)[0]), 0, margin=1.0)
         ph = draw_phases(p0, b.n_other, np.random.default_rng(1))
         scale = 7.0
-        p1 = p0.with_updates(p_d=p0.p_d * scale, sigma2=p0.sigma2 * scale,
-                             p_u=p0.p_u * scale)
+        p1 = replace(p0, p_d=p0.p_d * scale, sigma2=p0.sigma2 * scale,
+                     p_u=p0.p_u * scale)
         t0 = deltas_for(net, p0) * scale  # deltas are linear in power at eps=0
         t1 = deltas_for(net, p1)
         np.testing.assert_allclose(t0[~np.isnan(t0)], t1[~np.isnan(t1)],

@@ -2,6 +2,7 @@ import concurrent.futures
 import logging
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +41,13 @@ class TestConfig:
             McConfig(trials=0)
         with pytest.raises(ConfigError, match="trials must be at most"):
             McConfig(trials=MAX_TRIALS + 1)
+        for trials in (2.5, math.nan, True):
+            with pytest.raises(ConfigError, match="trials must be an integer"):
+                McConfig(trials=trials)
+        # a whole float counts, as the int that range() takes
+        cfg = McConfig(trials=2.0, seed=7.0, workers=1.0, thresholds=(1.0,))
+        assert (cfg.trials, cfg.seed, cfg.workers) == (2, 7, 1)
+        assert run_rate_mc(default_params(), cfg).trials_used <= 2
         for trials in (10_000, 20_000, MAX_TRIALS):
             assert McConfig(trials=trials).trials == trials
 
@@ -48,8 +56,12 @@ class TestConfig:
         per-trial SeedSequence."""
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             McConfig(trials=10, seed=-1)
+        # not run as seed 1, nor left to fail in the SeedSequence
+        for seed in (1.5, math.nan, True):
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                McConfig(trials=10, seed=seed)
 
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, math.nan, True])
     def test_workers_bound(self, workers):
         with pytest.raises(ConfigError, match="workers"):
             McConfig(trials=10, workers=workers)
@@ -246,8 +258,8 @@ class TestEstimates:
         assert rate.rate == pytest.approx(ccdf_route, rel=0.02)
 
     def test_degenerate_trials_raise(self):
-        p = default_params("async").with_updates(
-            r_e=1.0 / math.sqrt(math.pi * 1e-6))
+        p = replace(default_params("async"),
+                    r_e=1.0 / math.sqrt(math.pi * 1e-6))
         with pytest.raises(EstimationError):
             run_coverage_mc(p, small_cfg(trials=3))
 

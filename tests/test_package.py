@@ -14,10 +14,10 @@ from mimosg import _kernels, analytic, cli, montecarlo
 
 # the public API, sorted: a change to it is a change to this list
 PUBLIC_API = [
-    "ConfigError", "CoverageCurve", "DomainError", "EstimationError",
-    "McConfig", "MimosgError", "NetworkRealization", "NumericalError",
-    "RateResult", "RealizationError", "SystemParams", "ValidationReport",
-    "__version__", "build_network", "c_m", "coverage",
+    "ConfigError", "CoverageCurve", "EstimationError", "McConfig",
+    "MimosgError", "NetworkRealization", "NumericalError", "RateResult",
+    "RealizationError", "SystemParams", "ValidationReport", "__version__",
+    "build_network", "c_m", "coverage",
     "coverage_fullpc_async", "coverage_infinite_m", "coverage_no_pc",
     "default_gamma_shape", "default_params", "density_from_exclusion",
     "draw_phases", "ergodic_rate", "eta_shape", "q2", "run_coverage_mc",
@@ -128,9 +128,7 @@ def test_program_definitions_are_used_by_the_program():
 
 # Methods and properties of program classes that no program code accesses
 # by name, each with the reason it stays
-UNACCESSED_MEMBERS_ALLOWED = {
-    "params.SystemParams.with_updates": "the README's way to vary one input",
-}
+UNACCESSED_MEMBERS_ALLOWED = {}
 
 
 def test_program_members_are_used_by_the_program():
@@ -193,6 +191,29 @@ def test_program_parameters_are_read():
             unread.update(f"{name}({p})" for p in params if p not in read)
     assert sorted(unread - set(UNREAD_PARAMETERS_ALLOWED)) == []
     assert sorted(set(UNREAD_PARAMETERS_ALLOWED) - unread) == []
+
+
+def test_one_whole_number_test():
+    """Outside ``params._is_integer`` no program code compares a value
+    with ``int(...)`` or calls ``.is_integer()``: every whole-number check
+    is that one function, which refuses bools, NaN and infinities alike."""
+    modules = _program_modules()
+    exempt = {id(n) for top in modules["params"].body
+              if getattr(top, "name", None) == "_is_integer"
+              for n in ast.walk(top)}
+    found = []
+    for mod, tree in modules.items():
+        for node in ast.walk(tree):
+            operands = ([node.left, *node.comparators]
+                        if isinstance(node, ast.Compare) else [])
+            if id(node) not in exempt and (
+                    any(isinstance(o, ast.Call)
+                        and getattr(o.func, "id", None) == "int"
+                        for o in operands)
+                    or (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == "is_integer")):
+                found.append(f"{mod} line {node.lineno}")
+    assert found == []
 
 
 # The power, noise and path-gain parameters: only the terms of the inverse

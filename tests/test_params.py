@@ -1,12 +1,12 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from mimosg.errors import ConfigError, DomainError
+from mimosg.errors import ConfigError
 from mimosg.params import (SystemParams, c_m, dbm_to_watt, default_gamma_shape,
                            default_params, density_from_exclusion, eta_shape,
                            frame_weights, split_frame_real, v_m)
@@ -65,10 +65,17 @@ class TestNormConstants:
         assert math.isfinite(c_m(10_000_000))
 
     def test_c_m_domain(self):
-        with pytest.raises(DomainError):
-            c_m(0)
-        with pytest.raises(DomainError):
-            c_m(2.5)
+        """A count that is not a positive whole number, NaN and bools
+        included, is a ConfigError, also after c_m(1) is cached."""
+        c_m(1)
+        for m in (0, 2.5, math.nan, True, np.True_):
+            with pytest.raises(ConfigError, match="antenna count"):
+                c_m(m)
+
+    def test_eta_domain(self):
+        for n in (0, 2.5, math.nan, True, np.True_):
+            with pytest.raises(ConfigError, match="shape parameter"):
+                eta_shape(n)
 
     @pytest.mark.parametrize("m", [*range(1, 65), 128, 512, 4096, 10_000,
                                    20_000])
@@ -124,7 +131,7 @@ class TestDensity:
         assert density_from_exclusion(math.pi ** -0.5) == pytest.approx(1.0)
 
     def test_zero_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             density_from_exclusion(0.0)
 
 
@@ -174,8 +181,8 @@ class TestSystemParams:
         """n_u and n_d are derived, so they cannot be set apart from the
         frame and always fill it."""
         with pytest.raises(TypeError):
-            params_async.with_updates(n_u=11)
-        p = params_async.with_updates(n_p=15)
+            replace(params_async, n_u=11)
+        p = replace(params_async, n_p=15)
         assert p.n_p + p.n_u + p.n_d == pytest.approx(p.n_tot, rel=1e-15)
         assert p.n_d == pytest.approx(p.z * p.n_u, rel=1e-15)
 
@@ -186,11 +193,21 @@ class TestSystemParams:
         ("n_tot", 40.5, "n_tot must be an integer"),
         ("z", math.nan, "Z must be > 0"),
         ("m", math.nan, "m must be a positive integer"),
-        ("n_p", math.nan, "n_p must be a positive integer")])
+        ("n_p", math.nan, "n_p must be a positive integer"),
+        ("m", True, "m must be a positive integer"),
+        ("m", np.True_, "m must be a positive integer"),
+        ("n_p", True, "n_p must be a positive integer"),
+        pytest.param("n_tot", 10 ** 400, "n_tot must convert to a finite "
+                     "float, got an integer of 401 digits", id="n_tot-huge"),
+        pytest.param("m", 10 ** 400, "m must convert to a finite float",
+                     id="m-huge"),
+        pytest.param("n_p", 10 ** 400, "n_p must convert to a finite float",
+                     id="n_p-huge")])
     def test_frame_and_counts_checked(self, field, value, message):
-        """Frame parts below one symbol, a NaN, infinite or fractional
-        count, or a NaN frame ratio, are a ConfigError naming the field,
-        not a NaN frame or a bare ValueError."""
+        """Frame parts below one symbol, a NaN, infinite, fractional or
+        boolean count, a count beyond the float range, or a NaN frame
+        ratio, are a ConfigError naming the field, not a NaN frame, a
+        count of 1 or a bare ValueError or OverflowError."""
         with pytest.raises(ConfigError, match=message):
             default_params("async", **{field: value})
 
@@ -204,20 +221,20 @@ class TestSystemParams:
         assert not {"lam", "n_u", "n_d"} & {f.name for f in fields(p)}
 
     def test_pilot_sweep_by_update(self):
-        assert (default_params("sync").with_updates(n_p=15)
+        assert (replace(default_params("sync"), n_p=15)
                 == default_params("sync", n_p=15))
 
     def test_alpha_bound(self, params_async):
         with pytest.raises(ConfigError):
-            params_async.with_updates(alpha=2.0)
+            replace(params_async, alpha=2.0)
 
     def test_eps_range(self, params_async):
         with pytest.raises(ConfigError):
-            params_async.with_updates(eps=1.5)
+            replace(params_async, eps=1.5)
 
     def test_r0_inside_ball(self, params_async):
         with pytest.raises(ConfigError):
-            params_async.with_updates(r0=0.7, r_e=0.5)
+            replace(params_async, r0=0.7, r_e=0.5)
 
     def test_lambda_derived_from_r_e(self):
         p = SystemParams(p_d=1.0, p_u=1.0, sigma2=0.0, omega=1e-13, alpha=4.0,
